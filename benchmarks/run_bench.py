@@ -58,10 +58,10 @@ block reads the committed artifacts rather than re-running the sweep
 
 Since PR 8 the output also carries a ``policies`` block: the prefetch
 policy head-to-head (:mod:`repro.experiments.policy_bench`) racing the
-paper's static one-request-ahead prototype against depth-k / adaptive /
-tuned policies across the paper's delay sweep plus the strided and
-deep-sequential families, with the acceptance verdicts (tuned >= static
-on every paper cell; strict win on a new family) inline.
+paper's static one-request-ahead prototype against the depth-k
+pipelines across the paper's delay sweep plus the strided and
+deep-sequential families, with the acceptance verdicts (contender >=
+static on every paper cell; strict win on a new family) inline.
 
 Since PR 9 the output also carries a ``scale`` block: the multi-tenant
 scale sweep (:mod:`benchmarks.shard_runner` over :mod:`repro.scale`) --

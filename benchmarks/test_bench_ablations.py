@@ -49,8 +49,10 @@ def test_bench_ablation_policies(benchmark, save_table):
     problem = check_ablation_shapes(policies=table)
     assert problem is None, problem
     rows = {(r[0], r[1]): r for r in table.rows}
-    # Adaptive wastes less than blind one-ahead on random access.
-    assert rows[("random", "adaptive")][4] < rows[("random", "one-ahead")][4]
+    # The strided policy stays silent on random access, where blind
+    # one-ahead wastes prefetches and loses bandwidth.
+    assert rows[("random", "strided")][4] < rows[("random", "one-ahead")][4]
+    assert rows[("random", "strided")][2] > rows[("random", "one-ahead")][2]
 
 
 def test_bench_ablation_buffering(benchmark, save_table):

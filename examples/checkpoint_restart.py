@@ -17,7 +17,6 @@ from repro import (
     IOMode,
     Machine,
     MachineConfig,
-    OneRequestAhead,
     PFSConfig,
     Prefetcher,
 )
@@ -67,7 +66,7 @@ def restart(machine, mount, prefetch: bool):
     handles = [None] * NPROCS
 
     def reader(rank):
-        prefetcher = Prefetcher(OneRequestAhead()) if prefetch else None
+        prefetcher = Prefetcher() if prefetch else None
         handle = yield from machine.clients[rank].open(
             mount,
             "checkpoint",

@@ -21,7 +21,6 @@ from repro import (
     IOMode,
     Machine,
     MachineConfig,
-    OneRequestAhead,
     PFSConfig,
     Prefetcher,
 )
@@ -48,7 +47,7 @@ def sweep(intensity_s_per_mb: float, prefetch: bool) -> tuple:
         request_size=PANEL_BYTES,
         compute_delay=compute_per_panel,
         iomode=IOMode.M_RECORD,
-        prefetcher_factory=((lambda rank: Prefetcher(OneRequestAhead())) if prefetch else None),
+        prefetcher_factory=((lambda rank: Prefetcher()) if prefetch else None),
     )
     result = workload.run()
     return result.elapsed_s, result.report.collective_bandwidth_mbps

@@ -16,7 +16,6 @@ from repro import (
     IOMode,
     Machine,
     MachineConfig,
-    OneRequestAhead,
     PFSConfig,
     Prefetcher,
 )
@@ -40,7 +39,7 @@ def run(prefetch: bool) -> None:
         compute_delay=0.05,  # 50 ms of computation per record
         iomode=IOMode.M_RECORD,
         prefetcher_factory=(
-            (lambda rank: Prefetcher(OneRequestAhead())) if prefetch else None
+            (lambda rank: Prefetcher()) if prefetch else None
         ),
     )
     result = workload.run()

@@ -18,7 +18,6 @@ from repro import (
     IOMode,
     Machine,
     MachineConfig,
-    OneRequestAhead,
     PFSConfig,
     Prefetcher,
 )
@@ -82,7 +81,7 @@ def replay(lines, prefetch: bool):
     handles = []
 
     def run_rank(rank):
-        prefetcher = Prefetcher(OneRequestAhead()) if prefetch else None
+        prefetcher = Prefetcher() if prefetch else None
         handle = yield from machine.clients[rank].open(
             mount,
             "data",

@@ -6,7 +6,7 @@ Quickstart::
 
     from repro import (
         Machine, MachineConfig, PFSConfig, IOMode,
-        CollectiveReadWorkload, Prefetcher, OneRequestAhead,
+        CollectiveReadWorkload, Prefetcher,
     )
 
     machine = Machine(MachineConfig(n_compute=8, n_io=8))
@@ -18,7 +18,7 @@ Quickstart::
         request_size=64 * 1024,
         compute_delay=0.05,
         iomode=IOMode.M_RECORD,
-        prefetcher_factory=lambda rank: Prefetcher(OneRequestAhead()),
+        prefetcher_factory=lambda rank: Prefetcher(),  # one-request-ahead
     )
     result = workload.run()
     print(result.report.collective_bandwidth_mbps)
@@ -26,17 +26,13 @@ Quickstart::
 
 from repro.config import MachineConfig, PFSConfig
 from repro.core import (
-    AdaptivePolicy,
     DepthKAhead,
     NoPrefetch,
-    OneRequestAhead,
-    OnlineTuner,
     Prefetcher,
     PrefetchPolicy,
     PrefetchStats,
     StrideDetector,
     StridedPolicy,
-    TunerConfig,
     make_policy,
 )
 from repro.machine import Machine
@@ -51,7 +47,6 @@ from repro.workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptivePolicy",
     "BandwidthReport",
     "CollectiveReadWorkload",
     "DepthKAhead",
@@ -59,8 +54,6 @@ __all__ = [
     "Machine",
     "MachineConfig",
     "NoPrefetch",
-    "OneRequestAhead",
-    "OnlineTuner",
     "PFSConfig",
     "PrefetchPolicy",
     "PrefetchStats",
@@ -69,7 +62,6 @@ __all__ = [
     "StrideDetector",
     "StridedPolicy",
     "StripeAttributes",
-    "TunerConfig",
     "WorkloadResult",
     "__version__",
     "make_policy",

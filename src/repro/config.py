@@ -62,26 +62,16 @@ class MachineConfig:
     telemetry_interval_s: float = 0.05
     #: Client prefetch policy built by :meth:`Machine.build_prefetcher`
     #: for workload prefetchers: "one-ahead" (the paper's prototype),
-    #: "none", "depth-k", "strided", or "adaptive" (per-file depth
-    #: controller).  The default keeps runs bit-identical to the seed.
+    #: "none", "depth-k", or "strided".  The default keeps runs
+    #: bit-identical to the seed.
     prefetch_policy: str = "one-ahead"
-    #: Pipeline depth for depth-aware policies (initial depth for
-    #: "adaptive"; 1 = the paper's one-request-ahead).
+    #: Pipeline depth for depth-aware policies (1 = the paper's
+    #: one-request-ahead).
     prefetch_depth: int = 1
-    #: Cap on outstanding prefetch bytes per handle (None = bounded only
-    #: by compute-node memory).
-    prefetch_quota_bytes: Optional[int] = None
-    #: Attach a per-handle stride detector to depth-aware policies so
+    #: Attach a per-handle stride detector to the "depth-k" pipeline so
     #: lseek-strided M_ASYNC streams are predicted from the observed
     #: access history instead of the (wrong) mode arithmetic.
     prefetch_stride_detect: bool = True
-    #: Online tuner (:mod:`repro.core.tuner`): retunes prefetch depth /
-    #: buffer quota / request size at simulated-time intervals.  Off by
-    #: default; the tuner schedules no events and installs no hooks, so
-    #: tuner-off runs are bit-identical to a build without it.
-    tuner: bool = False
-    #: Tuner evaluation cadence in simulated seconds.
-    tuner_interval_s: float = 0.05
     #: Tie-break order among same-timestamp events ("fifo" or "lifo").
     #: Results must be identical under either -- the tie-order race
     #: sanitizer (:func:`repro.analysis.sanitizers.check_tie_order`) runs
@@ -112,10 +102,6 @@ class MachineConfig:
             )
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be non-negative")
-        if self.prefetch_quota_bytes is not None and self.prefetch_quota_bytes <= 0:
-            raise ValueError("prefetch_quota_bytes must be positive (or None)")
-        if self.tuner_interval_s <= 0:
-            raise ValueError("tuner interval must be positive")
         if self.tie_break not in ("fifo", "lifo"):
             raise ValueError("tie_break must be 'fifo' or 'lifo'")
         if self.faults is not None:

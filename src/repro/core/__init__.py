@@ -12,20 +12,18 @@ is no computation to overlap with.
 - :mod:`repro.core.prefetch_buffer` -- buffer structures and the
   per-file buffer list.
 - :mod:`repro.core.policies` -- what to prefetch: the paper's
-  one-request-ahead policy plus deeper / strided / adaptive extensions.
+  one-request-ahead prototype is ``DepthKAhead(1)``; deeper pipelines,
+  stride detection and a strided policy are the extensions.
 - :mod:`repro.core.prefetcher` -- the prefetcher: hit / partial-hit /
   miss service and prefetch issue.
-- :mod:`repro.core.tuner` -- online retuning of prefetch depth / buffer
-  quota / request size at simulated-time intervals (zero events).
-- :mod:`repro.core.stats` -- hit ratios, overlap, wasted prefetches.
+
+Prefetch statistics live in :mod:`repro.obs.stats`.
 """
 
 from repro.core.policies import (
     POLICY_NAMES,
-    AdaptivePolicy,
     DepthKAhead,
     NoPrefetch,
-    OneRequestAhead,
     PrefetchPolicy,
     StrideDetector,
     StridedPolicy,
@@ -33,16 +31,12 @@ from repro.core.policies import (
 )
 from repro.core.prefetch_buffer import BufferState, PrefetchBuffer, PrefetchBufferList
 from repro.core.prefetcher import Prefetcher
-from repro.core.stats import PrefetchStats
-from repro.core.tuner import OnlineTuner, TunerConfig
+from repro.obs.stats import PrefetchStats
 
 __all__ = [
-    "AdaptivePolicy",
     "BufferState",
     "DepthKAhead",
     "NoPrefetch",
-    "OnlineTuner",
-    "OneRequestAhead",
     "POLICY_NAMES",
     "PrefetchBuffer",
     "PrefetchBufferList",
@@ -51,6 +45,5 @@ __all__ = [
     "Prefetcher",
     "StrideDetector",
     "StridedPolicy",
-    "TunerConfig",
     "make_policy",
 ]

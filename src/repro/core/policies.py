@@ -1,32 +1,29 @@
 """Prefetch policies: deciding *what* to fetch ahead.
 
-The paper's prototype is :class:`OneRequestAhead`: "The prototype
-prefetches only one block of data it anticipates will be needed for the
-future read request.  [...] The prefetch request is issued in
-anticipation of another read request issued by the same user thread on
-the same file."  The anticipated block is the same process's next
-request under the current I/O mode -- computable without messages only
-in the deterministic-offset modes (M_RECORD, M_ASYNC), which is why the
-prototype lives in M_RECORD.
+The paper's prototype is ``DepthKAhead(1)`` (config name "one-ahead"):
+"The prototype prefetches only one block of data it anticipates will be
+needed for the future read request.  [...] The prefetch request is
+issued in anticipation of another read request issued by the same user
+thread on the same file."  The anticipated block is the same process's
+next request under the current I/O mode -- computable without messages
+only in the deterministic-offset modes (M_RECORD, M_ASYNC), which is why
+the prototype lives in M_RECORD.
 
 Extensions (the paper's future work, exercised by the policy bench and
 property suites):
 
-- :class:`DepthKAhead` -- a depth-k pipeline with buffer-pressure
-  capping.  At ``depth=1`` with no quota and no detector it plans
-  exactly the :class:`OneRequestAhead` ranges (both call the shared
-  :func:`_arithmetic_ranges`, so the equivalence holds by construction
-  and is locked by a Hypothesis property).
+- :class:`DepthKAhead` at ``depth > 1`` -- a deeper pipeline over the
+  same mode arithmetic, skipping ranges a live buffer already covers.
 - :class:`StrideDetector` -- infers a fixed stride from a handle's
-  demand-offset history, covering non-unit-stride M_ASYNC readers whose
-  next offset the mode arithmetic cannot predict.
-- :class:`AdaptivePolicy` -- a per-file depth controller driven by the
-  hit/partial/miss rates in :class:`~repro.obs.stats.PrefetchStats` and
-  by buffer occupancy.
+  demand-offset history; attached to :class:`DepthKAhead` ("depth-k")
+  it covers non-unit-stride M_ASYNC readers whose next offset the mode
+  arithmetic cannot predict.
+- :class:`StridedPolicy` -- prefetches only on a confident stride, so
+  it stays silent on irregular streams.
 
 All state lives on the policy objects and every decision is a pure
 function of the handle's own demand stream and its own prefetcher's
-counters, so policies never perturb same-timestamp tie-break
+buffer list, so policies never perturb same-timestamp tie-break
 determinism.
 """
 
@@ -43,7 +40,7 @@ PlannedRange = Tuple[int, int]
 
 #: Policy names accepted by :func:`make_policy` (and by
 #: :attr:`repro.config.MachineConfig.prefetch_policy`).
-POLICY_NAMES = ("none", "one-ahead", "depth-k", "strided", "adaptive")
+POLICY_NAMES = ("none", "one-ahead", "depth-k", "strided")
 
 
 class PrefetchPolicy:
@@ -101,31 +98,6 @@ def _arithmetic_ranges(handle: "PFSFileHandle", nbytes: int, depth: int) -> List
             break
         plans.append((start, length))
     return plans
-
-
-class OneRequestAhead(PrefetchPolicy):
-    """The paper's prototype: fetch the next anticipated request.
-
-    Parameters
-    ----------
-    depth:
-        How many future requests to cover (1 = the prototype).
-    """
-
-    def __init__(self, depth: int = 1) -> None:
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return "one-ahead" if self.depth == 1 else f"{self.depth}-ahead"
-
-    def plan(self, handle, offset, nbytes, prefetcher):
-        return _arithmetic_ranges(handle, nbytes, self.depth)
-
-    def __repr__(self) -> str:
-        return f"<OneRequestAhead depth={self.depth}>"
 
 
 class StrideDetector:
@@ -216,9 +188,6 @@ class StridedPolicy(PrefetchPolicy):
     def min_confirmations(self) -> int:
         return self.detector.min_confirmations
 
-    def observe(self, offset: int) -> None:
-        self.detector.observe(offset)
-
     def plan(self, handle, offset, nbytes, prefetcher):
         self.detector.observe(offset, nbytes)
         if not self.detector.confident or nbytes <= 0:
@@ -238,94 +207,38 @@ class StridedPolicy(PrefetchPolicy):
         return plans
 
 
-def _coalesce(ranges: List[PlannedRange], batch: int) -> List[PlannedRange]:
-    """Merge runs of adjacent planned ranges into requests of up to
-    *batch* slots each (the tuner's request-size knob)."""
-    if batch <= 1:
-        return ranges
-    out: List[Tuple[int, int, int]] = []
-    for start, length in ranges:
-        if out and out[-1][0] + out[-1][1] == start and out[-1][2] < batch:
-            s, ln, n = out.pop()
-            out.append((s, ln + length, n + 1))
-        else:
-            out.append((start, length, 1))
-    return [(s, ln) for s, ln, _ in out]
-
-
 class DepthKAhead(PrefetchPolicy):
-    """Depth-k prefetch pipeline with buffer-pressure capping.
+    """Depth-k prefetch pipeline: the paper's prototype at ``depth=1``.
 
-    Plans up to *depth* anticipated requests.  Prediction uses the same
-    per-mode arithmetic as :class:`OneRequestAhead` (at ``depth=1`` with
-    no quota/detector/batch the plans are identical by construction),
-    overridden by a confident :class:`StrideDetector` when one is
-    attached -- the detector's stride equals the arithmetic stride on
-    regular sequential/record streams, and covers lseek-strided M_ASYNC
-    streams the arithmetic mispredicts.
+    Plans up to *depth* anticipated requests from the handle's per-mode
+    arithmetic (:func:`_arithmetic_ranges`).  ``DepthKAhead(1)`` with no
+    detector is the prototype ("one-ahead").  A confident
+    :class:`StrideDetector`, when attached, overrides the arithmetic:
+    its stride equals the arithmetic stride on regular sequential and
+    record streams, and it covers lseek-strided M_ASYNC streams the
+    arithmetic mispredicts.
 
-    Buffer pressure: ranges overlapping an outstanding (live) prefetch
-    buffer are filtered out of the plan (never re-requested), and
-    planning stops once outstanding-plus-planned bytes would exceed
-    *quota_bytes*.  Both caps are property-tested: planned ranges never
-    overlap live buffers nor push total prefetch bytes past the quota.
-
-    ``batch > 1`` coalesces adjacent planned ranges into fewer, larger
-    requests (the online tuner's request-size knob).
+    Ranges overlapping an outstanding (live) prefetch buffer are
+    filtered out of the plan, never re-requested (property-tested:
+    planned ranges never overlap live buffers).
     """
 
-    def __init__(
-        self,
-        depth: int = 1,
-        quota_bytes: Optional[int] = None,
-        detector: Optional[StrideDetector] = None,
-        batch: int = 1,
-    ) -> None:
-        self.depth = depth
-        self.quota_bytes = quota_bytes
-        self.detector = detector
-        self.batch = batch
-        self._validate()
-
-    def _validate(self) -> None:
-        if self.depth < 0:
+    def __init__(self, depth: int = 1, detector: Optional[StrideDetector] = None) -> None:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.quota_bytes is not None and self.quota_bytes <= 0:
-            raise ValueError("quota_bytes must be positive (or None)")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        self.depth = depth
+        self.detector = detector
 
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"depth-{self.depth}"
-
-    # -- tuner knobs -----------------------------------------------------
-
-    def set_depth(self, depth: int) -> None:
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        self.depth = depth
-
-    def set_quota(self, quota_bytes: Optional[int]) -> None:
-        if quota_bytes is not None and quota_bytes <= 0:
-            raise ValueError("quota_bytes must be positive (or None)")
-        self.quota_bytes = quota_bytes
-
-    def set_batch(self, batch: int) -> None:
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        self.batch = batch
-
-    # -- planning --------------------------------------------------------
 
     def plan(self, handle, offset, nbytes, prefetcher):
         if self.detector is not None:
             self.detector.observe(offset, nbytes)
         if self.depth < 1 or nbytes <= 0:
             return []
-        ranges = self._candidates(handle, offset, nbytes)
-        ranges = _coalesce(ranges, self.batch)
-        return self._cap(ranges, prefetcher)
+        return self._cap(self._candidates(handle, offset, nbytes), prefetcher)
 
     def _candidates(self, handle, offset, nbytes) -> List[PlannedRange]:
         det = self.detector
@@ -343,222 +256,37 @@ class DepthKAhead(PrefetchPolicy):
             return plans
         return _arithmetic_ranges(handle, nbytes, self.depth)
 
-    def _cap(self, ranges: List[PlannedRange], prefetcher) -> List[PlannedRange]:
+    @staticmethod
+    def _cap(ranges: List[PlannedRange], prefetcher) -> List[PlannedRange]:
         blist = getattr(prefetcher, "_list", None) if prefetcher is not None else None
-        live = blist.live_bytes if blist is not None else 0
-        out: List[PlannedRange] = []
-        planned = 0
-        for start, length in ranges:
-            if blist is not None and blist.overlaps_range(start, length):
-                # Already in flight or ready: the pipeline covers it.
-                continue
-            if self.quota_bytes is not None and live + planned + length > self.quota_bytes:
-                break
-            out.append((start, length))
-            planned += length
-        return out
+        if blist is None:
+            return ranges
+        # Already in flight or ready: the pipeline covers it.
+        return [(start, n) for start, n in ranges if not blist.overlaps_range(start, n)]
 
     def __repr__(self) -> str:
-        return (
-            f"<DepthKAhead depth={self.depth} quota={self.quota_bytes} "
-            f"batch={self.batch} detector={self.detector!r}>"
-        )
-
-
-class AdaptivePolicy(PrefetchPolicy):
-    """Per-file adaptive depth controller.
-
-    Wraps a :class:`DepthKAhead` pipeline and retunes its depth from the
-    handle's own :class:`~repro.obs.stats.PrefetchStats`.  Every
-    *window* classified demand reads (hit + partial + miss deltas since
-    the last evaluation) the controller computes the useful fraction
-    ``(hits + partials) / classified`` over the window and moves depth
-    one step:
-
-    - **down** (never below *min_depth*) when the window was mostly
-      misses (useful <= *lower_threshold*) or any prefetch was dropped
-      for memory pressure (``skipped_oom`` moved) -- so a forced-miss
-      stream drives depth monotonically non-increasing, a property
-      locked in ``tests/test_policy_properties.py``;
-    - **up** (never above *max_depth*) when the window was almost all
-      useful (useful >= *raise_threshold*) **and** partial hits showed
-      the pipeline is too shallow (demand catching up to in-flight
-      prefetches) **and** occupancy leaves room for a deeper pipeline.
-      A window of pure full hits leaves depth alone: the pipeline
-      already runs ahead of demand, and deeper would only spend memory
-      and issue overhead.  Every depth reduction bumps
-      ``stats.throttled``.
-    """
-
-    name = "adaptive"
-
-    def __init__(
-        self,
-        min_depth: int = 1,
-        max_depth: int = 4,
-        initial_depth: int = 1,
-        window: int = 8,
-        raise_threshold: float = 0.9,
-        lower_threshold: float = 0.25,
-        quota_bytes: Optional[int] = None,
-        detector: Optional[StrideDetector] = None,
-        batch: int = 1,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 <= lower_threshold <= raise_threshold <= 1.0:
-            raise ValueError("need 0 <= lower_threshold <= raise_threshold <= 1")
-        if not 0 <= min_depth <= initial_depth <= max_depth:
-            raise ValueError("need 0 <= min_depth <= initial_depth <= max_depth")
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        self.min_depth = min_depth
-        self.max_depth = max_depth
-        self.window = window
-        self.raise_threshold = raise_threshold
-        self.lower_threshold = lower_threshold
-        self.depth = initial_depth
-        self.inner = DepthKAhead(
-            depth=max(1, initial_depth),
-            quota_bytes=quota_bytes,
-            detector=detector,
-            batch=batch,
-        )
-        #: (hits, partial_hits, misses, skipped_oom) at the last window edge.
-        self._snapshot: Tuple[int, int, int, int] = (0, 0, 0, 0)
-
-    # -- exposure of the inner pipeline's knobs --------------------------
-
-    @property
-    def detector(self) -> Optional[StrideDetector]:
-        return self.inner.detector
-
-    @property
-    def quota_bytes(self) -> Optional[int]:
-        return self.inner.quota_bytes
-
-    @property
-    def batch(self) -> int:
-        return self.inner.batch
-
-    def set_depth(self, depth: int) -> None:
-        """Manual/tuner override: clamp into [min_depth, max_depth]."""
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        self.depth = min(max(depth, self.min_depth), self.max_depth)
-        if self.depth >= 1:
-            self.inner.set_depth(self.depth)
-
-    def set_max_depth(self, max_depth: int) -> None:
-        """Tuner knob: move the depth envelope, clamping current depth."""
-        if max_depth < max(1, self.min_depth):
-            raise ValueError("max_depth must be >= max(1, min_depth)")
-        self.max_depth = max_depth
-        if self.depth > max_depth:
-            self.depth = max_depth
-            if self.depth >= 1:
-                self.inner.set_depth(self.depth)
-
-    def set_quota(self, quota_bytes: Optional[int]) -> None:
-        self.inner.set_quota(quota_bytes)
-
-    def set_batch(self, batch: int) -> None:
-        self.inner.set_batch(batch)
-
-    # -- planning --------------------------------------------------------
-
-    def plan(self, handle, offset, nbytes, prefetcher):
-        if prefetcher is not None:
-            self._maybe_retune(handle, nbytes, prefetcher)
-        if self.depth < 1:
-            # Keep the detector warm while prefetching is paused so a
-            # later probe starts from a confident prediction.
-            if self.inner.detector is not None:
-                self.inner.detector.observe(offset, nbytes)
-            return []
-        self.inner.set_depth(self.depth)
-        return self.inner.plan(handle, offset, nbytes, prefetcher)
-
-    def _maybe_retune(self, handle, nbytes, prefetcher) -> None:
-        stats = prefetcher.stats
-        current = (stats.hits, stats.partial_hits, stats.misses, stats.skipped_oom)
-        dh = current[0] - self._snapshot[0]
-        dp = current[1] - self._snapshot[1]
-        dm = current[2] - self._snapshot[2]
-        doom = current[3] - self._snapshot[3]
-        classified = dh + dp + dm
-        if classified < self.window:
-            return
-        self._snapshot = current
-        useful = (dh + dp) / classified
-        new = self.depth
-        if doom > 0 or useful <= self.lower_threshold:
-            new = max(self.min_depth, self.depth - 1)
-        elif (
-            useful >= self.raise_threshold
-            and dp > 0
-            and self._room_to_grow(nbytes, prefetcher)
-        ):
-            new = min(self.max_depth, self.depth + 1)
-        if new < self.depth:
-            stats.throttled += 1
-        if new != self.depth:
-            self.depth = new
-            if new >= 1:
-                self.inner.set_depth(new)
-
-    def _room_to_grow(self, nbytes: int, prefetcher) -> bool:
-        """Occupancy gate: does a deeper pipeline fit quota and memory?"""
-        projected = (self.depth + 1) * nbytes
-        quota = self.inner.quota_bytes
-        if quota is not None and projected > quota:
-            return False
-        blist = getattr(prefetcher, "_list", None)
-        if blist is not None and not blist.can_issue(nbytes):
-            return False
-        return True
-
-    def __repr__(self) -> str:
-        return (
-            f"<AdaptivePolicy depth={self.depth} "
-            f"[{self.min_depth}, {self.max_depth}] window={self.window} "
-            f"inner={self.inner!r}>"
-        )
+        return f"<DepthKAhead depth={self.depth} detector={self.detector!r}>"
 
 
 def make_policy(
     name: str = "one-ahead",
     depth: int = 1,
-    quota_bytes: Optional[int] = None,
     stride_detect: bool = True,
-    batch: int = 1,
-    max_depth: Optional[int] = None,
 ) -> PrefetchPolicy:
     """Policy registry keyed by the :class:`~repro.config.MachineConfig`
     ``prefetch_policy`` name.
 
-    ``make_policy("one-ahead", depth=1)`` builds exactly the paper's
-    prototype -- the default configuration stays bit-identical to the
-    seed (golden-locked).  *stride_detect* attaches a
-    :class:`StrideDetector` to the depth-aware policies; *max_depth*
-    bounds the adaptive controller (default ``max(4, depth)``).
+    ``make_policy("one-ahead")`` builds exactly the paper's prototype,
+    ``DepthKAhead(1)`` with no detector -- the default configuration
+    stays bit-identical to the seed (golden-locked).  *stride_detect*
+    attaches a :class:`StrideDetector` to the "depth-k" pipeline.
     """
     if name == "none":
         return NoPrefetch()
     if name == "one-ahead":
-        return OneRequestAhead(depth=max(1, depth))
+        return DepthKAhead(depth=max(1, depth))
     if name == "strided":
         return StridedPolicy(depth=max(1, depth))
-    detector = StrideDetector() if stride_detect else None
     if name == "depth-k":
-        return DepthKAhead(depth=depth, quota_bytes=quota_bytes, detector=detector, batch=batch)
-    if name == "adaptive":
-        top = max_depth if max_depth is not None else max(4, depth)
-        return AdaptivePolicy(
-            initial_depth=max(1, depth),
-            max_depth=max(top, depth, 1),
-            quota_bytes=quota_bytes,
-            detector=detector,
-            batch=batch,
-        )
+        return DepthKAhead(depth=depth, detector=StrideDetector() if stride_detect else None)
     raise ValueError(f"unknown prefetch policy {name!r}; known: {', '.join(POLICY_NAMES)}")

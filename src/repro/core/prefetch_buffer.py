@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.hardware.memory import MemoryRegion, OutOfMemoryError
 from repro.sim import Environment, Event
 from repro.ufs.data import Data
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 _buffer_ids = itertools.count(1)
 
@@ -50,7 +47,6 @@ class PrefetchBuffer:
         "buffer_id",
         "offset",
         "length",
-        "issued_length",
         "state",
         "data",
         "complete",
@@ -63,9 +59,6 @@ class PrefetchBuffer:
         self.buffer_id = next(_buffer_ids)
         self.offset = offset
         self.length = length
-        #: Length as issued; ``length`` shrinks under partial consumption
-        #: while this stays fixed (overlap accounting prorates on it).
-        self.issued_length = length
         self.state = BufferState.IN_FLIGHT
         self.data: Optional[Data] = None
         #: Fires when the asynchronous request lands the data.
@@ -155,32 +148,10 @@ class PrefetchBufferList:
         self.buffers.append(buffer)
         return buffer
 
-    def consume(self, buffer: PrefetchBuffer, upto: Optional[int] = None) -> None:
-        """Mark a READY buffer as used by a demand read.
-
-        With ``upto`` strictly inside the buffer's range, only the head
-        ``[buffer.offset, upto)`` is consumed: its memory is freed, the
-        buffer shrinks from the left, and it stays READY to serve the
-        next demand read -- how a coalesced (batch > 1) prefetch covers
-        several future requests with one transfer.  ``upto=None`` (the
-        default, and the only mode the golden-locked default
-        configuration exercises) consumes the whole buffer as before.
-        """
+    def consume(self, buffer: PrefetchBuffer) -> None:
+        """Mark a READY buffer as used by a demand read."""
         if buffer.state is not BufferState.READY:
             raise RuntimeError(f"consuming {buffer!r} in state {buffer.state}")
-        if upto is not None and upto < buffer.end:
-            if upto <= buffer.offset:
-                raise ValueError(f"partial consume to {upto} precedes {buffer!r}")
-            # The consumed head's memory is released immediately even
-            # under retain_consumed: the buffer is still live, and its
-            # accounting must keep matching ``length`` for free_all.
-            freed = upto - buffer.offset
-            self.memory.free(freed, self.alloc_class)
-            assert buffer.data is not None
-            buffer.data = buffer.data.slice(freed, buffer.length - freed)
-            buffer.offset = upto
-            buffer.length -= freed
-            return
         buffer.state = BufferState.CONSUMED
         buffer.consumed_at = self.env.now
         if not self.retain_consumed:
@@ -230,9 +201,6 @@ class PrefetchBufferList:
                 buffer.data = None
         self.buffers.clear()
         return n
-
-    def can_issue(self, length: int) -> bool:
-        return self.memory.can_allocate(length)
 
     def __repr__(self) -> str:
         live = len(self.live_buffers)

@@ -25,17 +25,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.policies import NoPrefetch, OneRequestAhead, PrefetchPolicy
+from repro.core.policies import DepthKAhead, NoPrefetch, PrefetchPolicy
 from repro.core.prefetch_buffer import (
     BufferState,
     OutOfMemoryError,
     PrefetchBuffer,
     PrefetchBufferList,
 )
-from repro.core.stats import PrefetchStats
+from repro.obs.monitor import Monitor
+from repro.obs.stats import PrefetchStats
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext
-from repro.obs.monitor import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.client import PFSFileHandle
@@ -50,7 +50,8 @@ class Prefetcher:
     Parameters
     ----------
     policy:
-        What to fetch ahead; defaults to the paper's one-request-ahead.
+        What to fetch ahead; defaults to the paper's one-request-ahead
+        prototype, ``DepthKAhead(1)``.
     retain_consumed:
         Keep consumed buffers' memory until close (the paper's literal
         buffer lifecycle; off by default, see prefetch_buffer docs).
@@ -65,15 +66,10 @@ class Prefetcher:
         gc_stale: bool = True,
         monitor: Optional[Monitor] = None,
     ) -> None:
-        self.policy = policy or OneRequestAhead()
+        self.policy = policy or DepthKAhead()
         self.retain_consumed = retain_consumed
         self.gc_stale = gc_stale
         self.monitor = monitor
-        #: Online tuner this prefetcher is attached to (None = untuned;
-        #: set by :meth:`repro.core.tuner.OnlineTuner.attach`).  The
-        #: demand path consults it with one ``is not None`` check, so an
-        #: untuned prefetcher runs exactly the pre-tuner code path.
-        self.tuner = None
         self.stats = PrefetchStats()
         self._list: Optional[PrefetchBufferList] = None
         self._handle: Optional["PFSFileHandle"] = None
@@ -128,20 +124,6 @@ class Prefetcher:
             raise RuntimeError("prefetcher not attached to an open handle")
         return self._list
 
-    @property
-    def _batched(self) -> bool:
-        """True when the policy coalesces adjacent ranges (batch > 1),
-        enabling partial buffer consumption on the hit path."""
-        return getattr(self.policy, "batch", 1) > 1
-
-    def set_depth(self, depth: int) -> None:
-        """Reconfigure the policy's pipeline depth (depth-aware policies
-        only; raises TypeError for policies without the knob)."""
-        setter = getattr(self.policy, "set_depth", None)
-        if setter is None:
-            raise TypeError(f"policy {self.policy!r} has no depth knob")
-        setter(depth)
-
     # -- the demand path ----------------------------------------------------
 
     def serve_read(
@@ -155,8 +137,6 @@ class Prefetcher:
         """
         tracer = handle.client.tracer
         blist = self.buffer_list
-        if self.tuner is not None:
-            self.tuner.before_read(self, handle, offset, nbytes)
         buffer = blist.find_covering(offset, nbytes)
         arrival = handle.env.now
 
@@ -204,13 +184,7 @@ class Prefetcher:
                 yield from handle.node.memcpy(nbytes)
                 tracer.end(copy_span)
                 self._account_overlap(handle, buffer, arrival, nbytes)
-                if buffer.end > offset + nbytes and self._batched:
-                    # A coalesced (batch > 1) buffer spans several future
-                    # requests: consume only the served head and keep the
-                    # remainder READY for the next demand read.
-                    blist.consume(buffer, upto=offset + nbytes)
-                else:
-                    blist.consume(buffer)
+                blist.consume(buffer)
                 self.stats.bytes_served += nbytes
 
         if self.gc_stale:
@@ -345,21 +319,18 @@ class Prefetcher:
         No double counting at depth > 1: adjacent planned ranges are
         *separate* buffers, each consumed (and accounted) exactly once --
         a demand read spanning two buffers is a miss, because
-        ``find_covering`` requires a single covering buffer.  The one
-        multi-consumption case is a coalesced (batch > 1) buffer served
-        piecewise via partial consumption; ``overlap_time`` is then
-        prorated by the consumed share of the originally issued length so
-        the summed contributions never exceed one service time, while
-        each demand read still records its own overlap *fraction*.  Both
-        invariants are regression-tested in tests/test_core_prefetch.py.
+        ``find_covering`` requires a single covering buffer.  A demand
+        read smaller than its covering buffer credits ``overlap_time``
+        only with its share of the buffer, while still recording its own
+        overlap *fraction*.
         """
         if buffer.ready_at is not None:
             service = buffer.ready_at - buffer.issued_at
         else:  # pragma: no cover - defensive; consume requires READY
             service = arrival - buffer.issued_at
         hidden = max(0.0, min(arrival - buffer.issued_at, service))
-        if nbytes < buffer.issued_length:
-            self.stats.overlap_time += hidden * (nbytes / buffer.issued_length)
+        if nbytes < buffer.length:
+            self.stats.overlap_time += hidden * (nbytes / buffer.length)
         else:
             self.stats.overlap_time += hidden
         if service > 0:
@@ -379,5 +350,5 @@ def make_prefetcher(
     monitor: Optional[Monitor] = None,
 ) -> Prefetcher:
     """Convenience factory: the paper's prototype or a disabled stub."""
-    policy = OneRequestAhead(depth=depth) if enabled else NoPrefetch()
+    policy = DepthKAhead(depth=depth) if enabled else NoPrefetch()
     return Prefetcher(policy=policy, monitor=monitor)

@@ -6,8 +6,8 @@ choices DESIGN.md calls out:
 - ranked mechanism importance over the declarative registry in
   :mod:`repro.obs.ablation` (the observatory's canonical sweep);
 - prefetch depth (1 = the prototype, deeper pipelines);
-- prefetch policy on non-sequential patterns (strided detection,
-  adaptive throttling on random access);
+- prefetch policy on non-sequential patterns (strided detection stays
+  silent on random access);
 - prefetching in other I/O modes (M_RECORD vs M_ASYNC);
 - buffered (I/O-node cache) vs Fast Path transfers;
 - machine scaling (compute node count).
@@ -23,13 +23,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import (
-    AdaptivePolicy,
-    NoPrefetch,
-    OneRequestAhead,
-    Prefetcher,
-    StridedPolicy,
-)
+from repro.core import DepthKAhead, NoPrefetch, Prefetcher, StridedPolicy
 from repro.experiments.common import (
     KB,
     MB,
@@ -110,7 +104,7 @@ def run_depth_ablation(
             f"Ablation: prefetch depth ({request_kb}KB requests, "
             f"{compute_delay}s compute delay)"
         ),
-        columns=["depth", "bw_mbps", "hit_ratio", "coverage"],
+        columns=["depth", "bw_mbps", "hit_rate", "coverage"],
     )
     request = request_kb * KB
     file_size = scaled_file_size(request, 8, rounds)
@@ -129,13 +123,13 @@ def run_depth_ablation(
             compute_delay=compute_delay,
             prefetch=True,
             rounds=rounds,
-            policy_factory=lambda depth=depth: OneRequestAhead(depth=depth),
+            policy_factory=lambda depth=depth: DepthKAhead(depth=depth),
         )
         assert report.prefetch is not None
         table.add_row(
             depth,
             report.collective_bandwidth_mbps,
-            report.prefetch.hit_ratio,
+            report.prefetch.hit_rate,
             report.prefetch.coverage,
         )
     return table
@@ -203,9 +197,8 @@ def _pattern_run(
 
     policies = {
         "none": lambda: NoPrefetch(),
-        "one-ahead": lambda: OneRequestAhead(),
+        "one-ahead": lambda: DepthKAhead(),
         "strided": lambda: StridedPolicy(),
-        "adaptive": lambda: AdaptivePolicy(window=6),
     }
     prefetchers = [Prefetcher(policies[policy_name]()) for _ in range(8)]
 
@@ -271,15 +264,15 @@ def run_policy_ablation(compute_delay: float = 0.05) -> ExperimentTable:
     """Policies vs access patterns.
 
     - one-ahead wins on sequential, wastes work on strided/random;
-    - strided detection recovers the strided pattern;
-    - adaptive throttles itself on random access instead of thrashing.
+    - strided detection recovers the strided pattern, and stays silent
+      on random access instead of thrashing.
     """
     table = ExperimentTable(
         title="Ablation: prefetch policy vs access pattern (M_ASYNC, 64KB)",
         columns=["pattern", "policy", "bw_mbps", "coverage", "wasted"],
     )
     for pattern in ("sequential", "strided", "random"):
-        for policy in ("none", "one-ahead", "strided", "adaptive"):
+        for policy in ("none", "one-ahead", "strided"):
             bw, stats = _pattern_run(pattern, policy, compute_delay=compute_delay)
             table.add_row(
                 pattern,
@@ -375,7 +368,7 @@ def run_prefetch_location_ablation(
             compute_delay=compute_delay,
             rounds=rounds,
             prefetcher_factory=(
-                (lambda rank: Prefetcher(OneRequestAhead())) if client_prefetch else None
+                (lambda rank: Prefetcher()) if client_prefetch else None
             ),
         )
         report = workload.run().report
@@ -505,7 +498,7 @@ def run_multiprogramming_ablation(
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "fileA", file_size)
         machine.create_file(mount, "fileB", file_size)
-        prefetchers = [Prefetcher(OneRequestAhead()) for _ in range(4)]
+        prefetchers = [Prefetcher() for _ in range(4)]
 
         handles_a = [None] * 4
 

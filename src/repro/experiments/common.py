@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import Prefetcher
 from repro.core.policies import PrefetchPolicy
 from repro.machine import Machine
 from repro.metrics import BandwidthReport
@@ -125,10 +125,7 @@ def build_machine(
     faults=None,
     prefetch_policy: str = "one-ahead",
     prefetch_depth: int = 1,
-    prefetch_quota_bytes: Optional[int] = None,
     prefetch_stride_detect: bool = True,
-    tuner: bool = False,
-    tuner_interval_s: float = 0.05,
 ):
     """Machine + mount with the paper's defaults (8C/8IO, 64KB blocks)."""
     config_kwargs = dict(
@@ -141,10 +138,7 @@ def build_machine(
         faults=faults,
         prefetch_policy=prefetch_policy,
         prefetch_depth=prefetch_depth,
-        prefetch_quota_bytes=prefetch_quota_bytes,
         prefetch_stride_detect=prefetch_stride_detect,
-        tuner=tuner,
-        tuner_interval_s=tuner_interval_s,
     )
     if hardware is not None:
         config_kwargs["hardware"] = hardware
@@ -165,7 +159,7 @@ def prefetcher_factory(
 
     An explicit *policy_factory* wins; otherwise, given a *machine*, the
     factory routes through :meth:`Machine.build_prefetcher` so the
-    machine's ``prefetch_policy`` / ``prefetch_depth`` / tuner knobs
+    machine's ``prefetch_policy`` / ``prefetch_depth`` knobs
     apply (the default knobs build exactly the paper's prototype).
     """
     if not enabled:
@@ -180,7 +174,7 @@ def prefetcher_factory(
         return machine.build_prefetcher
 
     def make_default(rank: int) -> Prefetcher:
-        return Prefetcher(OneRequestAhead())
+        return Prefetcher()
 
     return make_default
 
@@ -207,10 +201,7 @@ def run_collective(
     faults=None,
     prefetch_policy: str = "one-ahead",
     prefetch_depth: int = 1,
-    prefetch_quota_bytes: Optional[int] = None,
     prefetch_stride_detect: bool = True,
-    tuner: bool = False,
-    tuner_interval_s: float = 0.05,
 ) -> BandwidthReport:
     """One fresh-machine collective read run; returns the report.
 
@@ -239,10 +230,7 @@ def run_collective(
         faults=faults,
         prefetch_policy=prefetch_policy,
         prefetch_depth=prefetch_depth,
-        prefetch_quota_bytes=prefetch_quota_bytes,
         prefetch_stride_detect=prefetch_stride_detect,
-        tuner=tuner,
-        tuner_interval_s=tuner_interval_s,
     )
     machine.create_file(mount, "data", file_size)
     workload = CollectiveReadWorkload(
@@ -315,10 +303,7 @@ def run_strided(
     faults=None,
     prefetch_policy: str = "one-ahead",
     prefetch_depth: int = 1,
-    prefetch_quota_bytes: Optional[int] = None,
     prefetch_stride_detect: bool = True,
-    tuner: bool = False,
-    tuner_interval_s: float = 0.05,
 ) -> BandwidthReport:
     """Strided M_ASYNC read over one shared file (the non-unit-stride
     family where mode arithmetic mispredicts; see
@@ -331,10 +316,7 @@ def run_strided(
         faults=faults,
         prefetch_policy=prefetch_policy,
         prefetch_depth=prefetch_depth,
-        prefetch_quota_bytes=prefetch_quota_bytes,
         prefetch_stride_detect=prefetch_stride_detect,
-        tuner=tuner,
-        tuner_interval_s=tuner_interval_s,
     )
     machine.create_file(mount, "data", file_size)
     workload = StridedReadWorkload(

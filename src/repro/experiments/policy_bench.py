@@ -1,14 +1,13 @@
 """Head-to-head prefetch policy bench.
 
 Races the paper's static one-request-ahead prototype against the
-depth-k / adaptive / tuned policies (:mod:`repro.core.policies`,
-:mod:`repro.core.tuner`) across three workload families:
+depth-k pipelines (:mod:`repro.core.policies`) across three workload
+families:
 
 - ``paper`` -- the paper's M_RECORD collective cells over the balanced
-  delay sweep.  The acceptance bound here is *no regression*: adaptive
-  runs start at depth 1 and only deepen when partial hits show the
-  pipeline is too shallow, so on cells where one-ahead already hides
-  the whole service time the adaptive runs are bit-identical to static.
+  delay sweep.  The acceptance bound here is *no regression*: the
+  ``stride`` contender is a depth-1 pipeline whose detector agrees with
+  the record arithmetic, so it is bit-identical to static here.
 - ``strided`` -- non-unit-stride M_ASYNC readers
   (:class:`repro.workloads.StridedReadWorkload`), where the M_ASYNC
   mode arithmetic predicts the wrong next offset and only the
@@ -18,11 +17,12 @@ depth-k / adaptive / tuned policies (:mod:`repro.core.policies`,
   issued after the demand read returns, so the next read always catches
   it in flight) and a deeper pipeline converts partial hits into hits.
 
-The ``comparison`` block computes the PR's acceptance criteria:
-``paper_ok`` (tuned adaptive >= static on every paper cell) and
-``new_family_strict_win`` (strictly better on at least one new family).
-Both are asserted by ``tests/test_policy_bench.py`` against the
-committed ``BENCH_8.json``.
+The ``comparison`` block computes the acceptance criteria for the
+contender named in ``comparison.tuned_policy``: ``paper_ok`` (contender
+>= static on every paper cell) and ``new_family_strict_win`` (strictly
+better on at least one new family).  Both are asserted by
+``tests/test_policy_bench.py``, in process and against the committed
+``BENCH_8.json``.
 
 Usage::
 
@@ -53,15 +53,11 @@ from repro.pfs import IOMode
 POLICIES: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("static", {"prefetch_policy": "one-ahead", "prefetch_depth": 1}),
     ("depth-4", {"prefetch_policy": "depth-k", "prefetch_depth": 4}),
-    ("adaptive", {"prefetch_policy": "adaptive", "prefetch_depth": 1}),
-    (
-        "adaptive+tuner",
-        {"prefetch_policy": "adaptive", "prefetch_depth": 1, "tuner": True},
-    ),
+    ("stride", {"prefetch_policy": "depth-k", "prefetch_depth": 1}),
 )
 
 #: The policy whose numbers gate acceptance against ``static``.
-TUNED = "adaptive+tuner"
+CONTENDER = "stride"
 
 DEFAULT_PAPER_SIZES_KB = (64, 256)
 DEFAULT_PAPER_DELAYS_S = (0.0, 0.025, 0.05, 0.1, 0.2)
@@ -190,13 +186,13 @@ def run_policy_bench(
     }
 
 
-def compare(cells: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """The acceptance verdicts: tuned-vs-static per family.
+def compare(cells: Sequence[Dict[str, object]], contender: str = CONTENDER) -> Dict[str, object]:
+    """The acceptance verdicts: *contender*-vs-static per family.
 
-    ``paper_ok``: the tuned policy's bandwidth is >= static on *every*
+    ``paper_ok``: the contender's bandwidth is >= static on *every*
     paper cell (ties allowed -- on full-hit cells the runs are
     bit-identical by design).  ``new_family_strict_win``: at least one
-    non-paper family where the tuned policy beats static on every cell
+    non-paper family where the contender beats static on every cell
     by more than :data:`WIN_MARGIN` relative.
     """
     paper_checks: List[Dict[str, object]] = []
@@ -213,18 +209,18 @@ def compare(cells: Sequence[Dict[str, object]]) -> Dict[str, object]:
                         "request_kb": cell["request_kb"],
                         "delay_s": cell["delay_s"],
                         "static_mbps": bw["static"],
-                        "tuned_mbps": bw[TUNED],
-                        "ok": bw[TUNED] >= bw["static"] - EPS,
+                        "tuned_mbps": bw[contender],
+                        "ok": bw[contender] >= bw["static"] - EPS,
                     }
                 )
         else:
             wins[family] = all(
-                c["bandwidth_mbps"][TUNED]
+                c["bandwidth_mbps"][contender]
                 > c["bandwidth_mbps"]["static"] * (1.0 + WIN_MARGIN)
                 for c in fam_cells
             )
     return {
-        "tuned_policy": TUNED,
+        "tuned_policy": contender,
         "paper_ok": all(c["ok"] for c in paper_checks),
         "paper_cells": paper_checks,
         "strict_win_by_family": wins,
@@ -254,7 +250,7 @@ def render_ascii(report: Dict[str, object]) -> str:
     cmp_block = report["comparison"]
     lines.append("")
     lines.append(
-        f"paper cells: tuned >= static on all = {cmp_block['paper_ok']}; "
+        f"paper cells: {cmp_block['tuned_policy']} >= static on all = {cmp_block['paper_ok']}; "
         f"strict wins: {cmp_block['strict_win_by_family']}"
     )
     return "\n".join(lines)
@@ -277,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"\nwrote {args.output}")
     cmp_block = report["comparison"]
     if not cmp_block["paper_ok"]:
-        print("FAIL: tuned policy regresses a paper cell", file=sys.stderr)
+        print("FAIL: the contender regresses a paper cell", file=sys.stderr)
         return 1
     if not cmp_block["new_family_strict_win"]:
         print("FAIL: no strict win on any new workload family", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import Prefetcher
 from repro.experiments.common import (
     KB,
     DEFAULT_REQUEST_SIZES_KB,
@@ -96,7 +96,7 @@ def prefetch_access_time_appears_shorter(request_kb: int = 64, compute_delay: fl
         "data",
         request_size=request,
         compute_delay=compute_delay,
-        prefetcher_factory=lambda rank: Prefetcher(OneRequestAhead()),
+        prefetcher_factory=lambda rank: Prefetcher(),
     ).run()
     return prefetched.report.mean_read_access_time_s < base.report.mean_read_access_time_s
 

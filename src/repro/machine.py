@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig, PFSConfig
 from repro.core import Prefetcher, make_policy
-from repro.core.tuner import OnlineTuner, TunerConfig
 from repro.faults.injector import FaultInjector
 from repro.hardware.mesh import Mesh
 from repro.hardware.node import Node, NodeKind
@@ -203,19 +202,6 @@ class Machine:
                     endpoint.halted_fn = lambda c=client: c.crashed_at(self.env.now)
             self.clients.append(client)
 
-        #: Online prefetch-parameter tuner (:mod:`repro.core.tuner`);
-        #: None (default) keeps the tuner plane entirely inert -- no
-        #: events, no hooks, bit-identical runs.
-        self.tuner: Optional[OnlineTuner] = (
-            OnlineTuner(
-                self.env,
-                TunerConfig(interval_s=cfg.tuner_interval_s),
-                monitor=self.monitor,
-            )
-            if cfg.tuner
-            else None
-        )
-
         self.mounts: Dict[str, PFSMount] = {}
         # One machine-wide file-id counter shared by every mount: ids
         # key UFS inodes across mounts, and a fresh machine always
@@ -359,42 +345,34 @@ class Machine:
         *,
         policy: Optional[str] = None,
         depth: Optional[int] = None,
-        quota_bytes: Optional[int] = None,
         stride_detect: Optional[bool] = None,
     ) -> Prefetcher:
         """A prefetcher configured from this machine's policy knobs.
 
         Builds the policy named by ``config.prefetch_policy`` (with
-        ``prefetch_depth`` / ``prefetch_quota_bytes`` /
-        ``prefetch_stride_detect``) and, when the online tuner is
-        enabled, attaches the prefetcher to it.  The default config
-        yields exactly the paper's prototype
-        (``Prefetcher(OneRequestAhead())``), so factory call sites that
+        ``prefetch_depth`` / ``prefetch_stride_detect``).  The default
+        config yields exactly the paper's prototype
+        (``Prefetcher(DepthKAhead(1))``), so factory call sites that
         route through here stay bit-identical to the seed.
 
         The keyword overrides let one machine serve *heterogeneous*
         prefetch configurations -- multi-tenant scenarios where each
         tenant names its own policy/depth (:mod:`repro.scale`) -- while
-        still inheriting the machine's monitor and tuner wiring.  The
-        positional signature stays a drop-in
-        :data:`~repro.workloads.synthetic.PrefetcherFactory`.
+        still inheriting the machine's monitor.  The positional signature
+        stays a drop-in :data:`~repro.workloads.synthetic.PrefetcherFactory`.
         """
         cfg = self.config
         policy_name = cfg.prefetch_policy if policy is None else policy
-        prefetcher = Prefetcher(
+        return Prefetcher(
             make_policy(
                 policy_name,
                 depth=cfg.prefetch_depth if depth is None else depth,
-                quota_bytes=cfg.prefetch_quota_bytes if quota_bytes is None else quota_bytes,
                 stride_detect=(
                     cfg.prefetch_stride_detect if stride_detect is None else stride_detect
                 ),
             ),
             monitor=self.monitor,
         )
-        if self.tuner is not None:
-            self.tuner.attach(prefetcher)
-        return prefetcher
 
     # -- invariants --------------------------------------------------------------------
 

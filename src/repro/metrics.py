@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.stats import PrefetchStats
+    from repro.obs.stats import PrefetchStats
     from repro.obs.telemetry_export import BottleneckReport
     from repro.pfs.client import PFSFileHandle
 

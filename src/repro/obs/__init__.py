@@ -1,8 +1,6 @@
 """Unified observability subsystem: stats, tracing, exporters.
 
-One package replaces the three historically disjoint instrumentation
-APIs (``repro.sim.monitor`` stats, ``repro.core.stats`` prefetch
-counters, ad-hoc per-component accounting):
+One package holds the simulator's instrumentation APIs:
 
 - :mod:`repro.obs.monitor` -- counters / time-weighted / series stats;
 - :mod:`repro.obs.trace` -- request-scoped typed spans with causal links
@@ -18,8 +16,6 @@ counters, ad-hoc per-component accounting):
   per-run :class:`BottleneckReport`;
 - :mod:`repro.obs.observability` -- the :class:`Observability` facade a
   :class:`~repro.machine.Machine` exposes as ``machine.obs``.
-
-``repro.sim.monitor`` and ``repro.core.stats`` remain as import shims.
 """
 
 from repro.obs.export import (

@@ -178,44 +178,17 @@ MECHANISMS: Tuple[Mechanism, ...] = (
         off={"machine.hardware.disk.track_cache_bytes": 0},
     ),
     Mechanism(
-        name="adaptive_depth",
-        title="Adaptive depth-k prefetch pipeline",
-        description=(
-            "Per-file controller that deepens or shallows the prefetch "
-            "pipeline from the handle's own hit/partial/miss window.  "
-            "Indistinguishable from the static prototype on the paper's "
-            "M_RECORD cells (by design), so its delta is measured on the "
-            "strided M_ASYNC family where prediction and depth matter."
-        ),
-        context={"workload.family": "strided"},
-        on={"machine.prefetch_policy": "adaptive"},
-        off={"machine.prefetch_policy": "one-ahead"},
-    ),
-    Mechanism(
         name="stride_detection",
         title="Stride detection for prefetch prediction",
         description=(
             "Infers the access stride from the demand offsets so "
             "lseek-strided M_ASYNC streams are predicted correctly; off "
             "falls back to the (wrong) sequential mode arithmetic.  "
-            "Measured under the adaptive policy on the strided family."
+            "Measured under the depth-k policy on the strided family."
         ),
-        context={"workload.family": "strided", "machine.prefetch_policy": "adaptive"},
+        context={"workload.family": "strided", "machine.prefetch_policy": "depth-k"},
         on={"machine.prefetch_stride_detect": True},
         off={"machine.prefetch_stride_detect": False},
-    ),
-    Mechanism(
-        name="online_tuner",
-        title="Online prefetch tuner",
-        description=(
-            "Interval-driven retuning of depth envelope / buffer quota / "
-            "request batching from each prefetcher's own counters "
-            "(zero scheduled events).  Measured under the adaptive "
-            "policy on the strided family."
-        ),
-        context={"workload.family": "strided", "machine.prefetch_policy": "adaptive"},
-        on={"machine.tuner": True},
-        off={"machine.tuner": False},
     ),
 )
 
@@ -250,8 +223,8 @@ def baseline_overrides() -> Dict[str, object]:
 
 #: Workload-level override fields: the prefetch on/off switch and the
 #: workload family ("collective" = the paper's shared-file readers,
-#: "strided" = the non-unit-stride M_ASYNC family the depth/stride/tuner
-#: mechanisms are measured on).
+#: "strided" = the non-unit-stride M_ASYNC family the stride detector
+#: is measured on).
 _WORKLOAD_FIELDS = ("prefetch", "family")
 _WORKLOAD_FAMILIES = ("collective", "strided")
 
@@ -476,8 +449,8 @@ def execute_run(
     machine = Machine(machine_cfg)
     mount = machine.mount("/pfs", pfs_cfg)
     request = spec.request_kb * KB
-    # The prefetcher factory routes through the machine's own policy /
-    # tuner knobs; with the default knobs this builds exactly the
+    # The prefetcher factory routes through the machine's own policy
+    # knobs; with the default knobs this builds exactly the
     # paper's prototype (proven against the golden fingerprints by
     # validate_registry).
     factory = machine.build_prefetcher if workload_kw["prefetch"] else None

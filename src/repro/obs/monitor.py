@@ -1,9 +1,5 @@
 """Aggregate statistics: counters, time-weighted signals, sample series.
 
-Historically this lived at ``repro.sim.monitor``; it is now part of the
-unified observability subsystem (``repro.obs``) alongside the tracer.
-``repro.sim.monitor`` remains as a compatibility shim.
-
 Models register named statistics on a :class:`Monitor`:
 
 - :class:`CounterStat` -- monotonically increasing counts (requests issued,

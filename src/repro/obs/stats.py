@@ -1,9 +1,5 @@
 """Prefetching statistics.
 
-Historically this lived at ``repro.core.stats``; it is now part of the
-unified observability subsystem (``repro.obs``).  ``repro.core.stats``
-remains as a compatibility shim.
-
 Paper section 4: "When a prefetched block is used to serve a future
 request from the application, we say that there is a hit on that block.
 Although hit ratio serves as a good measure of performance in a
@@ -56,7 +52,9 @@ class PrefetchStats:
     #: Demand reads that waited on a prefetch which then failed and fell
     #: back to a direct read.
     failed_fallbacks: int = 0
-    #: Times an adaptive policy paused prefetching.
+    #: Always 0: no policy throttles.  Kept because report fingerprints
+    #: hash every compared field, and dropping it would change every
+    #: committed golden.
     throttled: int = 0
     #: Bytes fetched by prefetch requests.
     bytes_prefetched: int = 0
@@ -80,8 +78,8 @@ class PrefetchStats:
         """Fraction of demand reads served fully from a ready buffer.
 
         Zero-read guarded: 0.0 before any demand read.  The canonical
-        rate accessor consumers (adaptive policy, tuner, benches) should
-        use instead of dividing counters ad hoc.
+        rate accessor consumers (benches, reports) should use instead
+        of dividing counters ad hoc.
         """
         total = self.demand_reads
         return self.hits / total if total else 0.0
@@ -100,11 +98,6 @@ class PrefetchStats:
         under fault injection."""
         total = self.demand_reads
         return self.misses / total if total else 0.0
-
-    @property
-    def hit_ratio(self) -> float:
-        """Back-compat alias of :attr:`hit_rate`."""
-        return self.hit_rate
 
     @property
     def coverage(self) -> float:
@@ -157,7 +150,7 @@ class PrefetchStats:
         return (
             f"reads={self.demand_reads} hits={self.hits} "
             f"partial={self.partial_hits} misses={self.misses} "
-            f"hit_ratio={self.hit_ratio:.2f} coverage={self.coverage:.2f} "
+            f"hit_rate={self.hit_rate:.2f} coverage={self.coverage:.2f} "
             f"overlap={self.mean_overlap_fraction:.2f} "
             f"issued={self.issued} wasted={self.discarded}"
         )

@@ -17,13 +17,14 @@ Public surface:
   :class:`~repro.sim.resources.Container`,
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.FilterStore` -- shared resources.
-- :class:`~repro.sim.monitor.Monitor`,
-  :class:`~repro.sim.monitor.TimeWeightedStat` -- instrumentation.
+- :class:`~repro.obs.monitor.Monitor`,
+  :class:`~repro.obs.monitor.TimeWeightedStat` -- instrumentation
+  (re-exported from :mod:`repro.obs.monitor`).
 """
 
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.monitor import CounterStat, Monitor, TimeWeightedStat
+from repro.obs.monitor import CounterStat, Monitor, TimeWeightedStat
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import (
     ArbitratedResource,

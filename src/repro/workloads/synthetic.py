@@ -303,7 +303,7 @@ class StridedReadWorkload:
     policy prefetches hole bytes that are never read; a stride detector
     (:class:`repro.core.policies.StrideDetector`) recovers the real
     pattern from the observed offsets.  This is the workload family
-    where depth-aware adaptive prefetching must beat the static
+    where stride-detecting prefetching must beat the static
     prototype (see :mod:`repro.experiments.policy_bench`).
     """
 

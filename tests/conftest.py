@@ -9,7 +9,7 @@ that need a non-standard shape or extra :class:`MachineConfig` knobs
 import pytest
 
 from repro.config import MachineConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import DepthKAhead, Prefetcher
 from repro.machine import Machine
 
 KB = 1024
@@ -59,6 +59,6 @@ def prefetcher_factory():
     def make(enabled: bool = True, depth: int = 1):
         if not enabled:
             return None
-        return lambda rank: Prefetcher(OneRequestAhead(depth=depth))
+        return lambda rank: Prefetcher(DepthKAhead(depth=depth))
 
     return make

@@ -145,12 +145,12 @@ class TestCopyCosts:
     def test_prefetch_hit_cost_is_copy_plus_overheads(self):
         # A guaranteed-ready hit costs: client call + hit memcpy +
         # buffer-alloc + ART setup for the next prefetch.
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
 
         machine = Machine(MachineConfig(n_compute=1, n_io=1))
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         box = {}
 
         def proc():

@@ -4,11 +4,10 @@ import pytest
 
 from repro.config import MachineConfig, PFSConfig
 from repro.core import (
-    AdaptivePolicy,
+    POLICY_NAMES,
     BufferState,
     DepthKAhead,
     NoPrefetch,
-    OneRequestAhead,
     Prefetcher,
     PrefetchBufferList,
     PrefetchStats,
@@ -107,49 +106,6 @@ class TestPrefetchBufferList:
         assert blist.memory.used_by("prefetch") == 0
         assert len(blist) == 0
 
-    def test_partial_consume_shrinks_buffer(self, env):
-        from repro.ufs.data import LiteralData
-
-        blist = self.make(env)
-        buffer = blist.issue(0, 64 * KB)
-        buffer.mark_ready(env, LiteralData(b"y" * 64 * KB))
-        blist.consume(buffer, upto=16 * KB)
-        assert buffer.state is BufferState.READY
-        assert buffer.offset == 16 * KB
-        assert buffer.length == 48 * KB
-        assert buffer.issued_length == 64 * KB
-        assert blist.memory.used_by("prefetch") == 48 * KB
-        assert blist.find_covering(16 * KB, 16 * KB) is buffer
-        assert blist.find_covering(0, 16 * KB) is None
-        blist.consume(buffer)
-        assert buffer.state is BufferState.CONSUMED
-        assert blist.memory.used_by("prefetch") == 0
-
-    def test_partial_consume_frees_head_even_when_retaining(self, env):
-        from repro.ufs.data import LiteralData
-
-        # retain_consumed keeps *consumed buffers*; the partially-consumed
-        # head must still be freed so free_all's accounting (which frees
-        # buffer.length) matches what is held.
-        blist = self.make(env, retain=True)
-        buffer = blist.issue(0, 64 * KB)
-        buffer.mark_ready(env, LiteralData(b"y" * 64 * KB))
-        blist.consume(buffer, upto=16 * KB)
-        assert blist.memory.used_by("prefetch") == 48 * KB
-        blist.consume(buffer)
-        assert blist.memory.used_by("prefetch") == 48 * KB  # retained
-        blist.free_all()
-        assert blist.memory.used_by("prefetch") == 0
-
-    def test_partial_consume_validates_upto(self, env):
-        from repro.ufs.data import LiteralData
-
-        blist = self.make(env)
-        buffer = blist.issue(0, 64 * KB)
-        buffer.mark_ready(env, LiteralData(b"y" * 64 * KB))
-        with pytest.raises(ValueError):
-            blist.consume(buffer, upto=0)
-
     def test_overlaps_range(self, env):
         blist = self.make(env)
         blist.issue(100, 50)
@@ -188,29 +144,29 @@ class TestPolicies:
         assert policy.plan(handle, 0, 64 * KB, None) == []
 
     def test_one_ahead_targets_next_record(self):
-        policy = OneRequestAhead()
+        policy = make_policy("one-ahead")
         handle = _FakeHandle(IOMode.M_RECORD, 2, 8, 100 * MB, 8 * 64 * KB + 2 * 64 * KB)
         plans = policy.plan(handle, 2 * 64 * KB, 64 * KB, None)
         assert plans == [(8 * 64 * KB + 2 * 64 * KB, 64 * KB)]
 
     def test_one_ahead_clamps_at_eof(self):
-        policy = OneRequestAhead()
+        policy = make_policy("one-ahead")
         handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 96 * KB, 64 * KB)
         plans = policy.plan(handle, 0, 64 * KB, None)
         assert plans == [(64 * KB, 32 * KB)]
 
     def test_one_ahead_empty_past_eof(self):
-        policy = OneRequestAhead()
+        policy = make_policy("one-ahead")
         handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 64 * KB, 64 * KB)
         assert policy.plan(handle, 0, 64 * KB, None) == []
 
     def test_one_ahead_none_when_unpredictable(self):
-        policy = OneRequestAhead()
+        policy = make_policy("one-ahead")
         handle = _FakeHandle(IOMode.M_UNIX, 0, 8, 1 * MB, None)
         assert policy.plan(handle, 0, 64 * KB, None) == []
 
     def test_depth_plans_consecutive_records(self):
-        policy = OneRequestAhead(depth=3)
+        policy = DepthKAhead(depth=3)
         handle = _FakeHandle(IOMode.M_RECORD, 0, 4, 100 * MB, 4 * 64 * KB)
         plans = policy.plan(handle, 0, 64 * KB, None)
         stride = 4 * 64 * KB
@@ -221,8 +177,10 @@ class TestPolicies:
         ]
 
     def test_depth_validation(self):
+        # "one-ahead" always prefetches at least one request ahead.
+        assert make_policy("one-ahead", depth=0).depth == 1
         with pytest.raises(ValueError):
-            OneRequestAhead(depth=0)
+            DepthKAhead(depth=-1)
 
     def test_strided_needs_confirmations(self):
         policy = StridedPolicy(min_confirmations=2)
@@ -241,26 +199,14 @@ class TestPolicies:
 
     def test_depth_k_at_depth_one_matches_one_ahead(self):
         handle = _FakeHandle(IOMode.M_RECORD, 2, 8, 100 * MB, 8 * 64 * KB + 2 * 64 * KB)
-        static = OneRequestAhead().plan(handle, 2 * 64 * KB, 64 * KB, None)
+        static = make_policy("one-ahead").plan(handle, 2 * 64 * KB, 64 * KB, None)
         depth_k = DepthKAhead(depth=1).plan(handle, 2 * 64 * KB, 64 * KB, None)
         assert depth_k == static == [(8 * 64 * KB + 2 * 64 * KB, 64 * KB)]
-
-    def test_depth_k_quota_caps_planning(self):
-        policy = DepthKAhead(depth=4, quota_bytes=2 * 64 * KB)
-        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 100 * MB, 64 * KB)
-        plans = policy.plan(handle, 0, 64 * KB, None)
-        assert plans == [(64 * KB, 64 * KB), (128 * KB, 64 * KB)]
 
     def test_depth_k_zero_depth_plans_nothing(self):
         policy = DepthKAhead(depth=0)
         handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 100 * MB, 64 * KB)
         assert policy.plan(handle, 0, 64 * KB, None) == []
-
-    def test_depth_k_batch_coalesces_adjacent(self):
-        policy = DepthKAhead(depth=3, batch=3)
-        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 100 * MB, 64 * KB)
-        plans = policy.plan(handle, 0, 64 * KB, None)
-        assert plans == [(64 * KB, 3 * 64 * KB)]
 
     def test_depth_k_detector_overrides_arithmetic(self):
         policy = DepthKAhead(depth=2, detector=StrideDetector())
@@ -275,10 +221,6 @@ class TestPolicies:
     def test_depth_k_validation(self):
         with pytest.raises(ValueError):
             DepthKAhead(depth=-1)
-        with pytest.raises(ValueError):
-            DepthKAhead(quota_bytes=0)
-        with pytest.raises(ValueError):
-            DepthKAhead(batch=0)
 
     def test_stride_detector_confidence_lifecycle(self):
         det = StrideDetector(min_confirmations=2)
@@ -293,79 +235,41 @@ class TestPolicies:
         det.reset()
         assert det.stride is None and det.predict(0) is None
 
-    def test_adaptive_lowers_depth_on_miss_window(self):
-        policy = AdaptivePolicy(initial_depth=3, max_depth=4, window=4)
-        handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 100 * MB, 64 * KB)
-        prefetcher = Prefetcher(policy)
-        prefetcher.stats.misses = 4  # full window, 0% useful
-        policy.plan(handle, 0, 64 * KB, prefetcher)
-        assert policy.depth == 2
-        assert prefetcher.stats.throttled == 1
-        prefetcher.stats.misses += 4
-        policy.plan(handle, 0, 64 * KB, prefetcher)
-        assert policy.depth == 1
-        prefetcher.stats.misses += 4  # never below min_depth
-        policy.plan(handle, 0, 64 * KB, prefetcher)
-        assert policy.depth == 1
-
-    def test_adaptive_raises_depth_on_partial_hits(self):
-        policy = AdaptivePolicy(initial_depth=1, max_depth=4, window=4)
-        handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 100 * MB, 64 * KB)
-        prefetcher = Prefetcher(policy)
-        prefetcher.stats.hits = 2
-        prefetcher.stats.partial_hits = 2  # useful, pipeline too shallow
-        policy.plan(handle, 0, 64 * KB, prefetcher)
-        assert policy.depth == 2
-
-    def test_adaptive_pure_hits_leave_depth_alone(self):
-        policy = AdaptivePolicy(initial_depth=1, max_depth=4, window=4)
-        handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 100 * MB, 64 * KB)
-        prefetcher = Prefetcher(policy)
-        prefetcher.stats.hits = 8  # pipeline already ahead of demand
-        policy.plan(handle, 0, 64 * KB, prefetcher)
-        assert policy.depth == 1
-
-    def test_adaptive_lowers_on_memory_pressure(self):
-        policy = AdaptivePolicy(initial_depth=2, max_depth=4, window=4)
-        handle = _FakeHandle(IOMode.M_RECORD, 0, 1, 100 * MB, 64 * KB)
-        prefetcher = Prefetcher(policy)
-        prefetcher.stats.hits = 4
-        prefetcher.stats.skipped_oom = 1  # even a useful window backs off
-        policy.plan(handle, 0, 64 * KB, prefetcher)
-        assert policy.depth == 1
-
-    def test_adaptive_validation(self):
-        with pytest.raises(ValueError):
-            AdaptivePolicy(window=0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(raise_threshold=0.2, lower_threshold=0.5)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(min_depth=3, initial_depth=2)
-
     def test_make_policy_registry(self):
         assert isinstance(make_policy("none"), NoPrefetch)
-        one = make_policy("one-ahead", depth=1)
-        assert isinstance(one, OneRequestAhead) and one.depth == 1
         deep = make_policy("depth-k", depth=3, stride_detect=False)
         assert isinstance(deep, DepthKAhead) and deep.detector is None
-        adaptive = make_policy("adaptive", depth=2)
-        assert isinstance(adaptive, AdaptivePolicy)
-        assert adaptive.depth == 2 and adaptive.detector is not None
+        strided = make_policy("depth-k", depth=2)
+        assert strided.depth == 2 and isinstance(strided.detector, StrideDetector)
+        assert isinstance(make_policy("strided"), StridedPolicy)
         with pytest.raises(ValueError):
             make_policy("bogus")
+
+    def test_one_ahead_is_the_depth_one_pipeline(self):
+        """The paper's prototype is DepthKAhead(1) with no detector, and
+        it is what an unconfigured Prefetcher runs."""
+        one = make_policy("one-ahead")
+        assert type(one) is DepthKAhead
+        assert one.depth == 1 and one.detector is None
+        default = Prefetcher().policy
+        assert type(default) is DepthKAhead
+        assert default.depth == 1 and default.detector is None
+        assert POLICY_NAMES == ("none", "one-ahead", "depth-k", "strided")
+        with pytest.raises(ValueError):
+            make_policy("adaptive")
 
 
 class TestPrefetchStats:
     def test_ratios(self):
         stats = PrefetchStats(hits=6, partial_hits=2, misses=2, issued=10, discarded=3)
         assert stats.demand_reads == 10
-        assert stats.hit_ratio == pytest.approx(0.6)
+        assert stats.hit_rate == pytest.approx(0.6)
         assert stats.coverage == pytest.approx(0.8)
         assert stats.waste_ratio == pytest.approx(0.3)
 
     def test_empty_ratios(self):
         stats = PrefetchStats()
-        assert stats.hit_ratio == 0.0
+        assert stats.hit_rate == 0.0
         assert stats.coverage == 0.0
         assert stats.waste_ratio == 0.0
 
@@ -374,7 +278,6 @@ class TestPrefetchStats:
         assert stats.hit_rate == pytest.approx(0.6)
         assert stats.partial_hit_rate == pytest.approx(0.2)
         assert stats.miss_rate == pytest.approx(0.2)
-        assert stats.hit_ratio == stats.hit_rate  # back-compat alias
 
     def test_rate_accessors_zero_read_guard(self):
         stats = PrefetchStats()
@@ -427,7 +330,7 @@ class TestPrefetcherIntegration:
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
 
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         h1 = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
         chunks_pf = []
 
@@ -457,7 +360,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 8 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def reader():
@@ -479,7 +382,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         pfs_file = machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def reader():
@@ -496,7 +399,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -513,7 +416,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -529,7 +432,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead(), monitor=machine.monitor)
+        pf = Prefetcher(DepthKAhead(), monitor=machine.monitor)
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -553,7 +456,7 @@ class TestPrefetcherIntegration:
         machine = Machine(MachineConfig(n_compute=1, n_io=1, hardware=hw))
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead(depth=3))
+        pf = Prefetcher(DepthKAhead(depth=3))
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
@@ -568,23 +471,30 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 8 * MB)
-        pf = Prefetcher(OneRequestAhead(depth=2))
+        pf = Prefetcher(DepthKAhead(depth=2))
         h = open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def run():
             yield from h.read(64 * KB)  # prefetches blocks 1,2
             yield machine.env.timeout(0.5)
-            yield from h.read(64 * KB)  # hits 1; plans 2,3; 2 is duplicate
+            yield from h.read(64 * KB)  # hits 1; plans 2,3; 2 is already live
 
         machine.spawn(run())
         machine.run()
-        assert pf.stats.skipped_duplicate >= 1
+        # The planner drops the live block 2 before the prefetcher sees
+        # it, so only block 3 is issued and no duplicate is ever skipped.
+        assert pf.stats.issued == 3
+        assert pf.stats.skipped_duplicate == 0
+        live = sorted((b.offset, b.end) for b in pf.buffer_list.live_buffers)
+        assert live == [(2 * 64 * KB, 3 * 64 * KB), (3 * 64 * KB, 4 * 64 * KB)]
+        for (_, end1), (start2, _) in zip(live, live[1:]):
+            assert end1 <= start2
 
     def test_m_record_prefetch_hits_across_rounds(self):
         machine = Machine(MachineConfig(n_compute=4, n_io=4))
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 16 * MB)
-        prefetchers = [Prefetcher(OneRequestAhead()) for _ in range(4)]
+        prefetchers = [Prefetcher(DepthKAhead()) for _ in range(4)]
         handles = [None] * 4
 
         def opener(rank):
@@ -616,7 +526,7 @@ class TestPrefetcherIntegration:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 1 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         open_one(machine, mount, "data", IOMode.M_ASYNC, prefetcher=pf)
 
         def second_open():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import DepthKAhead, Prefetcher
 from repro.core.prefetch_buffer import BufferState
 from repro.hardware.raid import RAIDError
 from repro.machine import Machine
@@ -149,7 +149,7 @@ class TestPrefetchFailureResilience:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         machine.create_file(mount, "data", 1 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         handle = open_handle(machine, mount, "data", prefetcher=pf)
 
         def proc():
@@ -173,7 +173,7 @@ class TestPrefetchFailureResilience:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         machine.create_file(mount, "data", 1 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         handle = open_handle(machine, mount, "data", prefetcher=pf)
 
         # Plant an in-flight buffer for block 0 and fail it while the
@@ -202,7 +202,7 @@ class TestPrefetchFailureResilience:
         machine = make_machine()
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         machine.create_file(mount, "data", 1 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         handle = open_handle(machine, mount, "data", prefetcher=pf)
 
         def proc():

@@ -2,7 +2,7 @@
 
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import DepthKAhead, Prefetcher
 from repro.machine import Machine
 from repro.pfs import IOMode
 from repro.ufs.data import LiteralData
@@ -20,7 +20,7 @@ class TestClientPrefetchOnBufferedMount:
         )
         mount = machine.mount("/pfs", PFSConfig(buffered=True))
         pfs_file = machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
 
         chunks = []
 
@@ -62,7 +62,7 @@ class TestClientPrefetchOnBufferedMount:
         mount = machine.mount("/pfs", PFSConfig(buffered=True))
         machine.create_file(mount, "data", 0)
         payload = bytes(range(256)) * 1024  # 256KB
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
 
         def app():
             writer = yield from machine.clients[0].open(
@@ -94,7 +94,7 @@ class TestPrefetchWithTruncate:
         machine = Machine(MachineConfig(n_compute=2, n_io=2))
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 1 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
 
         def app():
             handle = yield from machine.clients[0].open(
@@ -116,7 +116,7 @@ class TestARTSharedBetweenIreadAndPrefetch:
         machine = Machine(MachineConfig(n_compute=1, n_io=2, art_threads=2))
         mount = machine.mount("/pfs", PFSConfig())
         machine.create_file(mount, "data", 4 * MB)
-        pf = Prefetcher(OneRequestAhead(depth=2))
+        pf = Prefetcher(DepthKAhead(depth=2))
 
         def app():
             handle = yield from machine.clients[0].open(
@@ -148,7 +148,7 @@ class TestSeparateFilesWithRotationAndPrefetch:
             "f",
             request_size=64 * KB,
             compute_delay=0.06,
-            prefetcher_factory=lambda rank: Prefetcher(OneRequestAhead()),
+            prefetcher_factory=lambda rank: Prefetcher(DepthKAhead()),
         ).run()
         assert result.report.prefetch.coverage > 0.7
         assert result.report.balanced > 0.7

@@ -7,7 +7,7 @@ and finishes with byte-level content checks plus `Machine.verify()`.
 
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import AdaptivePolicy, OneRequestAhead, Prefetcher
+from repro.core import DepthKAhead, Prefetcher, StrideDetector
 from repro.machine import Machine
 from repro.pfs import IOMode
 from repro.ufs.data import SyntheticData
@@ -47,7 +47,7 @@ class TestMixedWorkloads:
                 IOMode.M_RECORD,
                 rank=rank,
                 nprocs=4,
-                prefetcher=Prefetcher(OneRequestAhead()),
+                prefetcher=Prefetcher(DepthKAhead()),
             )
             for _ in range(8):
                 yield from handle.node.compute(0.03)
@@ -118,13 +118,14 @@ class TestMixedWorkloads:
         assert sum(consumed) == 6 * 64 * KB
         assert machine.verify() == []
 
-    def test_adaptive_prefetcher_in_mixed_pattern_app(self):
+    def test_stride_prefetcher_in_mixed_pattern_app(self):
         """One app alternates sequential scans with random probes; the
-        adaptive policy keeps working and data stays correct."""
+        stride-detecting depth-k pipeline keeps working and data stays
+        correct."""
         machine = Machine(MachineConfig(n_compute=1, n_io=4))
         mount = machine.mount("/pfs")
         pfs_file = machine.create_file(mount, "data", 8 * MB)
-        pf = Prefetcher(AdaptivePolicy(window=6, max_depth=3))
+        pf = Prefetcher(DepthKAhead(depth=3, detector=StrideDetector()))
 
         def app():
             handle = yield from machine.clients[0].open(
@@ -172,7 +173,7 @@ class TestMixedWorkloads:
         machine = Machine(MachineConfig(n_compute=1, n_io=2))
         mount = machine.mount("/pfs")
         pfs_file = machine.create_file(mount, "data", 2 * MB)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
 
         def app():
             handle = yield from machine.clients[0].open(

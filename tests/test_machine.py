@@ -41,6 +41,13 @@ class TestMachineConstruction:
         with pytest.raises(ValueError):
             MachineConfig(block_size=0)
 
+    def test_unknown_prefetch_policy_rejected(self):
+        for name in ("warp-drive", "adaptive"):
+            with pytest.raises(ValueError):
+                MachineConfig(prefetch_policy=name)
+        with pytest.raises(ValueError):
+            MachineConfig(prefetch_depth=-1)
+
 
 class TestMounts:
     def test_mount_default_attrs(self):
@@ -121,7 +128,7 @@ class TestVerify:
         assert machine.verify() == []
 
     def test_clean_after_workload(self):
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
         from repro.workloads import CollectiveReadWorkload
 
         machine = Machine(MachineConfig(n_compute=4, n_io=4))
@@ -133,7 +140,7 @@ class TestVerify:
             "data",
             request_size=64 * KB,
             compute_delay=0.02,
-            prefetcher_factory=lambda r: Prefetcher(OneRequestAhead()),
+            prefetcher_factory=lambda r: Prefetcher(DepthKAhead()),
         ).run()
         assert machine.verify() == []
 

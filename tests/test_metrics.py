@@ -87,7 +87,7 @@ class TestReportFromHandles:
 
     def test_merges_prefetch_stats(self):
         from repro.config import MachineConfig, PFSConfig
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
         from repro.machine import Machine
         from repro.pfs import IOMode
 
@@ -103,7 +103,7 @@ class TestReportFromHandles:
                 IOMode.M_RECORD,
                 rank=rank,
                 nprocs=2,
-                prefetcher=Prefetcher(OneRequestAhead()),
+                prefetcher=Prefetcher(DepthKAhead()),
             )
             handles.append(handle)
             for _ in range(3):

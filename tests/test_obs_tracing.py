@@ -16,7 +16,7 @@ Covers the PR's acceptance criteria:
 import json
 
 from repro.config import PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import DepthKAhead, Prefetcher
 from repro.experiments.common import run_collective
 from repro.obs import NOOP_SPAN, Tracer, chrome_trace_events, latency_breakdown
 from repro.pfs import IOMode
@@ -32,7 +32,7 @@ def collective_read(machine, prefetch=False, rounds=4, request_size=64 * KB):
     handles = [None] * nprocs
 
     def opener(rank):
-        pf = Prefetcher(OneRequestAhead()) if prefetch else None
+        pf = Prefetcher(DepthKAhead()) if prefetch else None
         handles[rank] = yield from machine.clients[rank].open(
             mount,
             "data",

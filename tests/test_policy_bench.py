@@ -1,8 +1,10 @@
-"""The head-to-head policy bench and the PR-8 acceptance criteria.
+"""The head-to-head policy bench and its acceptance criteria.
 
 A quick in-process sweep checks the report shape and the two verdicts
 (no paper-cell regression, strict win on a new family); the committed
-``BENCH_8.json`` is then held to the same acceptance bar.
+``BENCH_8.json`` is then held to the same acceptance bar for the
+contender it names, and its columns are re-derived from today's
+policies.
 """
 
 import json
@@ -11,10 +13,12 @@ import pathlib
 import pytest
 
 from repro.experiments.policy_bench import (
+    CONTENDER,
     EPS,
+    FAMILIES,
     POLICIES,
-    TUNED,
     WIN_MARGIN,
+    _round,
     compare,
     render_ascii,
     run_policy_bench,
@@ -34,7 +38,7 @@ class TestQuickSweep:
         assert report["bench"] == "policy-head-to-head"
         names = {p["name"] for p in report["policies"]}
         assert names == {name for name, _ in POLICIES}
-        assert TUNED in names
+        assert CONTENDER in names
         families = {c["family"] for c in report["cells"]}
         assert families == {"paper", "strided", "deep-seq"}
         for cell in report["cells"]:
@@ -44,19 +48,19 @@ class TestQuickSweep:
 
     def test_acceptance_verdicts_hold_in_process(self, quick_report):
         cmp_block = quick_report["comparison"]
-        assert cmp_block["tuned_policy"] == TUNED
+        assert cmp_block["tuned_policy"] == CONTENDER
         assert cmp_block["paper_ok"] is True
         assert cmp_block["strict_win_by_family"]["strided"] is True
         assert cmp_block["new_family_strict_win"] is True
 
-    def test_static_cells_match_the_adaptive_fallback_on_paper(self, quick_report):
-        """On full-hit paper cells the adaptive run starts at depth 1
-        and never deepens -- bit-identical bandwidth, not merely >=."""
+    def test_static_cells_match_the_stride_contender_on_paper(self, quick_report):
+        """On paper cells the stride detector agrees with the record
+        arithmetic -- bit-identical bandwidth, not merely >=."""
         for cell in quick_report["cells"]:
             if cell["family"] != "paper":
                 continue
             bw = cell["bandwidth_mbps"]
-            assert abs(bw["adaptive"] - bw["static"]) <= EPS
+            assert abs(bw[CONTENDER] - bw["static"]) <= EPS
 
     def test_render_covers_every_policy_and_family(self, quick_report):
         out = render_ascii(quick_report)
@@ -78,7 +82,7 @@ class TestCompare:
             "family": family,
             "request_kb": 64,
             "delay_s": 0.0,
-            "bandwidth_mbps": {"static": static, TUNED: tuned},
+            "bandwidth_mbps": {"static": static, CONTENDER: tuned},
         }
 
     def test_paper_regression_flips_paper_ok(self):
@@ -117,8 +121,9 @@ class TestCommittedBench:
         assert committed["policies"]["bench"] == "policy-head-to-head"
 
     def test_acceptance_criteria(self, committed):
-        cmp_block = committed["policies"]["comparison"]
-        assert cmp_block["tuned_policy"] == TUNED
+        block = committed["policies"]
+        cmp_block = block["comparison"]
+        assert cmp_block["tuned_policy"] in {p["name"] for p in block["policies"]}
         assert cmp_block["paper_ok"] is True, cmp_block["paper_cells"]
         assert cmp_block["new_family_strict_win"] is True
         assert cmp_block["strict_win_by_family"]["strided"] is True
@@ -133,4 +138,20 @@ class TestCommittedBench:
         """The stored comparison block is not hand-editable: recomputing
         it from the stored cells gives the same verdicts."""
         block = committed["policies"]
-        assert compare(block["cells"]) == block["comparison"]
+        contender = block["comparison"]["tuned_policy"]
+        assert compare(block["cells"], contender) == block["comparison"]
+
+    def test_todays_policies_reproduce_the_committed_columns(self, committed):
+        """The full grid, re-run: ``static`` and ``depth-4`` match their
+        committed columns, and the ``stride`` contender (depth-k at
+        depth 1 with the default stride detector) matches the removed
+        adaptive controller's column on every cell."""
+        block = committed["policies"]
+        rounds = block["settings"]["rounds"]
+        committed_column = {"static": "static", "depth-4": "depth-4", "stride": "adaptive"}
+        for name, kw in POLICIES:
+            column = committed_column[name]
+            for cell in block["cells"]:
+                args = (cell["request_kb"], cell["delay_s"], rounds, kw)
+                bw = _round(FAMILIES[cell["family"]](*args))
+                assert bw == cell["bandwidth_mbps"][column], (name, cell)

@@ -1,34 +1,28 @@
-"""Hypothesis properties over the depth-k / adaptive policy family.
+"""Hypothesis properties over the depth-k policy family.
 
-Four contracts from the PR-8 policy campaign, each stated as a law over
-randomly generated streams rather than a handful of examples:
+Three contracts, each stated as a law over randomly generated streams
+rather than a handful of examples:
 
 1. the stride detector recovers any regular (start, stride) pattern
    within its documented warm-up and predicts exactly;
-2. ``DepthKAhead(depth=1)`` with no detector/quota/batch plans exactly
-   what the paper's ``OneRequestAhead`` prototype plans, for every mode,
-   geometry, and offset (plus an end-to-end golden-fingerprint check on
-   the bench3 grid);
-3. the adaptive controller's depth is monotone non-increasing under a
-   forced-miss demand stream and never leaves its envelope;
-4. capped plans never overlap a live prefetch buffer and never push
-   live + planned bytes past the quota.
+2. the paper's prototype, ``make_policy("one-ahead")`` =
+   ``DepthKAhead(depth=1)`` with no detector, plans exactly the next
+   anticipated request, EOF-clamped, for every mode, geometry, and
+   offset (plus an end-to-end golden-fingerprint check on the bench3
+   grid);
+3. capped plans never overlap a live prefetch buffer nor each other,
+   and stay inside the file.
 """
 
 import json
 import pathlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sanitizers import report_fingerprint
-from repro.core import (
-    AdaptivePolicy,
-    DepthKAhead,
-    OneRequestAhead,
-    Prefetcher,
-    StrideDetector,
-)
+from repro.core import DepthKAhead, StrideDetector, make_policy
 from repro.core.prefetch_buffer import PrefetchBufferList
 from repro.experiments.common import KB, run_collective, scaled_file_size
 from repro.hardware.memory import MemoryRegion
@@ -123,6 +117,16 @@ class TestStrideDetectorRecovery:
             assert det.stride != 0
 
 
+def _next_request(handle, nbytes):
+    """Reference plan of the prototype: the handle's next request,
+    clamped at EOF, or nothing past EOF / when unpredictable."""
+    start = handle.next_read_offset(nbytes)
+    if start is None:
+        return []
+    length = min(nbytes, handle.file.size_bytes - start)
+    return [(start, length)] if length > 0 else []
+
+
 class TestDepthOneEquivalence:
     @given(
         mode=st.sampled_from([IOMode.M_RECORD, IOMode.M_ASYNC, IOMode.M_UNIX]),
@@ -139,9 +143,8 @@ class TestDepthOneEquivalence:
         rank = data.draw(st.integers(min_value=0, max_value=nprocs - 1))
         size = size_blocks * 4 * KB
         handle = _FakeHandle(mode, rank, nprocs, size, next_block * 4 * KB)
-        bare = DepthKAhead(depth=1)  # no detector, no quota, batch=1
-        proto = OneRequestAhead()
-        assert bare.plan(handle, 0, nbytes, None) == proto.plan(handle, 0, nbytes, None)
+        proto = make_policy("one-ahead")
+        assert proto.plan(handle, 0, nbytes, None) == _next_request(handle, nbytes)
 
     @given(
         nprocs=st.integers(min_value=1, max_value=16),
@@ -156,16 +159,35 @@ class TestDepthOneEquivalence:
         identical at every step (the depth-1 pipeline never gets ahead
         of the prototype, and EOF clamps agree)."""
         size = nprocs * nbytes * 24
-        bare = DepthKAhead(depth=1)
-        proto = OneRequestAhead()
+        proto = make_policy("one-ahead")
         for step in range(rounds):
             offset = step * nprocs * nbytes
             handle = _FakeHandle(
                 IOMode.M_RECORD, 0, nprocs, size, offset + nprocs * nbytes
             )
-            assert bare.plan(handle, offset, nbytes, None) == proto.plan(
-                handle, offset, nbytes, None
-            )
+            assert proto.plan(handle, offset, nbytes, None) == _next_request(handle, nbytes)
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize("size_kb,prefetch", [(64, False), (64, True), (256, True)])
+    def test_bench3_cells_via_config(self, size_kb, prefetch, tie_break):
+        """Threading the default policy knobs through ``MachineConfig``
+        and ``Machine.build_prefetcher`` reproduces the committed bench3
+        goldens under both same-timestamp tie-break orders."""
+        with open(GOLDEN_DIR / "bench3_fingerprints.json") as fh:
+            golden = json.load(fh)["cells"]
+        report = run_collective(
+            request_size=size_kb * KB,
+            file_size=scaled_file_size(size_kb * KB, rounds=4),
+            iomode=IOMode.M_RECORD,
+            prefetch=prefetch,
+            rounds=4,
+            tie_break=tie_break,
+            prefetch_policy="one-ahead",
+            prefetch_depth=1,
+            prefetch_stride_detect=True,
+        )
+        key = f"table1:{size_kb}kb:prefetch={prefetch}"
+        assert report_fingerprint(report) == golden[key]
 
     def test_depth_k_at_one_matches_the_golden_grid(self):
         """End-to-end: a depth-k pipeline at k=1 (detector off) is
@@ -187,60 +209,11 @@ class TestDepthOneEquivalence:
             assert report_fingerprint(report) == golden[key]
 
 
-class TestAdaptiveMonotoneUnderMisses:
-    @given(
-        initial=st.integers(min_value=1, max_value=6),
-        window=st.integers(min_value=1, max_value=8),
-        min_depth=st.integers(min_value=0, max_value=1),
-        bursts=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=30),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_forced_misses_drive_depth_down_monotonically(
-        self, initial, window, min_depth, bursts
-    ):
-        policy = AdaptivePolicy(
-            min_depth=min_depth,
-            max_depth=max(6, initial),
-            initial_depth=max(initial, min_depth),
-            window=window,
-        )
-        pf = Prefetcher(policy)
-        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 64 * MB, 64 * KB)
-        depths = [policy.depth]
-        for burst in bursts:
-            pf.stats.misses += burst
-            policy.plan(handle, 0, 64 * KB, pf)
-            depths.append(policy.depth)
-        assert depths == sorted(depths, reverse=True)
-        assert depths[-1] >= min_depth
-        # One step down per evaluated window: enough all-miss windows
-        # must floor the controller.
-        if all(b >= window for b in bursts) and len(bursts) >= initial - min_depth:
-            assert policy.depth == min_depth
-        # Every reduction was accounted as a throttle event.
-        reductions = sum(1 for a, b in zip(depths, depths[1:]) if b < a)
-        assert pf.stats.throttled == reductions
-
-    @given(
-        hits=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=20),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_pure_full_hits_never_move_depth(self, hits):
-        policy = AdaptivePolicy(initial_depth=2, max_depth=6, window=4)
-        pf = Prefetcher(policy)
-        handle = _FakeHandle(IOMode.M_ASYNC, 0, 1, 64 * MB, 64 * KB)
-        for burst in hits:
-            pf.stats.hits += burst
-            policy.plan(handle, 0, 64 * KB, pf)
-            assert policy.depth == 2
-
-
 class TestPlanSafety:
     @given(
         depth=st.integers(min_value=1, max_value=6),
         nbytes=st.integers(min_value=1, max_value=128 * KB),
         next_block=st.integers(min_value=0, max_value=64),
-        quota_blocks=st.one_of(st.none(), st.integers(min_value=1, max_value=32)),
         live=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=96),  # offset in 64KB blocks
@@ -248,34 +221,23 @@ class TestPlanSafety:
             ),
             max_size=6,
         ),
-        batch=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_capped_plans_respect_buffers_and_quota(
-        self, depth, nbytes, next_block, quota_blocks, live, batch
-    ):
+    def test_capped_plans_never_overlap_live_buffers(self, depth, nbytes, next_block, live):
         env = Environment()
         blist = PrefetchBufferList(env, MemoryRegion(64 * MB))
         for off_blk, len_blk in live:
             blist.issue(off_blk * 64 * KB, len_blk * 64 * KB)
-        quota = quota_blocks * 64 * KB if quota_blocks is not None else None
-        policy = DepthKAhead(depth=depth, quota_bytes=quota, batch=batch)
+        policy = DepthKAhead(depth=depth)
         handle = _FakeHandle(
             IOMode.M_ASYNC, 0, 1, 128 * 64 * KB, next_block * 64 * KB
         )
         planned = policy.plan(handle, 0, nbytes, _FakePrefetcher(blist))
 
-        planned_bytes = 0
         for start, length in planned:
             assert length > 0
             assert start + length <= handle.file.size_bytes
             assert not blist.overlaps_range(start, length), (start, length)
-            planned_bytes += length
-        if quota is not None:
-            # Live buffers may already exceed a freshly shrunk quota
-            # (the planner cannot un-issue them); what it guarantees is
-            # that *new* plans never push the total further past it.
-            assert planned_bytes <= max(0, quota - blist.live_bytes)
         # Plans never overlap each other either.
         spans = sorted((s, s + n) for s, n in planned)
         for (_, end1), (start2, _) in zip(spans, spans[1:]):

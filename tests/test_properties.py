@@ -243,7 +243,7 @@ class TestCollectiveReadProperties:
         first nprocs*rounds*request bytes of the file, with no byte read
         twice -- with or without prefetching."""
         from repro.config import MachineConfig, PFSConfig
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
         from repro.machine import Machine
         from repro.pfs import IOMode
 
@@ -255,7 +255,7 @@ class TestCollectiveReadProperties:
         reads = []
 
         def runner(rank):
-            pf = Prefetcher(OneRequestAhead()) if prefetch else None
+            pf = Prefetcher(DepthKAhead()) if prefetch else None
             handle = yield from machine.clients[rank].open(
                 mount,
                 "data",
@@ -295,7 +295,7 @@ class TestCollectiveReadProperties:
         """The same M_RECORD schedule returns byte-identical data with
         and without prefetching (one shared machine, two handles)."""
         from repro.config import MachineConfig, PFSConfig
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
         from repro.machine import Machine
         from repro.pfs import IOMode
 
@@ -307,7 +307,7 @@ class TestCollectiveReadProperties:
             out = []
 
             def runner():
-                pf = Prefetcher(OneRequestAhead()) if prefetch else None
+                pf = Prefetcher(DepthKAhead()) if prefetch else None
                 handle = yield from machine.clients[client_index].open(
                     mount,
                     "data",
@@ -351,7 +351,7 @@ class TestPrefetcherConsistencyProperty:
         prefetcher's accounting consistent, returns correct data, and
         leaks no memory at close."""
         from repro.config import MachineConfig, PFSConfig
-        from repro.core import OneRequestAhead, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
         from repro.machine import Machine
         from repro.pfs import IOMode
 
@@ -359,7 +359,7 @@ class TestPrefetcherConsistencyProperty:
         mount = machine.mount("/pfs", PFSConfig())
         file_size = 64 * 64 * KB
         pfs_file = machine.create_file(mount, "data", file_size)
-        pf = Prefetcher(OneRequestAhead())
+        pf = Prefetcher(DepthKAhead())
         reads = {"n": 0}
 
         def app():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.sim import Environment, Monitor
-from repro.sim.monitor import CounterStat, SeriesStat, TimeWeightedStat
+from repro.obs.monitor import CounterStat, SeriesStat, TimeWeightedStat
 
 
 @pytest.fixture

@@ -251,14 +251,13 @@ class FaultPlanMachine(RuleBasedStateMachine):
 
 
 class PolicyMachine(RuleBasedStateMachine):
-    """Random open/read/reconfigure-depth/close streams against a small
+    """Random open/read/close streams at depths 0-4 against a small
     machine: prefetch memory never leaks and the machine-wide
     PrefetchStats merge algebra stays commutative and associative.
 
-    Rules accumulate a per-stream script (reads interleaved with tuner-
-    style depth reconfigurations); one terminal rule drives the machine
-    executing every stream as its own process with its own adaptive
-    prefetcher, then audits the aftermath.
+    Rules accumulate per-stream scripts; one terminal rule drives the
+    machine executing every stream as its own process with its own
+    depth-k prefetcher, then audits the aftermath.
     """
 
     REQUEST = 64 * 1024
@@ -271,19 +270,17 @@ class PolicyMachine(RuleBasedStateMachine):
 
     @rule(
         rounds=st.integers(min_value=1, max_value=6),
-        depth=st.integers(min_value=1, max_value=4),
-        retune_at=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
-        new_depth=st.integers(min_value=0, max_value=4),
+        depth=st.integers(min_value=0, max_value=4),
         compute=st.floats(min_value=0.0, max_value=0.05),
     )
-    def add_stream(self, rounds, depth, retune_at, new_depth, compute):
-        self.streams.append((rounds, depth, retune_at, new_depth, compute))
+    def add_stream(self, rounds, depth, compute):
+        self.streams.append((rounds, depth, compute))
 
     @precondition(lambda self: self.streams and not self.ran)
     @rule()
     def drive_machine(self):
         from repro.config import MachineConfig, PFSConfig
-        from repro.core import AdaptivePolicy, Prefetcher
+        from repro.core import DepthKAhead, Prefetcher
         from repro.machine import Machine
         from repro.obs.stats import PrefetchStats
         from repro.pfs import IOMode
@@ -294,16 +291,13 @@ class PolicyMachine(RuleBasedStateMachine):
         machine.create_file(mount, "data", self.FILE_BLOCKS * self.REQUEST)
         prefetchers = []
 
-        def app(rank, rounds, depth, retune_at, new_depth, compute):
-            pf = Prefetcher(AdaptivePolicy(min_depth=0, initial_depth=depth, max_depth=4))
+        def app(rank, rounds, depth, compute):
+            pf = Prefetcher(DepthKAhead(depth=depth))
             prefetchers.append(pf)
             handle = yield from machine.clients[rank % 4].open(
                 mount, "data", IOMode.M_ASYNC, rank=0, nprocs=1, prefetcher=pf
             )
-            for step in range(rounds):
-                if retune_at is not None and step == retune_at:
-                    # Tuner-style mid-stream reconfiguration.
-                    pf.set_depth(new_depth)
+            for _ in range(rounds):
                 if compute:
                     yield from handle.node.compute(compute)
                 data = yield from handle.read(self.REQUEST)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import MachineConfig, PFSConfig
-from repro.core import OneRequestAhead, Prefetcher
+from repro.core import DepthKAhead, Prefetcher
 from repro.machine import Machine
 from repro.pfs import IOMode
 from repro.workloads import (
@@ -116,7 +116,7 @@ class TestCollectiveReadWorkload:
 
         def factory(rank):
             ranks.append(rank)
-            return Prefetcher(OneRequestAhead())
+            return Prefetcher(DepthKAhead())
 
         _, workload = self.make(rounds=2, prefetcher_factory=factory)
         result = workload.run()
@@ -236,7 +236,7 @@ class TestSeparateFilesWorkload:
             "f",
             request_size=64 * KB,
             compute_delay=0.1,
-            prefetcher_factory=lambda rank: Prefetcher(OneRequestAhead()),
+            prefetcher_factory=lambda rank: Prefetcher(DepthKAhead()),
         )
         result = workload.run()
         assert result.report.prefetch is not None
