@@ -2,8 +2,10 @@
 
 Perf PRs start from data, not guesses: this script runs one
 (request size, prefetch) Table 1 cell under :mod:`cProfile` and prints
-the top cumulative-time entries, plus the wall time and the derived
-events-per-second figure.  Usage::
+the top cumulative-time entries, plus the wall time, the number of
+events the kernel scheduled, and the derived events-per-second figure
+(slowed by the profiler's own overhead, so compare it only with other
+profiled runs).  Usage::
 
     PYTHONPATH=src python benchmarks/profile_cell.py [--size-kb 1024]
         [--prefetch] [--rounds 16] [--top 20] [--sort cumulative]
@@ -41,6 +43,7 @@ def run_cell(size_kb: int, prefetch: bool, rounds: int):
         iomode=IOMode.M_RECORD,
         prefetch=prefetch,
         rounds=rounds,
+        keep_machine=True,
     )
 
 
@@ -87,6 +90,8 @@ def main(argv=None) -> int:
     )
     print(f"bandwidth: {report.collective_bandwidth_mbps:.2f} MB/s")
     print(f"wall time: {wall_s:.3f} s")
+    events = report.machine.env._eid
+    print(f"events: {events} ({events / wall_s:,.0f} events/s under cProfile)")
     print(stream.getvalue())
     if args.output:
         print(f"raw pstats dumped to {os.path.abspath(args.output)}")

@@ -9,13 +9,12 @@ against -- scaling work that moves these numbers should move them *up*.
 Since PR 6 every cell also carries *simulator* speed columns:
 ``wall_time_s`` (best-of-N wall seconds for the default-configuration
 run of that cell, stopwatch shared with :mod:`benchmarks.speed`) and
-``cells_per_s`` (its reciprocal).  When a pre-refactor capture
-(``benchmarks/baseline_pr6.json``) matches the current ``rounds``, each
-cell additionally reports ``baseline_wall_time_s`` and ``speedup``, and
-a top-level ``speed`` block aggregates them.  These are the only
-non-deterministic columns in the file -- bandwidth, bottleneck, and
-tie-check results stay byte-identical across reruns of an unchanged
-tree; wall times vary with the host.
+``cells_per_s`` (its reciprocal), aggregated in a top-level ``speed``
+block.  They are advisory: a speed claim needs a same-host A/B run
+(``perfbench/aa_report.py``), not a ratio against a wall time captured
+elsewhere.  These are the only non-deterministic columns in the file --
+bandwidth, bottleneck, and tie-check results stay byte-identical across
+reruns of an unchanged tree; wall times vary with the host.
 
 Each Table 1 cell also carries two fault-plane columns:
 
@@ -262,7 +261,6 @@ def bench_figure2(sizes_kb, rounds: int, tie_check: str) -> list:
     return points
 
 
-BASELINE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "baseline_pr6.json")
 REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 ABLATION_REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_ablation.json")
 ABLATION_BASELINE_PATH = os.path.join(
@@ -308,25 +306,9 @@ def ablation_summary() -> dict:
     return block
 
 
-def _load_baseline(rounds: int):
-    """Pre-refactor wall times, or None when absent / rounds mismatch."""
-    try:
-        with open(BASELINE_PATH) as fh:
-            baseline = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if baseline.get("rounds") != rounds:
-        # Captured for a different workload size: a speedup ratio
-        # against it would be meaningless (e.g. --quick uses rounds=8).
-        return None
-    return baseline.get("cells", None)
-
-
 def measure_speed(points: list, t1_sizes, f2_sizes, rounds: int, repeats: int) -> None:
-    """Attach wall_time_s / cells_per_s (and speedup vs the baseline
-    capture, when comparable) to every bench point, in place."""
+    """Attach wall_time_s / cells_per_s to every bench point, in place."""
     runners = speed.default_cell_runners(t1_sizes, f2_sizes, rounds=rounds)
-    baseline = _load_baseline(rounds)
     for point in points:
         if "prefetch" in point:
             key = f"table1:{point['request_kb']}kb:prefetch={point['prefetch']}"
@@ -335,9 +317,6 @@ def measure_speed(points: list, t1_sizes, f2_sizes, rounds: int, repeats: int) -
         wall = speed.time_runner(runners[key], repeats=repeats)
         point["wall_time_s"] = _round(wall)
         point["cells_per_s"] = _round(1.0 / wall, 2)
-        if baseline is not None and key in baseline:
-            point["baseline_wall_time_s"] = _round(baseline[key])
-            point["speedup"] = _round(baseline[key] / wall, 2)
 
 
 def run_bench(
@@ -366,13 +345,6 @@ def run_bench(
         "total_wall_time_s": _round(total_wall),
         "cells_per_s": _round(len(all_points) / total_wall, 2),
     }
-    if all("speedup" in p for p in all_points):
-        baseline_total = sum(p["baseline_wall_time_s"] for p in all_points)
-        speed_block["baseline"] = os.path.relpath(
-            BASELINE_PATH, os.path.join(os.path.dirname(BASELINE_PATH), "..")
-        )
-        speed_block["baseline_total_wall_time_s"] = _round(baseline_total)
-        speed_block["speedup"] = _round(baseline_total / total_wall, 2)
     return {
         "bench": "pr9-scale-multitenant",
         "machine": {"n_compute": 8, "n_io": 8, "block_kb": 64},
@@ -443,16 +415,10 @@ def main(argv=None) -> int:
         f"({args.tie_check}), all bit-identical under fifo/lifo"
     )
     sp = results["speed"]
-    line = (
+    print(
         f"simulator speed: {sp['total_wall_time_s']:.2f}s wall for "
         f"{len(all_points)} cells ({sp['cells_per_s']:.2f} cells/s)"
     )
-    if "speedup" in sp:
-        line += (
-            f", {sp['speedup']:.2f}x vs pre-refactor baseline "
-            f"({sp['baseline_total_wall_time_s']:.2f}s)"
-        )
-    print(line)
     ablation = results["ablation"]
     if ablation.get("report") and ablation.get("ranking"):
         top = ablation["ranking"][0]

@@ -3,17 +3,17 @@
 The kernel fast paths target the *default* configuration (no faults, no
 trace, no telemetry) -- the configuration every golden fingerprint runs
 under.  This module defines, for every Table 1 / Figure 2 cell, a
-default-configuration runner and a best-of-N wall-clock measurement, so
-``run_bench.py`` and the pre-refactor baseline capture use the exact
-same stopwatch.
+default-configuration runner and a best-of-N wall-clock measurement,
+used by ``run_bench.py`` for its advisory ``wall_time_s`` /
+``cells_per_s`` columns and runnable on its own to time chosen cells.
 
-Usage (capture a baseline file)::
+Usage::
 
-    PYTHONPATH=src python benchmarks/speed.py --output benchmarks/baseline_pr6.json
+    PYTHONPATH=src python benchmarks/speed.py --cells table1:64kb:prefetch=False \
+        --output perf_smoke.json
 
-``run_bench.py`` then reads that file and reports per-cell
-``wall_time_s`` / ``cells_per_s`` / ``speedup`` columns next to the
-(deterministic) bandwidth columns.
+Wall seconds depend on the host: compare two trees only with runs taken
+interleaved on the same host.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "baseline_pr6.json"),
+        default="perf_smoke.json",
         help="where to write the {cell_key: wall_seconds} JSON",
     )
     parser.add_argument("--rounds", type=int, default=16)

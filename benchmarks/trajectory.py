@@ -3,8 +3,10 @@
 Every PR commits a ``BENCH_<n>.json`` snapshot at the repo root (see
 ``benchmarks/run_bench.py``).  The schema has grown over time -- early
 snapshots carry only Table 1 bandwidth cells, later ones add degraded /
-rebuild metrics, a ``speed`` block (wall time, cells/s, speedup vs the
-pre-refactor baseline) and the ablation observatory summary.  This
+rebuild metrics, a ``speed`` block (wall time, cells/s) and the
+ablation observatory summary.  Wall times were taken on whatever host
+ran each PR, so the columns are advisory; a speed claim needs a
+same-host A/B run.  This
 aggregator walks all of them and emits a single table, one row per PR,
 so a regression in any headline number is visible as a kink in the
 trajectory rather than buried in a diff between two JSON blobs.
@@ -83,7 +85,6 @@ def _speed_summary(snapshot: Dict[str, Any], rows: List[Dict[str, Any]]) -> Dict
         return {
             "wall_time_s": speed.get("total_wall_time_s"),
             "cells_per_s": speed.get("cells_per_s"),
-            "speedup": speed.get("speedup"),
             "speed_source": "speed-block",
         }
     row_times = [r["wall_time_s"] for r in rows if r.get("wall_time_s") is not None]
@@ -92,10 +93,9 @@ def _speed_summary(snapshot: Dict[str, Any], rows: List[Dict[str, Any]]) -> Dict
         return {
             "wall_time_s": round(total, 4),
             "cells_per_s": round(len(row_times) / total, 2) if total else None,
-            "speedup": None,
             "speed_source": "table1-rows",
         }
-    return {"wall_time_s": None, "cells_per_s": None, "speedup": None, "speed_source": None}
+    return {"wall_time_s": None, "cells_per_s": None, "speed_source": None}
 
 
 def _ablation_summary(snapshot: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -165,7 +165,6 @@ def render_ascii(trajectory: Dict[str, Any]) -> str:
         "64KB+pf MB/s",
         "wall s",
         "cells/s",
-        "speedup",
         "top mechanism",
     ]
     table = [header]
@@ -182,7 +181,6 @@ def render_ascii(trajectory: Dict[str, Any]) -> str:
                 _fmt(row.get("bandwidth_64kb_prefetch_mbps"), ".2f"),
                 _fmt(row.get("wall_time_s"), ".2f"),
                 _fmt(row.get("cells_per_s"), ".1f"),
-                _fmt(row.get("speedup"), ".2f"),
                 _fmt(top),
             ]
         )

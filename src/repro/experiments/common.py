@@ -249,7 +249,7 @@ def run_collective(
         report.breakdown = machine.obs.breakdown()
     if telemetry:
         machine.obs.telemetry.finalize()
-        report.bottleneck = machine.obs.bottleneck_report()
+        report.bottleneck = machine.bottleneck_report()
     if keep_machine:
         report.machine = machine
     return report

@@ -20,7 +20,8 @@ import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import SCHEDULED_KINDS, FaultError, FaultPlan, FaultSpec
-from repro.sim import Environment, Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
+from repro.sim import Environment
 
 
 def _matches(spec_target: str, target: str) -> bool:
@@ -38,7 +39,7 @@ class FaultInjector:
     ) -> None:
         self.env = env
         self.plan = plan
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         #: Matching-operation count per count-style spec (by plan index).
         self._seen: Dict[int, int] = {}
         #: Fire count per spec (telemetry + ``fired`` report).
@@ -154,5 +155,4 @@ class FaultInjector:
         self._count(f"faults.audited.{kind}")
 
     def _count(self, name: str, value: int = 1) -> None:
-        if self.monitor is not None:
-            self.monitor.counter(name).add(value)
+        self.monitor.counter(name).add(value)

@@ -366,13 +366,24 @@ class FaultPlan:
         than any attempt timeout, and mesh drop/dup windows are shorter
         than the first retry timeout.  With ``transient_only=False`` one
         mid-run single-disk failure is appended (still recoverable --
-        RAID-3 survives one dead spindle).
+        RAID-3 survives one dead spindle).  No media error then lands on
+        the failed array: once degraded it has no parity left to
+        reconstruct a bad sector from, so the error would be fatal.
         """
         if horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
         rng = random.Random(seed)
         retry = retry or RetryPolicy()
         specs = []
+        failure = None
+        if not transient_only:
+            failure = FaultSpec(
+                kind="disk_failure",
+                target=rng.choice(list(raid_targets)),
+                at_s=rng.uniform(0.0, horizon_s),
+                disk_index=rng.randrange(0, 4),
+            )
+        media_targets = [t for t in raid_targets if failure is None or t != failure.target]
         kinds = (
             "media_error",
             "slow_sector",
@@ -381,13 +392,16 @@ class FaultPlan:
             "rpc_stall",
             "server_stall",
         )
+        if not media_targets:
+            kinds = kinds[1:]
         for _ in range(n_faults):
             kind = rng.choice(kinds)
             if kind in ("media_error", "slow_sector"):
+                targets = media_targets if kind == "media_error" else list(raid_targets)
                 specs.append(
                     FaultSpec(
                         kind=kind,
-                        target=rng.choice(list(raid_targets)),
+                        target=rng.choice(targets),
                         after_n=rng.randrange(0, 8),
                         count=rng.randrange(1, 3),
                         duration_s=(
@@ -419,13 +433,6 @@ class FaultPlan:
                         duration_s=rng.uniform(0.01, 0.5 * retry.timeout_s),
                     )
                 )
-        if not transient_only:
-            specs.append(
-                FaultSpec(
-                    kind="disk_failure",
-                    target=rng.choice(list(raid_targets)),
-                    at_s=rng.uniform(0.0, horizon_s),
-                    disk_index=rng.randrange(0, 4),
-                )
-            )
+        if failure is not None:
+            specs.append(failure)
         return cls(specs=tuple(specs), retry=retry, seed=seed)

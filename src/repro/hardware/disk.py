@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
 class DiskError(Exception):
@@ -70,7 +70,7 @@ class Disk:
         self.env = env
         self.name = name
         self.params = params or DiskParams()
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
         self.elevator = elevator
@@ -236,15 +236,13 @@ class Disk:
                 media_error = self.faults.decide("media_error", self.name)
                 slow = self.faults.decide("slow_sector", self.name)
                 if slow is not None:
-                    if self.monitor is not None:
-                        self.monitor.counter(f"{self.name}.slow_sectors").add(1)
+                    self.monitor.counter(f"{self.name}.slow_sectors").add(1)
                     yield self.env.timeout(slow.duration_s)
                 if media_error is not None:
                     # A lone spindle has no parity to reconstruct from:
                     # the error surfaces to the caller (transient -- a
                     # retry re-reads the sector successfully).
-                    if self.monitor is not None:
-                        self.monitor.counter(f"{self.name}.media_errors").add(1)
+                    self.monitor.counter(f"{self.name}.media_errors").add(1)
                     raise DiskError(f"media error on {self.name} at lba {lba} (transient)")
             cache_hit = kind == "read" and self.cached(lba, nbytes)
             if cache_hit:
@@ -267,14 +265,12 @@ class Disk:
                     self.env._mark_arbiter_dirty(self)
         self.tracer.end(span, sequential=sequential, track_cache_hit=cache_hit)
         self._service_hist.observe(self.env.now - queued_at)
-        if self.monitor is not None:
-            self.monitor.counter(f"{self.name}.{kind}s").add(1)
-            self.monitor.counter(f"{self.name}.bytes_{kind}").add(nbytes)
-            if sequential:
-                self.monitor.counter(f"{self.name}.sequential_hits").add(1)
-            if cache_hit:
-                self.monitor.counter(f"{self.name}.track_cache_hits").add(1)
-            self.monitor.series(f"{self.name}.latency").record(self.env.now - queued_at)
+        self.monitor.counter(f"{self.name}.{kind}s").add(1)
+        self.monitor.counter(f"{self.name}.bytes_{kind}").add(nbytes)
+        if sequential:
+            self.monitor.counter(f"{self.name}.sequential_hits").add(1)
+        if cache_hit:
+            self.monitor.counter(f"{self.name}.track_cache_hits").add(1)
         return nbytes
 
     def read(self, lba: int, nbytes: int, ctx: Optional[TraceContext] = None):

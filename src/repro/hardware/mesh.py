@@ -26,10 +26,15 @@ from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.sim import ArbitratedResource, Environment
 from repro.sim.events import Event, Timeout
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
+
+
+def _link_label(link: Link) -> str:
+    (ax, ay), (bx, by) = link
+    return f"{ax},{ay}->{bx},{by}"
 
 
 @dataclass(slots=True)
@@ -153,10 +158,8 @@ class _FastWorm:
         mesh._in_flight -= 1
         message = self.message
         message.delivered_at = released_at
-        if mesh._c_messages is not None:
-            mesh._c_messages.add(1)
-            mesh._c_bytes.add(message.size_bytes)
-            mesh._s_latency.record(released_at - message.enqueued_at)
+        mesh._c_messages.add(1)
+        mesh._c_bytes.add(message.size_bytes)
         # Wake the caller on this same event pop (no extra event), just
         # as the generator version's single resume would have.
         proxy = self.proxy
@@ -186,7 +189,7 @@ class Mesh:
         self.width = width
         self.height = height
         self.params = params or MeshParams()
-        self.monitor = monitor
+        self.monitor = monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
         self._links: Dict[Link, ArbitratedResource] = {}
@@ -200,12 +203,8 @@ class Mesh:
         self.wait_s = 0.0
         self._in_flight = 0
         # Hot-path monitor objects, resolved once instead of per message.
-        if monitor is not None:
-            self._c_messages = monitor.counter("mesh.messages")
-            self._c_bytes = monitor.counter("mesh.bytes")
-            self._s_latency = monitor.series("mesh.latency")
-        else:
-            self._c_messages = None
+        self._c_messages = monitor.counter("mesh.messages")
+        self._c_bytes = monitor.counter("mesh.bytes")
         self.telemetry = get_telemetry(monitor)
         #: Merged per-hop grants collapse each link's grant + hold
         #: timeout into one scheduled event.  Timing-identical, but the
@@ -269,15 +268,18 @@ class Mesh:
             # simulated time are ordered by (src, dst), not by event
             # insertion order -- port arbitration must not be a race.
             res = self._links[link] = ArbitratedResource(self.env, capacity=1)
-            (ax, ay), (bx, by) = link
             self.telemetry.register_probe(
                 "mesh_link_busy_seconds",
                 lambda lk=link: self._link_busy_s.get(lk, 0.0),
-                labels={"link": f"{ax},{ay}->{bx},{by}"},
+                labels={"link": _link_label(link)},
                 help="Seconds this directed link was held by a worm",
                 kind="counter",
             )
         return res
+
+    def link_busy_s(self) -> Dict[str, float]:
+        """Seconds each directed link was held by a worm, by link label."""
+        return {_link_label(link): self._link_busy_s.get(link, 0.0) for link in self._links}
 
     def _route_pairs(self, src: Coord, dst: Coord) -> List[Tuple[Link, ArbitratedResource]]:
         """Cached [(link, resource), ...] along the XY route."""
@@ -392,10 +394,8 @@ class Mesh:
                 tracer.end(span, dropped=message.dropped, duplicated=message.duplicated)
         elif traced:
             tracer.end(span)
-        if self._c_messages is not None:
-            self._c_messages.add(1)
-            self._c_bytes.add(message.size_bytes)
-            self._s_latency.record(message.delivered_at - message.enqueued_at)
+        self._c_messages.add(1)
+        self._c_bytes.add(message.size_bytes)
         return message
 
     def __repr__(self) -> str:

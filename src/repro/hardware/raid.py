@@ -27,7 +27,7 @@ from repro.hardware.scsi import SCSIBus
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
 class RAIDError(Exception):
@@ -66,7 +66,7 @@ class RAID3Array:
         self.name = name
         self.disk_params = disk_params or DiskParams()
         self.raid_params = raid_params or RAIDParams()
-        self.monitor = monitor
+        self.monitor = monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
         self.elevator = elevator
@@ -170,16 +170,12 @@ class RAID3Array:
         self._fast_mode = faults is None and not self.tracer.enabled and not telemetry.enabled
         bus.attach_client()
         # Hot-path monitor objects, resolved once instead of per access.
-        if monitor is not None:
-            self._c_reads = monitor.counter(f"{name}.reads")
-            self._c_writes = monitor.counter(f"{name}.writes")
-            self._c_bytes_read = monitor.counter(f"{name}.bytes_read")
-            self._c_bytes_write = monitor.counter(f"{name}.bytes_write")
-            self._c_sequential = monitor.counter(f"{name}.sequential_hits")
-            self._c_cache_hits = monitor.counter(f"{name}.track_cache_hits")
-            self._s_latency = monitor.series(f"{name}.latency")
-        else:
-            self._c_reads = None
+        self._c_reads = monitor.counter(f"{name}.reads")
+        self._c_writes = monitor.counter(f"{name}.writes")
+        self._c_bytes_read = monitor.counter(f"{name}.bytes_read")
+        self._c_bytes_write = monitor.counter(f"{name}.bytes_write")
+        self._c_sequential = monitor.counter(f"{name}.sequential_hits")
+        self._c_cache_hits = monitor.counter(f"{name}.track_cache_hits")
 
     # -- geometry ------------------------------------------------------------
 
@@ -410,18 +406,16 @@ class RAID3Array:
                 self._busy = False
                 if self._pending:
                     env._mark_arbiter_dirty(self)
-                if self._c_reads is not None:
-                    if kind == "read":
-                        self._c_reads.add(1)
-                        self._c_bytes_read.add(nbytes)
-                    else:
-                        self._c_writes.add(1)
-                        self._c_bytes_write.add(nbytes)
-                    if sequential:
-                        self._c_sequential.add(1)
-                    if cache_hit:
-                        self._c_cache_hits.add(1)
-                    self._s_latency.record(now - queued_at)
+                if kind == "read":
+                    self._c_reads.add(1)
+                    self._c_bytes_read.add(nbytes)
+                else:
+                    self._c_writes.add(1)
+                    self._c_bytes_write.add(nbytes)
+                if sequential:
+                    self._c_sequential.add(1)
+                if cache_hit:
+                    self._c_cache_hits.add(1)
                 return nbytes
             # State changed while queued; the grant fell back to the
             # stepped path (already held -- do not yield again).
@@ -438,8 +432,7 @@ class RAID3Array:
                 self.faults.tick()
             if self._fail_next > 0:
                 self._fail_next -= 1
-                if self.monitor is not None:
-                    self.monitor.counter(f"{self.name}.injected_errors").add(1)
+                self.monitor.counter(f"{self.name}.injected_errors").add(1)
                 raise RAIDError(f"injected media error on {self.name} at lba {lba}")
             if self._data_lost:
                 raise RAIDError(
@@ -453,8 +446,7 @@ class RAID3Array:
                 if slow is not None:
                     # Marginal sector: positioning retries before the
                     # transfer succeeds.
-                    if self.monitor is not None:
-                        self.monitor.counter(f"{self.name}.slow_sectors").add(1)
+                    self.monitor.counter(f"{self.name}.slow_sectors").add(1)
                     yield self.env.timeout(slow.duration_s)
             if media_error is not None and self.degraded:
                 # The bad sector's spindle has no redundancy left behind
@@ -491,19 +483,17 @@ class RAID3Array:
                         ctx=span_ctx,
                     )
                     yield self.env.timeout(nbytes / self.raid_params.xor_rate_bps)
-                    if self.monitor is not None:
-                        self.monitor.counter(f"{self.name}.reconstructed_bytes").add(nbytes)
-                        if degraded_now:
-                            self.monitor.counter(f"{self.name}.degraded_reads").add(1)
-                        if media_error is not None:
-                            self.monitor.counter(f"{self.name}.media_errors_recovered").add(1)
+                    self.monitor.counter(f"{self.name}.reconstructed_bytes").add(nbytes)
+                    if degraded_now:
+                        self.monitor.counter(f"{self.name}.degraded_reads").add(1)
+                    if media_error is not None:
+                        self.monitor.counter(f"{self.name}.media_errors_recovered").add(1)
                 elif kind == "write" and degraded_now and nbytes > 0:
                     # Degraded write: parity must absorb the missing
                     # spindle's contribution (XOR only; the parity
                     # stream itself is concurrent as in normal mode).
                     yield self.env.timeout(nbytes / self.raid_params.xor_rate_bps)
-                    if self.monitor is not None:
-                        self.monitor.counter(f"{self.name}.degraded_writes").add(1)
+                    self.monitor.counter(f"{self.name}.degraded_writes").add(1)
                 self._head_lba = lba + nbytes
                 self._last_end_lba = lba + nbytes
                 if kind == "read":
@@ -527,18 +517,16 @@ class RAID3Array:
             else:
                 tracer.end(span, sequential=sequential, track_cache_hit=cache_hit)
         self._service_hist.observe(self.env.now - queued_at)
-        if self._c_reads is not None:
-            if kind == "read":
-                self._c_reads.add(1)
-                self._c_bytes_read.add(nbytes)
-            else:
-                self._c_writes.add(1)
-                self._c_bytes_write.add(nbytes)
-            if sequential:
-                self._c_sequential.add(1)
-            if cache_hit:
-                self._c_cache_hits.add(1)
-            self._s_latency.record(self.env.now - queued_at)
+        if kind == "read":
+            self._c_reads.add(1)
+            self._c_bytes_read.add(nbytes)
+        else:
+            self._c_writes.add(1)
+            self._c_bytes_write.add(nbytes)
+        if sequential:
+            self._c_sequential.add(1)
+        if cache_hit:
+            self._c_cache_hits.add(1)
         return nbytes
 
     def read(self, lba: int, nbytes: int, ctx: Optional[TraceContext] = None):
@@ -577,8 +565,7 @@ class RAID3Array:
         if self._failed_disks:
             self._data_lost = True
         self._failed_disks.add(index)
-        if self.monitor is not None:
-            self.monitor.counter(f"{self.name}.disk_failures").add(1)
+        self.monitor.counter(f"{self.name}.disk_failures").add(1)
 
     def repair_disk(self, index: int = 0, rebuild_rate: float = 1.0) -> None:
         """The spindle is replaced; a copy-back rebuild starts.
@@ -623,8 +610,7 @@ class RAID3Array:
             name=f"rebuild-{self.name}",
             order_key=(-1, zlib.crc32(self.name.encode()) & 0xFFFFFFFF),
         )
-        if self.monitor is not None:
-            self.monitor.counter(f"{self.name}.rebuilds_started").add(1)
+        self.monitor.counter(f"{self.name}.rebuilds_started").add(1)
 
     def _rebuild_process(self):
         """Background copy-back: drain the live region chunk by chunk."""
@@ -645,8 +631,7 @@ class RAID3Array:
                     yield self.env.timeout(hold_s * (1.0 - self._rebuild_rate) / self._rebuild_rate)
             self._failed_disks.discard(self._rebuild_index)
             self.rebuilds_completed += 1
-            if self.monitor is not None:
-                self.monitor.counter(f"{self.name}.rebuilds_completed").add(1)
+            self.monitor.counter(f"{self.name}.rebuilds_completed").add(1)
         finally:
             self._rebuilding = False
 
@@ -690,8 +675,7 @@ class RAID3Array:
             self._head_lba = lba + nbytes
             self._last_end_lba = lba + nbytes
             self.rebuild_copied_bytes += share
-            if self.monitor is not None:
-                self.monitor.counter(f"{self.name}.rebuild_copied_bytes").add(share)
+            self.monitor.counter(f"{self.name}.rebuild_copied_bytes").add(share)
             return self.env.now - started_at
         finally:
             if started_at is not None:

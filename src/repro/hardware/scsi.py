@@ -17,7 +17,7 @@ from repro.hardware.params import SCSIParams
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import ArbitratedResource, Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
 class SCSIBus:
@@ -33,7 +33,7 @@ class SCSIBus:
         self.env = env
         self.name = name
         self.params = params or SCSIParams()
-        self.monitor = monitor
+        self.monitor = monitor = monitor or NULL_MONITOR
         self.tracer = get_tracer(monitor)
         # Arbitrated: simultaneous transfer requests are granted in
         # canonical (causal process key) order, not event-pop order.
@@ -45,12 +45,8 @@ class SCSIBus:
         #: then is a transfer during the arm hold provably uncontended.
         self.clients = 0
         # Hot-path counter objects, resolved once instead of per transfer.
-        if monitor is not None:
-            self._c_transfers = monitor.counter(f"{name}.transfers")
-            self._c_bytes = monitor.counter(f"{name}.bytes")
-        else:
-            self._c_transfers = None
-            self._c_bytes = None
+        self._c_transfers = monitor.counter(f"{name}.transfers")
+        self._c_bytes = monitor.counter(f"{name}.bytes")
         self._cause_counters = {}
         telemetry = get_telemetry(monitor)
         label = {"bus": name}
@@ -108,19 +104,18 @@ class SCSIBus:
             self.busy_s += duration
         if traced:
             tracer.end(span)
-        if self._c_transfers is not None:
-            self._c_transfers.add(1)
-            self._c_bytes.add(nbytes)
-            if cause != "io":
-                counters = self._cause_counters.get(cause)
-                if counters is None:
-                    counters = (
-                        self.monitor.counter(f"{self.name}.{cause}_transfers"),
-                        self.monitor.counter(f"{self.name}.{cause}_bytes"),
-                    )
-                    self._cause_counters[cause] = counters
-                counters[0].add(1)
-                counters[1].add(nbytes)
+        self._c_transfers.add(1)
+        self._c_bytes.add(nbytes)
+        if cause != "io":
+            counters = self._cause_counters.get(cause)
+            if counters is None:
+                counters = (
+                    self.monitor.counter(f"{self.name}.{cause}_transfers"),
+                    self.monitor.counter(f"{self.name}.{cause}_bytes"),
+                )
+                self._cause_counters[cause] = counters
+            counters[0].add(1)
+            counters[1].add(nbytes)
         return nbytes
 
     def attach_client(self) -> int:
@@ -141,9 +136,8 @@ class SCSIBus:
         identical to :meth:`transfer`.
         """
         self.busy_s += duration
-        if self._c_transfers is not None:
-            self._c_transfers.add(1)
-            self._c_bytes.add(nbytes)
+        self._c_transfers.add(1)
+        self._c_bytes.add(nbytes)
 
     @property
     def queue_depth(self) -> int:

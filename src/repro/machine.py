@@ -32,7 +32,7 @@ from repro.pfs.file import PFSFile
 from repro.pfs.mount import PFSMount
 from repro.pfs.server import PFSServer
 from repro.pfs.stripe import StripeAttributes, ufs_file_size
-from repro.obs import Observability
+from repro.obs import BottleneckReport, Observability
 from repro.sim import Environment
 from repro.ufs import UFS, BlockDevice
 
@@ -44,15 +44,16 @@ class Machine:
         self.config = config or MachineConfig()
         cfg = self.config
         self.env = Environment(tie_break=cfg.tie_break)
-        #: Unified observability handle: stats registry + request tracer
-        #: + telemetry (metric registry, probes, sampler).
+        #: Unified observability handle: the counter registry every
+        #: component reports into, plus the request tracer and telemetry
+        #: (metric registry, probes, sampler).
         self.obs = Observability(
             self.env,
             trace=cfg.trace,
             telemetry=cfg.telemetry,
             telemetry_interval_s=cfg.telemetry_interval_s,
         )
-        #: Back-compat alias -- satisfies the full Monitor interface.
+        #: Alias: ``machine.obs`` is itself the Monitor.
         self.monitor = self.obs
 
         #: Fault-injection runtime; None when the plan is absent, and the
@@ -526,34 +527,23 @@ class Machine:
                 lines.append(f"    {mount!r}")
         return "\n".join(lines)
 
-    def utilization_report(self) -> Dict[str, float]:
-        """Busy fraction of every active component since t=0.
+    def bottleneck_report(self) -> Optional[BottleneckReport]:
+        """Which resource saturated the run so far (None before time passes).
 
-        Keys: ``raid<i>``, ``scsi<i>``, ``cpu<i>`` (compute nodes),
-        ``msgproc<i>`` (compute nodes); values in [0, 1].  Useful for
-        spotting the bottleneck a workload actually hit.
+        Reads the components' busy-seconds fields directly -- disk
+        arrays, SCSI buses, mesh links, and every node's CPUs
+        (normalised by CPU count) and message processor -- so it needs
+        no telemetry and leaves every fast path engaged.
         """
-        elapsed = self.env.now
-        if elapsed <= 0:
-            return {}
-        report: Dict[str, float] = {}
-        for i, array in enumerate(self.arrays):
-            report[f"raid{i}"] = min(1.0, array.busy_s / elapsed)
-        for i, bus in enumerate(self.buses):
-            report[f"scsi{i}"] = min(1.0, bus.busy_s / elapsed)
-        for node in self.compute_nodes:
-            i = node.node_id
-            capacity = node.params.cpu_count
-            report[f"cpu{i}"] = min(1.0, node.cpu_busy_s / (elapsed * capacity))
-            report[f"msgproc{i}"] = min(1.0, node.msgproc_busy_s / elapsed)
-        return report
-
-    def bottleneck(self) -> Optional[str]:
-        """Name of the busiest component (None before any time passes)."""
-        report = self.utilization_report()
-        if not report:
-            return None
-        return max(report, key=report.get)
+        nodes = self.compute_nodes + self.io_nodes + [self.service_node]
+        busy = {
+            "disk": {array.name: array.busy_s for array in self.arrays},
+            "scsi bus": {bus.name: bus.busy_s for bus in self.buses},
+            "mesh link": self.mesh.link_busy_s(),
+            "cpu": {str(n.node_id): n.cpu_busy_s / n.params.cpu_count for n in nodes},
+            "msgproc": {str(n.node_id): n.msgproc_busy_s for n in nodes},
+        }
+        return BottleneckReport.from_busy_seconds(busy, self.env.now)
 
     # -- running -------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.stats import PrefetchStats
-    from repro.obs.telemetry_export import BottleneckReport
+    from repro.obs.monitor import BottleneckReport
     from repro.pfs.client import PFSFileHandle
 
 MB = 1024 * 1024

@@ -2,7 +2,9 @@
 
 One package holds the simulator's instrumentation APIs:
 
-- :mod:`repro.obs.monitor` -- counters / time-weighted / series stats;
+- :mod:`repro.obs.monitor` -- the counter registry every component
+  reports into (:data:`NULL_MONITOR` when built standalone) and the
+  per-run :class:`BottleneckReport`;
 - :mod:`repro.obs.trace` -- request-scoped typed spans with causal links
   across every layer of the simulated stack;
 - :mod:`repro.obs.stats` -- prefetcher outcome statistics;
@@ -12,10 +14,10 @@ One package holds the simulator's instrumentation APIs:
   gauges, fixed-bucket histograms), resource probes, and the
   simulated-time sampler;
 - :mod:`repro.obs.telemetry_export` -- Prometheus text snapshot,
-  CSV/JSONL time series, ASCII utilization heatmap/timeline, and the
-  per-run :class:`BottleneckReport`;
-- :mod:`repro.obs.observability` -- the :class:`Observability` facade a
-  :class:`~repro.machine.Machine` exposes as ``machine.obs``.
+  CSV/JSONL time series, ASCII utilization heatmap/timeline;
+- :mod:`repro.obs.observability` -- :class:`Observability`, the Monitor
+  that also carries the tracer and telemetry, exposed by a
+  :class:`~repro.machine.Machine` as ``machine.obs``.
 """
 
 from repro.obs.export import (
@@ -27,7 +29,7 @@ from repro.obs.export import (
     render_breakdown,
 )
 from repro.obs.fairness import FairnessReport, TenantUsage, jain_index
-from repro.obs.monitor import CounterStat, Monitor, SeriesStat, TimeWeightedStat
+from repro.obs.monitor import NULL_MONITOR, BottleneckReport, CounterStat, Monitor
 from repro.obs.observability import Observability
 from repro.obs.stats import PrefetchStats
 from repro.obs.telemetry import (
@@ -41,8 +43,6 @@ from repro.obs.telemetry import (
     get_telemetry,
 )
 from repro.obs.telemetry_export import (
-    BottleneckReport,
-    bottleneck_report,
     prometheus_text,
     timeseries_csv,
     timeseries_jsonl,
@@ -70,18 +70,16 @@ __all__ = [
     "MetricRegistry",
     "Monitor",
     "NOOP_SPAN",
+    "NULL_MONITOR",
     "NULL_TELEMETRY",
     "NULL_TRACER",
     "Observability",
     "PrefetchStats",
-    "SeriesStat",
     "Span",
     "Telemetry",
     "TenantUsage",
-    "TimeWeightedStat",
     "TraceContext",
     "Tracer",
-    "bottleneck_report",
     "breakdown_of",
     "chrome_trace_events",
     "chrome_trace_json",

@@ -24,10 +24,10 @@ an instrument:
   disconnects a mechanism now fails in CI instead of shipping.
 
 Attribution is read from the always-on monitor counters and
-``machine.utilization_report()`` rather than the sampling telemetry
-plane so the PR-6 fast kernel stays engaged for the sweep (telemetry
-sampling would force the stepped paths); ``--telemetry`` opts into full
-sampling when per-run bottleneck reports are wanted.
+``machine.bottleneck_report()`` (the components' busy-seconds) rather
+than the sampling telemetry plane, so the fast kernel stays engaged for
+the sweep (telemetry sampling would force the stepped paths);
+``--telemetry`` opts into full sampling.
 """
 
 from __future__ import annotations
@@ -390,10 +390,15 @@ def _mean(values: Sequence[float]) -> float:
 
 def _attribution(machine, report) -> Dict[str, object]:
     """Per-run attribution from the always-on observability plane."""
-    util = machine.utilization_report()
-    disk = [v for k, v in util.items() if k.startswith("raid")]
-    scsi = [v for k, v in util.items() if k.startswith("scsi")]
-    cpu = [v for k, v in util.items() if k.startswith("cpu")]
+    bottleneck = machine.bottleneck_report()
+    disk: List[float] = []
+    scsi: List[float] = []
+    cpu: List[float] = []
+    if bottleneck is not None:
+        util = bottleneck.by_family
+        disk = [util["disk"][array.name] for array in machine.arrays]
+        scsi = [util["scsi bus"][bus.name] for bus in machine.buses]
+        cpu = [util["cpu"][str(node.node_id)] for node in machine.compute_nodes]
     mon = machine.monitor
     n_io = machine.config.n_io
     disk_reads = sum(mon.counter_value(f"raid{i}.reads") for i in range(n_io))
@@ -409,7 +414,7 @@ def _attribution(machine, report) -> Dict[str, object]:
         for c in machine.caches
     )
     record: Dict[str, object] = {
-        "bottleneck": machine.bottleneck(),
+        "bottleneck": bottleneck.resource if bottleneck is not None else None,
         "disk_util_mean": _round(_mean(disk)),
         "disk_util_max": _round(max(disk) if disk else 0.0),
         "scsi_util_mean": _round(_mean(scsi)),

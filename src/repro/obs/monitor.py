@@ -1,21 +1,29 @@
-"""Aggregate statistics: counters, time-weighted signals, sample series.
+"""The run's counter registry and the bottleneck report built beside it.
 
-Models register named statistics on a :class:`Monitor`:
+Models report into a :class:`Monitor` through named
+:class:`CounterStat`\\ s -- monotonically increasing counts (requests
+issued, cache hits, bytes moved).  Every component holds a monitor:
+the machine's :class:`~repro.obs.observability.Observability` (itself a
+Monitor), or the shared no-op :data:`NULL_MONITOR` when built
+standalone, so instrumented code never checks for ``None``.
 
-- :class:`CounterStat` -- monotonically increasing counts (requests issued,
-  cache hits, bytes moved).
-- :class:`TimeWeightedStat` -- piecewise-constant values integrated over
-  simulated time (queue lengths, utilisation).
-- :class:`SeriesStat` -- raw samples (latencies) with summary statistics.
+:class:`BottleneckReport` answers which resource saturated a run; it is
+built by :meth:`repro.machine.Machine.bottleneck_report` from the
+components' busy-seconds fields.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, List
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
+
+#: A resource busier than this fraction of the run counts as saturated.
+SATURATED_FRACTION = 0.90
+#: A resource at most this busy counts as idle.
+IDLE_FRACTION = 0.10
 
 
 class CounterStat:
@@ -36,128 +44,12 @@ class CounterStat:
         return f"<CounterStat {self.name}={self.value}>"
 
 
-class TimeWeightedStat:
-    """Time-weighted average of a piecewise-constant signal."""
-
-    __slots__ = ("name", "env", "_value", "_last_change", "_area", "_start", "_max")
-
-    def __init__(self, env: "Environment", name: str, initial: float = 0.0) -> None:
-        self.env = env
-        self.name = name
-        self._value = initial
-        self._last_change = env.now
-        self._start = env.now
-        self._area = 0.0
-        self._max = initial
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        now = self.env.now
-        self._area += self._value * (now - self._last_change)
-        self._last_change = now
-        self._value = value
-        if value > self._max:
-            self._max = value
-
-    def adjust(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    def mean(self) -> float:
-        """Time-weighted mean from creation to now.
-
-        Degenerate window: when queried at the instant the stat was
-        created (``env.now == start``, zero elapsed time) there is no
-        interval to integrate over, so the mean is *defined* as the
-        current value -- the limit of the time-weighted mean as the
-        window shrinks to zero, since only the latest value has any
-        weight going forward.  Values set and overwritten within the
-        zero-width window carry no weight.
-        """
-        now = self.env.now
-        total = now - self._start
-        if total == 0:
-            # Explicit degenerate-window definition (see docstring); not
-            # a float accident.
-            return self._value
-        area = self._area + self._value * (now - self._last_change)
-        return area / total
-
-    def __repr__(self) -> str:
-        return f"<TimeWeightedStat {self.name}={self._value} mean={self.mean():.4g}>"
-
-
-class SeriesStat:
-    """Collects raw samples and offers summary statistics."""
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: List[float] = []
-
-    def record(self, sample: float) -> None:
-        self.samples.append(sample)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def total(self) -> float:
-        return sum(self.samples)
-
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else math.nan
-
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else math.nan
-
-    def maximum(self) -> float:
-        return max(self.samples) if self.samples else math.nan
-
-    def stdev(self) -> float:
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(sum((x - mu) ** 2 for x in self.samples) / (n - 1))
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile, q in [0, 100]."""
-        if not self.samples:
-            return math.nan
-        if not 0 <= q <= 100:
-            raise ValueError("q must be in [0, 100]")
-        data = sorted(self.samples)
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * q / 100.0
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        if lo == hi:
-            return data[lo]
-        frac = pos - lo
-        return data[lo] * (1 - frac) + data[hi] * frac
-
-    def __repr__(self) -> str:
-        return f"<SeriesStat {self.name} n={self.count} mean={self.mean():.4g}>"
-
-
 class Monitor:
-    """Registry of named statistics for one simulation run."""
+    """Registry of named counters for one simulation run."""
 
-    def __init__(self, env: "Environment") -> None:
+    def __init__(self, env: Optional["Environment"] = None) -> None:
         self.env = env
         self._counters: Dict[str, CounterStat] = {}
-        self._weighted: Dict[str, TimeWeightedStat] = {}
-        self._series: Dict[str, SeriesStat] = {}
 
     def counter(self, name: str) -> CounterStat:
         stat = self._counters.get(name)
@@ -165,31 +57,130 @@ class Monitor:
             stat = self._counters[name] = CounterStat(name)
         return stat
 
-    def time_weighted(self, name: str, initial: float = 0.0) -> TimeWeightedStat:
-        stat = self._weighted.get(name)
-        if stat is None:
-            stat = self._weighted[name] = TimeWeightedStat(self.env, name, initial)
-        return stat
-
-    def series(self, name: str) -> SeriesStat:
-        stat = self._series.get(name)
-        if stat is None:
-            stat = self._series[name] = SeriesStat(name)
-        return stat
-
     def counter_value(self, name: str) -> float:
         stat = self._counters.get(name)
         return stat.value if stat is not None else 0.0
 
     def snapshot(self) -> Dict[str, float]:
-        """Flat snapshot of every statistic's headline value."""
-        out: Dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[f"counter.{name}"] = c.value
-        for name, w in self._weighted.items():
-            out[f"tw.{name}.mean"] = w.mean()
-            out[f"tw.{name}.max"] = w.maximum
-        for name, s in self._series.items():
-            out[f"series.{name}.count"] = s.count
-            out[f"series.{name}.mean"] = s.mean()
-        return out
+        """Flat snapshot of every counter, keyed ``counter.<name>``."""
+        return {f"counter.{name}": c.value for name, c in self._counters.items()}
+
+
+class _NullCounter:
+    """Accepts every increment and records nothing."""
+
+    __slots__ = ()
+
+    def add(self, amount: float = 1.0) -> None:
+        pass
+
+
+NULL_COUNTER = _NullCounter()
+
+
+class _NullMonitor(Monitor):
+    """A monitor whose counters are all :data:`NULL_COUNTER`."""
+
+    def counter(self, name: str) -> CounterStat:
+        return NULL_COUNTER  # type: ignore[return-value]
+
+
+#: Shared no-op monitor for components built without a machine.
+NULL_MONITOR = _NullMonitor()
+
+
+@dataclass
+class BottleneckReport:
+    """Which resource class saturated (and which sat idle) during a run.
+
+    ``by_family`` maps a display name ("disk", "mesh link", ...) to each
+    instance's busy fraction over the run.  ``resource``/``utilization``
+    name the single busiest instance -- the resource that bounds the
+    collective bandwidth when its fraction approaches 1.0.
+    """
+
+    resource: str
+    utilization: float
+    elapsed_s: float
+    by_family: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    @classmethod
+    def from_busy_seconds(
+        cls, busy: Mapping[str, Mapping[str, float]], elapsed_s: float
+    ) -> Optional["BottleneckReport"]:
+        """Build the report from busy-seconds per family and instance.
+
+        Each value is busy-seconds normalised to one unit of capacity,
+        so ``value / elapsed_s`` is the busy fraction in [0, 1].  The
+        busiest instance wins; ties go to the larger name.  Returns
+        ``None`` for a zero-duration run or when every family is empty.
+        """
+        if elapsed_s <= 0:
+            return None
+        by_family: Dict[str, Dict[str, float]] = {}
+        best: Optional[Tuple[float, str]] = None
+        for display, members in busy.items():
+            if not members:
+                continue
+            fractions: Dict[str, float] = {}
+            for name in sorted(members):
+                fraction = max(0.0, min(1.0, members[name] / elapsed_s))
+                fractions[name] = fraction
+                candidate = (fraction, f"{display} {name}")
+                if best is None or candidate > best:
+                    best = candidate
+            by_family[display] = fractions
+        if best is None:
+            return None
+        return cls(resource=best[1], utilization=best[0], elapsed_s=elapsed_s, by_family=by_family)
+
+    @property
+    def saturated(self) -> List[str]:
+        return [
+            f"{family} {name}"
+            for family, members in self.by_family.items()
+            for name, frac in sorted(members.items())
+            if frac >= SATURATED_FRACTION
+        ]
+
+    @property
+    def idle(self) -> List[str]:
+        return [
+            f"{family} {name}"
+            for family, members in self.by_family.items()
+            for name, frac in sorted(members.items())
+            if frac <= IDLE_FRACTION
+        ]
+
+    def describe(self) -> str:
+        lines = [
+            f"bottleneck: {self.resource} at {self.utilization:.0%} busy "
+            f"over {self.elapsed_s:.4g}s sim-time"
+        ]
+        for family, members in self.by_family.items():
+            if not members:
+                continue
+            fractions = list(members.values())
+            peak = max(fractions)
+            n_sat = sum(1 for f in fractions if f >= SATURATED_FRACTION)
+            if n_sat:
+                detail = f"{n_sat}/{len(fractions)} saturated (>{SATURATED_FRACTION:.0%})"
+            elif peak <= IDLE_FRACTION:
+                detail = f"all {len(fractions)} idle (<{IDLE_FRACTION:.0%})"
+            else:
+                detail = f"{len(fractions)} active"
+            lines.append(f"  {family}: {detail}, peak {peak:.0%}")
+        return "\n".join(lines)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "resource": self.resource,
+            "utilization": round(self.utilization, 6),
+            "elapsed_s": round(self.elapsed_s, 9),
+            "saturated": self.saturated,
+            "idle": self.idle,
+            "by_family": {
+                family: {name: round(frac, 6) for name, frac in sorted(members.items())}
+                for family, members in self.by_family.items()
+            },
+        }

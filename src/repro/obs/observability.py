@@ -1,12 +1,12 @@
 """The single observability handle a :class:`~repro.machine.Machine` owns.
 
-:class:`Observability` bundles the statistics registry
-(:class:`~repro.obs.monitor.Monitor`) and the request tracer
-(:class:`~repro.obs.trace.Tracer`) behind one object that satisfies the
-Monitor interface.  Components throughout the stack keep their existing
-``monitor=`` constructor argument; when handed an ``Observability`` they
-get counters *and* (via :func:`~repro.obs.trace.get_tracer`) the tracer,
-with no wiring changes.
+:class:`Observability` *is* the run's counter registry (a
+:class:`~repro.obs.monitor.Monitor`) and also carries the request tracer
+(:class:`~repro.obs.trace.Tracer`) and the telemetry sampler.
+Components throughout the stack take one ``monitor=`` constructor
+argument; handed an ``Observability`` they get counters *and* (via
+:func:`~repro.obs.trace.get_tracer` / :func:`~repro.obs.telemetry.get_telemetry`)
+the tracer and telemetry, with no wiring changes.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from repro.obs.export import (
     latency_breakdown,
     render_breakdown,
 )
-from repro.obs.monitor import CounterStat, Monitor, SeriesStat, TimeWeightedStat
+from repro.obs.monitor import Monitor
 from repro.obs.telemetry import Telemetry
 from repro.obs.telemetry_export import (
-    BottleneckReport,
-    bottleneck_report,
     prometheus_text,
     timeseries_csv,
     timeseries_jsonl,
@@ -36,12 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 
-class Observability:
-    """Counters, series, time-weighted stats, and a tracer -- one handle.
+class Observability(Monitor):
+    """The counter registry plus a tracer and telemetry -- one handle.
 
-    Drop-in for :class:`~repro.obs.monitor.Monitor` wherever a
-    ``monitor=`` argument is expected (duck-typed: it delegates the full
-    Monitor API), plus:
+    On top of the :class:`~repro.obs.monitor.Monitor` counters:
 
     - :attr:`tracer` -- the request tracer (disabled unless
       ``trace=True``);
@@ -50,7 +46,7 @@ class Observability:
     - export conveniences (:meth:`chrome_trace`, :meth:`breakdown`,
       :meth:`breakdown_table`, :meth:`critical_path`, :meth:`prometheus`,
       :meth:`telemetry_csv`, :meth:`telemetry_jsonl`, :meth:`heatmap`,
-      :meth:`timeline`, :meth:`bottleneck_report`).
+      :meth:`timeline`).
     """
 
     def __init__(
@@ -60,27 +56,9 @@ class Observability:
         telemetry: bool = False,
         telemetry_interval_s: float = 0.05,
     ) -> None:
-        self.env = env
-        self.monitor = Monitor(env)
+        super().__init__(env)
         self.tracer = Tracer(env, enabled=trace)
         self.telemetry = Telemetry(env, enabled=telemetry, interval_s=telemetry_interval_s)
-
-    # -- Monitor interface (delegation) -----------------------------------
-
-    def counter(self, name: str) -> CounterStat:
-        return self.monitor.counter(name)
-
-    def time_weighted(self, name: str, initial: float = 0.0) -> TimeWeightedStat:
-        return self.monitor.time_weighted(name, initial)
-
-    def series(self, name: str) -> SeriesStat:
-        return self.monitor.series(name)
-
-    def counter_value(self, name: str) -> float:
-        return self.monitor.counter_value(name)
-
-    def snapshot(self) -> Dict[str, float]:
-        return self.monitor.snapshot()
 
     # -- trace exports ------------------------------------------------------
 
@@ -128,10 +106,6 @@ class Observability:
     def timeline(self, family: str = "disk_busy_seconds", **kwargs) -> str:
         """ASCII utilization line chart of a busy-seconds family."""
         return utilization_timeline(self.telemetry, family, **kwargs)
-
-    def bottleneck_report(self) -> Optional[BottleneckReport]:
-        """Which resource saturated this run (None if telemetry is off)."""
-        return bottleneck_report(self.telemetry)
 
     def __repr__(self) -> str:
         return f"<Observability tracer={self.tracer!r} telemetry={self.telemetry!r}>"

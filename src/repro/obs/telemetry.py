@@ -328,8 +328,8 @@ class Telemetry:
     def refresh_probes(self) -> None:
         """Push every probe's current value into its registry metric.
 
-        Called before point-in-time exports (Prometheus snapshot,
-        bottleneck report) so gauges reflect *now*, not the last sample.
+        Called before point-in-time exports (the Prometheus snapshot)
+        so gauges reflect *now*, not the last sample.
         """
         for probe in self._probes.values():
             metric = self.registry.families[probe.name].child(dict(probe.labels))

@@ -1,5 +1,5 @@
-"""Telemetry exporters: Prometheus text, CSV/JSONL time series, ASCII
-utilization charts, and the per-run :class:`BottleneckReport`.
+"""Telemetry exporters: Prometheus text, CSV/JSONL time series, and ASCII
+utilization charts.
 
 All exporters are read-only over a :class:`~repro.obs.telemetry.Telemetry`
 and can run at any point (they refresh probes themselves); none touch
@@ -9,29 +9,13 @@ simulation state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import (
     HistogramMetric,
     LabelsKey,
     Telemetry,
 )
-
-#: Busy-seconds counter families that define "utilization" for the
-#: bottleneck report, with their display names.  Each probe publishes
-#: monotonic busy-seconds normalised to one unit of capacity, so
-#: ``value / elapsed`` is the busy fraction in [0, 1].
-UTILIZATION_FAMILIES: Tuple[Tuple[str, str], ...] = (
-    ("disk_busy_seconds", "disk"),
-    ("scsi_busy_seconds", "scsi bus"),
-    ("mesh_link_busy_seconds", "mesh link"),
-    ("node_cpu_busy_seconds", "cpu"),
-    ("node_msgproc_busy_seconds", "msgproc"),
-)
-
-SATURATED_FRACTION = 0.90
-IDLE_FRACTION = 0.10
 
 #: Shade ramp for the heatmap, idle -> saturated.
 HEATMAP_SHADES = " .:-=+*#%@"
@@ -231,122 +215,4 @@ def utilization_timeline(
         x_label="sim time (s)",
         y_label="% busy",
         **plot_kwargs,
-    )
-
-
-# -- bottleneck report -------------------------------------------------------
-
-
-@dataclass
-class BottleneckReport:
-    """Which resource class saturated (and which sat idle) during a run.
-
-    ``by_family`` maps a display name ("disk", "mesh link", ...) to each
-    instance's busy fraction over the run.  ``resource``/``utilization``
-    name the single busiest instance -- the resource that bounds the
-    collective bandwidth when its fraction approaches 1.0.
-    """
-
-    resource: str
-    utilization: float
-    elapsed_s: float
-    by_family: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def saturated(self) -> List[str]:
-        return [
-            f"{family} {name}"
-            for family, members in self.by_family.items()
-            for name, frac in sorted(members.items())
-            if frac >= SATURATED_FRACTION
-        ]
-
-    @property
-    def idle(self) -> List[str]:
-        return [
-            f"{family} {name}"
-            for family, members in self.by_family.items()
-            for name, frac in sorted(members.items())
-            if frac <= IDLE_FRACTION
-        ]
-
-    def describe(self) -> str:
-        lines = [
-            f"bottleneck: {self.resource} at {self.utilization:.0%} busy "
-            f"over {self.elapsed_s:.4g}s sim-time"
-        ]
-        for family, members in self.by_family.items():
-            if not members:
-                continue
-            fractions = list(members.values())
-            peak = max(fractions)
-            n_sat = sum(1 for f in fractions if f >= SATURATED_FRACTION)
-            if n_sat:
-                detail = f"{n_sat}/{len(fractions)} saturated (>{SATURATED_FRACTION:.0%})"
-            elif peak <= IDLE_FRACTION:
-                detail = f"all {len(fractions)} idle (<{IDLE_FRACTION:.0%})"
-            else:
-                detail = f"{len(fractions)} active"
-            lines.append(f"  {family}: {detail}, peak {peak:.0%}")
-        return "\n".join(lines)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "resource": self.resource,
-            "utilization": round(self.utilization, 6),
-            "elapsed_s": round(self.elapsed_s, 9),
-            "saturated": self.saturated,
-            "idle": self.idle,
-            "by_family": {
-                family: {name: round(frac, 6) for name, frac in sorted(members.items())}
-                for family, members in self.by_family.items()
-            },
-        }
-
-
-def bottleneck_report(
-    telemetry: Telemetry, elapsed_s: Optional[float] = None
-) -> Optional[BottleneckReport]:
-    """Name the saturating resource from final busy-seconds counters.
-
-    Reads the probes' *current* values (not the sampled series), so it
-    is exact even when the sample interval exceeded the run.  Returns
-    ``None`` for a disabled telemetry, a zero-duration run, or a machine
-    with no utilization probes.
-    """
-    if not telemetry.enabled:
-        return None
-    if elapsed_s is None:
-        if telemetry.env is not None:
-            elapsed_s = telemetry.env.now
-        elif telemetry.sample_times:
-            elapsed_s = telemetry.sample_times[-1]
-        else:
-            elapsed_s = 0.0
-    if elapsed_s <= 0:
-        return None
-    telemetry.refresh_probes()
-    by_family: Dict[str, Dict[str, float]] = {}
-    best: Optional[Tuple[float, str]] = None
-    for family_name, display in UTILIZATION_FAMILIES:
-        family = telemetry.registry.families.get(family_name)
-        if family is None or not family.children:
-            continue
-        members: Dict[str, float] = {}
-        for labels in sorted(family.children):
-            metric = family.children[labels]
-            name = ",".join(v for _k, v in labels) or family_name
-            fraction = max(0.0, min(1.0, metric.value / elapsed_s))
-            members[name] = fraction
-            candidate = (fraction, f"{display} {name}")
-            if best is None or candidate > best:
-                best = candidate
-        by_family[display] = members
-    if best is None:
-        return None
-    return BottleneckReport(
-        resource=best[1],
-        utilization=best[0],
-        elapsed_s=elapsed_s,
-        by_family=by_family,
     )

@@ -212,12 +212,11 @@ NULL_TRACER = Tracer(env=None, enabled=False)
 def get_tracer(monitor: Any) -> Tracer:
     """Resolve the tracer behind a ``monitor`` constructor argument.
 
-    Components across the stack historically take ``monitor=`` (a
-    :class:`~repro.obs.monitor.Monitor` or ``None``).  The
-    :class:`~repro.obs.observability.Observability` facade satisfies the
-    same interface *and* carries a tracer; this helper lets every
-    component resolve its tracer once at construction time without
-    caring which of the three it was given.
+    Components across the stack take ``monitor=`` (a
+    :class:`~repro.obs.monitor.Monitor` or ``None``).
+    :class:`~repro.obs.observability.Observability` is a Monitor that
+    also carries a tracer; this helper lets every component resolve its
+    tracer once at construction time without caring which it was given.
     """
     tracer = getattr(monitor, "tracer", None)
     return tracer if isinstance(tracer, Tracer) else NULL_TRACER

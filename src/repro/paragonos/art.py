@@ -27,7 +27,7 @@ from repro.hardware.node import Node
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import ArbitratedStore, Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 _request_ids = itertools.count(1)
 
@@ -96,7 +96,7 @@ class AsyncRequestManager:
         self.env = env
         self.node = node
         self.max_threads = max_threads
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self.tracer = get_tracer(monitor)
         #: The active list: FIFO queue of pending AsyncRequests.
         #: Same-timestamp submissions are admitted in canonical key
@@ -153,8 +153,7 @@ class AsyncRequestManager:
         self._outstanding.append(request)
         yield self._active_list.put(request)
         self.tracer.end(span)
-        if self.monitor is not None:
-            self.monitor.counter(f"art.submitted.{tag}").add(1)
+        self.monitor.counter(f"art.submitted.{tag}").add(1)
         return request
 
     def cancel_pending(self, predicate: Callable[[AsyncRequest], bool]) -> int:
@@ -198,11 +197,7 @@ class AsyncRequestManager:
             self.tracer.end(span)
             self._outstanding.remove(request)
             request.event.succeed(result)
-            if self.monitor is not None:
-                self.monitor.counter(f"art.completed.{request.tag}").add(1)
-                self.monitor.series("art.service_time").record(
-                    request.completed_at - request.issued_at
-                )
+            self.monitor.counter(f"art.completed.{request.tag}").add(1)
 
     def __repr__(self) -> str:
         return (

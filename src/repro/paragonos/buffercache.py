@@ -19,7 +19,7 @@ from typing import Callable, Dict, Generator, Optional, Tuple
 
 from repro.obs.telemetry import get_telemetry
 from repro.sim import Environment, Event
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 BlockKey = Tuple[int, int]  # (file_id, block_index)
 
@@ -54,7 +54,7 @@ class BufferCache:
         self.capacity_blocks = capacity_blocks
         self.block_size = block_size
         self.name = name
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self._blocks: "OrderedDict[BlockKey, CacheBlock]" = OrderedDict()
         #: In-flight fetches: key -> event fired with the block when loaded.
         self._inflight: Dict[BlockKey, Event] = {}
@@ -230,8 +230,7 @@ class BufferCache:
 
     def _count(self, what: str) -> None:
         self.counts[what] = self.counts.get(what, 0) + 1
-        if self.monitor is not None:
-            self.monitor.counter(f"{self.name}.{what}").add(1)
+        self.monitor.counter(f"{self.name}.{what}").add(1)
 
     def __repr__(self) -> str:
         return (

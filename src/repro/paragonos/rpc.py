@@ -36,7 +36,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.paragonos.messages import RPCMessage
 from repro.sim import ArbitratedStore, Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
@@ -85,7 +85,7 @@ class RPCEndpoint:
         self.env = env
         self.node = node
         self.mesh = mesh
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
         self._inbox: ArbitratedStore = ArbitratedStore(env)
@@ -133,8 +133,7 @@ class RPCEndpoint:
             self.tracer.end(span)
         else:
             reply = yield from self._call_with_retries(target, request, span)
-        if self.monitor is not None:
-            self.monitor.counter("rpc.calls").add(1)
+        self.monitor.counter("rpc.calls").add(1)
         return reply
 
     # fast-path -- single attempt with no retry timer; only legal when no fault plan can stall or drop the call
@@ -184,8 +183,7 @@ class RPCEndpoint:
                 self.tracer.end(span, attempts=attempt + 1)
                 return reply
             self.tracer.end(attempt_span, outcome="timeout")
-            if self.monitor is not None:
-                self.monitor.counter("rpc.retries").add(1)
+            self.monitor.counter("rpc.retries").add(1)
         self.tracer.end(span, attempts=policy.max_attempts, outcome="budget_exceeded")
         from repro.faults.plan import FaultBudgetExceeded
         from repro.obs.trace import NOOP_SPAN
@@ -261,20 +259,17 @@ class RPCEndpoint:
                     # coalesce onto the in-flight handler's reply.
                     if envelope not in entry["envelopes"]:
                         entry["envelopes"].append(envelope)
-                    if self.monitor is not None:
-                        self.monitor.counter("rpc.duplicates_coalesced").add(1)
+                    self.monitor.counter("rpc.duplicates_coalesced").add(1)
                     return
                 # Completed: replay the cached reply, never re-execute.
-                if self.monitor is not None:
-                    self.monitor.counter("rpc.replays").add(1)
+                self.monitor.counter("rpc.replays").add(1)
                 yield from self._send_reply(envelope, entry["reply"])
                 return
             entry = {"state": "in-flight", "envelopes": [envelope], "reply": None}
             self._request_log[key] = entry
             stall = self.faults.decide("rpc_stall", f"node{self.node.node_id}")
             if stall is not None:
-                if self.monitor is not None:
-                    self.monitor.counter("rpc.stalls").add(1)
+                self.monitor.counter("rpc.stalls").add(1)
                 yield self.env.timeout(stall.duration_s)
         try:
             reply = yield from handler(request)
@@ -296,8 +291,7 @@ class RPCEndpoint:
                 yield from self._send_reply(env_, reply)
         else:
             yield from self._send_reply(envelope, reply)
-        if self.monitor is not None:
-            self.monitor.counter("rpc.served").add(1)
+        self.monitor.counter("rpc.served").add(1)
 
     def _send_reply(self, envelope: _Envelope, reply):
         """Ship the reply back across the mesh before waking the caller."""

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.paragonos.buffercache import BufferCache
 from repro.sim import Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
 class SyncDaemon:
@@ -33,7 +33,7 @@ class SyncDaemon:
         self.cache = cache
         self.interval_s = interval_s
         self.name = name
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self.flushes = 0
         self._process = env.process(self._loop(), name=name)
 
@@ -46,8 +46,7 @@ class SyncDaemon:
             if self.cache.dirty_keys:
                 yield from self.cache.flush()
                 self.flushes += 1
-                if self.monitor is not None:
-                    self.monitor.counter(f"{self.name}.flushes").add(1)
+                self.monitor.counter(f"{self.name}.flushes").add(1)
 
     def __repr__(self) -> str:
         return f"<SyncDaemon {self.name} every {self.interval_s}s>"

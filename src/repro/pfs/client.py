@@ -41,7 +41,7 @@ from repro.pfs.modes import IOMode
 from repro.pfs.mount import PFSMount
 from repro.pfs.stripe import coalesce_pieces, decluster
 from repro.sim import Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.ufs.data import Data, LiteralData, concat_data
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -841,7 +841,7 @@ class PFSClient:
         self.io_endpoints = io_endpoints
         self.coordinator_endpoint = coordinator_endpoint
         self.art = art or AsyncRequestManager(env, node)
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         #: FaultInjector when the machine runs under a fault plan; used
         #: for the delivery audit (Machine.verify invariant 7) and the
         #: prefetcher's retry budget.
@@ -1003,9 +1003,8 @@ class PFSClient:
                 located.append((piece.pfs_offset, chunk))
         located.sort(key=lambda item: item[0])
         data = concat_data([chunk for _pos, chunk in located])
-        if self.monitor is not None:
-            self.monitor.counter(f"pfs_client.{cause}_reads").add(1)
-            self.monitor.counter(f"pfs_client.{cause}_bytes").add(len(data))
+        self.monitor.counter(f"pfs_client.{cause}_reads").add(1)
+        self.monitor.counter(f"pfs_client.{cause}_bytes").add(len(data))
         return data
 
     def transfer_write(
@@ -1170,8 +1169,6 @@ class PFSClient:
     def _record_read(self, nbytes: int, duration: float) -> None:
         self.bytes_read_total += nbytes
         self._read_call_hist.observe(duration)
-        if self.monitor is not None:
-            self.monitor.series(f"pfs_client.{self.node.node_id}.read_call").record(duration)
 
     def __repr__(self) -> str:
         return f"<PFSClient node={self.node.node_id}>"

@@ -38,7 +38,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.paragonos.rpc import RPCEndpoint
 from repro.sim import Environment
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.ufs import UFS, concat_data
 
 
@@ -82,7 +82,7 @@ class PFSServer:
         #: Coalesce contiguous blocks into single disk requests on the
         #: Fast Path (off = one request per block; ablation handle).
         self.coalesce = coalesce
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
         #: Requests currently being handled (always-on; probe source).
@@ -404,15 +404,13 @@ class PFSServer:
         return offset % bs != 0 or nbytes % bs != 0
 
     def _count(self, kind: str, nbytes: int, cause: str) -> None:
-        if self.monitor is not None:
-            name = f"pfs_server.{self.node.node_id}"
-            self.monitor.counter(f"{name}.{kind}").add(1)
-            self.monitor.counter(f"{name}.bytes_{kind}").add(nbytes)
-            self.monitor.counter(f"{name}.{kind}.{cause}").add(1)
+        name = f"pfs_server.{self.node.node_id}"
+        self.monitor.counter(f"{name}.{kind}").add(1)
+        self.monitor.counter(f"{name}.bytes_{kind}").add(nbytes)
+        self.monitor.counter(f"{name}.{kind}.{cause}").add(1)
 
     def _count_extra(self, what: str) -> None:
-        if self.monitor is not None:
-            self.monitor.counter(f"pfs_server.{self.node.node_id}.{what}").add(1)
+        self.monitor.counter(f"pfs_server.{self.node.node_id}.{what}").add(1)
 
     def __repr__(self) -> str:
         return f"<PFSServer node={self.node.node_id} cache={'on' if self.cache else 'off'}>"

@@ -18,13 +18,13 @@ Public surface:
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.FilterStore` -- shared resources.
 - :class:`~repro.obs.monitor.Monitor`,
-  :class:`~repro.obs.monitor.TimeWeightedStat` -- instrumentation
+  :class:`~repro.obs.monitor.CounterStat` -- the counter registry
   (re-exported from :mod:`repro.obs.monitor`).
 """
 
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.obs.monitor import CounterStat, Monitor, TimeWeightedStat
+from repro.obs.monitor import CounterStat, Monitor
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import (
     ArbitratedResource,
@@ -52,6 +52,5 @@ __all__ = [
     "Process",
     "Resource",
     "Store",
-    "TimeWeightedStat",
     "Timeout",
 ]

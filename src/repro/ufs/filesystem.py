@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.obs.trace import TraceContext
-from repro.obs.monitor import Monitor
+from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.ufs.allocator import ExtentAllocator
 from repro.ufs.blockdev import BlockDevice
 from repro.ufs.data import Data, LiteralData, SyntheticData, concat_data
@@ -39,7 +39,7 @@ class UFS:
         self.device = device
         self.fs_id = fs_id
         self.name = name
-        self.monitor = monitor
+        self.monitor = monitor or NULL_MONITOR
         self.block_size = device.block_size
         self.allocator = ExtentAllocator(device.total_blocks)
         self._inodes: Dict[int, Inode] = {}
@@ -179,9 +179,8 @@ class UFS:
         for _logical, physical, run_len in self._runs(inode, first_block, nblocks, coalesce):
             yield from self.device.read_extent(physical, run_len, ctx=ctx)
 
-        if self.monitor is not None:
-            self.monitor.counter(f"{self.name}.reads").add(1)
-            self.monitor.counter(f"{self.name}.bytes_read").add(nbytes)
+        self.monitor.counter(f"{self.name}.reads").add(1)
+        self.monitor.counter(f"{self.name}.bytes_read").add(nbytes)
         return self.content(file_id, offset, nbytes)
 
     def write(
@@ -226,9 +225,8 @@ class UFS:
         for _logical, physical, run_len in self._runs(inode, first_block, nblocks, coalesce):
             yield from self.device.write_extent(physical, run_len, ctx=ctx)
 
-        if self.monitor is not None:
-            self.monitor.counter(f"{self.name}.writes").add(1)
-            self.monitor.counter(f"{self.name}.bytes_written").add(nbytes)
+        self.monitor.counter(f"{self.name}.writes").add(1)
+        self.monitor.counter(f"{self.name}.bytes_written").add(nbytes)
         return nbytes
 
     def read_block(self, file_id: int, block_index: int, ctx: Optional[TraceContext] = None):

@@ -20,7 +20,7 @@ from repro.analysis import (
     rule_catalogue,
     to_sarif,
 )
-from repro.analysis.cli import main
+from repro.analysis.cli import collect_findings, main
 
 
 def lint(source: str, path: str = "src/repro/example.py"):
@@ -247,39 +247,45 @@ class TestR004ObservabilityPurity:
 
 
 class TestR005RequestReleasePairing:
-    def test_unpaired_request_flagged(self):
-        findings = lint(
-            """
-            def grab(resource, env):
-                req = resource.request()
+    UNPAIRED = """
+        def grab(resource, env):
+            req = resource.request()
+            yield req
+            yield env.timeout(1.0)
+        """
+    PAIRED = """
+        def grab(resource, env):
+            req = resource.request()
+            try:
                 yield req
-                yield env.timeout(1.0)
-            """
-        )
-        assert "R005" in rule_ids(findings)
+            finally:
+                resource.release(req)
+        """
+    WITH = """
+        def grab(resource, env):
+            with resource.request() as req:
+                yield req
+        """
+
+    def test_unpaired_request_flagged(self):
+        assert "R005" in rule_ids(lint(self.UNPAIRED))
 
     def test_paired_request_clean(self):
-        findings = lint(
-            """
-            def grab(resource, env):
-                req = resource.request()
-                try:
-                    yield req
-                finally:
-                    resource.release(req)
-            """
-        )
-        assert findings == []
+        assert lint(self.PAIRED) == []
 
     def test_with_request_clean(self):
-        findings = lint(
-            """
-            def grab(resource, env):
-                with resource.request() as req:
-                    yield req
-            """
-        )
-        assert findings == []
+        assert lint(self.WITH) == []
+
+    @pytest.mark.parametrize(
+        "fixture, flagged", [("UNPAIRED", True), ("PAIRED", False), ("WITH", False)]
+    )
+    def test_interprocedural_r005v2_subsumes_r005(self, tmp_path, fixture, flagged):
+        # --interprocedural drops R005 for R005v2: every seeded R005
+        # violation must still be reported, and no clean fixture.
+        (tmp_path / "example.py").write_text(textwrap.dedent(getattr(self, fixture)))
+        ids = rule_ids(collect_findings([str(tmp_path)], interprocedural=True))
+        assert ("R005v2" in ids) == flagged
+        assert "R005" not in ids
 
 
 class TestSuppressions:

@@ -126,6 +126,22 @@ class TestPlanValidation:
         full = FaultPlan.scattered(seed=3, horizon_s=1.0, n_faults=8, transient_only=False)
         assert len(full.by_kind("disk_failure")) == 1
 
+    def test_failed_array_never_gets_media_errors(self):
+        for seed in range(40):
+            plan = FaultPlan.scattered(seed=seed, horizon_s=1.0, n_faults=8, transient_only=False)
+            (failure,) = plan.by_kind("disk_failure")
+            assert all(s.target != failure.target for s in plan.by_kind("media_error"))
+        two = FaultPlan.scattered(
+            seed=3,
+            horizon_s=1.0,
+            n_faults=8,
+            raid_targets=("raid0", "raid1"),
+            transient_only=False,
+        )
+        (failure,) = two.by_kind("disk_failure")
+        survivors = {"raid0", "raid1"} - {failure.target}
+        assert {s.target for s in two.by_kind("media_error")} == survivors
+
     def test_unknown_scheduled_target_raises_at_start(self):
         plan = FaultPlan.single_disk_failure(array="raid99", at_s=0.1)
         with pytest.raises(FaultError, match="raid99"):
@@ -153,6 +169,28 @@ class TestTransparentRecovery:
                 stats.hits + stats.partial_hits + stats.misses
                 + stats.failed_fallbacks == stats.demand_reads
             )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scattered_with_disk_failure_recovers(self, seed):
+        # Seeds 2, 3, 4 and 7 once put a media error on the array the
+        # plan fails, which a degraded RAID-3 cannot reconstruct.
+        from repro.config import MachineConfig, PFSConfig
+        from repro.machine import Machine
+        from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
+
+        plan = FaultPlan.scattered(seed=seed, horizon_s=1.0, n_faults=5, transient_only=False)
+        machine = Machine(MachineConfig(faults=plan))
+        mount = machine.mount("/pfs", PFSConfig(buffered=False))
+        machine.create_file(mount, "out", 0)
+        request = 64 * KB
+        CollectiveWriteWorkload(
+            machine, mount, "out", request_size=request, rounds=4, iomode=IOMode.M_RECORD
+        ).run()
+        report = CollectiveReadWorkload(
+            machine, mount, "out", request_size=request, iomode=IOMode.M_RECORD
+        ).run().report
+        assert machine.verify() == []
+        assert report.total_bytes == request * machine.config.n_compute * 4
 
     def test_media_errors_reconstruct_inline(self):
         plan = FaultPlan(specs=(FaultSpec(kind="media_error", target="raid0", count=3),))

@@ -190,8 +190,7 @@ class TestDescribe:
 class TestUtilization:
     def test_empty_machine_reports_nothing(self):
         machine = Machine(MachineConfig(n_compute=1, n_io=1))
-        assert machine.utilization_report() == {}
-        assert machine.bottleneck() is None
+        assert machine.bottleneck_report() is None
 
     def test_io_bound_workload_bottlenecks_on_storage(self):
         from repro.workloads import CollectiveReadWorkload
@@ -200,12 +199,14 @@ class TestUtilization:
         mount = machine.mount("/pfs")
         machine.create_file(mount, "data", 8 * MB)
         CollectiveReadWorkload(machine, mount, "data", request_size=64 * KB).run()
-        report = machine.utilization_report()
-        assert all(0.0 <= report[k] <= 1.0 for k in sorted(report))
+        report = machine.bottleneck_report()
+        for family in sorted(report.by_family):
+            members = report.by_family[family]
+            assert all(0.0 <= members[name] <= 1.0 for name in sorted(members))
         # The storage path is the busiest component class.
-        assert machine.bottleneck().startswith(("raid", "scsi", "msgproc"))
+        assert report.resource.startswith(("disk", "scsi", "msgproc"))
         # Disks did real work.
-        assert report["raid0"] > 0.3
+        assert report.by_family["disk"]["raid0"] > 0.3
 
     def test_compute_bound_workload_bottlenecks_on_cpu(self):
         from repro.workloads import CollectiveReadWorkload
@@ -217,7 +218,7 @@ class TestUtilization:
             machine, mount, "data", request_size=64 * KB,
             compute_delay=1.0, rounds=4,
         ).run()
-        assert machine.bottleneck().startswith("cpu")
+        assert machine.bottleneck_report().resource.startswith("cpu")
 
 
 class TestClientMetadataOps:

@@ -7,7 +7,9 @@ Covers the PR's acceptance criteria:
 - the Prometheus text exposition matches a golden snapshot exactly;
 - degenerate runs behave: zero-duration runs still produce a sample,
   sample intervals longer than the run still yield an exact bottleneck
-  report (it reads final counters, not samples);
+  report (it reads the components' busy-seconds, not samples);
+- the bottleneck report is the same with telemetry on or off, so the
+  fast paths leave the final busy-seconds unchanged;
 - the time-series exporters (CSV / JSONL) and ASCII charts render;
 - ``PrefetchStats.merge`` is commutative and associative, so
   machine-wide aggregation cannot depend on rank iteration order.
@@ -21,7 +23,6 @@ from repro.experiments.common import run_collective, scaled_file_size
 from repro.obs import (
     NULL_TELEMETRY,
     Telemetry,
-    bottleneck_report,
     get_telemetry,
     prometheus_text,
     timeseries_csv,
@@ -66,6 +67,17 @@ class TestBitIdentical:
         assert instrumented.breakdown is not None
         assert instrumented.bottleneck is not None
         assert plain.breakdown is None and plain.bottleneck is None
+
+    def test_bottleneck_report_is_independent_of_telemetry(self, prefetch_enabled):
+        # Telemetry turns the RAID, mesh and RPC fast paths off; the
+        # busy-seconds they leave behind must not depend on it.
+        fast = small_run(prefetch=prefetch_enabled, keep_machine=True)
+        stepped = small_run(prefetch=prefetch_enabled, telemetry=True, keep_machine=True)
+        assert not fast.machine.obs.telemetry.enabled
+        report = fast.machine.bottleneck_report()
+        assert report is not None
+        assert report.to_jsonable() == stepped.machine.bottleneck_report().to_jsonable()
+        assert report.to_jsonable() == stepped.bottleneck.to_jsonable()
 
     def test_disabled_telemetry_registers_nothing(self, machine):
         telemetry = machine.obs.telemetry
@@ -117,8 +129,7 @@ class TestSampler:
         assert telemetry.n_samples == 1
         assert telemetry.sample_times == [0.0]
         assert telemetry.elapsed_s == 0.0
-        # Zero elapsed time -> no meaningful utilization -> no report.
-        assert bottleneck_report(telemetry) is None
+        # Zero elapsed time -> no meaningful utilization.
         assert utilization_matrix(telemetry, "disk_busy_seconds") is None
         assert "(no samples" in utilization_heatmap(telemetry)
 
@@ -149,9 +160,9 @@ class TestSampler:
         telemetry.finalize()
         # First tick + finalize; the 1e6 s cadence never came due again.
         assert 1 <= telemetry.n_samples <= 2
-        # The bottleneck report reads final counters, so it is exact
-        # even though the sampler effectively never fired.
-        report = bottleneck_report(telemetry)
+        # The bottleneck report reads the components' busy-seconds, so
+        # it is exact even though the sampler effectively never fired.
+        report = machine.bottleneck_report()
         assert report is not None
         assert 0.0 < report.utilization <= 1.0
         assert report.elapsed_s == machine.env.now
@@ -249,7 +260,8 @@ class TestExporters:
         assert json.loads(json.dumps(jsonable)) == jsonable
 
     def test_bottleneck_none_when_disabled(self):
-        assert bottleneck_report(NULL_TELEMETRY) is None
+        # run_collective attaches a bottleneck only under telemetry=True.
+        assert small_run().bottleneck is None
 
 
 # -- PrefetchStats.merge algebra --------------------------------------------
