@@ -127,7 +127,10 @@ class PFSServer:
             in_block = pos - block * bs
             take = min(bs - in_block, end - pos)
             cached = self.cache.peek((file_id, block))
-            if cached is not None:
+            # A cached block ends where the file ended when it was cached;
+            # bytes the file has grown into since then come from the UFS.
+            if cached is not None and in_block < len(cached):
+                take = min(take, len(cached) - in_block)
                 pieces.append(cached.slice(in_block, take))
             else:
                 pieces.append(self.ufs.content(file_id, pos, take))

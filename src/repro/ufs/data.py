@@ -6,7 +6,10 @@ workloads read hundreds of megabytes, and materialising real ``bytes``
 for every transfer would dominate runtime.  A :class:`Data` value is an
 immutable, length-bearing description of file content that supports
 slicing and concatenation in O(pieces), and only produces real bytes
-when :meth:`Data.to_bytes` is called.
+when :meth:`Data.to_bytes` is called.  Writes stay lazy too: the UFS
+stores each written block as the slices and concatenations of the data
+it was given, so only the delivery audit, ``Machine.verify``, the
+benchmark fingerprint and tests ever turn content into bytes.
 
 Unwritten file content is :class:`SyntheticData`: byte *p* of stream
 *key* is a cheap deterministic mix of ``(key, p)``, so any two reads of
@@ -21,18 +24,23 @@ import numpy as np
 
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
+_SHIFT_A = np.uint64(31)
+_SHIFT_B = np.uint64(29)
 
 
 def _synthetic_bytes(key: int, offset: int, length: int) -> bytes:
     """Deterministic pseudo-random bytes for stream *key* at *offset*."""
     if length == 0:
         return b""
-    positions = np.arange(offset, offset + length, dtype=np.uint64)
-    mixed = (positions + np.uint64(key & 0xFFFFFFFFFFFFFFFF)) * _MIX_A
-    mixed ^= mixed >> np.uint64(31)
-    mixed *= _MIX_B
-    mixed ^= mixed >> np.uint64(29)
-    return (mixed & np.uint64(0xFF)).astype(np.uint8).tobytes()
+    x = np.arange(offset, offset + length, dtype=np.uint64)
+    x += np.uint64(key & 0xFFFFFFFFFFFFFFFF)
+    x *= _MIX_A
+    t = np.right_shift(x, _SHIFT_A)
+    x ^= t
+    x *= _MIX_B
+    np.right_shift(x, _SHIFT_B, out=t)
+    x ^= t
+    return x.astype(np.uint8).tobytes()
 
 
 class Data:
@@ -70,7 +78,7 @@ class Data:
 
 
 class LiteralData(Data):
-    """Content backed by real bytes (anything the application wrote)."""
+    """Content backed by real bytes (test payloads, zero fill)."""
 
     __slots__ = ("_payload",)
 

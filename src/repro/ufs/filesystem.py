@@ -2,9 +2,10 @@
 
 One UFS instance runs per I/O node.  Reads and writes are generators
 that spend simulated time on the node's block device; the *content*
-returned is assembled from written blocks (literal bytes) and unwritten
-blocks (synthetic deterministic bytes), so round-trips are exact without
-materialising gigabytes.
+returned is assembled from written blocks (each stored as the lazy
+:class:`~repro.ufs.data.Data` the write described) and runs of unwritten
+blocks (synthetic deterministic bytes), so round-trips are exact and
+neither path materialises bytes.
 
 Fast Path coalescing: a multi-block read/write issues one disk request
 per *physically contiguous run* of blocks rather than one per block.
@@ -18,7 +19,7 @@ from repro.obs.trace import TraceContext
 from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.ufs.allocator import ExtentAllocator
 from repro.ufs.blockdev import BlockDevice
-from repro.ufs.data import Data, LiteralData, SyntheticData, concat_data
+from repro.ufs.data import Data, LiteralData, SyntheticData, concat_data, zeros
 from repro.ufs.inode import Inode
 
 
@@ -39,12 +40,17 @@ class UFS:
         self.device = device
         self.fs_id = fs_id
         self.name = name
-        self.monitor = monitor or NULL_MONITOR
+        self.monitor = monitor = monitor or NULL_MONITOR
+        self._c_reads = monitor.counter(f"{name}.reads")
+        self._c_bytes_read = monitor.counter(f"{name}.bytes_read")
+        self._c_writes = monitor.counter(f"{name}.writes")
+        self._c_bytes_written = monitor.counter(f"{name}.bytes_written")
         self.block_size = device.block_size
         self.allocator = ExtentAllocator(device.total_blocks)
         self._inodes: Dict[int, Inode] = {}
-        #: Written content: (file_id, logical_block) -> block bytes.
-        self._written: Dict[tuple, LiteralData] = {}
+        #: Written content: file_id -> {logical block -> its content}.  A
+        #: stored block is as long as the file's bytes in that block.
+        self._written: Dict[int, Dict[int, Data]] = {}
 
     # -- namespace ---------------------------------------------------------
 
@@ -80,7 +86,8 @@ class UFS:
         """Shrink (or grow) a file to exactly *new_size* bytes.
 
         Shrinking frees whole blocks past the new end and discards their
-        written content; growing allocates like :meth:`extend`.
+        written content, and clips a kept partial block's, so a regrow
+        reads zeros there; growing allocates like :meth:`extend`.
         """
         if new_size < 0:
             raise ValueError("size must be non-negative")
@@ -95,8 +102,15 @@ class UFS:
 
             self.allocator.free([Extent(phys, length) for _log, phys, length in dropped])
             del inode.block_map[keep_blocks:]
-            for key in [k for k in self._written if k[0] == file_id and k[1] >= keep_blocks]:
-                del self._written[key]
+        written = self._written.get(file_id)
+        if written:
+            for block in [b for b in written if b >= keep_blocks]:
+                del written[block]
+            last = keep_blocks - 1
+            kept = new_size - last * self.block_size
+            stored = written.get(last)
+            if stored is not None and len(stored) > kept:
+                written[last] = stored.slice(0, kept)
         inode.size_bytes = new_size
         return inode
 
@@ -104,11 +118,18 @@ class UFS:
         inode = self.inode(file_id)
         self.allocator.free(inode.extents())
         del self._inodes[file_id]
-        for key in [k for k in self._written if k[0] == file_id]:
-            del self._written[key]
+        self._written.pop(file_id, None)
 
     def _grow(self, inode: Inode, new_size: int) -> None:
-        needed_blocks = -(-new_size // self.block_size)  # ceil div
+        bs = self.block_size
+        written = self._written.get(inode.file_id)
+        last = inode.size_bytes // bs
+        if written and last in written:
+            # The grown tail of a written block reads as zeros.
+            stored = written[last]
+            grown = min(bs, new_size - last * bs) - len(stored)
+            written[last] = concat_data([stored, zeros(grown)])
+        needed_blocks = -(-new_size // bs)  # ceil div
         extra = needed_blocks - inode.nblocks
         if extra > 0:
             inode.append_extents(self.allocator.allocate(extra))
@@ -129,20 +150,28 @@ class UFS:
             )
         if nbytes == 0:
             return LiteralData(b"")
-        bs = self.block_size
         key = self._synthetic_key(file_id)
+        written = self._written.get(file_id)
+        if not written:
+            return SyntheticData(key, offset, nbytes)
+        bs = self.block_size
         pieces: List[Data] = []
         pos = offset
         end = offset + nbytes
         while pos < end:
             block = pos // bs
-            in_block = pos - block * bs
-            take = min(bs - in_block, end - pos)
-            written = self._written.get((file_id, block))
-            if written is not None:
-                pieces.append(written.slice(in_block, take))
-            else:
+            stored = written.get(block)
+            if stored is None:
+                # One synthetic piece for the whole run of unwritten blocks.
+                block += 1
+                while block * bs < end and block not in written:
+                    block += 1
+                take = min(block * bs, end) - pos
                 pieces.append(SyntheticData(key, pos, take))
+            else:
+                in_block = pos - block * bs
+                take = min(bs - in_block, end - pos)
+                pieces.append(stored.slice(in_block, take))
             pos += take
         return concat_data(pieces)
 
@@ -179,8 +208,8 @@ class UFS:
         for _logical, physical, run_len in self._runs(inode, first_block, nblocks, coalesce):
             yield from self.device.read_extent(physical, run_len, ctx=ctx)
 
-        self.monitor.counter(f"{self.name}.reads").add(1)
-        self.monitor.counter(f"{self.name}.bytes_read").add(nbytes)
+        self._c_reads.add(1)
+        self._c_bytes_read.add(nbytes)
         return self.content(file_id, offset, nbytes)
 
     def write(
@@ -225,8 +254,8 @@ class UFS:
         for _logical, physical, run_len in self._runs(inode, first_block, nblocks, coalesce):
             yield from self.device.write_extent(physical, run_len, ctx=ctx)
 
-        self.monitor.counter(f"{self.name}.writes").add(1)
-        self.monitor.counter(f"{self.name}.bytes_written").add(nbytes)
+        self._c_writes.add(1)
+        self._c_bytes_written.add(nbytes)
         return nbytes
 
     def read_block(self, file_id: int, block_index: int, ctx: Optional[TraceContext] = None):
@@ -267,28 +296,29 @@ class UFS:
         return split
 
     def _merge_written(self, inode: Inode, offset: int, data: Data) -> None:
+        """Store *data* at *offset* block by block, lazily: a partly
+        covered block keeps its prior content around the new piece."""
         bs = self.block_size
+        written = self._written.setdefault(inode.file_id, {})
         pos = offset
         end = offset + len(data)
         while pos < end:
             block = pos // bs
-            in_block = pos - block * bs
+            block_start = block * bs
+            in_block = pos - block_start
             take = min(bs - in_block, end - pos)
-            key = (inode.file_id, block)
-            existing = self._written.get(key)
-            if existing is None:
-                # Materialise the block's prior content so the merge is exact.
-                block_start = block * bs
-                block_len = min(bs, inode.size_bytes - block_start)
-                existing = LiteralData(
-                    self.content(inode.file_id, block_start, block_len).to_bytes()
+            block_len = min(bs, inode.size_bytes - block_start)
+            piece = data.slice(pos - offset, take)
+            if take < block_len:
+                prior = written.get(block)
+                if prior is None:
+                    key = self._synthetic_key(inode.file_id)
+                    prior = SyntheticData(key, block_start, block_len)
+                tail = in_block + take
+                piece = concat_data(
+                    [prior.slice(0, in_block), piece, prior.slice(tail, block_len - tail)]
                 )
-            buf = bytearray(existing.to_bytes())
-            piece = data.slice(pos - offset, take).to_bytes()
-            if in_block + take > len(buf):
-                buf.extend(b"\x00" * (in_block + take - len(buf)))
-            buf[in_block : in_block + take] = piece
-            self._written[key] = LiteralData(bytes(buf))
+            written[block] = piece
             pos += take
 
     def __repr__(self) -> str:

@@ -44,6 +44,23 @@ def traced_machine(machine_factory):
     return machine_factory(trace=True)
 
 
+@pytest.fixture
+def synthetic_calls(monkeypatch):
+    """Every ``(key, offset, length)`` the synthetic stream materialises
+    from here on, in call order."""
+    import repro.ufs.data
+
+    calls = []
+    real = repro.ufs.data._synthetic_bytes
+
+    def counting(key, offset, length):
+        calls.append((key, offset, length))
+        return real(key, offset, length)
+
+    monkeypatch.setattr(repro.ufs.data, "_synthetic_bytes", counting)
+    return calls
+
+
 @pytest.fixture(params=[False, True], ids=["prefetch-off", "prefetch-on"])
 def prefetch_enabled(request):
     """Parametrised on/off axis for prefetching behaviour tests."""

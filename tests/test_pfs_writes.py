@@ -1,5 +1,7 @@
 """Integration tests for the PFS write path across I/O modes."""
 
+import pytest
+
 from repro.config import MachineConfig, PFSConfig
 from repro.machine import Machine
 from repro.pfs import IOMode
@@ -182,3 +184,25 @@ class TestWriteReadConsistency:
         machine.run()
         assert p.value == 64 * KB
         assert pfs_file.size_bytes == 64 * KB
+
+
+class TestLazyWritePath:
+    @pytest.mark.parametrize("buffered, write_back", [(False, False), (True, False), (True, True)])
+    def test_collective_write_materialises_no_synthetic_bytes(
+        self, synthetic_calls, buffered, write_back
+    ):
+        from repro.workloads import CollectiveWriteWorkload
+
+        machine = Machine(MachineConfig(n_compute=4, n_io=4, write_back=write_back))
+        mount = machine.mount("/pfs", PFSConfig(buffered=buffered))
+        pfs_file = machine.create_file(mount, "out", 0)
+        # 40 KB records leave most blocks partly covered by each write.
+        CollectiveWriteWorkload(machine, mount, "out", request_size=40 * KB, rounds=3).run()
+        for cache in machine.caches:
+            machine.spawn(cache.flush())
+        machine.run()
+        assert synthetic_calls == []
+        offset = (2 * 4 + 1) * 40 * KB
+        got = content(machine, pfs_file, offset, 40 * KB)
+        assert got == CollectiveWriteWorkload.record_content(1, 2, 40 * KB)
+        assert machine.verify() == []

@@ -1,6 +1,10 @@
 """Unit tests for the UFS layer: data values, allocator, inodes, filesystem."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import DiskParams, RAID3Array, RAIDParams, SCSIBus, SCSIParams
 from repro.sim import Environment, Monitor
@@ -90,6 +94,36 @@ class TestData:
         lit = LiteralData(s.to_bytes())
         assert s == lit
         assert lit == s
+
+    @pytest.mark.parametrize(
+        "key, offset, length, digest",
+        [
+            (7, 0, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (7, 0, 65536, "59d72c47c6c0b2d9954d25ceedff62ad017711a3db34f5a10c18f492b86f9ca0"),
+            (
+                1_000_004,
+                12345,
+                4097,
+                "d1d59666d9cff49aab9d85725220a6d697df88531033c76c7916f5baa5435dee",
+            ),
+            (
+                3,
+                (1 << 40) + 1,
+                333,
+                "9998f0ad1d62038cecc9feaed3058bb74f3f56acd9c2102de7db912e73f063ed",
+            ),
+            (
+                (1 << 64) + 9,
+                99,
+                1000,
+                "a485e61b4d69c5b539eaf648ed04c53589f437b9564caaf5898837e95c086a2e",
+            ),
+        ],
+    )
+    def test_synthetic_stream_golden(self, key, offset, length, digest):
+        data = SyntheticData(key, offset, length).to_bytes()
+        assert len(data) == length
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestExtentAllocator:
@@ -307,6 +341,36 @@ class TestUFS:
         regrown = ufs.content(1, 128 * KB, 64 * KB).to_bytes()
         assert regrown != b"T" * (64 * KB)
 
+    def test_extend_after_partial_write_reads_zeros(self, env):
+        ufs = make_ufs(env)
+        ufs.create(1, 0)
+        run(env, ufs.write(1, 0, LiteralData(b"a" * 100)))
+        ufs.extend(1, 300)
+        want = b"a" * 100 + bytes(200)
+        assert ufs.content(1, 0, 300).to_bytes() == want
+        assert run(env, ufs.read(1, 0, 300)).to_bytes() == want
+
+    def test_write_after_extend_matches_write_past_eof(self, env):
+        ufs = make_ufs(env)
+        ufs.create(1, 0)
+        ufs.create(2, 0)
+        for file_id in (1, 2):
+            run(env, ufs.write(file_id, 0, LiteralData(b"a" * 100)))
+        ufs.extend(1, 300)
+        run(env, ufs.write(1, 200, LiteralData(b"b" * 10)))
+        run(env, ufs.write(2, 200, LiteralData(b"b" * 10)))
+        want = b"a" * 100 + bytes(100) + b"b" * 10 + bytes(90)
+        assert ufs.content(1, 0, 300).to_bytes() == want
+        assert ufs.content(2, 0, 210).to_bytes() == want[:210]
+
+    def test_truncate_then_regrow_reads_zeros(self, env):
+        ufs = make_ufs(env)
+        ufs.create(1, 0)
+        run(env, ufs.write(1, 0, LiteralData(b"a" * 200)))
+        ufs.truncate(1, 100)
+        ufs.extend(1, 300)
+        assert ufs.content(1, 0, 300).to_bytes() == b"a" * 100 + bytes(200)
+
     def test_truncate_grow_equals_extend(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=64 * KB)
@@ -360,3 +424,118 @@ class TestUFS:
         t_seq = run(env, sequential())
         t_rand = run(env, random_order())
         assert t_seq < t_rand
+
+
+BS = 16
+
+
+def _payload(draw, length):
+    if draw(st.booleans()):
+        return LiteralData(draw(st.binary(min_size=length, max_size=length)))
+    return SyntheticData(draw(st.integers(0, 9)), draw(st.integers(0, 1000)), length)
+
+
+@st.composite
+def _ops(draw):
+    """A random sequence of content-plane operations on file 1."""
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["write", "write_block", "extend", "truncate", "unlink"]))
+        if kind == "write":
+            payload = _payload(draw, draw(st.integers(1, 3 * BS)))
+            ops.append((kind, draw(st.integers(0, 6 * BS)), payload))
+        elif kind == "write_block":
+            ops.append((kind, draw(st.integers(0, 6)), _payload(draw, draw(st.integers(1, BS)))))
+        elif kind == "unlink":
+            ops.append((kind, draw(st.integers(0, 4 * BS)), None))
+        else:
+            ops.append((kind, draw(st.integers(0, 8 * BS)), None))
+    return ops
+
+
+class ContentModel:
+    """Plain-bytes reference model of one UFS file's content.
+
+    Unwritten bytes are the synthetic stream; bytes a file grows into
+    inside a block that holds written content read as zeros.
+    """
+
+    def __init__(self, key, size):
+        self.key = key
+        self.buf = bytearray(SyntheticData(key, 0, size).to_bytes())
+        self.written = set()
+
+    def grow(self, new_size):
+        old = len(self.buf)
+        if new_size <= old:
+            return
+        self.buf += SyntheticData(self.key, old, new_size - old).to_bytes()
+        if old // BS in self.written:
+            stop = min(new_size, (old // BS + 1) * BS)
+            self.buf[old:stop] = bytes(stop - old)
+
+    def write(self, offset, data):
+        raw = data.to_bytes()
+        self.grow(offset + len(raw))
+        self.buf[offset : offset + len(raw)] = raw
+        self.written.update(range(offset // BS, (offset + len(raw) - 1) // BS + 1))
+
+    def truncate(self, new_size):
+        if new_size >= len(self.buf):
+            self.grow(new_size)
+            return
+        del self.buf[new_size:]
+        keep = -(-new_size // BS)
+        self.written = {b for b in self.written if b < keep}
+
+
+def _apply(env, ufs, model, op):
+    kind, arg, data = op
+    if kind == "write":
+        run(env, ufs.write(1, arg, data))
+        model.write(arg, data)
+    elif kind == "write_block":
+        run(env, ufs.write_block(1, arg, data))
+        model.write(arg * BS, data)
+    elif kind == "extend":
+        ufs.extend(1, arg)
+        model.grow(arg)
+    elif kind == "truncate":
+        ufs.truncate(1, arg)
+        model.truncate(arg)
+    else:
+        ufs.unlink(1)
+        ufs.create(1, arg)
+        return ContentModel(model.key, arg)
+    return model
+
+
+class TestContentPlane:
+    """The lazy written-block store against a plain ``bytearray``."""
+
+    @given(size=st.integers(0, 4 * BS), ops=_ops())
+    @settings(max_examples=150, deadline=None)
+    def test_content_matches_bytearray_model(self, size, ops):
+        env = Environment()
+        ufs = make_ufs(env, block_size=BS)
+        ufs.create(1, size)
+        model = ContentModel(ufs._synthetic_key(1), size)
+        for op in ops:
+            model = _apply(env, ufs, model, op)
+            assert ufs.inode(1).size_bytes == len(model.buf)
+            assert ufs.content(1, 0, len(model.buf)).to_bytes() == bytes(model.buf)
+
+    def test_write_path_materialises_no_synthetic_bytes(self, env, synthetic_calls):
+        ufs = make_ufs(env)
+        ufs.create(1, 200 * KB)
+        run(env, ufs.write(1, 0, SyntheticData(5, 0, 128 * KB)))
+        run(env, ufs.write(1, 100, SyntheticData(6, 7, 1000)))
+        run(env, ufs.write(1, 190 * KB, LiteralData(b"z" * (20 * KB))))
+        run(env, ufs.write_block(1, 1, SyntheticData(7, 3, 5000)))
+        ufs.truncate(1, 150 * KB)
+        ufs.extend(1, 300 * KB)
+        run(env, ufs.write(1, 250 * KB, SyntheticData(8, 0, 70 * KB)))
+        ufs.content(1, 0, 320 * KB)
+        assert synthetic_calls == []
+        ufs.content(1, 0, 320 * KB).to_bytes()
+        assert synthetic_calls

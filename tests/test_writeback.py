@@ -104,6 +104,26 @@ class TestWriteBack:
         before, after = p.value
         assert after == before[:1000] + b"XYZ" + before[1003:]
 
+    def test_write_past_dirty_partial_block(self):
+        machine = make_machine(sync_interval=1000.0)
+        mount = machine.mount("/pfs", PFSConfig(buffered=True, stripe_factor=1))
+        pfs_file = machine.create_file(mount, "data", 0)
+        handle = open_handle(machine, mount)
+        first, second = b"a" * (40 * KB), b"b" * (40 * KB)
+
+        def proc():
+            yield from handle.write(LiteralData(first))
+            yield from handle.write(LiteralData(second))
+            yield from handle.lseek(0)
+            unflushed = yield from handle.read(80 * KB)
+            yield from machine.clients[0].flush(mount, "data")
+            return unflushed.to_bytes()
+
+        p = machine.spawn(proc())
+        machine.run(until=p)
+        assert p.value == first + second
+        assert machine.ufses[0].content(pfs_file.file_id, 0, 80 * KB).to_bytes() == first + second
+
     def test_explicit_flush_persists_to_disk(self):
         machine = make_machine(sync_interval=1000.0)
         mount = machine.mount("/pfs", PFSConfig(buffered=True, stripe_factor=1))
