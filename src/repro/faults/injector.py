@@ -7,7 +7,9 @@ call :meth:`FaultInjector.decide` at well-defined injection points
 trigger state (per-spec operation counters), applies the time-scheduled
 ``disk_failure`` / ``disk_repair`` specs lazily via :meth:`tick`, and
 keeps a delivery audit log that :meth:`Machine.verify` checks against
-ground-truth file content.
+ground-truth file content.  Digests are memoised by the content's
+canonical runs (:func:`repro.ufs.data.runs`), so the audit and
+``verify`` hash each distinct content once per machine.
 
 Determinism: ``decide`` consults only ``env.now`` and per-spec counters
 that advance with canonically-ordered operation streams; there is no
@@ -22,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.faults.plan import SCHEDULED_KINDS, FaultError, FaultPlan, FaultSpec
 from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.sim import Environment
+from repro.ufs.data import Data, Run, runs
 
 
 def _matches(spec_target: str, target: str) -> bool:
@@ -50,8 +53,11 @@ class FaultInjector:
         #: in a client prefetch buffer) or ``readahead`` (blocks pulled
         #: into a server's buffer cache); demand/prefetch offsets are
         #: PFS-file-space (``io_node = -1``), readahead offsets are
-        #: UFS-stripe-space on ``io_node``.
+        #: UFS-stripe-space and ``io_node`` is the stripe index, i.e. the
+        #: server's ``ufs.fs_id`` and its position in ``Machine.ufses``.
         self.deliveries: List[Tuple[int, int, int, str, str, int]] = []
+        #: SHA-256 hex digest per canonical content runs (:meth:`digest`).
+        self._digests: Dict[Tuple[Run, ...], str] = {}
         #: Scheduled specs not yet applied, in (at_s, plan) order.
         self._scheduled_pending: List[FaultSpec] = []
         self._arrays: Dict[str, Any] = {}
@@ -139,19 +145,28 @@ class FaultInjector:
 
     # -- delivery audit ----------------------------------------------------
 
+    def digest(self, data: Data) -> str:
+        """SHA-256 hex digest of ``data.to_bytes()``, hashed once per
+        distinct content: equal runs mean equal bytes."""
+        key = runs(data)
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = hashlib.sha256(data.to_bytes()).hexdigest()
+            self._digests[key] = digest
+        return digest
+
     def record_delivery(
         self,
         file_id: int,
         offset: int,
         nbytes: int,
-        data,
+        data: Data,
         kind: str = "demand",
         io_node: int = -1,
     ) -> None:
         """Log the digest of bytes delivered along one of the audited
         paths (demand read, prefetch landing, server readahead)."""
-        digest = hashlib.sha256(data.to_bytes()).hexdigest()
-        self.deliveries.append((file_id, offset, nbytes, digest, kind, io_node))
+        self.deliveries.append((file_id, offset, nbytes, self.digest(data), kind, io_node))
         self._count(f"faults.audited.{kind}")
 
     def _count(self, name: str, value: int = 1) -> None:

@@ -456,13 +456,14 @@ class Machine:
         #    pulled into server caches -- is byte-identical to the
         #    fault-free content (recovered reads -- retries, degraded-mode
         #    reconstruction, copy-back rebuild -- must be transparent).
-        #    Each path logs a digest; we recompute ground truth from the
-        #    stripe files.  Demand/prefetch offsets are PFS-file-space;
-        #    readahead offsets are UFS-stripe-space on their I/O node.
+        #    Each path logs a digest; we rebuild ground truth lazily from
+        #    the stripe files and digest it through the injector's memo,
+        #    so content already hashed is not hashed again.
+        #    Demand/prefetch offsets are PFS-file-space; readahead offsets
+        #    are UFS-stripe-space on stripe ``io_node``.
         if self.faults is not None:
-            import hashlib
-
             from repro.pfs.stripe import decluster
+            from repro.ufs.data import concat_data
 
             attrs_by_id = {}
             for mount_point in sorted(self.mounts):
@@ -472,23 +473,24 @@ class Machine:
             for (
                 file_id, offset, nbytes, digest, kind, io_node,
             ) in self.faults.deliveries:
+                attrs = attrs_by_id.get(file_id)
+                if attrs is None:
+                    problems.append(f"delivery audit: unknown file_id {file_id}")
+                    continue
                 if kind == "readahead":
-                    truth = self.ufses[io_node].content(file_id, offset, nbytes).to_bytes()
+                    truth = self.ufses[io_node].content(file_id, offset, nbytes)
                 else:
-                    attrs = attrs_by_id.get(file_id)
-                    if attrs is None:
-                        problems.append(f"delivery audit: unknown file_id {file_id}")
-                        continue
                     pieces = sorted(
                         decluster(attrs, offset, nbytes),
                         key=lambda p: p.pfs_offset,
                     )
-                    truth = b"".join(
-                        self.ufses[p.io_node].content(file_id, p.ufs_offset, p.length).to_bytes()
-                        for p in pieces
+                    truth = concat_data(
+                        [
+                            self.ufses[p.io_node].content(file_id, p.ufs_offset, p.length)
+                            for p in pieces
+                        ]
                     )
-                expected = hashlib.sha256(truth).hexdigest()
-                if digest != expected:
+                if digest != self.faults.digest(truth):
                     problems.append(
                         f"delivery audit: file {file_id} {kind} "
                         f"[{offset}, {offset + nbytes}) delivered bytes "

@@ -241,8 +241,8 @@ class PFSServer:
                 self._count_extra("readahead_blocks")
                 if self.faults is not None:
                     # Audit the block as it lands in the cache; offsets
-                    # are UFS-stripe-space on this I/O node (invariant 7
-                    # checks them against this node's stripe file).
+                    # are UFS-stripe-space and ``io_node`` is this stripe's
+                    # index (invariant 7 checks them against its UFS).
                     start = block * self.ufs.block_size
                     inode = self.ufs.inode(file_id)
                     length = min(self.ufs.block_size, inode.size_bytes - start)
@@ -252,7 +252,7 @@ class PFSServer:
                         length,
                         self._block_content(file_id, start, length),
                         kind="readahead",
-                        io_node=self.node.node_id,
+                        io_node=self.ufs.fs_id,
                     )
 
         self.env.process(readahead(), name=f"readahead-{self.node.node_id}-{file_id}")

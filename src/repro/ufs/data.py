@@ -10,6 +10,8 @@ when :meth:`Data.to_bytes` is called.  Writes stay lazy too: the UFS
 stores each written block as the slices and concatenations of the data
 it was given, so only the delivery audit, ``Machine.verify``, the
 benchmark fingerprint and tests ever turn content into bytes.
+:func:`runs` names content by its pieces without materialising it; the
+delivery audit keys its digest memo by it.
 
 Unwritten file content is :class:`SyntheticData`: byte *p* of stream
 *key* is a cheap deterministic mix of ``(key, p)``, so any two reads of
@@ -18,29 +20,47 @@ the same region agree regardless of which code path produced them.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-_MIX_A = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
 _SHIFT_A = np.uint64(31)
 _SHIFT_B = np.uint64(29)
+_MASK = (1 << 64) - 1
+#: Elements mixed per pass; scratch arrays stay cache-sized.
+_CHUNK = 32768
+#: ``i * _MIX_A`` for every position in a chunk (read-only).
+_STEP = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_MIX_A)
+_STEP.setflags(write=False)
 
 
 def _synthetic_bytes(key: int, offset: int, length: int) -> bytes:
-    """Deterministic pseudo-random bytes for stream *key* at *offset*."""
+    """Deterministic pseudo-random bytes for stream *key* at *offset*.
+
+    Byte *i* is the low byte of a 64-bit mix of ``p = key + offset + i``
+    (mod 2**64).  ``p * _MIX_A`` is formed as one scalar per chunk plus
+    the precomputed progression ``_STEP``, since multiplication
+    distributes over the addition mod 2**64.
+    """
     if length == 0:
         return b""
-    x = np.arange(offset, offset + length, dtype=np.uint64)
-    x += np.uint64(key & 0xFFFFFFFFFFFFFFFF)
-    x *= _MIX_A
-    t = np.right_shift(x, _SHIFT_A)
-    x ^= t
-    x *= _MIX_B
-    np.right_shift(x, _SHIFT_B, out=t)
-    x ^= t
-    return x.astype(np.uint8).tobytes()
+    out = np.empty(length, dtype=np.uint8)
+    x = np.empty(min(length, _CHUNK), dtype=np.uint64)
+    t = np.empty_like(x)
+    for start in range(0, length, _CHUNK):
+        n = min(length - start, _CHUNK)
+        xs, ts = x[:n], t[:n]
+        base = ((key + offset + start) * _MIX_A) & _MASK
+        np.add(_STEP[:n], np.uint64(base), out=xs)
+        np.right_shift(xs, _SHIFT_A, out=ts)
+        xs ^= ts
+        xs *= _MIX_B
+        np.right_shift(xs, _SHIFT_B, out=ts)
+        xs ^= ts
+        out[start : start + n] = xs
+    return out.tobytes()
 
 
 class Data:
@@ -179,6 +199,36 @@ def concat_data(parts: Sequence[Data]) -> Data:
     if len(flat) == 1:
         return flat[0]
     return ConcatData(flat)
+
+
+#: One canonical run of content: a synthetic ``(key, offset, length)``,
+#: or the bytes of a literal piece.
+Run = Union[Tuple[int, int, int], bytes]
+
+
+def runs(data: Data) -> Tuple[Run, ...]:
+    """The canonical runs of *data*, without materialising synthetic bytes.
+
+    Adjacent synthetic pieces of one stream merge into one run, and
+    empty pieces vanish.  Equal runs mean equal bytes, because synthetic
+    byte *p* depends only on ``(key, p)``; unequal runs say nothing.
+    """
+    out: List[Run] = []
+    for part in data.parts if isinstance(data, ConcatData) else (data,):
+        if isinstance(part, SyntheticData):
+            if not part.length:
+                continue
+            if out and isinstance(out[-1], tuple):
+                key, offset, length = out[-1]
+                if key == part.key and offset + length == part.offset:
+                    out[-1] = (key, offset, length + part.length)
+                    continue
+            out.append((part.key, part.offset, part.length))
+        else:
+            payload = part.to_bytes()
+            if payload:
+                out.append(payload)
+    return tuple(out)
 
 
 def zeros(length: int) -> Data:

@@ -394,6 +394,88 @@ class TestCrashRestart:
             _small_run(faults=plan, rounds=1)
 
 
+def _readahead_run(tie_break):
+    """A buffered 2-round M_RECORD read with server readahead on, under a
+    crash plan whose window opens after the run has finished."""
+    from repro.config import MachineConfig, PFSConfig
+    from repro.machine import Machine
+    from repro.workloads import CollectiveReadWorkload
+
+    plan = FaultPlan.crash_restart(node="node0", windows=((5.0, 5.1),))
+    machine = Machine(MachineConfig(faults=plan, server_readahead_blocks=2, tie_break=tie_break))
+    mount = machine.mount("/pfs", PFSConfig(buffered=True))
+    machine.create_file(mount, "data", scaled_file_size(64 * KB, rounds=2))
+    CollectiveReadWorkload(
+        machine, mount, "data", request_size=64 * KB, iomode=IOMode.M_RECORD
+    ).run()
+    return machine, mount
+
+
+def _truth(machine, file_id, offset, nbytes):
+    """Lazy fault-free content of a PFS-file-space range."""
+    from repro.pfs.stripe import decluster
+    from repro.ufs.data import concat_data
+
+    attrs = next(
+        f.attrs for m in machine.mounts.values() for f in m.files.values() if f.file_id == file_id
+    )
+    pieces = sorted(decluster(attrs, offset, nbytes), key=lambda p: p.pfs_offset)
+    return concat_data(
+        [machine.ufses[p.io_node].content(file_id, p.ufs_offset, p.length) for p in pieces]
+    )
+
+
+class TestDeliveryAudit:
+    """Invariant 7 and the digest memo behind it."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_readahead_entries_verify(self, tie_break):
+        machine, _mount = _readahead_run(tie_break)
+        readahead = [e for e in machine.faults.deliveries if e[4] == "readahead"]
+        assert readahead
+        # Readahead entries name the stripe (its UFS), not the I/O node.
+        assert {e[5] for e in readahead} <= set(range(len(machine.ufses)))
+        assert machine.verify() == []
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_entries_of_removed_file_are_reported_not_raised(self, tie_break):
+        machine, mount = _readahead_run(tie_break)
+        entries = len(machine.faults.deliveries)
+        assert {e[4] for e in machine.faults.deliveries} == {"demand", "readahead"}
+        machine.remove_file(mount, "data")
+        problems = machine.verify()
+        assert len(problems) == entries
+        assert all("unknown file_id" in p for p in problems)
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_memo_cannot_hide_a_wrong_delivery(self, tie_break):
+        from repro.ufs.data import LiteralData, runs
+
+        report = _small_run(faults=TestCrashRestart.CRASH_PLAN, tie_break=tie_break)
+        machine = report.machine
+        faults = machine.faults
+        assert machine.verify() == []
+        file_id, offset, nbytes, digest, _kind, _io = min(
+            (e for e in faults.deliveries if e[4] == "prefetch"), key=lambda e: e[1]
+        )
+        truth = _truth(machine, file_id, offset, nbytes)
+        assert faults._digests[runs(truth)] == digest
+
+        shifted = _truth(machine, file_id, offset + 1, nbytes)
+        faults.record_delivery(file_id, offset, nbytes, shifted, kind="prefetch")
+        assert machine.verify() == [
+            f"delivery audit: file {file_id} prefetch [{offset}, {offset + nbytes}) "
+            f"delivered bytes differ from fault-free content"
+        ]
+
+        faults.deliveries.pop()
+        copy = LiteralData(truth.to_bytes())
+        assert runs(copy) not in faults._digests
+        faults.record_delivery(file_id, offset, nbytes, copy, kind="prefetch")
+        assert faults.deliveries[-1][3] == digest
+        assert machine.verify() == []
+
+
 class TestFaultBudget:
     def test_exhausted_budget_raises_typed_error_with_span_chain(self):
         plan = FaultPlan(

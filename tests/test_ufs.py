@@ -2,10 +2,12 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.hardware import DiskParams, RAID3Array, RAIDParams, SCSIBus, SCSIParams
 from repro.sim import Environment, Monitor
 from repro.ufs import (
@@ -19,6 +21,7 @@ from repro.ufs import (
     UFSError,
     concat_data,
 )
+from repro.ufs.data import _CHUNK, _synthetic_bytes, runs
 
 KB = 1024
 MB = 1024 * 1024
@@ -124,6 +127,87 @@ class TestData:
         data = SyntheticData(key, offset, length).to_bytes()
         assert len(data) == length
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+    @pytest.mark.parametrize("key", [-5, 0, 7, 2**64 + 9])
+    def test_chunked_generator_matches_one_shot_formula(self, key):
+        for offset in (0, 1, 12345, _CHUNK + 3, 2**41 - 1, 2**41):
+            for length in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+                expected = _one_shot_synthetic(key, offset, length)
+                assert _synthetic_bytes(key, offset, length) == expected, (offset, length)
+
+
+def _one_shot_synthetic(key, offset, length):
+    """The synthetic stream mixed in one pass over the whole range: the
+    reference the chunked generator must reproduce byte for byte."""
+    x = np.arange(offset, offset + length, dtype=np.uint64)
+    x += np.uint64(key & 0xFFFFFFFFFFFFFFFF)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(31)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(29)
+    return x.astype(np.uint8).tobytes()
+
+
+@st.composite
+def _data(draw):
+    """Lazy content built from synthetic and literal pieces by
+    ``concat_data`` and ``slice``, drawn from a small pool of streams so
+    that equal runs are common."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            pieces.append(
+                SyntheticData(
+                    draw(st.sampled_from([-5, 0, 1])),
+                    draw(st.integers(0, 64)),
+                    draw(st.integers(0, 48)),
+                )
+            )
+        else:
+            pieces.append(LiteralData(draw(st.binary(max_size=24))))
+    data = concat_data(pieces)
+    start = draw(st.integers(0, len(data)))
+    return data.slice(start, draw(st.integers(0, len(data) - start)))
+
+
+def _resplit(draw, data):
+    """The same content re-cut at random points and joined again."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=4)))
+    bounds = [0, *cuts, len(data)]
+    return concat_data([data.slice(a, b - a) for a, b in zip(bounds, bounds[1:])])
+
+
+def _bytes_of_runs(content_runs):
+    return b"".join(
+        run if isinstance(run, bytes) else SyntheticData(*run).to_bytes() for run in content_runs
+    )
+
+
+class TestContentRuns:
+    """The canonical runs that key the delivery audit's digest memo."""
+
+    @given(a=_data(), b=_data(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_runs_mean_equal_bytes(self, a, b, data):
+        assert _bytes_of_runs(runs(a)) == a.to_bytes()
+        partner = _resplit(data.draw, a) if data.draw(st.booleans()) else b
+        if runs(partner) == runs(a):
+            assert partner.to_bytes() == a.to_bytes()
+
+    @given(a=_data(), b=_data(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_memoised_digest_is_sha256_of_bytes(self, a, b, data):
+        faults = FaultInjector(Environment(), FaultPlan(()))
+        for value in (a, a, _resplit(data.draw, a), b, a):
+            assert faults.digest(value) == hashlib.sha256(value.to_bytes()).hexdigest()
+
+    def test_adjacent_synthetic_pieces_merge(self):
+        joined = concat_data([SyntheticData(3, 10, 5), SyntheticData(3, 15, 7), LiteralData(b"x")])
+        assert runs(joined) == ((3, 10, 12), b"x")
+        two_streams = concat_data([SyntheticData(3, 10, 5), SyntheticData(4, 15, 7)])
+        assert runs(two_streams) == ((3, 10, 5), (4, 15, 7))
+        assert runs(LiteralData(b"")) == runs(SyntheticData(9, 4, 0)) == ()
 
 
 class TestExtentAllocator:
