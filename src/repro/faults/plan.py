@@ -45,7 +45,7 @@ FAULT_KINDS = frozenset(
         "disk_repair",  # raid: spindle replaced + rebuilt at at_s
         "mesh_drop",  # mesh: message lost after occupying its route
         "mesh_dup",  # mesh: message delivered twice
-        "rpc_stall",  # rpc: dispatcher sleeps duration_s before the handler
+        "rpc_stall",  # rpc: the serve sleeps duration_s before the handler
         "server_stall",  # pfs server: read handler sleeps duration_s
         "node_crash",  # compute node: client dies at at_s (in-flight work lost)
         "node_restart",  # compute node: client returns at at_s and recovers

@@ -70,8 +70,8 @@ class _FastWorm:
 
     The caller waits on ``proxy``, an event that is never scheduled: the
     final grant's pop runs :meth:`advance` -> :meth:`_finish`, which
-    invokes the proxy's callbacks synchronously on that same pop --
-    exactly when the generator version would have resumed the caller.
+    fires the proxy with ``value`` on that same pop -- exactly when the
+    generator version would have resumed the caller.
     """
 
     __slots__ = (
@@ -87,12 +87,14 @@ class _FastWorm:
         "requested_at",
         "body_waited",
         "proxy",
+        "value",
     )
 
-    def __init__(self, mesh: "Mesh", message: MeshMessage, proxy: Event) -> None:
+    def __init__(self, mesh: "Mesh", message: MeshMessage, proxy: Event, value: Any) -> None:
         self.mesh = mesh
         self.message = message
         self.proxy = proxy
+        self.value = value
         p = mesh.params
         self.pairs = mesh._route_pairs(message.src, message.dst)
         self.route_key = (message.src, message.dst)
@@ -162,13 +164,7 @@ class _FastWorm:
         mesh._c_bytes.add(message.size_bytes)
         # Wake the caller on this same event pop (no extra event), just
         # as the generator version's single resume would have.
-        proxy = self.proxy
-        proxy._ok = True
-        proxy._value = message
-        callbacks = proxy.callbacks
-        proxy.callbacks = None
-        for callback in callbacks:
-            callback(proxy)
+        self.proxy.fire(self.value)
 
 
 class Mesh:
@@ -299,6 +295,21 @@ class Mesh:
             p.sw_overhead_s + self.hops(src, dst) * p.per_hop_s + size_bytes / p.link_bandwidth_bps
         )
 
+    # fast-path: requires=faults,tracer,telemetry -- launches a callback worm, which only an unobserved, fault-free mesh may run
+    def post(self, message: MeshMessage, proxy: Event, value: Any) -> None:
+        """Transmit *message*; fire *proxy* with *value* on delivery.
+
+        The callback form of :meth:`send`: no process waits on the
+        transmission, so the sender may be a callback chain (an RPC
+        request delivered straight into the target's inbox, a reply
+        resuming its caller).  The proxy fires on the final grant's pop,
+        exactly when :meth:`send` would have returned.
+        """
+        if message.size_bytes < 0:
+            raise ValueError("message size must be non-negative")
+        message.enqueued_at = self.env._now
+        _FastWorm(self, message, proxy, value)
+
     def send(self, message: MeshMessage):
         """Generator: transmit *message*; completes when delivered.
 
@@ -311,7 +322,7 @@ class Mesh:
             raise ValueError("message size must be non-negative")
         if self._fast_sends:
             proxy = Event(env)
-            _FastWorm(self, message, proxy)
+            _FastWorm(self, message, proxy, message)
             return (yield proxy)
         p = self.params
         tracer = self.tracer

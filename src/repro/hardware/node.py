@@ -10,7 +10,7 @@ UFS and disk hardware.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 from repro.hardware.memory import MemoryRegion
 from repro.hardware.params import NodeParams
@@ -114,6 +114,27 @@ class Node:
             yield req
             if seconds > 0:
                 self.msgproc_busy_s += seconds
+
+    def receive_then(self, nbytes: int, key: Any, then: Callable[[], None]) -> None:
+        """Callback form of :meth:`receive`, for a caller that is not a
+        process: land *nbytes* under the arbitration *key*, then call
+        ``then()`` once the co-processor is released -- the same hold
+        window, grant order and busy time as :meth:`receive`."""
+        if nbytes < 0:
+            raise ValueError("cannot receive a negative size")
+        seconds = nbytes / self.params.receive_bps
+        msgproc = self.msgproc
+        req = msgproc.request(  # sim-ok: R005, R005v2 -- landed() releases it; the merged grant always runs it
+            key=key, resume_delay=seconds
+        )
+
+        def landed(req: "Event") -> None:
+            if seconds > 0:
+                self.msgproc_busy_s += seconds
+            msgproc.release(req)
+            then()
+
+        req.callbacks.append(landed)
 
     def landing_copy(self, nbytes: int):
         """Copy received data into a staging buffer (e.g. a prefetch

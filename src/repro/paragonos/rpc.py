@@ -2,11 +2,29 @@
 
 Every node owns an :class:`RPCEndpoint`.  A client calls
 ``yield from endpoint.call(server_endpoint, request)``; the request
-message crosses the mesh, the server's dispatcher runs the registered
-handler (a generator, so it can perform disk I/O), and the reply crosses
-the mesh back.  Handlers run one process per request -- the Paragon OS
-server is multithreaded, so requests from different clients are serviced
-concurrently, contending only on real resources (CPU, disks, bus).
+message crosses the mesh into the server's inbox, a serve process runs
+the registered handler (a generator, so it can perform disk I/O), and
+the reply crosses the mesh back.  Handlers run one process per request
+-- the Paragon OS server is multithreaded, so requests from different
+clients are serviced concurrently, contending only on real resources
+(CPU, disks, bus).
+
+There is no dispatcher process.  The inbox starts the serves itself when
+it settles, one per settle round: each settle admits the round's
+arrivals in canonical key order and starts a serve for the oldest
+waiting request, and that serve's first step re-arms the inbox for the
+next round.  Serve ``n`` of an endpoint carries the order key
+``dispatch_key + (n,)``, where ``dispatch_key`` is the root slot the
+endpoint reserved when it was built.  One serve per round (not every
+waiting request at once) decides in which settle round each serve makes
+its first arbiter request, so it is part of the model's timing.
+
+Without a fault plan, tracer or telemetry, a call is two callback
+transmissions (:meth:`~repro.hardware.mesh.Mesh.post`) and one serve:
+the request worm's delivery puts the envelope into the inbox under the
+caller's order key, and the reply worm's delivery resumes the caller
+directly.  :meth:`RPCEndpoint.post` is the callback form of a call, for
+a caller that is not a process.
 
 Fault tolerance (active only when the machine runs with a
 :class:`~repro.faults.plan.FaultPlan`): calls carry a per-request reply
@@ -28,7 +46,7 @@ key order, keeping faulty runs bit-identical under either tie-break.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple, Type
 
 from repro.hardware.mesh import Mesh, MeshMessage
 from repro.hardware.node import Node
@@ -36,6 +54,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.paragonos.messages import RPCMessage
 from repro.sim import ArbitratedStore, Environment
+from repro.sim.events import Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 if TYPE_CHECKING:
@@ -47,14 +66,50 @@ class RPCError(Exception):
 
 
 class _Envelope:
-    """Internal wrapper pairing a request with its reply event."""
+    """Internal wrapper pairing a request with its reply event.
 
-    __slots__ = ("request", "reply_event", "source")
+    ``key`` is the caller's order key, under which the request is
+    admitted into the target's inbox.
+    """
 
-    def __init__(self, request: RPCMessage, reply_event, source: "RPCEndpoint") -> None:
+    __slots__ = ("request", "reply_event", "source", "key")
+
+    def __init__(
+        self, request: RPCMessage, reply_event: Event, source: "RPCEndpoint", key: Any
+    ) -> None:
         self.request = request
         self.reply_event = reply_event
         self.source = source
+        self.key = key
+
+
+class _Inbox(ArbitratedStore):
+    """An endpoint's request queue, which starts one serve per settle round."""
+
+    def __init__(self, endpoint: "RPCEndpoint") -> None:
+        super().__init__(endpoint.env)
+        self.endpoint = endpoint
+        #: True until this round's serve is started; the serve re-arms it.
+        self.armed = True
+        self.serves = 0
+
+    def rearm(self) -> None:
+        self.armed = True
+        if self.items:
+            self.env._mark_arbiter_dirty(self)
+
+    def _settle(self) -> None:
+        super()._settle()
+        if self.armed and self.items:
+            self.armed = False
+            self.serves += 1
+            endpoint = self.endpoint
+            envelope = self.items.pop(0)
+            self.env.process(
+                endpoint._serve(envelope),
+                name=f"rpc-serve-{endpoint.node.node_id}-{envelope.request.msg_id}",
+                order_key=endpoint.dispatch_key + (self.serves,),
+            )
 
 
 def _defuse_late_failure(event) -> None:
@@ -88,7 +143,20 @@ class RPCEndpoint:
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        self._inbox: ArbitratedStore = ArbitratedStore(env)
+        self.telemetry = get_telemetry(monitor)
+        #: Callback calls (see :meth:`post`): legal only when nothing can
+        #: observe or perturb a call's interior -- no fault plan (retries,
+        #: drops, the idempotency log), no trace spans, no telemetry
+        #: probe -- and the mesh runs callback worms.
+        self._fast = (
+            faults is None
+            and not self.tracer.enabled
+            and not self.telemetry.enabled
+            and mesh._fast_sends
+        )
+        #: The order-key root slot the serves of this endpoint hang off.
+        self.dispatch_key = env.reserve_order_key()
+        self._inbox = _Inbox(self)
         self._handlers: Dict[Type[RPCMessage], Callable[..., Generator]] = {}
         #: Idempotency log: (source node, msg_id) -> state.  Only
         #: populated when a fault plan is active (no cost otherwise).
@@ -98,12 +166,11 @@ class RPCEndpoint:
         #: in-flight calls raise :class:`NodeCrashed` instead of
         #: retrying, and late replies to a dead node are ignored.
         self.halted_fn: Optional[Callable[[], bool]] = None
-        self._dispatcher = env.process(self._dispatch_loop(), name=f"rpc-dispatch-{node.node_id}")
-        get_telemetry(monitor).register_probe(
+        self.telemetry.register_probe(
             "rpc_inbox_depth",
             lambda: float(len(self._inbox.items)),
             labels={"node": str(node.node_id)},
-            help="Requests delivered but not yet picked up by the dispatcher",
+            help="Requests delivered but not yet handed to a serve",
         )
 
     def register(self, request_type: Type[RPCMessage], handler: Callable[..., Generator]) -> None:
@@ -139,11 +206,50 @@ class RPCEndpoint:
     # fast-path -- single attempt with no retry timer; only legal when no fault plan can stall or drop the call
     def _call_once(self, target: "RPCEndpoint", request: RPCMessage):
         """Fault-free fast path: single attempt, wait forever."""
-        reply_event = self.env.event()
-        envelope = _Envelope(request, reply_event, self)
-        yield from self._transmit(target, request, envelope)
-        reply = yield reply_event
-        return reply
+        env = self.env
+        envelope = _Envelope(request, Event(env), self, env._active_process.order_key)
+        if self._fast:
+            self._post_envelope(target, envelope)
+        else:
+            yield from self._transmit(target, envelope)
+        return (yield envelope.reply_event)
+
+    # fast-path: requires=faults,tracer,telemetry -- callback call: no process waits on either transmission
+    def post(
+        self,
+        target: "RPCEndpoint",
+        request: RPCMessage,
+        key: Any,
+        on_reply: Callable[[Event], None],
+    ) -> None:
+        """Callback form of :meth:`call`, for a caller that is not a process.
+
+        The request is admitted into *target*'s inbox under *key* (the
+        order key a calling process would have had).  ``on_reply(event)``
+        runs when the reply lands, on the pop of the reply worm's final
+        grant; if the handler failed it runs instead with a failed event
+        whose value is the :class:`RPCError` :meth:`call` would raise.
+        A callback that does not take over the failure must leave the
+        event un-defused, so the error still stops the run.
+        """
+        reply_event = Event(self.env)
+        reply_event.callbacks.append(self._count_call)
+        reply_event.callbacks.append(on_reply)
+        self._post_envelope(target, _Envelope(request, reply_event, self, key))
+
+    def _count_call(self, event: Event) -> None:
+        if event._ok:
+            self.monitor.counter("rpc.calls").add(1)
+
+    # fast-path: requires=faults,tracer,telemetry -- the request worm's delivery admits the envelope by callback
+    def _post_envelope(self, target: "RPCEndpoint", envelope: _Envelope) -> None:
+        delivered = Event(self.env)
+        delivered.callbacks.append(target._admit)
+        self.mesh.post(self._request_message(target, envelope), delivered, envelope)
+
+    def _admit(self, delivered: Event) -> None:
+        envelope = delivered._value
+        self._inbox.put(envelope, envelope.key)
 
     def _call_with_retries(self, target: "RPCEndpoint", request: RPCMessage, span):
         """Timeout + bounded exponential backoff with idempotent msg_id."""
@@ -164,8 +270,8 @@ class RPCEndpoint:
             # The server may fail this event after we have timed out and
             # moved on; defuse such late failures (see helper docstring).
             reply_event.callbacks.append(_defuse_late_failure)
-            envelope = _Envelope(request, reply_event, self)
-            yield from self._transmit(target, request, envelope)
+            envelope = _Envelope(request, reply_event, self, self.env._active_process.order_key)
+            yield from self._transmit(target, envelope)
             limit = policy.timeout_for(attempt)
             timeouts.append(limit)
             timeout_event = self.env.timeout(limit)
@@ -205,15 +311,19 @@ class RPCEndpoint:
             f"{type(request).__name__} msg_id={request.msg_id} in flight"
         )
 
-    def _transmit(self, target: "RPCEndpoint", request: RPCMessage, envelope):
-        """Carry one attempt across the mesh and into the target inbox."""
-        message = MeshMessage(
+    def _request_message(self, target: "RPCEndpoint", envelope: _Envelope) -> MeshMessage:
+        request = envelope.request
+        return MeshMessage(
             src=self.node.position,
             dst=target.node.position,
             size_bytes=request.wire_bytes,
             payload=envelope,
             ctx=request.ctx,
         )
+
+    def _transmit(self, target: "RPCEndpoint", envelope: _Envelope):
+        """Carry one attempt across the mesh and into the target inbox."""
+        message = self._request_message(target, envelope)
         yield from self.mesh.send(message)
         if message.dropped:
             # Lost after occupying its route; the retry timeout recovers.
@@ -222,23 +332,18 @@ class RPCEndpoint:
             # Admission into an unbounded inbox cannot block and nothing
             # can drop or duplicate the message: fire and forget (the
             # put still settles in canonical key order).
-            target._inbox.put(envelope)
+            target._inbox.put(envelope, envelope.key)
             return
-        yield target._inbox.put(envelope)
+        yield target._inbox.put(envelope, envelope.key)
         if message.duplicated:
-            yield target._inbox.put(envelope)
+            yield target._inbox.put(envelope, envelope.key)
 
     # -- server side -------------------------------------------------------------
 
-    def _dispatch_loop(self):
-        while True:
-            envelope = yield self._inbox.get()
-            self.env.process(
-                self._serve(envelope),
-                name=f"rpc-serve-{self.node.node_id}-{envelope.request.msg_id}",
-            )
-
     def _serve(self, envelope: _Envelope):
+        # Started by the inbox's settle; the next waiting request gets
+        # its serve in the next settle round.
+        self._inbox.rearm()
         request = envelope.request
         handler = self._handlers.get(type(request))
         if handler is None:
@@ -289,19 +394,26 @@ class RPCEndpoint:
             entry["reply"] = reply
             for env_ in entry["envelopes"]:
                 yield from self._send_reply(env_, reply)
+        elif self._fast:
+            # The reply worm resumes the caller on its final grant; this
+            # serve has nothing left to wait for.
+            self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
         else:
             yield from self._send_reply(envelope, reply)
         self.monitor.counter("rpc.served").add(1)
 
-    def _send_reply(self, envelope: _Envelope, reply):
-        """Ship the reply back across the mesh before waking the caller."""
-        message = MeshMessage(
+    def _reply_message(self, envelope: _Envelope, reply) -> MeshMessage:
+        return MeshMessage(
             src=self.node.position,
             dst=envelope.source.node.position,
             size_bytes=reply.wire_bytes if reply is not None else 0,
             payload=reply,
             ctx=envelope.request.ctx,
         )
+
+    def _send_reply(self, envelope: _Envelope, reply):
+        """Ship the reply back across the mesh before waking the caller."""
+        message = self._reply_message(envelope, reply)
         yield from self.mesh.send(message)
         if message.dropped:
             # Reply lost in the mesh; the caller times out and the

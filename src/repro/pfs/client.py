@@ -41,6 +41,7 @@ from repro.pfs.modes import IOMode
 from repro.pfs.mount import PFSMount
 from repro.pfs.stripe import coalesce_pieces, decluster
 from repro.sim import Environment
+from repro.sim.events import PENDING, Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.ufs.data import Data, LiteralData, concat_data
 
@@ -856,6 +857,13 @@ class PFSClient:
         #: Always-on per-rank read progress (probe source).
         self.bytes_read_total = 0
         telemetry = get_telemetry(monitor)
+        #: Stripe pieces as callback calls (see :meth:`_post_pieces`)
+        #: instead of a process each: only when no fault plan needs the
+        #: crash sentinel, no tracer records per-piece spans and no
+        #: telemetry probe samples the interior.
+        self._fast = (
+            faults is None and not self.tracer.enabled and not telemetry.enabled and endpoint._fast
+        )
         label = {"node": str(node.node_id)}
         telemetry.register_probe(
             "client_read_bytes_total",
@@ -984,6 +992,18 @@ class PFSClient:
 
         if len(requests) == 1:
             replies = [(yield from fetch(requests[0])())]
+        elif self._fast:
+            replies = yield self._post_pieces(
+                requests,
+                lambda creq: ReadRequest(
+                    file_id=pfs_file.file_id,
+                    ufs_offset=creq.ufs_offset,
+                    nbytes=creq.length,
+                    fastpath=fastpath,
+                    cause=cause,
+                ),
+                land=True,
+            )
         else:
             procs = [
                 self.env.process(fetch(creq)(), name=f"read-piece-{i}")
@@ -1017,6 +1037,12 @@ class PFSClient:
         requests = coalesce_pieces(decluster(pfs_file.attrs, offset, nbytes))
         fastpath = pfs_file.mount.fastpath
 
+        def gather(creq) -> Data:
+            """The UFS-contiguous run of one piece, from the PFS-ordered data."""
+            return concat_data(
+                [data.slice(piece.pfs_offset - offset, piece.length) for piece in creq.pieces]
+            )
+
         def put(creq):
             def gen():
                 piece_span = self.tracer.begin(
@@ -1027,14 +1053,10 @@ class PFSClient:
                     bytes=creq.length,
                     cause="write",
                 )
-                # Gather the UFS-contiguous run from the PFS-ordered data.
-                chunk = concat_data(
-                    [data.slice(piece.pfs_offset - offset, piece.length) for piece in creq.pieces]
-                )
                 request = WriteRequest(
                     file_id=pfs_file.file_id,
                     ufs_offset=creq.ufs_offset,
-                    data=chunk,
+                    data=gather(creq),
                     fastpath=fastpath,
                 )
                 if piece_span.ctx is not None:
@@ -1053,19 +1075,77 @@ class PFSClient:
             return gen
 
         if len(requests) == 1:
-            ok = [(yield from put(requests[0])())]
+            ok = yield from put(requests[0])()
+        elif self._fast:
+            yield self._post_pieces(
+                requests,
+                lambda creq: WriteRequest(
+                    file_id=pfs_file.file_id,
+                    ufs_offset=creq.ufs_offset,
+                    data=gather(creq),
+                    fastpath=fastpath,
+                ),
+                land=False,
+            )
+            ok = True
         else:
             procs = [
                 self.env.process(put(creq)(), name=f"write-piece-{i}")
                 for i, creq in enumerate(requests)
             ]
             condition = yield self.env.all_of(procs)
-            ok = [condition[p] for p in procs]
-        if not all(ok):
+            ok = all(condition[p] for p in procs)
+        if not ok:
             raise NodeCrashed(f"node{self.node.node_id} crashed during declustered write")
         if offset + nbytes > pfs_file.size_bytes:
             pfs_file.size_bytes = offset + nbytes
         return nbytes
+
+    # fast-path: requires=faults,tracer,telemetry -- stripe pieces as callback calls; no piece process carries a crash sentinel or a span
+    def _post_pieces(self, requests, make_request, land: bool) -> Event:
+        """Start every piece of a declustered transfer as a callback call.
+
+        Stands in for one process per piece gathered by an ``AllOf``.
+        Piece ``i`` is posted under the order key its process would have
+        had (reserved from the calling process, as ``env.process``
+        does); with *land*, its reply is landed through the message
+        co-processor under that key, as :meth:`Node.receive` would.  The
+        returned event fires with the replies, in piece order, on the
+        last landing.  A handler error fails it with the
+        :class:`~repro.paragonos.rpc.RPCError` a piece process would have
+        raised; a later error stays un-defused and stops the run, as it
+        does under ``AllOf``.
+        """
+        env = self.env
+        node = self.node
+        done = Event(env)
+        replies: list = [None] * len(requests)
+        pending = len(requests)
+
+        def arrived(i: int, reply) -> None:
+            nonlocal pending
+            replies[i] = reply
+            pending -= 1
+            if pending == 0 and done._value is PENDING:
+                done.fire(replies)
+
+        for i, creq in enumerate(requests):
+            key = env.reserve_order_key()
+
+            def on_reply(event: Event, i=i, key=key, nbytes=creq.length) -> None:
+                if not event._ok:
+                    if done._value is PENDING:
+                        event._defused = True
+                        done.fail(event._value)
+                    return
+                reply = event._value
+                if land:
+                    node.receive_then(nbytes, key, lambda: arrived(i, reply))
+                else:
+                    arrived(i, reply)
+
+            self.endpoint.post(self._io_endpoint(creq.io_node), make_request(creq), key, on_reply)
+        return done
 
     # -- metadata operations -----------------------------------------------------
 

@@ -126,6 +126,23 @@ class Environment:
         """
         return Process(self, generator, name=name, order_key=order_key)
 
+    def reserve_order_key(self) -> tuple:
+        """Take the causal order key the next spawned process would get.
+
+        Root context (no active process) takes the next root slot ``(n,)``;
+        inside a running process it takes the next child slot
+        ``parent.order_key + (i,)``.  :class:`Process` draws its key from
+        here; callback chains that stand in for a process (an RPC
+        endpoint's serves, a client's fan-out of stripe pieces) reserve
+        the same key so arbitration sees the same contenders.
+        """
+        parent = self._active_process
+        if parent is None:
+            self._root_processes += 1
+            return (self._root_processes,)
+        parent._children += 1
+        return parent.order_key + (parent._children,)
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all *events* have fired."""
         return AllOf(self, events)

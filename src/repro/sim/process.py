@@ -90,16 +90,7 @@ class Process(Event):
         #: repair time had passed) can still carry a canonical key
         #: without perturbing its accidental parent's future children.
         self._children = 0
-        if order_key is not None:
-            self.order_key = order_key
-        else:
-            parent = env.active_process
-            if parent is None:
-                env._root_processes += 1
-                self.order_key = (env._root_processes,)
-            else:
-                parent._children += 1
-                self.order_key = parent.order_key + (parent._children,)
+        self.order_key = order_key if order_key is not None else env.reserve_order_key()
         #: The event this process is currently waiting on (None when
         #: running or finished).
         self._target: Optional[Event] = None

@@ -29,8 +29,12 @@ _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
 _SHIFT_A = np.uint64(31)
 _SHIFT_B = np.uint64(29)
 _MASK = (1 << 64) - 1
-#: Elements mixed per pass; scratch arrays stay cache-sized.
-_CHUNK = 32768
+#: Elements mixed per pass.  Each of the two uint64 scratch arrays is
+#: then 128,000 bytes, under glibc's 128 KiB mmap threshold.  Above it
+#: the cost per 64 KB block depended on what else the process had
+#: allocated (48 against 84-105 us for identical work); at this size it
+#: is 52-54 us either way, and the arrays stay cache-sized.
+_CHUNK = 16000
 #: ``i * _MIX_A`` for every position in a chunk (read-only).
 _STEP = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_MIX_A)
 _STEP.setflags(write=False)

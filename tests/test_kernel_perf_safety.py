@@ -15,18 +15,24 @@ This module pins each of those contracts:
   batched -- with any fault plan active, batching is disabled wholesale
   and the stepped fallback must remain tie-order deterministic;
 - telemetry on vs. off produces identical report fingerprints (the
-  zero-overhead fast paths may skip *events*, never *numbers*);
+  zero-overhead fast paths may skip *events*, never *numbers*), also on
+  multi-piece reads and writes, whose stripe pieces run as callback
+  calls with telemetry off and as one process each with it on;
+- the exact event count of one paper cell, so a change in kernel work
+  is re-pinned on purpose;
 - the zero-overhead contract itself: an unconfigured machine installs
   no tick hooks and takes no samples, so the per-event fast path in
   ``Environment.run`` pays nothing for observability it isn't using.
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro.analysis.sanitizers import report_fingerprint
+from repro.config import MachineConfig, PFSConfig
 from repro.experiments.common import (
     KB,
     run_collective,
@@ -35,7 +41,9 @@ from repro.experiments.common import (
     scaled_file_size,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.machine import Machine
 from repro.pfs import IOMode
+from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -62,6 +70,37 @@ def _bench3_cell(size_kb: int, prefetch: bool, tie_break: str = "fifo", **kwargs
         rounds=4,
         tie_break=tie_break,
         **kwargs,
+    )
+
+
+def _write_cell(caching: str, tie_break: str, telemetry: bool):
+    """A 256 KB collective write (four stripe pieces per call) and its
+    read-back: report fingerprints, stored content digest, final clock."""
+    config = MachineConfig(
+        write_back=caching == "write-back", tie_break=tie_break, telemetry=telemetry
+    )
+    machine = Machine(config)
+    mount = machine.mount("/pfs", PFSConfig(buffered=caching != "fastpath"))
+    pfs_file = machine.create_file(mount, "out", 0)
+    request = 256 * KB
+    writer = CollectiveWriteWorkload(
+        machine, mount, "out", request_size=request, rounds=2, iomode=IOMode.M_RECORD
+    )
+    written = writer.run().report
+    reader = CollectiveReadWorkload(
+        machine, mount, "out", request_size=request, iomode=IOMode.M_RECORD
+    )
+    read = reader.run().report
+    digest = hashlib.sha256()
+    for io_index in pfs_file.attrs.stripe_group:
+        ufs = machine.ufses[io_index]
+        size = ufs.inode(pfs_file.file_id).size_bytes
+        digest.update(ufs.content(pfs_file.file_id, 0, size).to_bytes())
+    return (
+        report_fingerprint(written),
+        report_fingerprint(read),
+        digest.hexdigest(),
+        machine.env.now,
     )
 
 
@@ -125,6 +164,23 @@ class TestTelemetryInvariance:
         sampled = _bench3_cell(64, prefetch, telemetry=True)
         assert report_fingerprint(plain) == report_fingerprint(sampled)
 
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize("size_kb,stripe_kb", [(64, 16), (256, 64)])
+    def test_multi_stripe_read(self, size_kb, stripe_kb, tie_break):
+        """Multi-piece reads: callback stripe pieces against a process each."""
+        kwargs = dict(stripe_unit=stripe_kb * KB, tie_break=tie_break)
+        plain = _bench3_cell(size_kb, True, **kwargs)
+        sampled = _bench3_cell(size_kb, True, telemetry=True, **kwargs)
+        assert report_fingerprint(plain) == report_fingerprint(sampled)
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize("caching", ["fastpath", "write-through", "write-back"])
+    def test_multi_stripe_write(self, caching, tie_break):
+        """Multi-piece writes and their read-back, under each caching mode."""
+        plain = _write_cell(caching, tie_break, telemetry=False)
+        sampled = _write_cell(caching, tie_break, telemetry=True)
+        assert plain == sampled
+
     def test_telemetry_actually_sampled(self):
         report = _bench3_cell(64, True, telemetry=True, keep_machine=True)
         telemetry = report.machine.obs.telemetry
@@ -132,6 +188,28 @@ class TestTelemetryInvariance:
         assert telemetry.n_samples > 0
         # The sampler rides the environment's tick hook.
         assert report.machine.env._tick_hooks
+
+
+class TestWorkCountPin:
+    """The event count of one paper cell, pinned exactly.
+
+    The count does not depend on the host or the tie-break, so a change
+    in how much kernel work a fault-free read costs shows up here and is
+    re-pinned on purpose, with the new count recorded in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_table1_256kb_prefetch_events(self, tie_break):
+        size = 256 * KB
+        report = run_collective(
+            request_size=size,
+            file_size=scaled_file_size(size, rounds=16),
+            prefetch=True,
+            rounds=16,
+            tie_break=tie_break,
+            keep_machine=True,
+        )
+        assert report.machine.env._eid == 7688
 
 
 class TestZeroOverheadContract:

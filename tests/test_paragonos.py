@@ -138,6 +138,46 @@ class TestRPC:
         env2.run()
         assert p_big.value > p_small.value
 
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_same_time_requests_served_one_per_round_in_key_order(self, tie_break):
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 3, 3)
+        server = RPCEndpoint(env, make_node(env, 0, 1, 1, kind=NodeKind.IO), mesh)
+        # One hop each over four distinct links: the requests arrive at
+        # the same instant without contending on the way.
+        positions = [(0, 1), (2, 1), (1, 0), (1, 2)]
+        clients = [
+            RPCEndpoint(env, make_node(env, i + 1, x, y), mesh)
+            for i, (x, y) in enumerate(positions)
+        ]
+        served = []
+
+        def handler(request):
+            proc = env.active_process
+            served.append((env.now, request.file_id, proc.order_key, len(server._inbox.items)))
+            return ReadReply(file_id=request.file_id, ufs_offset=0, data=b"")
+            yield  # pragma: no cover - makes this a generator
+
+        server.register(ReadRequest, handler)
+
+        def caller(client, fid):
+            yield from client.call(server, ReadRequest(file_id=fid, ufs_offset=0, nbytes=0))
+
+        # Spawned in reverse position order: canonical (caller key) order
+        # is spawn order, whatever order the arrivals pop in.
+        order = [3, 1, 0, 2]
+        for fid in order:
+            env.process(caller(clients[fid], fid))
+        env.run()
+        n = len(order)
+        assert len({t for t, *_ in served}) == 1
+        assert [fid for _t, fid, _key, _left in served] == order
+        assert [key for _t, _fid, key, _left in served] == [
+            server.dispatch_key + (i,) for i in range(1, n + 1)
+        ]
+        # One serve per settle round: each starts while the rest still wait.
+        assert [left for *_, left in served] == list(range(n - 1, -1, -1))
+
 
 class TestART:
     def test_submit_runs_operation(self, env):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import MachineConfig, PFSConfig
 from repro.machine import Machine
+from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
 from repro.ufs.data import LiteralData
 
@@ -344,6 +345,48 @@ class TestWrites:
         for rank in range(4):
             got = pfs_content(machine, pfs_file, rank * 64 * KB, 64 * KB)
             assert got.to_bytes() == bytes([rank]) * (64 * KB)
+
+
+class TestHandlerErrors:
+    """A server handler error fails a declustered transfer the same way
+    whether its stripe pieces run as callback calls (the default) or as
+    one process each (forced by telemetry)."""
+
+    @staticmethod
+    def _ghost_transfer(machine_factory, op, telemetry, tie_break):
+        machine = machine_factory(telemetry=telemetry, tie_break=tie_break)
+        mount = machine.mount("/pfs", PFSConfig())
+        # Metadata only: no I/O node has a stripe file for it.
+        ghost = mount.create_file("ghost", size_bytes=4 * 64 * KB)
+        client = machine.clients[0]
+        seen = []
+
+        def proc():
+            try:
+                if op == "read":
+                    yield from client.transfer_read(ghost, 0, 4 * 64 * KB, "demand")
+                else:
+                    yield from client.transfer_write(ghost, 0, LiteralData(b"w" * (4 * 64 * KB)))
+            except RPCError as exc:
+                seen.append((machine.env.now, str(exc)))
+
+        machine.spawn(proc())
+        # Only the first piece's error reaches the caller; the next one
+        # finds nobody waiting and stops the run.
+        with pytest.raises(RPCError) as stopped:
+            machine.run()
+        return seen, (machine.env.now, str(stopped.value))
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_multi_piece_error_matches_process_path(self, machine_factory, op, tie_break):
+        fast = self._ghost_transfer(machine_factory, op, False, tie_break)
+        stepped = self._ghost_transfer(machine_factory, op, True, tie_break)
+        seen, stopped = fast
+        assert len(seen) == 1
+        assert "no such file" in seen[0][1]
+        assert "no such file" in stopped[1]
+        assert fast == stepped
 
 
 class TestIread:

@@ -66,6 +66,17 @@ class TestEventLifecycle:
         assert seen == ["hello"]
         assert ev.processed
 
+    def test_fire_runs_callbacks_without_scheduling(self, env):
+        ev = env.event()
+        seen = []
+        ev.callbacks.append(lambda e: seen.append(e.value))
+        ev.fire("now")
+        assert seen == ["now"]
+        assert ev.processed and ev.ok
+        assert len(env) == 0
+        with pytest.raises(RuntimeError):
+            ev.fire()
+
 
 class TestTimeout:
     def test_negative_delay_rejected(self, env):

@@ -118,6 +118,27 @@ class TestProcessBasics:
         assert "worker-3" in repr(p)
 
 
+class TestOrderKeys:
+    def test_reserved_keys_take_the_slots_processes_would(self, env):
+        def noop():
+            yield env.timeout(0)
+
+        assert env.reserve_order_key() == (1,)
+        assert env.process(noop()).order_key == (2,)
+        keys = []
+
+        def parent():
+            keys.append(env.process(noop()).order_key)
+            keys.append(env.reserve_order_key())
+            keys.append(env.process(noop()).order_key)
+            yield env.timeout(0)
+
+        p = env.process(parent())
+        env.run()
+        assert p.order_key == (3,)
+        assert keys == [(3, 1), (3, 2), (3, 3)]
+
+
 class TestInterrupts:
     def test_interrupt_wakes_sleeper(self, env):
         def sleeper(env):
