@@ -87,6 +87,24 @@ class Node:
             if seconds > 0:
                 self.cpu_busy_s += seconds
 
+    def busy_then(self, seconds: float, key: Any, then: Callable[[], None]) -> None:
+        """Callback form of :meth:`busy`, for a caller that is not a
+        process: hold the CPU for *seconds* under the arbitration *key*,
+        then call ``then()`` once it is released -- the same hold window,
+        grant order and busy time as :meth:`busy`."""
+        cpu = self.cpu
+        req = cpu.request(  # sim-ok: R005, R005v2 -- held() releases it; the merged grant always runs it
+            key=key, resume_delay=seconds
+        )
+
+        def held(req: "Event") -> None:
+            if seconds > 0:
+                self.cpu_busy_s += seconds
+            cpu.release(req)
+            then()
+
+        req.callbacks.append(held)
+
     def memcpy(self, nbytes: int):
         """Copy *nbytes* through the CPU at the calibrated memcpy rate.
 
@@ -94,10 +112,16 @@ class Node:
         prefetched block sits in a prefetch buffer and must be copied into
         the user's buffer (paper section 4.1).
         """
+        yield from self.busy(self._copy_seconds(nbytes))
+
+    def memcpy_then(self, nbytes: int, key: Any, then: Callable[[], None]) -> None:
+        """Callback form of :meth:`memcpy` (see :meth:`busy_then`)."""
+        self.busy_then(self._copy_seconds(nbytes), key, then)
+
+    def _copy_seconds(self, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("cannot copy a negative size")
-        seconds = nbytes / self.params.memcpy_bps
-        yield from self.busy(seconds)
+        return nbytes / self.params.memcpy_bps
 
     def compute(self, seconds: float):
         """Model application computation occupying the CPU."""

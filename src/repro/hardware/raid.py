@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Optional, Set, Tuple
 
 from repro.hardware.params import DiskParams, RAIDParams
 
@@ -27,6 +27,7 @@ from repro.hardware.scsi import SCSIBus
 from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import Environment
+from repro.sim.events import Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
@@ -231,6 +232,21 @@ class RAID3Array:
 
     # -- operations ------------------------------------------------------------
 
+    @property
+    def fast_ready(self) -> bool:
+        """True when an access queued now would be served in closed form:
+        nothing observes the array (see ``_fast_mode``), it is its bus's
+        only client, and no injected, failed or rebuilding state needs
+        the stepped path."""
+        return (
+            self._fast_mode
+            and self.bus.clients == 1
+            and not self._fail_next
+            and not self._failed_disks
+            and not self._data_lost
+            and not self._rebuilding
+        )
+
     def _validate(self, lba: int, nbytes: int) -> None:
         if nbytes < 0:
             raise RAIDError(f"negative transfer size {nbytes}")
@@ -284,9 +300,7 @@ class RAID3Array:
             )
         lba, _key, grant, fast = pending.pop(best)
         self._busy = True
-        if fast is not None and not (
-            self._fail_next or self._failed_disks or self._data_lost or self._rebuilding
-        ):
+        if fast is not None and self.fast_ready:
             # Closed-form service: the arm is held for the whole interval
             # and nothing observable happens inside it, so the completion
             # time is computed here and the requester resumed once.  Every
@@ -295,7 +309,7 @@ class RAID3Array:
             # bit-identical (successive addition, never summed deltas).
             nbytes, kind = fast
             env = self.env
-            now = env.now
+            now = env._now
             when = now + self.raid_params.controller_overhead_s
             bus_params = self.bus.params
             bandwidth = bus_params.bandwidth_bps
@@ -351,19 +365,56 @@ class RAID3Array:
             return False
         return True
 
-    def _access(self, lba: int, nbytes: int, kind: str, ctx: Optional[TraceContext] = None):
+    def _admit(self, lba: int, nbytes: int) -> None:
+        """Validate an access and raise the high-water mark (both forms)."""
         self._validate(lba, nbytes)
         if lba + nbytes > self._high_water:
             self._high_water = lba + nbytes
+
+    def _enqueue(self, lba: int, nbytes: int, kind: str, key: Any) -> Tuple[Event, bool]:
+        """Queue an access for the arm under *key*; returns its grant
+        event and whether it was queued for the closed form (both forms)."""
+        env = self.env
+        grant = Event(env)
+        fast = self.fast_ready
+        self._pending.append((lba, key, grant, (nbytes, kind) if fast else None))
+        env._mark_arbiter_dirty(self)
+        return grant, fast
+
+    def _finish_closed_form(self, nbytes: int, kind: str, done: tuple) -> int:
+        """Book a closed-form completion (see :meth:`_grant_next`): the
+        accounting the stepped path would have accrued between the arm
+        grant and now (both forms)."""
+        started_at, duration, sequential, cache_hit = done
+        # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the _fast_mode gate (faults/tracer/telemetry all off)
+        self.bus.account_bypass(nbytes, duration)
+        self.busy_s += self.env._now - started_at
+        self._busy = False
+        if self._pending:
+            self.env._mark_arbiter_dirty(self)
+        self._count(nbytes, kind, sequential, cache_hit)
+        return nbytes
+
+    def _count(self, nbytes: int, kind: str, sequential: bool, cache_hit: bool) -> None:
+        if kind == "read":
+            self._c_reads.add(1)
+            self._c_bytes_read.add(nbytes)
+        else:
+            self._c_writes.add(1)
+            self._c_bytes_write.add(nbytes)
+        if sequential:
+            self._c_sequential.add(1)
+        if cache_hit:
+            self._c_cache_hits.add(1)
+
+    def _access(self, lba: int, nbytes: int, kind: str, ctx: Optional[TraceContext] = None):
+        self._admit(lba, nbytes)
         if self.faults is not None:
             self.faults.tick()
         env = self.env
         queued_at = env.now
-        sequential = False
-        cache_hit = False
         tracer = self.tracer
-        traced = tracer.enabled
-        if traced:
+        if tracer.enabled:
             # The disk_service span covers queueing + positioning +
             # transfer: the full time the request spent at the storage
             # layer.
@@ -379,50 +430,25 @@ class RAID3Array:
         else:
             span = None
             span_ctx = ctx
-        grant = env.event()
         proc = env._active_process
-        key = proc.order_key if proc is not None else ()
-        fast = (
-            self._fast_mode
-            and self.bus.clients == 1
-            and not self._fail_next
-            and not self._failed_disks
-            and not self._data_lost
-            and not self._rebuilding
-        )
-        self._pending.append((lba, key, grant, (nbytes, kind) if fast else None))
-        env._mark_arbiter_dirty(self)
-        granted = False
+        grant, fast = self._enqueue(lba, nbytes, kind, proc.order_key if proc is not None else ())
         if fast:
             done = yield grant
             if done is not None:
-                # Closed-form completion (see _grant_next): everything
-                # between grant and now was computed there; book the
-                # accounting the stepped path would have accrued.
-                started_at, duration, sequential, cache_hit = done
-                now = env.now
-                self.bus.account_bypass(nbytes, duration)
-                self.busy_s += now - started_at
-                self._busy = False
-                if self._pending:
-                    env._mark_arbiter_dirty(self)
-                if kind == "read":
-                    self._c_reads.add(1)
-                    self._c_bytes_read.add(nbytes)
-                else:
-                    self._c_writes.add(1)
-                    self._c_bytes_write.add(nbytes)
-                if sequential:
-                    self._c_sequential.add(1)
-                if cache_hit:
-                    self._c_cache_hits.add(1)
-                return nbytes
+                return self._finish_closed_form(nbytes, kind, done)
             # State changed while queued; the grant fell back to the
             # stepped path (already held -- do not yield again).
-            granted = True
+            grant = None
+        return (yield from self._stepped(grant, lba, nbytes, kind, queued_at, span, span_ctx))
+
+    def _stepped(self, grant, lba: int, nbytes: int, kind: str, queued_at: float, span, span_ctx):
+        """Generator: the stepped service of one access, after waiting
+        for *grant* (``None`` when the arm is already held)."""
+        sequential = False
+        cache_hit = False
         started_at = None
         try:
-            if not granted:
+            if grant is not None:
                 yield grant
             started_at = self.env.now
             yield self.env.timeout(self.raid_params.controller_overhead_s)
@@ -506,36 +532,48 @@ class RAID3Array:
             self._busy = False
             if self._pending:
                 self.env._mark_arbiter_dirty(self)
-        if traced:
+        if span is not None:
             if self.faults is not None or degraded_now:
-                tracer.end(
+                self.tracer.end(
                     span,
                     sequential=sequential,
                     track_cache_hit=cache_hit,
                     degraded=degraded_now,
                 )
             else:
-                tracer.end(span, sequential=sequential, track_cache_hit=cache_hit)
+                self.tracer.end(span, sequential=sequential, track_cache_hit=cache_hit)
         self._service_hist.observe(self.env.now - queued_at)
-        if kind == "read":
-            self._c_reads.add(1)
-            self._c_bytes_read.add(nbytes)
-        else:
-            self._c_writes.add(1)
-            self._c_bytes_write.add(nbytes)
-        if sequential:
-            self._c_sequential.add(1)
-        if cache_hit:
-            self._c_cache_hits.add(1)
+        self._count(nbytes, kind, sequential, cache_hit)
         return nbytes
 
     def read(self, lba: int, nbytes: int, ctx: Optional[TraceContext] = None):
         """Generator: read *nbytes* at logical *lba*; all data spindles engage."""
-        return (yield from self._access(lba, nbytes, "read", ctx=ctx))
+        return self._access(lba, nbytes, "read", ctx=ctx)
 
     def write(self, lba: int, nbytes: int, ctx: Optional[TraceContext] = None):
         """Generator: write *nbytes*; parity spindle streams concurrently."""
-        return (yield from self._access(lba, nbytes, "write", ctx=ctx))
+        return self._access(lba, nbytes, "write", ctx=ctx)
+
+    # fast-path: requires=faults,tracer,telemetry -- no process waits on the arm; only the unobserved, fault-free closed form completes it by callback
+    def access_then(
+        self, kind: str, lba: int, nbytes: int, key: Any, then: Callable[[Any, Any], None]
+    ) -> None:
+        """Callback form of :meth:`read` / :meth:`write` (*kind*), for a
+        caller that is not a process.
+
+        The access queues for the arm under *key* (the order key a
+        calling process would have had) and ``then(nbytes, None)`` runs
+        on the pop of its closed-form completion.  If the array changed
+        state while the access was queued (:meth:`inject_failures` or
+        :meth:`fail_disk` called outside a fault plan), the arm grant
+        comes back stepped: the access then finishes on the stepped
+        path, in a process under *key*, and an error it raises arrives
+        as ``then(None, error)``.  Validation errors raise here.
+        """
+        self._admit(lba, nbytes)
+        grant, _fast = self._enqueue(lba, nbytes, kind, key)
+        access = _CallbackAccess(self, kind, lba, nbytes, key, then)
+        grant.callbacks.append(access.granted)
 
     def inject_failures(self, count: int = 1) -> None:
         """Fault injection: make the next *count* accesses fail with
@@ -693,3 +731,41 @@ class RAID3Array:
             f"<RAID3Array {self.name} {self.data_disks}+1 disks, "
             f"{self.capacity_bytes / 2**20:.0f}MB>"
         )
+
+
+# fast-path: requires=faults,tracer,telemetry -- completes a closed-form access by callback; built only by access_then
+class _CallbackAccess:
+    """One :meth:`RAID3Array.access_then` access, waiting for its grant."""
+
+    __slots__ = ("array", "kind", "lba", "nbytes", "key", "then", "queued_at")
+
+    def __init__(self, array: RAID3Array, kind: str, lba: int, nbytes: int, key: Any, then) -> None:
+        self.array = array
+        self.kind = kind
+        self.lba = lba
+        self.nbytes = nbytes
+        self.key = key
+        self.then = then
+        self.queued_at = array.env._now
+
+    def granted(self, grant: Event) -> None:
+        done = grant._value
+        array = self.array
+        if done is not None:
+            self.then(array._finish_closed_form(self.nbytes, self.kind, done), None)
+            return
+        # A stepped grant: finish as the process form would, under the
+        # caller's key (the arm is already held).
+        stepped = array.env.process(
+            array._stepped(None, self.lba, self.nbytes, self.kind, self.queued_at, None, None),
+            name=f"{array.name}-stepped-{self.kind}",
+            order_key=self.key,
+        )
+        stepped.callbacks.append(self.finished)
+
+    def finished(self, stepped: Event) -> None:
+        if stepped._ok:
+            self.then(stepped._value, None)
+        else:
+            stepped._defused = True
+            self.then(None, stepped._value)

@@ -4,7 +4,7 @@ Every node owns an :class:`RPCEndpoint`.  A client calls
 ``yield from endpoint.call(server_endpoint, request)``; the request
 message crosses the mesh into the server's inbox, a serve process runs
 the registered handler (a generator, so it can perform disk I/O), and
-the reply crosses the mesh back.  Handlers run one process per request
+the reply crosses the mesh back.  Handlers run one serve per request
 -- the Paragon OS server is multithreaded, so requests from different
 clients are serviced concurrently, contending only on real resources
 (CPU, disks, bus).
@@ -24,7 +24,14 @@ transmissions (:meth:`~repro.hardware.mesh.Mesh.post`) and one serve:
 the request worm's delivery puts the envelope into the inbox under the
 caller's order key, and the reply worm's delivery resumes the caller
 directly.  :meth:`RPCEndpoint.post` is the callback form of a call, for
-a caller that is not a process.
+a caller that is not a process.  In such runs the serve itself need not
+be a process either: a request type with a callback handler
+(:meth:`RPCEndpoint.register_callback`, which the PFS server registers
+for Fast Path reads and writes) is served by a callback chain, started
+by the same urgent event a serve process would have been started by and
+arbitrating under the same key ``dispatch_key + (n,)``.  Its reply is
+posted as a serve process's would be, and a handler error fails the
+call with the same :class:`RPCError`.
 
 Fault tolerance (active only when the machine runs with a
 :class:`~repro.faults.plan.FaultPlan`): calls carry a per-request reply
@@ -103,13 +110,47 @@ class _Inbox(ArbitratedStore):
         if self.armed and self.items:
             self.armed = False
             self.serves += 1
-            endpoint = self.endpoint
-            envelope = self.items.pop(0)
-            self.env.process(
-                endpoint._serve(envelope),
-                name=f"rpc-serve-{endpoint.node.node_id}-{envelope.request.msg_id}",
-                order_key=endpoint.dispatch_key + (self.serves,),
-            )
+            self.endpoint._start_serve(self.items.pop(0), self.serves)
+
+
+# fast-path: requires=faults,tracer,telemetry -- a serve with no process; only an unobserved, fault-free endpoint starts one
+class _CallbackServe:
+    """One request served by a callback handler (see
+    :meth:`RPCEndpoint.register_callback`): the serve's first step, then
+    its reply or handler error, as :meth:`RPCEndpoint._serve` does them."""
+
+    __slots__ = ("endpoint", "envelope", "key", "handler")
+
+    def __init__(self, endpoint: "RPCEndpoint", envelope: _Envelope, key: Any, handler) -> None:
+        self.endpoint = endpoint
+        self.envelope = envelope
+        self.key = key
+        self.handler = handler
+        # The start event a serve process would have been kicked off
+        # by, with this serve's first step as its callback.
+        env = endpoint.env
+        start = Event(env)
+        start._ok = True
+        start._value = None
+        start.callbacks.append(self.start)
+        env.schedule(start, priority_urgent=True)
+
+    def start(self, _event: Event) -> None:
+        self.endpoint._inbox.rearm()
+        try:
+            self.handler(self.envelope.request, self.key, self.done)
+        except Exception as exc:
+            self.done(None, exc)
+
+    def done(self, reply: Any, error: Optional[BaseException]) -> None:
+        envelope = self.envelope
+        if error is not None:
+            envelope.reply_event.fail(RPCError(str(error)))
+            return
+        endpoint = self.endpoint
+        # The reply worm resumes the caller on its final grant.
+        endpoint.mesh.post(endpoint._reply_message(envelope, reply), envelope.reply_event, reply)
+        endpoint.monitor.counter("rpc.served").add(1)
 
 
 def _defuse_late_failure(event) -> None:
@@ -158,6 +199,8 @@ class RPCEndpoint:
         self.dispatch_key = env.reserve_order_key()
         self._inbox = _Inbox(self)
         self._handlers: Dict[Type[RPCMessage], Callable[..., Generator]] = {}
+        #: request type -> (callback handler, its readiness predicate).
+        self._callbacks: Dict[Type[RPCMessage], Tuple[Callable[..., None], Callable]] = {}
         #: Idempotency log: (source node, msg_id) -> state.  Only
         #: populated when a fault plan is active (no cost otherwise).
         self._request_log: Dict[Tuple[int, int], Dict] = {}
@@ -180,6 +223,26 @@ class RPCEndpoint:
         reply message.
         """
         self._handlers[request_type] = handler
+
+    def register_callback(
+        self,
+        request_type: Type[RPCMessage],
+        handler: Callable[[RPCMessage, Any, Callable[[Any, Any], None]], None],
+        ready: Callable[[RPCMessage], bool],
+    ) -> None:
+        """Register a callback form of *request_type*'s handler.
+
+        On an endpoint with callback calls (no fault plan, tracer or
+        telemetry), a request for which ``ready(request)`` holds when
+        its serve is due is served without a process: on the event that
+        would have started the serve, ``handler(request, key, then)``
+        runs, with *key* the serve's order key, and must call
+        ``then(reply, None)`` once -- or ``then(None, error)``, which
+        fails the call with the :class:`RPCError` :meth:`register`'s
+        handler would have raised.  Every other request of the type
+        goes to the generator handler.
+        """
+        self._callbacks[request_type] = (handler, ready)
 
     # -- client side -----------------------------------------------------------
 
@@ -339,6 +402,23 @@ class RPCEndpoint:
             yield target._inbox.put(envelope, envelope.key)
 
     # -- server side -------------------------------------------------------------
+
+    def _start_serve(self, envelope: _Envelope, n: int) -> None:
+        """Start serve *n* of this endpoint, for *envelope*: a callback
+        serve when a ready callback handler is registered for it,
+        otherwise a process."""
+        key = self.dispatch_key + (n,)
+        if self._fast:
+            request = envelope.request
+            callback = self._callbacks.get(type(request))
+            if callback is not None and callback[1](request):
+                _CallbackServe(self, envelope, key, callback[0])
+                return
+        self.env.process(
+            self._serve(envelope),
+            name=f"rpc-serve-{self.node.node_id}-{envelope.request.msg_id}",
+            order_key=key,
+        )
 
     def _serve(self, envelope: _Envelope):
         # Started by the inbox's settle; the next waiting request gets

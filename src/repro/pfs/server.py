@@ -15,11 +15,17 @@ Requests that are not aligned to file-system block boundaries move the
 covering whole blocks from disk and pay a partial-block copy ("there is
 a higher overhead involved in creating temporary buffers for the size
 of the partial blocks and copying only the necessary data").
+
+Each request runs in a serve process of the node's RPC endpoint, except
+on the Fast Path of a fault-free, unobserved run: there a read or write
+is served by a callback chain (:class:`_FastPathServe`) that takes the
+same steps in the same order and under the same order key.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.hardware.node import Node
 
@@ -38,7 +44,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.paragonos.rpc import RPCEndpoint
 from repro.sim import Environment
-from repro.obs.monitor import NULL_MONITOR, Monitor
+from repro.obs.monitor import NULL_MONITOR, CounterStat, Monitor
 from repro.ufs import UFS, concat_data
 
 
@@ -100,11 +106,28 @@ class PFSServer:
             labels=label,
             help="Server-side handling time per read request",
         )
+        #: Counter objects by ``(kind, cause)`` / extra name, resolved on
+        #: first use (so a counter appears in the snapshot when it would
+        #: have been named).
+        self._counters: Dict[Tuple[str, str], Tuple[CounterStat, ...]] = {}
+        self._extra_counters: Dict[str, CounterStat] = {}
+        self._array = ufs.device.array
         if cache is not None:
             cache.writeback = self._writeback
         endpoint.register(ReadRequest, self._handle_read)
         endpoint.register(WriteRequest, self._handle_write)
         endpoint.register(ControlRequest, self._handle_control)
+        # Fault-free, unobserved endpoints serve Fast Path reads and
+        # writes without a process (see _FastPathServe).
+        endpoint.register_callback(ReadRequest, partial(_FastPathRead, self), self._fastpath_ready)
+        endpoint.register_callback(
+            WriteRequest, partial(_FastPathWrite, self), self._fastpath_ready
+        )
+
+    def _fastpath_ready(self, request) -> bool:
+        """Whether a read or write can be served as a callback chain: it
+        takes the Fast Path and the array would serve it in closed form."""
+        return (request.fastpath or self.cache is None) and self._array.fast_ready
 
     def _writeback(self, key, data):
         """Generator: persist one dirty cached block to the UFS."""
@@ -407,16 +430,155 @@ class PFSServer:
         return offset % bs != 0 or nbytes % bs != 0
 
     def _count(self, kind: str, nbytes: int, cause: str) -> None:
-        name = f"pfs_server.{self.node.node_id}"
-        self.monitor.counter(f"{name}.{kind}").add(1)
-        self.monitor.counter(f"{name}.bytes_{kind}").add(nbytes)
-        self.monitor.counter(f"{name}.{kind}.{cause}").add(1)
+        counters = self._counters.get((kind, cause))
+        if counters is None:
+            name = f"pfs_server.{self.node.node_id}"
+            counter = self.monitor.counter
+            counters = self._counters[(kind, cause)] = (
+                counter(f"{name}.{kind}"),
+                counter(f"{name}.bytes_{kind}"),
+                counter(f"{name}.{kind}.{cause}"),
+            )
+        requests, nbytes_counter, by_cause = counters
+        requests.add(1)
+        nbytes_counter.add(nbytes)
+        by_cause.add(1)
 
     def _count_extra(self, what: str) -> None:
-        self.monitor.counter(f"pfs_server.{self.node.node_id}.{what}").add(1)
+        counter = self._extra_counters.get(what)
+        if counter is None:
+            name = f"pfs_server.{self.node.node_id}.{what}"
+            counter = self._extra_counters[what] = self.monitor.counter(name)
+        counter.add(1)
 
     def __repr__(self) -> str:
         return f"<PFSServer node={self.node.node_id} cache={'on' if self.cache else 'off'}>"
+
+
+# fast-path: requires=faults,tracer,telemetry -- a serve with no process; only an unobserved, fault-free endpoint runs it
+class _FastPathServe:
+    """One Fast Path read or write served as a callback chain.
+
+    Built by the RPC endpoint on the serve's start (see
+    :meth:`~repro.paragonos.rpc.RPCEndpoint.register_callback`), it takes
+    the same steps as the serve process's :meth:`PFSServer._handle_read`
+    / :meth:`PFSServer._handle_write`, in the same order and under the
+    serve's order key *key*: the request overhead on the CPU, the UFS
+    transfer, the partial-block copy when the range is unaligned, then
+    the counters and ``then(reply, None)`` -- or ``then(None, error)``
+    on a handler error.
+    """
+
+    __slots__ = ("server", "request", "key", "then", "data")
+
+    #: The ``pfs_server.<node>.*`` counter of an unaligned request.
+    partial_counter = ""
+
+    def __init__(self, server: PFSServer, request, key: Any, then: Callable) -> None:
+        self.server = server
+        self.request = request
+        self.key = key
+        self.then = then
+        self.data = None
+        server._active_requests += 1
+        node = server.node
+        node.busy_then(node.params.server_request_overhead_s, key, self._transfer)
+
+    def _transfer(self) -> None:
+        try:
+            self._start_transfer()
+        except Exception as exc:
+            self._fail(exc)
+
+    def _transferred(self, result: Any, error: Optional[BaseException]) -> None:
+        if error is not None:
+            self._fail(error)
+            return
+        self.data = result
+        server = self.server
+        nbytes = self._nbytes()
+        if server._unaligned(self.request.ufs_offset, nbytes):
+            # Whole blocks moved on the disk; copy just the range.
+            server.node.memcpy_then(nbytes, self.key, self._copied)
+        else:
+            self._reply()
+
+    def _copied(self) -> None:
+        self.server._count_extra(self.partial_counter)
+        self._reply()
+
+    def _reply(self) -> None:
+        self.server._active_requests -= 1
+        self.then(self._finish(), None)
+
+    def _fail(self, error: BaseException) -> None:
+        self.server._active_requests -= 1
+        self.then(None, error)
+
+    def _nbytes(self) -> int:
+        raise NotImplementedError
+
+    def _start_transfer(self) -> None:
+        raise NotImplementedError
+
+    def _finish(self) -> Any:
+        raise NotImplementedError
+
+
+class _FastPathRead(_FastPathServe):
+    __slots__ = ()
+    partial_counter = "partial_block_reads"
+
+    def _nbytes(self) -> int:
+        return self.request.nbytes
+
+    def _start_transfer(self) -> None:
+        server = self.server
+        request = self.request
+        server.ufs.read_then(
+            request.file_id,
+            request.ufs_offset,
+            request.nbytes,
+            server.coalesce,
+            self.key,
+            self._transferred,
+        )
+
+    def _finish(self) -> ReadReply:
+        request = self.request
+        self.server._count("reads", request.nbytes, request.cause)
+        return ReadReply(
+            file_id=request.file_id,
+            ufs_offset=request.ufs_offset,
+            data=self.data,
+            cache_hit=False,
+        )
+
+
+class _FastPathWrite(_FastPathServe):
+    __slots__ = ()
+    partial_counter = "partial_block_writes"
+
+    def _nbytes(self) -> int:
+        return len(self.request.data)
+
+    def _start_transfer(self) -> None:
+        server = self.server
+        request = self.request
+        server.ufs.write_then(
+            request.file_id,
+            request.ufs_offset,
+            request.data,
+            server.coalesce,
+            self.key,
+            self._transferred,
+        )
+
+    def _finish(self) -> WriteReply:
+        request = self.request
+        nbytes = len(request.data)
+        self.server._count("writes", nbytes, "demand")
+        return WriteReply(file_id=request.file_id, ufs_offset=request.ufs_offset, nbytes=nbytes)
 
 
 # Re-export for client convenience.

@@ -19,6 +19,7 @@ managers for automatic release::
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, List
 
 from repro.sim.events import PENDING, Event
@@ -199,15 +200,35 @@ class PriorityResource(Resource):
             nxt.succeed()
 
 
-def _key_order(key: Any) -> Any:
-    """Best-effort natural ordering wrapper for arbitration keys.
+#: The native sort key of a queued request or store put/get.
+_native_order = attrgetter("arrived_at", "key", "_seq")
+
+
+def _canonical_order(waiter: Any) -> Any:
+    """Best-effort natural sort key of a queued request or store put/get.
 
     Keys at one resource are normally homogeneous (all process order
     keys, or all caller-supplied tuples) and compare natively; if a
     resource ever sees mixed shapes, fall back to a stable textual
     order so settlement remains deterministic rather than raising.
     """
-    return _CanonKey(key)
+    return (waiter.arrived_at, _CanonKey(waiter.key), waiter._seq)
+
+
+def _canonical_sort(queue: List[Any]) -> None:
+    """Sort *queue* by ``(arrival time, key, sequence number)``.
+
+    Natively first; only a queue whose keys do not compare natively
+    (mixed shapes raise ``TypeError``) is re-sorted through
+    :class:`_CanonKey`.  The result is the same either way: where native
+    comparison succeeds, ``_CanonKey`` gives the same answer, and the
+    unique sequence number makes the order total, so the re-sort does
+    not depend on the order the failed sort left behind.
+    """
+    try:
+        queue.sort(key=_native_order)
+    except TypeError:
+        queue.sort(key=_canonical_order)
 
 
 class _CanonKey:
@@ -348,9 +369,6 @@ class ArbitratedResource:
         except ValueError:
             pass
 
-    def _order(self, request: ArbitratedRequest) -> Any:
-        return (request.arrived_at, _key_order(request.key), request._seq)
-
     def _settle(self) -> None:
         """Grant free slots to waiters in canonical order."""
         queue = self.queue
@@ -361,17 +379,28 @@ class ArbitratedResource:
         if free <= 0:
             return
         if len(queue) > 1:
-            queue.sort(key=self._order)
+            _canonical_sort(queue)
+        env = self.env
+        now = env._now
         while queue and free > 0:
             nxt = queue.pop(0)
             users.append(nxt)
             free -= 1
             delay = nxt.resume_delay
             if delay:
-                # Merged grant: hold the slot from now, resume the
-                # waiter after the delay(s) with one scheduled event.
+                # Merged grant (as _deferred_grant, inlined): hold the
+                # slot from now and resume the waiter after the delay(s)
+                # with one scheduled event whose value is the grant time.
+                if type(delay) is tuple:
+                    when = now
+                    for leg in delay:
+                        when += leg
+                else:
+                    when = now + delay
+                nxt._ok = True
+                nxt._value = now
                 # sim-ok: R006 -- resume_delay is only ever non-zero when the requester's own fast-path gate (telemetry off) passed
-                _deferred_grant(nxt, delay)
+                env.schedule_at(nxt, when)
             else:
                 nxt.succeed()
 
@@ -483,10 +512,6 @@ class ArbitratedStore:
         self._get_queue.append(event)
         self.env._mark_arbiter_dirty(self)
 
-    @staticmethod
-    def _order(event: Any) -> Any:
-        return (event.arrived_at, _key_order(event.key), event._seq)
-
     def _settle(self) -> None:
         """Admit queued puts and serve queued gets in canonical order."""
         progressed = True
@@ -494,7 +519,7 @@ class ArbitratedStore:
             progressed = False
             if self._put_queue and len(self.items) < self._capacity:
                 if len(self._put_queue) > 1:
-                    self._put_queue.sort(key=self._order)
+                    _canonical_sort(self._put_queue)
                 while self._put_queue and len(self.items) < self._capacity:
                     put = self._put_queue.pop(0)
                     self.items.append(put.item)
@@ -509,7 +534,7 @@ class ArbitratedStore:
                     progressed = True
             if self._get_queue and self.items:
                 if len(self._get_queue) > 1:
-                    self._get_queue.sort(key=self._order)
+                    _canonical_sort(self._get_queue)
                 while self._get_queue and self.items:
                     get = self._get_queue.pop(0)
                     get.succeed(self.items.pop(0))

@@ -9,7 +9,7 @@ disk accesses when blocks of the file are contiguous on the disk").
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.hardware.raid import RAID3Array
 from repro.obs.trace import TraceContext
@@ -41,6 +41,16 @@ class BlockDevice:
         nbytes = nblocks * self.block_size
         yield from self.array.write(start_block * self.block_size, nbytes, ctx=ctx)
         return nbytes
+
+    # fast-path: requires=faults,tracer,telemetry -- the RAID callback access completes only in an unobserved, fault-free closed form
+    def access_then(
+        self, kind: str, start_block: int, nblocks: int, key: Any, then: Callable[[Any, Any], None]
+    ) -> None:
+        """Callback form of :meth:`read_extent` / :meth:`write_extent`
+        (*kind*): see :meth:`RAID3Array.access_then`."""
+        self._validate(start_block, nblocks)
+        bs = self.block_size
+        self.array.access_then(kind, start_block * bs, nblocks * bs, key, then)
 
     def _validate(self, start_block: int, nblocks: int) -> None:
         if nblocks <= 0:

@@ -13,7 +13,7 @@ per *physically contiguous run* of blocks rather than one per block.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.trace import TraceContext
 from repro.obs.monitor import NULL_MONITOR, Monitor
@@ -192,25 +192,9 @@ class UFS:
         of the paper's partial-block overhead); content for exactly the
         requested range is returned.
         """
-        inode = self.inode(file_id)
-        if offset < 0 or nbytes < 0 or offset + nbytes > inode.size_bytes:
-            raise UFSError(
-                f"read [{offset}, {offset + nbytes}) outside file {file_id} "
-                f"of {inode.size_bytes} bytes"
-            )
-        if nbytes == 0:
-            return LiteralData(b"")
-        bs = self.block_size
-        first_block = offset // bs
-        last_block = (offset + nbytes - 1) // bs
-        nblocks = last_block - first_block + 1
-
-        for _logical, physical, run_len in self._runs(inode, first_block, nblocks, coalesce):
+        for _logical, physical, run_len in self._plan_read(file_id, offset, nbytes, coalesce):
             yield from self.device.read_extent(physical, run_len, ctx=ctx)
-
-        self._c_reads.add(1)
-        self._c_bytes_read.add(nbytes)
-        return self.content(file_id, offset, nbytes)
+        return self._read_done(file_id, offset, nbytes)
 
     def write(
         self,
@@ -225,35 +209,111 @@ class UFS:
         Partially covered edge blocks require a read-modify-write: the
         block is read from disk, merged, and written back.
         """
+        inode, rmw_runs = self._plan_write(file_id, offset, data)
+        if len(data) == 0:
+            return 0
+        for _logical, physical, _nblocks in rmw_runs:
+            yield from self.device.read_extent(physical, 1, ctx=ctx)
+        for _logical, physical, run_len in self._commit_write(inode, offset, data, coalesce):
+            yield from self.device.write_extent(physical, run_len, ctx=ctx)
+        return self._wrote(len(data))
+
+    # fast-path: requires=faults,tracer,telemetry -- disk runs on RAID callbacks, which only an unobserved, fault-free array completes
+    def read_then(
+        self,
+        file_id: int,
+        offset: int,
+        nbytes: int,
+        coalesce: bool,
+        key: Any,
+        then: Callable[[Any, Any], None],
+    ) -> None:
+        """Callback form of :meth:`read`, for a caller that is not a
+        process: the disk runs queue under *key* one after another, and
+        ``then(data, None)`` runs when the last completes (at once for an
+        empty range), or ``then(None, error)`` on an error raised after
+        this call returns.  Validation errors raise here."""
+        _CallbackRead(self, file_id, offset, nbytes, coalesce, key, then).step()
+
+    # fast-path: requires=faults,tracer,telemetry -- disk runs on RAID callbacks, which only an unobserved, fault-free array completes
+    def write_then(
+        self,
+        file_id: int,
+        offset: int,
+        data: Data,
+        coalesce: bool,
+        key: Any,
+        then: Callable[[Any, Any], None],
+    ) -> None:
+        """Callback form of :meth:`write` (see :meth:`read_then`): the
+        read-modify-write edge blocks are read first, then the content
+        is merged and the runs written; ``then(nbytes, None)`` at the end."""
+        inode, rmw_runs = self._plan_write(file_id, offset, data)
+        if len(data) == 0:
+            then(0, None)
+            return
+        _CallbackWrite(self, inode, offset, data, rmw_runs, coalesce, key, then).step()
+
+    def _plan_read(
+        self, file_id: int, offset: int, nbytes: int, coalesce: bool
+    ) -> List[Tuple[int, int, int]]:
+        """Validate a read and plan its disk runs (both forms)."""
+        inode = self.inode(file_id)
+        if offset < 0 or nbytes < 0 or offset + nbytes > inode.size_bytes:
+            raise UFSError(
+                f"read [{offset}, {offset + nbytes}) outside file {file_id} "
+                f"of {inode.size_bytes} bytes"
+            )
+        if nbytes == 0:
+            return []
+        bs = self.block_size
+        first_block = offset // bs
+        last_block = (offset + nbytes - 1) // bs
+        return self._runs(inode, first_block, last_block - first_block + 1, coalesce)
+
+    def _read_done(self, file_id: int, offset: int, nbytes: int) -> Data:
+        """Count a finished read and return its content (both forms)."""
+        if nbytes == 0:
+            return LiteralData(b"")
+        self._c_reads.add(1)
+        self._c_bytes_read.add(nbytes)
+        return self.content(file_id, offset, nbytes)
+
+    def _plan_write(
+        self, file_id: int, offset: int, data: Data
+    ) -> Tuple[Inode, List[Tuple[int, int, int]]]:
+        """Validate a write, grow the file to hold it and plan the
+        one-block reads of its partially covered edge blocks, which need
+        a read-modify-write (both forms)."""
         nbytes = len(data)
         if offset < 0:
             raise UFSError("negative offset")
         inode = self.inode(file_id)
         if nbytes == 0:
-            return 0
+            return inode, []
         if offset + nbytes > inode.size_bytes:
             self._grow(inode, offset + nbytes)
         bs = self.block_size
-        first_block = offset // bs
-        last_block = (offset + nbytes - 1) // bs
-        nblocks = last_block - first_block + 1
-
-        # Read-modify-write for partially covered edge blocks.
         rmw_blocks = []
         if offset % bs != 0:
-            rmw_blocks.append(first_block)
+            rmw_blocks.append(offset // bs)
         if (offset + nbytes) % bs != 0:
-            rmw_blocks.append(last_block)
-        for block in dict.fromkeys(rmw_blocks):
-            physical = inode.physical_block(block)
-            yield from self.device.read_extent(physical, 1, ctx=ctx)
+            rmw_blocks.append((offset + nbytes - 1) // bs)
+        return inode, [(b, inode.physical_block(b), 1) for b in dict.fromkeys(rmw_blocks)]
 
-        # Merge content into the written-block store.
+    def _commit_write(
+        self, inode: Inode, offset: int, data: Data, coalesce: bool
+    ) -> List[Tuple[int, int, int]]:
+        """Merge a write's content (its edge blocks are read) and plan
+        its disk runs (both forms)."""
         self._merge_written(inode, offset, data)
+        bs = self.block_size
+        first_block = offset // bs
+        last_block = (offset + len(data) - 1) // bs
+        return self._runs(inode, first_block, last_block - first_block + 1, coalesce)
 
-        for _logical, physical, run_len in self._runs(inode, first_block, nblocks, coalesce):
-            yield from self.device.write_extent(physical, run_len, ctx=ctx)
-
+    def _wrote(self, nbytes: int) -> int:
+        """Count a finished write (both forms)."""
         self._c_writes.add(1)
         self._c_bytes_written.add(nbytes)
         return nbytes
@@ -323,3 +383,97 @@ class UFS:
 
     def __repr__(self) -> str:
         return f"<UFS {self.name} files={len(self._inodes)}>"
+
+
+# fast-path: requires=faults,tracer,telemetry -- one disk access at a time on RAID callbacks; built only by read_then / write_then
+class _CallbackIO:
+    """A :meth:`UFS.read_then` or :meth:`UFS.write_then` in progress.
+
+    Issues ``runs`` -- ``(logical, physical, nblocks)`` disk accesses of
+    ``kind`` -- one at a time under the caller's ``key``, then asks
+    :meth:`finish` for the result.
+    """
+
+    __slots__ = ("ufs", "key", "then", "offset", "kind", "runs", "idx")
+
+    def __init__(self, ufs: UFS, offset: int, kind: str, runs: list, key: Any, then) -> None:
+        self.ufs = ufs
+        self.key = key
+        self.then = then
+        self.offset = offset
+        self.kind = kind
+        self.runs = runs
+        self.idx = 0
+
+    def step(self, _value: Any = None, error: Optional[BaseException] = None) -> None:
+        """Issue the next disk access, or finish; the disk's continuation."""
+        if error is not None:
+            self.then(None, error)
+            return
+        try:
+            result = _MORE
+            while result is _MORE:
+                idx = self.idx
+                if idx < len(self.runs):
+                    self.idx = idx + 1
+                    _logical, physical, run_len = self.runs[idx]
+                    self.ufs.device.access_then(self.kind, physical, run_len, self.key, self.step)
+                    return
+                result = self.finish()
+        except Exception as exc:
+            self.then(None, exc)
+            return
+        self.then(result, None)
+
+    def finish(self) -> Any:
+        raise NotImplementedError
+
+
+#: :meth:`_CallbackIO.finish`'s answer when it has queued more runs.
+_MORE = object()
+
+
+class _CallbackRead(_CallbackIO):
+    __slots__ = ("file_id", "nbytes")
+
+    def __init__(
+        self, ufs: UFS, file_id: int, offset: int, nbytes: int, coalesce: bool, key: Any, then
+    ) -> None:
+        runs = ufs._plan_read(file_id, offset, nbytes, coalesce)
+        _CallbackIO.__init__(self, ufs, offset, "read", runs, key, then)
+        self.file_id = file_id
+        self.nbytes = nbytes
+
+    def finish(self) -> Data:
+        return self.ufs._read_done(self.file_id, self.offset, self.nbytes)
+
+
+class _CallbackWrite(_CallbackIO):
+    """Reads the read-modify-write edge blocks first, then merges the
+    content and writes the runs, as :meth:`UFS.write` does."""
+
+    __slots__ = ("inode", "data", "coalesce")
+
+    def __init__(
+        self,
+        ufs: UFS,
+        inode: Inode,
+        offset: int,
+        data: Data,
+        rmw_runs: list,
+        coalesce: bool,
+        key: Any,
+        then,
+    ) -> None:
+        _CallbackIO.__init__(self, ufs, offset, "read", rmw_runs, key, then)
+        self.inode = inode
+        self.data = data
+        self.coalesce = coalesce
+
+    def finish(self) -> Any:
+        if self.kind == "read":
+            self.kind = "write"
+            self.runs = self.ufs._commit_write(self.inode, self.offset, self.data, self.coalesce)
+            self.idx = 0
+            return _MORE
+        return self.ufs._wrote(len(self.data))

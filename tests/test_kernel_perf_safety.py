@@ -17,9 +17,15 @@ This module pins each of those contracts:
 - telemetry on vs. off produces identical report fingerprints (the
   zero-overhead fast paths may skip *events*, never *numbers*), also on
   multi-piece reads and writes, whose stripe pieces run as callback
-  calls with telemetry off and as one process each with it on;
-- the exact event count of one paper cell, so a change in kernel work
-  is re-pinned on purpose;
+  calls with telemetry off and as one process each with it on, and on
+  Fast Path serves (unaligned, uncoalesced, read-modify-write, past the
+  end of the file), which run as callback chains with telemetry off and
+  as one serve process each with it on;
+- a callback access whose array fails while it is queued finishes on
+  the stepped path and fails the application's call as a serve process
+  would;
+- the exact event count and generator resumes of one paper cell, so a
+  change in kernel work is re-pinned on purpose;
 - the zero-overhead contract itself: an unconfigured machine installs
   no tick hooks and takes no samples, so the per-event fast path in
   ``Environment.run`` pays nothing for observability it isn't using.
@@ -42,7 +48,9 @@ from repro.experiments.common import (
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro.machine import Machine
+from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
+from repro.sim.process import Process
 from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -73,16 +81,16 @@ def _bench3_cell(size_kb: int, prefetch: bool, tie_break: str = "fifo", **kwargs
     )
 
 
-def _write_cell(caching: str, tie_break: str, telemetry: bool):
-    """A 256 KB collective write (four stripe pieces per call) and its
-    read-back: report fingerprints, stored content digest, final clock."""
+def _write_cell(caching: str, tie_break: str, telemetry: bool, request: int = 256 * KB):
+    """A collective write (four stripe pieces per call at the default
+    256 KB) and its read-back: report fingerprints, stored content
+    digest, final clock and every monitor counter."""
     config = MachineConfig(
         write_back=caching == "write-back", tie_break=tie_break, telemetry=telemetry
     )
     machine = Machine(config)
     mount = machine.mount("/pfs", PFSConfig(buffered=caching != "fastpath"))
     pfs_file = machine.create_file(mount, "out", 0)
-    request = 256 * KB
     writer = CollectiveWriteWorkload(
         machine, mount, "out", request_size=request, rounds=2, iomode=IOMode.M_RECORD
     )
@@ -101,7 +109,47 @@ def _write_cell(caching: str, tie_break: str, telemetry: bool):
         report_fingerprint(read),
         digest.hexdigest(),
         machine.env.now,
+        machine.obs.snapshot(),
     )
+
+
+def _read_cell(tie_break: str, telemetry: bool, request: int, stripe_unit: int, coalesce: bool):
+    """A prefetching collective read on a machine built directly (for
+    knobs ``run_collective`` does not take): report fingerprint, final
+    clock and every monitor counter."""
+    config = MachineConfig(ufs_coalesce=coalesce, tie_break=tie_break, telemetry=telemetry)
+    machine = Machine(config)
+    mount = machine.mount("/pfs", PFSConfig(stripe_unit=stripe_unit))
+    machine.create_file(mount, "data", scaled_file_size(request, rounds=4))
+    report = CollectiveReadWorkload(
+        machine, mount, "data", request_size=request, iomode=IOMode.M_RECORD
+    ).run().report
+    return report_fingerprint(report), machine.env.now, machine.obs.snapshot()
+
+
+def _total(counters, suffix: str, prefix: str = "counter.") -> float:
+    """Sum of the snapshot counters named ``<prefix>...<suffix>``."""
+    return sum(counters[k] for k in sorted(counters) if k.startswith(prefix) and k.endswith(suffix))
+
+
+def _read_past_eof(tie_break: str, telemetry: bool):
+    """A Fast Path read running 32 KB past the end of a one-stripe file:
+    the server's UFS rejects it, and the caller catches the RPCError."""
+    machine = Machine(MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, telemetry=telemetry))
+    mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
+    size = 4 * 64 * KB
+    pfs_file = machine.create_file(mount, "data", size)
+    seen = []
+
+    def proc():
+        try:
+            yield from machine.clients[0].transfer_read(pfs_file, size - 32 * KB, 64 * KB, "demand")
+        except RPCError as exc:
+            seen.append((machine.env.now, str(exc)))
+
+    machine.spawn(proc())
+    machine.run()
+    return seen, machine.env.now, machine.obs.snapshot()
 
 
 class TestGoldensUnderBothTieBreaks:
@@ -181,6 +229,49 @@ class TestTelemetryInvariance:
         sampled = _write_cell(caching, tie_break, telemetry=True)
         assert plain == sampled
 
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize(
+        "request_kb,stripe_kb,coalesce",
+        [(24, 64, True), (40, 16, True), (256, 256, False), (96, 128, False)],
+    )
+    def test_fastpath_read_serve(self, request_kb, stripe_kb, coalesce, tie_break):
+        """Fast Path reads, callback serves against a serve process each:
+        unaligned ranges pay the partial-block copy, and uncoalesced
+        ranges chain several RAID accesses per request."""
+        args = (request_kb * KB, stripe_kb * KB, coalesce)
+        plain = _read_cell(tie_break, False, *args)
+        sampled = _read_cell(tie_break, True, *args)
+        assert plain == sampled
+        counters = plain[2]
+        reads = _total(counters, ".reads.demand")
+        partial = _total(counters, ".partial_block_reads")
+        raid_reads = _total(counters, ".reads", prefix="counter.raid")
+        assert reads > 0
+        if (request_kb * KB) % (64 * KB) or (stripe_kb * KB) % (64 * KB):
+            assert partial > 0
+        if not coalesce and request_kb > 64:
+            assert raid_reads > reads
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_fastpath_write_read_modify_write(self, tie_break):
+        """Unaligned Fast Path writes: edge blocks are read, merged and
+        written back, and the range pays the partial-block copy."""
+        plain = _write_cell("fastpath", tie_break, telemetry=False, request=24 * KB)
+        sampled = _write_cell("fastpath", tie_break, telemetry=True, request=24 * KB)
+        assert plain == sampled
+        counters = plain[4]
+        assert _total(counters, ".partial_block_writes") > 0
+        # The edge-block reads of the read-modify-writes reach the arrays.
+        assert _total(counters, ".reads", prefix="counter.raid") > 0
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_read_past_eof_error_reaches_caller(self, tie_break):
+        plain = _read_past_eof(tie_break, telemetry=False)
+        sampled = _read_past_eof(tie_break, telemetry=True)
+        seen = plain[0]
+        assert len(seen) == 1 and "outside file" in seen[0][1]
+        assert plain == sampled
+
     def test_telemetry_actually_sampled(self):
         report = _bench3_cell(64, True, telemetry=True, keep_machine=True)
         telemetry = report.machine.obs.telemetry
@@ -191,9 +282,10 @@ class TestTelemetryInvariance:
 
 
 class TestWorkCountPin:
-    """The event count of one paper cell, pinned exactly.
+    """The event count and generator resumes of one paper cell, pinned
+    exactly.
 
-    The count does not depend on the host or the tie-break, so a change
+    The counts do not depend on the host or the tie-break, so a change
     in how much kernel work a fault-free read costs shows up here and is
     re-pinned on purpose, with the new count recorded in CHANGES.md.
     """
@@ -210,6 +302,29 @@ class TestWorkCountPin:
             keep_machine=True,
         )
         assert report.machine.env._eid == 7688
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_table1_256kb_prefetch_generator_resumes(self, tie_break, monkeypatch):
+        """Generator resumes of the same cell: Fast Path requests are
+        served on callbacks, so only the client side resumes processes
+        (2,704 when every request started a serve process)."""
+        resumes = [0]
+        resume = Process._resume
+
+        def counting(self, event):
+            resumes[0] += 1
+            return resume(self, event)
+
+        monkeypatch.setattr(Process, "_resume", counting)
+        size = 256 * KB
+        run_collective(
+            request_size=size,
+            file_size=scaled_file_size(size, rounds=16),
+            prefetch=True,
+            rounds=16,
+            tie_break=tie_break,
+        )
+        assert resumes[0] == 1168
 
 
 class TestZeroOverheadContract:
@@ -231,3 +346,72 @@ class TestZeroOverheadContract:
         telemetry = report.machine.obs.telemetry
         telemetry._on_tick(1.0)
         assert telemetry.n_samples == 0
+
+
+class TestCallbackServeFallback:
+    """A callback access whose array changes state while it is queued.
+
+    ``inject_failures`` (or ``fail_disk``) called outside a fault plan
+    turns the closed form off after a Fast Path request was already
+    queued at the array on callbacks.  The arm grant then comes back
+    stepped, and the access must finish on the stepped path under the
+    serve's key, so the application sees the error the process serve
+    would have raised.
+    """
+
+    @staticmethod
+    def _inject_while_queued(tie_break: str, telemetry: bool):
+        machine = Machine(
+            MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, telemetry=telemetry)
+        )
+        mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
+        pfs_file = machine.create_file(mount, "data", 4 * 64 * KB)
+        (io_index,) = pfs_file.attrs.stripe_group
+        array = machine.arrays[io_index]
+        env = machine.env
+        spawned = []
+        spawn = env.process
+
+        def recording(generator, name=None, order_key=None):
+            spawned.append((name, order_key))
+            return spawn(generator, name=name, order_key=order_key)
+
+        env.process = recording
+        outcomes = []
+
+        def reader(client, offset):
+            try:
+                data = yield from client.transfer_read(pfs_file, offset, 64 * KB, "demand")
+                outcomes.append((offset, env.now, len(data)))
+            except RPCError as exc:
+                outcomes.append((offset, env.now, str(exc)))
+
+        def injector():
+            # Once a second read waits behind the one holding the arm,
+            # and the holder is past its controller overhead (where the
+            # stepped path checks for injected errors), fail the next
+            # access the arm serves.
+            while array.queue_depth == 0:
+                yield env.timeout(1e-5)
+            yield env.timeout(array.raid_params.controller_overhead_s)
+            array.inject_failures(1)
+
+        machine.spawn(reader(machine.clients[0], 0))
+        machine.spawn(reader(machine.clients[1], 2 * 64 * KB))
+        machine.spawn(injector())
+        machine.run()
+        stepped = [key for name, key in spawned if name == f"{array.name}-stepped-read"]
+        server_key = machine.servers[io_index].endpoint.dispatch_key
+        return sorted(outcomes), env.now, stepped, server_key
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_injected_failure_while_queued_reaches_application(self, tie_break):
+        outcomes, now, stepped, server_key = self._inject_while_queued(tie_break, False)
+        errors = [o for o in outcomes if isinstance(o[2], str)]
+        assert len(outcomes) == 2 and len(errors) == 1
+        assert "injected media error" in errors[0][2]
+        # The queued access finished on the stepped path, under a serve's key.
+        assert len(stepped) == 1 and stepped[0][:-1] == server_key
+        # The process serves (forced by telemetry) see the same error at
+        # the same time.
+        assert (outcomes, now) == self._inject_while_queued(tie_break, True)[:2]

@@ -1,10 +1,13 @@
 """Unit tests for simulation resources, containers and stores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.disk import Disk
 from repro.hardware.params import DiskParams
 from repro.sim import (
+    ArbitratedResource,
     Container,
     Environment,
     FilterStore,
@@ -12,6 +15,7 @@ from repro.sim import (
     Resource,
     Store,
 )
+from repro.sim.resources import _canonical_order, _canonical_sort, _CanonKey, _native_order
 
 MB = 1024 * 1024
 
@@ -459,3 +463,78 @@ class TestFilterStore:
         env.run()
         assert c.value == ("wanted", 5.0)
         assert store.items == ["other"]
+
+
+class _Waiter:
+    """A stand-in for a queued request: what the settle sort reads."""
+
+    __slots__ = ("arrived_at", "key", "_seq")
+
+    def __init__(self, arrived_at, key, seq):
+        self.arrived_at = arrived_at
+        self.key = key
+        self._seq = seq
+
+    def __repr__(self):
+        return f"_Waiter({self.arrived_at!r}, {self.key!r}, {self._seq})"
+
+
+_process_keys = st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(tuple)
+
+
+class TestCanonicalSettleOrder:
+    """Settles sort natively and re-sort through ``_CanonKey`` only when
+    the keys do not compare: the order is the canonical one either way."""
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0]), _process_keys),
+            max_size=12,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_native_sort_agrees_with_canonical(self, entries, rng):
+        waiters = [_Waiter(at, key, seq) for seq, (at, key) in enumerate(entries, 1)]
+        rng.shuffle(waiters)
+        expected = sorted(waiters, key=_canonical_order)
+        queue = list(waiters)
+        _canonical_sort(queue)
+        assert queue == expected
+        assert queue == sorted(waiters, key=_native_order)
+
+    def test_mixed_shape_keys_fall_back_to_canonical_order(self):
+        keys = [(2, 1), "late", None, (1,), ("x", 1), (), 7, (1, "y"), "early", (1,)]
+        waiters = [_Waiter(0.0, key, seq) for seq, key in enumerate(keys, 1)]
+        waiters.append(_Waiter(-1.0, "first by time", len(keys) + 1))
+        with pytest.raises(TypeError):
+            sorted(waiters, key=_native_order)
+        queue = list(waiters)
+        _canonical_sort(queue)
+        assert queue == sorted(waiters, key=_canonical_order)
+        assert queue[0].key == "first by time"
+        # Equal keys keep their arrival (sequence) order.
+        ones = [w._seq for w in queue if w.key == (1,)]
+        assert ones == sorted(ones)
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_resource_grants_mixed_shape_keys_canonically(self, tie_break):
+        env = Environment(tie_break=tie_break)
+        res = ArbitratedResource(env, capacity=1)
+        keys = [(3,), "b", (1, 2), 4.5, "a", (2,)]
+        granted = []
+
+        def holder(key):
+            req = res.request(key=key, resume_delay=0.25)
+            granted_at = yield req
+            granted.append((key, granted_at, env.now))
+            res.release(req)
+
+        for key in keys:
+            env.process(holder(key), order_key=(0,))
+        env.run()
+        order = sorted(keys, key=_CanonKey)
+        assert [key for key, _at, _now in granted] == order
+        # Merged grants: each holds from its grant for 0.25 s.
+        assert [at for _key, at, _now in granted] == [0.25 * i for i in range(len(keys))]
+        assert [now for _key, _at, now in granted] == [0.25 * (i + 1) for i in range(len(keys))]
