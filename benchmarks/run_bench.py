@@ -2,7 +2,7 @@
 
 Writes ``BENCH_9.json`` at the repo root: collective read bandwidth for
 every (request size, prefetch) Table 1 cell and every (mode, request
-size) Figure 2 cell, plus a per-cell telemetry summary naming the
+size) Figure 2 cell, plus a per-cell bottleneck summary naming the
 saturating resource.  The file is the perf baseline later PRs regress
 against -- scaling work that moves these numbers should move them *up*.
 
@@ -127,7 +127,7 @@ def _measure(cell_key: str, runner, tie_check: str):
 
 
 def bench_table1(sizes_kb, rounds: int, tie_check: str) -> list:
-    """Table 1 cells with telemetry: bandwidth + saturating resource,
+    """Table 1 cells: bandwidth + saturating resource,
     plus the degraded-mode (one failed spindle on raid0) and
     rebuild-window (copy-back in progress) bandwidths."""
     degraded_plan = FaultPlan.single_disk_failure(array="raid0", at_s=0.0)
@@ -153,8 +153,8 @@ def bench_table1(sizes_kb, rounds: int, tie_check: str) -> list:
                     iomode=IOMode.M_RECORD,
                     prefetch=prefetch,
                     rounds=rounds,
-                    telemetry=True,
                     tie_break=tb,
+                    keep_machine=True,
                 ),
                 tie_check,
             )
@@ -174,7 +174,7 @@ def bench_table1(sizes_kb, rounds: int, tie_check: str) -> list:
                 rounds=rounds,
                 faults=rebuild_plan,
             )
-            bottleneck = report.bottleneck
+            bottleneck = report.machine.bottleneck_report()
             points.append(
                 {
                     "request_kb": size_kb,
@@ -341,7 +341,7 @@ def run_bench(
     total_wall = sum(p["wall_time_s"] for p in all_points)
     speed_block = {
         "metric": "best-of-%d wall seconds per default-configuration "
-                  "(no-fault, no-trace, no-telemetry) cell run" % repeats,
+                  "(no-fault, no-trace) cell run" % repeats,
         "total_wall_time_s": _round(total_wall),
         "cells_per_s": _round(len(all_points) / total_wall, 2),
     }

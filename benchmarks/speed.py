@@ -1,8 +1,8 @@
 """Shared wall-clock speed harness for the bench suite.
 
 The kernel fast paths target the *default* configuration (no faults, no
-trace, no telemetry) -- the configuration every golden fingerprint runs
-under.  This module defines, for every Table 1 / Figure 2 cell, a
+trace) -- the configuration every golden fingerprint runs under.  This
+module defines, for every Table 1 / Figure 2 cell, a
 default-configuration runner and a best-of-N wall-clock measurement,
 used by ``run_bench.py`` for its advisory ``wall_time_s`` /
 ``cells_per_s`` columns and runnable on its own to time chosen cells.
@@ -50,7 +50,7 @@ def default_cell_runners(
     """Default-configuration runner per bench cell key.
 
     These are the runs the golden fingerprints pin: fifo tie-break, no
-    faults, no trace, no telemetry -- the configuration the ``>= 5x``
+    faults, no trace -- the configuration the ``>= 5x``
     kernel speed target is defined against.
     """
     runners: Dict[str, Callable[[], object]] = {}

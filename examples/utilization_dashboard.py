@@ -3,14 +3,14 @@
 
 Re-runs Table 1 points around the paper's 160->224 KB crossover -- the
 request size where prefetching flips from a slight loss to a clear win
--- with fleet telemetry enabled, and renders for each size:
+-- and prints, for each size:
 
 - the prefetch on/off bandwidth ratio (the Table 1 cell),
-- the bottleneck report (busiest resource and its busy fraction),
-- a per-disk utilization timeline and heatmap over simulated time.
+- the bottleneck report (busiest resource and its busy fraction), read
+  from the components' busy-seconds by ``Machine.bottleneck_report()``.
 
-The charts tell the crossover's story: at every size the RAID disks are
-the bottleneck (the mesh and CPUs idle), but below the crossover the
+The verdicts tell the crossover's story: at every size the RAID disks
+are the bottleneck (the mesh and CPUs idle), but below the crossover the
 per-request stripe touches few disks per interval, so a prefetch stream
 competes with demand reads for the same spindles and only adds queueing.
 Past the crossover each request spans the full stripe group, the disks
@@ -38,7 +38,6 @@ def main() -> None:
             request_size=request,
             file_size=file_size,
             prefetch=True,
-            telemetry=True,
             keep_machine=True,
         )
         ratio = off.collective_bandwidth_mbps and (
@@ -51,17 +50,7 @@ def main() -> None:
             f"{on.collective_bandwidth_mbps:.2f} MB/s on "
             f"(ratio {ratio:.2f}, {verdict}) ---"
         )
-        print(on.bottleneck.describe())
-        obs = on.machine.obs
-        print()
-        print(obs.timeline(
-            family="disk_busy_seconds",
-            bins=24,
-            title=f"per-disk utilization, {size_kb}KB requests (prefetch on)",
-            height=10,
-        ))
-        print()
-        print(obs.heatmap(family="disk_busy_seconds", bins=48))
+        print(on.machine.bottleneck_report().describe())
 
 
 if __name__ == "__main__":

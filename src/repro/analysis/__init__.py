@@ -18,7 +18,7 @@ and a reaching-definitions framework (:mod:`repro.analysis.dataflow`):
           transfers, receive-and-release discharges; flags leaks and
           double releases) -- replaces R005 in this mode
 - R006    ``# fast-path``-marked functions may only be entered under
-          guards establishing their facets (faults/tracer/telemetry)
+          guards establishing their facets (faults/tracer)
 
 Findings are suppressed inline with ``# sim-ok: R001 -- justification``
 (the justification is mandatory).  Output is human-readable text or

@@ -55,7 +55,7 @@ from repro.analysis.suppressions import parse_suppressions
 SUMMARY_VERSION = 1
 
 #: ``# fast-path`` pragma, optionally with explicit required facets:
-#: ``# fast-path: requires=faults,tracer,telemetry``.  Anything after
+#: ``# fast-path: requires=faults,tracer``.  Anything after
 #: ``--`` is free-text rationale.
 _FAST_PATH = re.compile(
     r"#\s*fast-path\b(?:\s*:\s*requires\s*=\s*(?P<req>[a-z]+(?:\s*,\s*[a-z]+)*))?"

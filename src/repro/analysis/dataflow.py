@@ -14,14 +14,12 @@ built on.  Two clients:
   when **all** of its reaching definitions are unordered containers.
 
 - :func:`gate_facets` decides which fast-path *gate facets* -- ``faults``
-  (no fault plan), ``tracer`` (tracing off), ``telemetry`` (telemetry
-  off) -- a guard expression establishes when truthy.  Conjunctions
-  accumulate facets, disjunctions keep only the common ones, and bare
-  names / ``self`` attributes are expanded through their reaching (or
-  class-attribute) definitions, so ``if self._fast_sends:`` resolves
-  through ``self._fast_sends = faults is None and not
-  self.tracer.enabled and self._merge_grants`` and on through
-  ``self._merge_grants = not self.telemetry.enabled``.
+  (no fault plan) and ``tracer`` (tracing off) -- a guard expression
+  establishes when truthy.  Conjunctions accumulate facets,
+  disjunctions keep only the common ones, and bare names / ``self``
+  attributes are expanded through their reaching (or class-attribute)
+  definitions, so ``if self._fast_sends:`` resolves through
+  ``self._fast_sends = faults is None and not self.tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -32,11 +30,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.rules import _unordered_iterable
 
-#: The three gate facets a fast path may require (see rule R006).
+#: The gate facets a fast path may require (see rule R006).
 FACET_FAULTS = "faults"
 FACET_TRACER = "tracer"
-FACET_TELEMETRY = "telemetry"
-ALL_FACETS = (FACET_FAULTS, FACET_TRACER, FACET_TELEMETRY)
+ALL_FACETS = (FACET_FAULTS, FACET_TRACER)
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,7 @@ def gate_facets(
     Recognised forms (conjunctions union, disjunctions intersect):
 
     - ``<faults> is None`` -> ``faults``
-    - ``not <...tracer...>.enabled`` / ``not <...telemetry...>.enabled``
-      -> ``tracer`` / ``telemetry``
+    - ``not <...tracer...>.enabled`` -> ``tracer``
     - a bare name or ``self`` attribute expands through its reaching /
       class-attribute definitions; the facet set is the intersection
       over all possible definitions (an opaque definition yields none).
@@ -280,8 +276,6 @@ def gate_facets(
         if chain is not None and _terminal(chain) == "enabled":
             if "tracer" in chain or "trace" in chain:
                 return frozenset((FACET_TRACER,))
-            if "telemetry" in chain:
-                return frozenset((FACET_TELEMETRY,))
         return frozenset()
     chain = dotted_chain(test)
     if chain is None:

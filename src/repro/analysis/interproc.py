@@ -24,7 +24,7 @@ R006    fast-path gating.  A function marked ``# fast-path`` (see
         docs/performance.md: fast paths may skip events but only when
         nothing can observe the difference) must only be entered under
         guards establishing its required facets -- ``faults`` (no fault
-        plan), ``tracer``/``telemetry`` (observability off).  Every call
+        plan), ``tracer`` (tracing off).  Every call
         edge into a pragma'd function is checked: the union of the
         facets established by the lexically dominating ``if`` guards
         (resolved through reaching definitions and class attributes,
@@ -69,7 +69,7 @@ R006 = Rule(
     "fast-path-gating",
     "calls into '# fast-path'-marked functions must be dominated by "
     "guards establishing the required facets (faults is None, "
-    "tracer/telemetry off)",
+    "tracer off)",
 )
 
 INTERPROC_RULES: Sequence[Rule] = (R003V2, R005V2, R006)

@@ -291,7 +291,7 @@ _MUTATING_ATTRS = {
 
 
 class ObservabilityPurity(LintRule):
-    """Telemetry and tracing may *read* the environment (``env.now``,
+    """Tracing and the monitor may *read* the environment (``env.now``,
     queue depths, counters) but must never schedule events or acquire
     resources: turning instrumentation on or off must not change any
     simulated result."""

@@ -54,12 +54,6 @@ class MachineConfig:
     #: default; tracing never schedules events, so enabling it does not
     #: change simulated time (results stay bit-identical).
     trace: bool = False
-    #: Sample per-resource time-series metrics on ``machine.obs.telemetry``.
-    #: Off by default; the sampler observes the event loop via a tick hook
-    #: and never schedules events, so results stay bit-identical.
-    telemetry: bool = False
-    #: Telemetry sampler cadence in simulated seconds.
-    telemetry_interval_s: float = 0.05
     #: Client prefetch policy built by :meth:`Machine.build_prefetcher`
     #: for workload prefetchers: "one-ahead" (the paper's prototype),
     #: "none", "depth-k", or "strided".  The default keeps runs
@@ -92,8 +86,6 @@ class MachineConfig:
             raise ValueError("need at least one I/O node")
         if self.block_size <= 0:
             raise ValueError("block size must be positive")
-        if self.telemetry_interval_s <= 0:
-            raise ValueError("telemetry interval must be positive")
         from repro.core.policies import POLICY_NAMES
 
         if self.prefetch_policy not in POLICY_NAMES:

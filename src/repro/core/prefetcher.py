@@ -34,7 +34,6 @@ from repro.core.prefetch_buffer import (
 )
 from repro.obs.monitor import Monitor
 from repro.obs.stats import PrefetchStats
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,21 +85,6 @@ class Prefetcher:
         self._handle = handle
         self._list = PrefetchBufferList(
             handle.env, handle.node.memory, retain_consumed=self.retain_consumed
-        )
-        telemetry = get_telemetry(self.monitor)
-        label = {"node": str(handle.node.node_id), "rank": str(handle.rank)}
-        blist = self._list
-        telemetry.register_probe(
-            "prefetch_buffer_bytes",
-            lambda: float(blist.live_bytes),
-            labels=label,
-            help="Bytes held by in-flight + ready prefetch buffers",
-        )
-        telemetry.register_probe(
-            "prefetch_buffers_live",
-            lambda: float(len(blist.live_buffers)),
-            labels=label,
-            help="Prefetch buffers currently holding memory",
         )
 
     def on_close(self, handle: "PFSFileHandle") -> None:

@@ -120,7 +120,6 @@ def build_machine(
     cache_blocks: int = 128,
     hardware=None,
     trace: bool = False,
-    telemetry: bool = False,
     tie_break: str = "fifo",
     faults=None,
     prefetch_policy: str = "one-ahead",
@@ -133,7 +132,6 @@ def build_machine(
         n_io=n_io,
         cache_blocks=cache_blocks,
         trace=trace,
-        telemetry=telemetry,
         tie_break=tie_break,
         faults=faults,
         prefetch_policy=prefetch_policy,
@@ -195,7 +193,6 @@ def run_collective(
     async_partition: bool = True,
     hardware=None,
     trace: bool = False,
-    telemetry: bool = False,
     tie_break: str = "fifo",
     keep_machine: bool = False,
     faults=None,
@@ -208,14 +205,13 @@ def run_collective(
     With ``trace=True`` the machine records request spans and the report
     comes back with its :attr:`~repro.metrics.BandwidthReport.breakdown`
     populated (per-layer critical-path seconds summed over all read
-    calls).  With ``telemetry=True`` resource time series are sampled and
-    :attr:`~repro.metrics.BandwidthReport.bottleneck` names the
-    saturating resource.  Neither schedules simulation events, so the
-    measured numbers are identical either way.
+    calls).  Tracing schedules no simulation events, so the measured
+    numbers are identical either way.
 
     ``keep_machine=True`` attaches the machine as ``report.machine`` so
-    callers can export telemetry/traces after the fact (the attribute is
-    set dynamically and never participates in equality).
+    callers can export traces or read
+    :meth:`~repro.machine.Machine.bottleneck_report` after the fact (the
+    attribute is set dynamically and never participates in equality).
     """
     machine, mount = build_machine(
         n_compute=n_compute,
@@ -225,7 +221,6 @@ def run_collective(
         buffered=buffered,
         hardware=hardware,
         trace=trace,
-        telemetry=telemetry,
         tie_break=tie_break,
         faults=faults,
         prefetch_policy=prefetch_policy,
@@ -247,9 +242,6 @@ def run_collective(
     report = workload.run().report
     if trace:
         report.breakdown = machine.obs.breakdown()
-    if telemetry:
-        machine.obs.telemetry.finalize()
-        report.bottleneck = machine.bottleneck_report()
     if keep_machine:
         report.machine = machine
     return report

@@ -45,7 +45,7 @@ class FaultInjector:
         self.monitor = monitor or NULL_MONITOR
         #: Matching-operation count per count-style spec (by plan index).
         self._seen: Dict[int, int] = {}
-        #: Fire count per spec (telemetry + ``fired`` report).
+        #: Fire count per spec (the ``fired`` report).
         self._fired: Dict[int, int] = {}
         #: Delivery audit log: ``(file_id, offset, nbytes, sha256
         #: hexdigest, kind, io_node)``.  ``kind`` is one of ``demand``

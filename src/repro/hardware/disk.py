@@ -31,7 +31,6 @@ from repro.hardware.params import DiskParams
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import Environment
 from repro.obs.monitor import NULL_MONITOR, Monitor
@@ -97,26 +96,6 @@ class Disk:
         self._rng_state = (zlib.crc32(name.encode()) & 0xFFFFFFFF) | 1
         #: Accumulated time the arm was held (utilisation).
         self.busy_s = 0.0
-        telemetry = get_telemetry(monitor)
-        label = {"device": name}
-        telemetry.register_probe(
-            "disk_busy_seconds",
-            lambda: self.busy_s,
-            labels=label,
-            help="Seconds the arm was held (busy fraction = value / elapsed)",
-            kind="counter",
-        )
-        telemetry.register_probe(
-            "disk_queue_depth",
-            lambda: float(self.queue_depth),
-            labels=label,
-            help="Requests waiting for the arm",
-        )
-        self._service_hist = telemetry.histogram(
-            "disk_service_seconds",
-            labels=label,
-            help="Queue + positioning + transfer time per request",
-        )
 
     # -- service-time model -------------------------------------------------
 
@@ -225,7 +204,6 @@ class Disk:
         self._seq += 1
         self._pending.append((self.env.now, lba, key, self._seq, grant))
         self.env._mark_arbiter_dirty(self)
-        queued_at = self.env.now
         sequential = False
         cache_hit = False
         started_at = None
@@ -264,7 +242,6 @@ class Disk:
                 if self._pending:
                     self.env._mark_arbiter_dirty(self)
         self.tracer.end(span, sequential=sequential, track_cache_hit=cache_hit)
-        self._service_hist.observe(self.env.now - queued_at)
         self.monitor.counter(f"{self.name}.{kind}s").add(1)
         self.monitor.counter(f"{self.name}.bytes_{kind}").add(nbytes)
         if sequential:

@@ -22,7 +22,6 @@ from repro.hardware.params import MeshParams
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.sim import ArbitratedResource, Environment
 from repro.sim.events import Event, Timeout
@@ -56,17 +55,17 @@ class MeshMessage:
     duplicated: bool = False
 
 
-# fast-path: requires=faults,tracer,telemetry -- callback worm skips per-hop generator resumes; legal only when nothing observes the interior
+# fast-path: requires=faults,tracer -- callback worm skips per-hop generator resumes; legal only when nothing observes the interior
 class _FastWorm:
     """Event-callback worm: one mesh transmission without a generator.
 
-    The stepped/merged ``Mesh.send`` body resumes the *caller's whole
-    generator chain* once per hop grant just to request the next link.
-    When nothing can observe the interior of a transmission (no fault
-    plan, no trace span, no telemetry probe), this state machine drives
-    the identical event sequence -- same software-overhead timeout, same
-    per-hop merged grants at the same times with the same queue ids --
-    through flat callbacks, and wakes the caller exactly once.
+    The stepped ``Mesh.send`` body resumes the *caller's whole generator
+    chain* once per hop grant just to request the next link.  When
+    nothing can observe the interior of a transmission (no fault plan,
+    no trace span), this state machine drives the identical event
+    sequence -- same software-overhead timeout, same per-hop merged
+    grants at the same times with the same queue ids -- through flat
+    callbacks, and wakes the caller exactly once.
 
     The caller waits on ``proxy``, an event that is never scheduled: the
     final grant's pop runs :meth:`advance` -> :meth:`_finish`, which
@@ -115,9 +114,7 @@ class _FastWorm:
         mesh = self.mesh
         env = mesh.env
         idx = self.idx
-        if idx < 0:
-            mesh._in_flight += 1
-        else:
+        if idx >= 0:
             granted_at = event._value
             if granted_at is None:
                 granted_at = env._now
@@ -157,7 +154,6 @@ class _FastWorm:
         for i in range(len(pairs)):
             link = pairs[i][0]
             busy[link] = busy.get(link, 0.0) + (released_at - granted[i])
-        mesh._in_flight -= 1
         message = self.message
         message.delivered_at = released_at
         mesh._c_messages.add(1)
@@ -197,36 +193,16 @@ class Mesh:
         #: Total seconds senders spent blocked on link acquisition
         #: (contention: zero on an idle mesh by construction).
         self.wait_s = 0.0
-        self._in_flight = 0
         # Hot-path monitor objects, resolved once instead of per message.
         self._c_messages = monitor.counter("mesh.messages")
         self._c_bytes = monitor.counter("mesh.bytes")
-        self.telemetry = get_telemetry(monitor)
-        #: Merged per-hop grants collapse each link's grant + hold
-        #: timeout into one scheduled event.  Timing-identical, but the
-        #: sender's ``wait_s`` bookkeeping then lands at the end of the
-        #: hold instead of at the grant -- observable only by a telemetry
-        #: sampler, so the merge is disabled when telemetry is on (the
-        #: ISSUE's "probe overlaps the batch" fallback).
-        self._merge_grants = not self.telemetry.enabled
         #: Callback-worm transmissions (see :class:`_FastWorm`): same
-        #: event sequence as the merged path but without per-hop
-        #: generator resumes.  Requires that nothing can observe or
-        #: perturb a transmission's interior: fault plans decide
-        #: drop/duplicate at delivery and trace spans record hop
-        #: interiors, so both fall back to the generator paths.
-        self._fast_sends = faults is None and not self.tracer.enabled and self._merge_grants
-        self.telemetry.register_probe(
-            "mesh_wait_seconds",
-            lambda: self.wait_s,
-            help="Cumulative seconds senders blocked on busy links (contention)",
-            kind="counter",
-        )
-        self.telemetry.register_probe(
-            "mesh_messages_in_flight",
-            lambda: float(self._in_flight),
-            help="Messages currently crossing the mesh",
-        )
+        #: event sequence as the generator path but without per-hop
+        #: resumes.  Requires that nothing can observe or perturb a
+        #: transmission's interior: fault plans decide drop/duplicate at
+        #: delivery and trace spans record hop interiors, so both fall
+        #: back to the generator path.
+        self._fast_sends = faults is None and not self.tracer.enabled
 
     # -- topology ---------------------------------------------------------
 
@@ -264,13 +240,6 @@ class Mesh:
             # simulated time are ordered by (src, dst), not by event
             # insertion order -- port arbitration must not be a race.
             res = self._links[link] = ArbitratedResource(self.env, capacity=1)
-            self.telemetry.register_probe(
-                "mesh_link_busy_seconds",
-                lambda lk=link: self._link_busy_s.get(lk, 0.0),
-                labels={"link": _link_label(link)},
-                help="Seconds this directed link was held by a worm",
-                kind="counter",
-            )
         return res
 
     def link_busy_s(self) -> Dict[str, float]:
@@ -295,7 +264,7 @@ class Mesh:
             p.sw_overhead_s + self.hops(src, dst) * p.per_hop_s + size_bytes / p.link_bandwidth_bps
         )
 
-    # fast-path: requires=faults,tracer,telemetry -- launches a callback worm, which only an unobserved, fault-free mesh may run
+    # fast-path: requires=faults,tracer -- launches a callback worm, which only an unobserved, fault-free mesh may run
     def post(self, message: MeshMessage, proxy: Event, value: Any) -> None:
         """Transmit *message*; fire *proxy* with *value* on delivery.
 
@@ -317,13 +286,13 @@ class Mesh:
         body while holding the path, then releases every link.
         """
         env = self.env
+        if self._fast_sends:
+            proxy = Event(env)
+            self.post(message, proxy, message)
+            return (yield proxy)
         message.enqueued_at = env.now
         if message.size_bytes < 0:
             raise ValueError("message size must be non-negative")
-        if self._fast_sends:
-            proxy = Event(env)
-            _FastWorm(self, message, proxy, message)
-            return (yield proxy)
         p = self.params
         tracer = self.tracer
         traced = tracer.enabled
@@ -346,41 +315,26 @@ class Mesh:
         body_time = message.size_bytes / p.link_bandwidth_bps
         requests = []
         acquired = []
-        self._in_flight += 1
         try:
-            if self._merge_grants:
-                # Fast path: each link's grant + hold timeout is one
-                # scheduled event (the last link also absorbs the body
-                # streaming time).  Grant instants, hold windows and
-                # release times are identical to the stepped path.
-                last = len(pairs) - 1
-                for i, (link, res) in enumerate(pairs):
-                    # The tuple makes the resume time's float arithmetic
-                    # identical to the stepped per-hop + body timeouts.
-                    delay = (per_hop, body_time) if i == last else per_hop
-                    requested_at = env.now
-                    req = res.request(key=route_key, resume_delay=delay)
-                    requests.append((link, res, req))
-                    granted_at = yield req
-                    if granted_at is None:
-                        granted_at = env.now
-                    self.wait_s += granted_at - requested_at
-                    acquired.append((link, granted_at))
-                if not pairs and body_time > 0:
-                    yield env.timeout(body_time)
-            else:
-                for link, res in pairs:
-                    req = res.request(key=route_key)
-                    requests.append((link, res, req))
-                    requested_at = env.now
-                    yield req
-                    self.wait_s += env.now - requested_at
-                    acquired.append((link, env.now))
-                    if per_hop > 0:
-                        yield env.timeout(per_hop)
-                # Path reserved end-to-end; stream the body.
-                if body_time > 0:
-                    yield env.timeout(body_time)
+            # Each link's grant + hold timeout is one merged event (the
+            # last link also absorbs the body streaming time): the slot
+            # is held from the grant instant and released when the body
+            # has streamed through.
+            last = len(pairs) - 1
+            for i, (link, res) in enumerate(pairs):
+                # The tuple makes the resume time's float arithmetic
+                # identical to successive per-hop + body timeouts.
+                delay = (per_hop, body_time) if i == last else per_hop
+                requested_at = env.now
+                req = res.request(key=route_key, resume_delay=delay)
+                requests.append((link, res, req))
+                granted_at = yield req
+                if granted_at is None:
+                    granted_at = env.now
+                self.wait_s += granted_at - requested_at
+                acquired.append((link, granted_at))
+            if not pairs and body_time > 0:
+                yield env.timeout(body_time)
         finally:
             released_at = env.now
             for _link, res, req in requests:
@@ -388,7 +342,6 @@ class Mesh:
             busy = self._link_busy_s
             for link, granted_at in acquired:
                 busy[link] = busy.get(link, 0.0) + (released_at - granted_at)
-            self._in_flight -= 1
 
         message.delivered_at = env.now
         if self.faults is not None:

@@ -24,10 +24,9 @@ from repro.hardware.params import DiskParams, RAIDParams
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 from repro.hardware.scsi import SCSIBus
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import Environment
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
@@ -115,8 +114,8 @@ class RAID3Array:
         #: Bytes written onto the replacement spindle (the failed
         #: spindle's share of the live stripe region).
         self.rebuild_copied_bytes = 0
-        #: Completed rebuild count (telemetry; also the completion flag
-        #: tests assert on).
+        #: Completed rebuild count (also the completion flag tests
+        #: assert on).
         self.rebuilds_completed = 0
         #: Live-region oracle wired by the Machine (bytes of allocated
         #: stripe content on this array); the rebuild only copies this
@@ -125,50 +124,17 @@ class RAID3Array:
         self._high_water = 0
         #: Accumulated time the arm was held (utilisation).
         self.busy_s = 0.0
-        telemetry = get_telemetry(monitor)
-        label = {"device": name}
-        telemetry.register_probe(
-            "disk_rebuild_frontier_bytes",
-            lambda: float(self._rebuild_frontier if self._rebuilding else 0),
-            labels=label,
-            help="Stripe bytes already copied back during an active rebuild",
-        )
-        telemetry.register_probe(
-            "disk_rebuild_copied_bytes",
-            lambda: float(self.rebuild_copied_bytes),
-            labels=label,
-            help="Bytes written onto replacement spindles by copy-back rebuilds",
-            kind="counter",
-        )
-        telemetry.register_probe(
-            "disk_busy_seconds",
-            lambda: self.busy_s,
-            labels=label,
-            help="Seconds the array arm was held (busy fraction = value / elapsed)",
-            kind="counter",
-        )
-        telemetry.register_probe(
-            "disk_queue_depth",
-            lambda: float(len(self._pending)),
-            labels=label,
-            help="Requests waiting for the array arm",
-        )
-        self._service_hist = telemetry.histogram(
-            "disk_service_seconds",
-            labels=label,
-            help="Queue + positioning + transfer time per request",
-        )
-        #: Closed-form fast path: when no fault plan, trace span, or
-        #: telemetry probe can observe the interior of an access, the
-        #: whole service (controller overhead, positioning, pipelined
-        #: bus stream) is computed at the arm grant and the requester is
-        #: resumed once, at the completion time -- one scheduled event
-        #: instead of the stepped timeout/bus chain.  Exact by
+        #: Closed-form fast path: when no fault plan or trace span can
+        #: observe the interior of an access, the whole service
+        #: (controller overhead, positioning, pipelined bus stream) is
+        #: computed at the arm grant and the requester is resumed once,
+        #: at the completion time -- one scheduled event instead of the
+        #: stepped timeout/bus chain.  Exact by
         #: construction: the arm hold serialises every reader/writer of
         #: the head, track-cache and RNG state, and the completion time
         #: is built with the same successive float additions the stepped
         #: path performs.
-        self._fast_mode = faults is None and not self.tracer.enabled and not telemetry.enabled
+        self._fast_mode = faults is None and not self.tracer.enabled
         bus.attach_client()
         # Hot-path monitor objects, resolved once instead of per access.
         self._c_reads = monitor.counter(f"{name}.reads")
@@ -342,7 +308,7 @@ class RAID3Array:
                     self._cached_end = end
             grant._ok = True
             grant._value = (now, duration, sequential, cache_hit)
-            # sim-ok: R006 -- fast payloads are attached in _access only under the _fast_mode gate (faults/tracer/telemetry all off)
+            # sim-ok: R006 -- fast payloads are attached in _enqueue only under the fast_ready gate (no fault plan, tracer off)
             env.schedule_at(grant, when + duration)
             return
         grant.succeed()
@@ -386,7 +352,7 @@ class RAID3Array:
         accounting the stepped path would have accrued between the arm
         grant and now (both forms)."""
         started_at, duration, sequential, cache_hit = done
-        # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the _fast_mode gate (faults/tracer/telemetry all off)
+        # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (no fault plan, tracer off)
         self.bus.account_bypass(nbytes, duration)
         self.busy_s += self.env._now - started_at
         self._busy = False
@@ -412,7 +378,6 @@ class RAID3Array:
         if self.faults is not None:
             self.faults.tick()
         env = self.env
-        queued_at = env.now
         tracer = self.tracer
         if tracer.enabled:
             # The disk_service span covers queueing + positioning +
@@ -439,9 +404,9 @@ class RAID3Array:
             # State changed while queued; the grant fell back to the
             # stepped path (already held -- do not yield again).
             grant = None
-        return (yield from self._stepped(grant, lba, nbytes, kind, queued_at, span, span_ctx))
+        return (yield from self._stepped(grant, lba, nbytes, kind, span, span_ctx))
 
-    def _stepped(self, grant, lba: int, nbytes: int, kind: str, queued_at: float, span, span_ctx):
+    def _stepped(self, grant, lba: int, nbytes: int, kind: str, span, span_ctx):
         """Generator: the stepped service of one access, after waiting
         for *grant* (``None`` when the arm is already held)."""
         sequential = False
@@ -527,11 +492,7 @@ class RAID3Array:
                     self._cached_start = max(lba, lba + nbytes - window)
                     self._cached_end = lba + nbytes
         finally:
-            if started_at is not None:
-                self.busy_s += self.env.now - started_at
-            self._busy = False
-            if self._pending:
-                self.env._mark_arbiter_dirty(self)
+            self._leave_arm(grant, started_at)
         if span is not None:
             if self.faults is not None or degraded_now:
                 self.tracer.end(
@@ -542,7 +503,6 @@ class RAID3Array:
                 )
             else:
                 self.tracer.end(span, sequential=sequential, track_cache_hit=cache_hit)
-        self._service_hist.observe(self.env.now - queued_at)
         self._count(nbytes, kind, sequential, cache_hit)
         return nbytes
 
@@ -554,7 +514,7 @@ class RAID3Array:
         """Generator: write *nbytes*; parity spindle streams concurrently."""
         return self._access(lba, nbytes, "write", ctx=ctx)
 
-    # fast-path: requires=faults,tracer,telemetry -- no process waits on the arm; only the unobserved, fault-free closed form completes it by callback
+    # fast-path: requires=faults,tracer -- no process waits on the arm; only the unobserved, fault-free closed form completes it by callback
     def access_then(
         self, kind: str, lba: int, nbytes: int, key: Any, then: Callable[[Any, Any], None]
     ) -> None:
@@ -716,11 +676,29 @@ class RAID3Array:
             self.monitor.counter(f"{self.name}.rebuild_copied_bytes").add(share)
             return self.env.now - started_at
         finally:
-            if started_at is not None:
-                self.busy_s += self.env.now - started_at
-            self._busy = False
-            if self._pending:
-                self.env._mark_arbiter_dirty(self)
+            self._leave_arm(grant, started_at)
+
+    def _leave_arm(self, grant: Optional[Event], started_at: Optional[float]) -> None:
+        """Give up the arm on a stepped access's way out, normal or not.
+
+        An access interrupted while still queued (its *grant* never
+        fired) withdraws its own queue entry and leaves the arm to
+        whoever holds it.  Otherwise the access holds the arm -- granted
+        (even if interrupted before it resumed) or passed in already
+        held (*grant* is ``None``) -- and releases it.
+        """
+        if grant is not None and grant._value is PENDING:
+            pending = self._pending
+            for i, entry in enumerate(pending):
+                if entry[2] is grant:
+                    del pending[i]
+                    break
+            return
+        if started_at is not None:
+            self.busy_s += self.env.now - started_at
+        self._busy = False
+        if self._pending:
+            self.env._mark_arbiter_dirty(self)
 
     @property
     def queue_depth(self) -> int:
@@ -733,11 +711,11 @@ class RAID3Array:
         )
 
 
-# fast-path: requires=faults,tracer,telemetry -- completes a closed-form access by callback; built only by access_then
+# fast-path: requires=faults,tracer -- completes a closed-form access by callback; built only by access_then
 class _CallbackAccess:
     """One :meth:`RAID3Array.access_then` access, waiting for its grant."""
 
-    __slots__ = ("array", "kind", "lba", "nbytes", "key", "then", "queued_at")
+    __slots__ = ("array", "kind", "lba", "nbytes", "key", "then")
 
     def __init__(self, array: RAID3Array, kind: str, lba: int, nbytes: int, key: Any, then) -> None:
         self.array = array
@@ -746,7 +724,6 @@ class _CallbackAccess:
         self.nbytes = nbytes
         self.key = key
         self.then = then
-        self.queued_at = array.env._now
 
     def granted(self, grant: Event) -> None:
         done = grant._value
@@ -757,7 +734,7 @@ class _CallbackAccess:
         # A stepped grant: finish as the process form would, under the
         # caller's key (the arm is already held).
         stepped = array.env.process(
-            array._stepped(None, self.lba, self.nbytes, self.kind, self.queued_at, None, None),
+            array._stepped(None, self.lba, self.nbytes, self.kind, None, None),
             name=f"{array.name}-stepped-{self.kind}",
             order_key=self.key,
         )

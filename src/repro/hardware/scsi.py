@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.hardware.params import SCSIParams
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import ArbitratedResource, Environment
 from repro.obs.monitor import NULL_MONITOR, Monitor
@@ -48,21 +47,6 @@ class SCSIBus:
         self._c_transfers = monitor.counter(f"{name}.transfers")
         self._c_bytes = monitor.counter(f"{name}.bytes")
         self._cause_counters = {}
-        telemetry = get_telemetry(monitor)
-        label = {"bus": name}
-        telemetry.register_probe(
-            "scsi_busy_seconds",
-            lambda: self.busy_s,
-            labels=label,
-            help="Seconds the bus spent streaming (busy fraction = value / elapsed)",
-            kind="counter",
-        )
-        telemetry.register_probe(
-            "scsi_queue_depth",
-            lambda: float(len(self._bus.queue)),
-            labels=label,
-            help="Transfers waiting for bus arbitration",
-        )
 
     def transfer_time(self, nbytes: int) -> float:
         """Uncontended time to move *nbytes* across the bus."""
@@ -85,7 +69,7 @@ class SCSIBus:
         *cause* labels what the transfer served (``io`` for demand /
         prefetch traffic, ``rebuild`` for RAID copy-back passes); the
         non-default causes get their own counters so rebuild competition
-        for the bus is visible in telemetry.
+        for the bus is visible in the monitor.
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
@@ -123,14 +107,14 @@ class SCSIBus:
         self.clients += 1
         return self.clients
 
-    # fast-path: requires=faults,tracer,telemetry -- bookkeeping-only transfer; grant must be provably uncontended and unobserved
+    # fast-path: requires=faults,tracer -- bookkeeping-only transfer; grant must be provably uncontended and unobserved
     def account_bypass(self, nbytes: int, duration: float) -> None:
         """Book an exclusive transfer of known *duration* without events.
 
         Used by the RAID closed-form fast path: when the array is the
         bus's only client (``clients == 1``; rebuild traffic exists only
         under fault plans, which disable the fast path) and no trace
-        span or telemetry probe can observe the interval, the grant is
+        span can observe the interval, the grant is
         provably uncontended and the transfer's accounting can be
         applied directly.  Counter and ``busy_s`` totals come out
         identical to :meth:`transfer`.

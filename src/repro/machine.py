@@ -45,14 +45,8 @@ class Machine:
         cfg = self.config
         self.env = Environment(tie_break=cfg.tie_break)
         #: Unified observability handle: the counter registry every
-        #: component reports into, plus the request tracer and telemetry
-        #: (metric registry, probes, sampler).
-        self.obs = Observability(
-            self.env,
-            trace=cfg.trace,
-            telemetry=cfg.telemetry,
-            telemetry_interval_s=cfg.telemetry_interval_s,
-        )
+        #: component reports into, plus the request tracer.
+        self.obs = Observability(self.env, trace=cfg.trace)
         #: Alias: ``machine.obs`` is itself the Monitor.
         self.monitor = self.obs
 
@@ -225,32 +219,6 @@ class Machine:
                         f"{spec.kind} targets unknown compute node "
                         f"{spec.target!r}; known: {sorted(known)}"
                     )
-
-        # -- node-level telemetry probes (nodes take no monitor handle) ----------
-        telemetry = self.obs.telemetry
-        for node in self.compute_nodes + self.io_nodes + [self.service_node]:
-            label = {"node": str(node.node_id)}
-            # Normalised by CPU count so value/elapsed is a [0, 1] fraction.
-            telemetry.register_probe(
-                "node_cpu_busy_seconds",
-                lambda n=node: n.cpu_busy_s / n.params.cpu_count,
-                labels=label,
-                help="CPU busy-seconds per node, normalised by CPU count",
-                kind="counter",
-            )
-            telemetry.register_probe(
-                "node_msgproc_busy_seconds",
-                lambda n=node: n.msgproc_busy_s,
-                labels=label,
-                help="Message-processor busy-seconds per node",
-                kind="counter",
-            )
-            telemetry.register_probe(
-                "node_memory_used_bytes",
-                lambda n=node: float(n.memory.used_bytes),
-                labels=label,
-                help="Allocated node memory in bytes",
-            )
 
     # -- PFS administration -------------------------------------------------------
 
@@ -534,8 +502,8 @@ class Machine:
 
         Reads the components' busy-seconds fields directly -- disk
         arrays, SCSI buses, mesh links, and every node's CPUs
-        (normalised by CPU count) and message processor -- so it needs
-        no telemetry and leaves every fast path engaged.
+        (normalised by CPU count) and message processor -- so it
+        leaves every fast path engaged.
         """
         nodes = self.compute_nodes + self.io_nodes + [self.service_node]
         busy = {

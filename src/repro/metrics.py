@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.stats import PrefetchStats
-    from repro.obs.monitor import BottleneckReport
     from repro.pfs.client import PFSFileHandle
 
 MB = 1024 * 1024
@@ -47,9 +46,6 @@ class BandwidthReport:
     #: critical path), attached when the run was traced.  Excluded from
     #: equality: tracing must not change what a run *measures*.
     breakdown: Optional[Dict[str, float]] = field(default=None, compare=False)
-    #: Which resource saturated, attached when the run had telemetry on.
-    #: Excluded from equality for the same reason as ``breakdown``.
-    bottleneck: Optional["BottleneckReport"] = field(default=None, compare=False)
 
     @property
     def read_time_s(self) -> float:

@@ -24,10 +24,8 @@ an instrument:
   disconnects a mechanism now fails in CI instead of shipping.
 
 Attribution is read from the always-on monitor counters and
-``machine.bottleneck_report()`` (the components' busy-seconds) rather
-than the sampling telemetry plane, so the fast kernel stays engaged for
-the sweep (telemetry sampling would force the stepped paths);
-``--telemetry`` opts into full sampling.
+``machine.bottleneck_report()`` (the components' busy-seconds), so the
+fast kernel stays engaged for the sweep.
 """
 
 from __future__ import annotations
@@ -232,7 +230,6 @@ _WORKLOAD_FAMILIES = ("collective", "strided")
 def resolve_configs(
     overrides: Mapping[str, object],
     tie_break: str = "fifo",
-    telemetry: bool = False,
 ) -> Tuple[MachineConfig, PFSConfig, Dict[str, object]]:
     """Resolve dotted-path overrides into concrete run configs.
 
@@ -292,9 +289,7 @@ def resolve_configs(
             },
         )
         machine_kw["hardware"] = hardware
-    machine_cfg = MachineConfig(
-        tie_break=tie_break, telemetry=telemetry, **machine_kw
-    )
+    machine_cfg = MachineConfig(tie_break=tie_break, **machine_kw)
     pfs_cfg = PFSConfig(**pfs_kw)
     return machine_cfg, pfs_cfg, workload
 
@@ -441,16 +436,13 @@ def execute_run(
     rounds: int = DEFAULT_ROUNDS,
     compute_delay: float = DEFAULT_DELAY_S,
     tie_break: str = "fifo",
-    telemetry: bool = False,
 ) -> Dict[str, object]:
     """Execute one run on a fresh machine; returns the run record."""
     from repro.machine import Machine
     from repro.pfs import IOMode
     from repro.workloads import CollectiveReadWorkload, StridedReadWorkload
 
-    machine_cfg, pfs_cfg, workload_kw = resolve_configs(
-        dict(spec.overrides), tie_break=tie_break, telemetry=telemetry
-    )
+    machine_cfg, pfs_cfg, workload_kw = resolve_configs(dict(spec.overrides), tie_break=tie_break)
     machine = Machine(machine_cfg)
     mount = machine.mount("/pfs", pfs_cfg)
     request = spec.request_kb * KB
@@ -493,8 +485,6 @@ def execute_run(
             async_partition=spec.mode != "M_ASYNC",
         )
     report = workload.run().report
-    if telemetry:
-        machine.obs.telemetry.finalize()
     record: Dict[str, object] = {
         "run_id": spec.run_id,
         "mode": spec.mode,
@@ -515,7 +505,6 @@ def execute_runs(
     rounds: int = DEFAULT_ROUNDS,
     compute_delay: float = DEFAULT_DELAY_S,
     tie_break: str = "fifo",
-    telemetry: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Execute a run set; returns ``{run_id: record}``.
@@ -546,7 +535,6 @@ def execute_runs(
             rounds=rounds,
             compute_delay=compute_delay,
             tie_break=tie_break,
-            telemetry=telemetry,
         )
         memo[spec.signature] = spec.run_id
     return records
@@ -772,7 +760,6 @@ def run_sweep(
     rounds: int = DEFAULT_ROUNDS,
     compute_delay: float = DEFAULT_DELAY_S,
     tie_break: str = "fifo",
-    telemetry: bool = False,
     golden: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, object]:
@@ -788,7 +775,6 @@ def run_sweep(
         rounds=rounds,
         compute_delay=compute_delay,
         tie_break=tie_break,
-        telemetry=telemetry,
         progress=progress,
     )
     cells = compute_cells(runs, records)
@@ -801,7 +787,6 @@ def run_sweep(
             "rounds": rounds,
             "compute_delay_s": compute_delay,
             "tie_break": tie_break,
-            "telemetry": telemetry,
         },
         "validation": validation,
         "mechanisms": [
@@ -1018,11 +1003,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--delay", type=float, default=DEFAULT_DELAY_S)
     parser.add_argument("--tie-break", choices=("fifo", "lifo"), default="fifo")
     parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="sample full telemetry per run (disables the fast kernel)",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="one-mode, one-size smoke subset (M_RECORD, 64KB, 3 rounds)",
@@ -1089,7 +1069,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 rounds=rounds,
                 compute_delay=delay,
                 tie_break=args.tie_break,
-                telemetry=args.telemetry,
                 golden=not args.skip_golden,
                 progress=lambda run_id: print(f"  run {run_id}", file=sys.stderr),
             )

@@ -2,11 +2,10 @@
 
 :class:`Observability` *is* the run's counter registry (a
 :class:`~repro.obs.monitor.Monitor`) and also carries the request tracer
-(:class:`~repro.obs.trace.Tracer`) and the telemetry sampler.
-Components throughout the stack take one ``monitor=`` constructor
-argument; handed an ``Observability`` they get counters *and* (via
-:func:`~repro.obs.trace.get_tracer` / :func:`~repro.obs.telemetry.get_telemetry`)
-the tracer and telemetry, with no wiring changes.
+(:class:`~repro.obs.trace.Tracer`).  Components throughout the stack
+take one ``monitor=`` constructor argument; handed an ``Observability``
+they get counters *and* (via :func:`~repro.obs.trace.get_tracer`) the
+tracer, with no wiring changes.
 """
 
 from __future__ import annotations
@@ -20,14 +19,6 @@ from repro.obs.export import (
     render_breakdown,
 )
 from repro.obs.monitor import Monitor
-from repro.obs.telemetry import Telemetry
-from repro.obs.telemetry_export import (
-    prometheus_text,
-    timeseries_csv,
-    timeseries_jsonl,
-    utilization_heatmap,
-    utilization_timeline,
-)
 from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,30 +26,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Observability(Monitor):
-    """The counter registry plus a tracer and telemetry -- one handle.
+    """The counter registry plus a tracer -- one handle.
 
     On top of the :class:`~repro.obs.monitor.Monitor` counters:
 
     - :attr:`tracer` -- the request tracer (disabled unless
       ``trace=True``);
-    - :attr:`telemetry` -- the labeled metric registry + sampler
-      (disabled unless ``telemetry=True``);
     - export conveniences (:meth:`chrome_trace`, :meth:`breakdown`,
-      :meth:`breakdown_table`, :meth:`critical_path`, :meth:`prometheus`,
-      :meth:`telemetry_csv`, :meth:`telemetry_jsonl`, :meth:`heatmap`,
-      :meth:`timeline`).
+      :meth:`breakdown_table`, :meth:`critical_path`).
     """
 
-    def __init__(
-        self,
-        env: "Environment",
-        trace: bool = False,
-        telemetry: bool = False,
-        telemetry_interval_s: float = 0.05,
-    ) -> None:
+    def __init__(self, env: "Environment", trace: bool = False) -> None:
         super().__init__(env)
         self.tracer = Tracer(env, enabled=trace)
-        self.telemetry = Telemetry(env, enabled=telemetry, interval_s=telemetry_interval_s)
 
     # -- trace exports ------------------------------------------------------
 
@@ -85,27 +65,5 @@ class Observability(Monitor):
     def spans(self, kind: Optional[str] = None) -> List:
         return self.tracer.by_kind(kind) if kind else list(self.tracer.spans)
 
-    # -- telemetry exports ---------------------------------------------------
-
-    def prometheus(self) -> str:
-        """Current metric state in Prometheus text exposition format."""
-        return prometheus_text(self.telemetry)
-
-    def telemetry_csv(self) -> str:
-        """Sampled time series as CSV rows."""
-        return timeseries_csv(self.telemetry)
-
-    def telemetry_jsonl(self) -> str:
-        """Sampled time series as JSON Lines."""
-        return timeseries_jsonl(self.telemetry)
-
-    def heatmap(self, family: str = "disk_busy_seconds", **kwargs) -> str:
-        """ASCII utilization heatmap of a busy-seconds family."""
-        return utilization_heatmap(self.telemetry, family, **kwargs)
-
-    def timeline(self, family: str = "disk_busy_seconds", **kwargs) -> str:
-        """ASCII utilization line chart of a busy-seconds family."""
-        return utilization_timeline(self.telemetry, family, **kwargs)
-
     def __repr__(self) -> str:
-        return f"<Observability tracer={self.tracer!r} telemetry={self.telemetry!r}>"
+        return f"<Observability tracer={self.tracer!r}>"

@@ -24,7 +24,6 @@ import itertools
 from typing import Callable, Generator, List, Optional
 
 from repro.hardware.node import Node
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import ArbitratedStore, Environment
 from repro.obs.monitor import NULL_MONITOR, Monitor
@@ -108,20 +107,6 @@ class AsyncRequestManager:
             env.process(self._art_loop(i), name=f"art-{node.node_id}-{i}")
             for i in range(max_threads)
         ]
-        telemetry = get_telemetry(monitor)
-        label = {"node": str(node.node_id)}
-        telemetry.register_probe(
-            "art_outstanding_requests",
-            lambda: float(len(self.outstanding)),
-            labels=label,
-            help="Async requests submitted but not yet completed",
-        )
-        telemetry.register_probe(
-            "art_active_list_depth",
-            lambda: float(len(self._active_list.items)),
-            labels=label,
-            help="Requests queued on the FIFO active list awaiting an ART",
-        )
 
     @property
     def outstanding(self) -> List[AsyncRequest]:

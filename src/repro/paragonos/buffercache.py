@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Generator, Optional, Tuple
 
-from repro.obs.telemetry import get_telemetry
 from repro.sim import Environment, Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
@@ -64,37 +63,9 @@ class BufferCache:
         #: Events to trigger the next time a block becomes dirty (lets
         #: the sync daemon sleep instead of polling an empty cache).
         self._dirty_waiters: list = []
-        #: Always-on event tallies (hits, misses, ...) -- the source the
-        #: telemetry probes read, independent of the monitor.
+        #: Always-on event tallies (hits, misses, ...), independent of
+        #: the monitor.
         self.counts: Dict[str, int] = {}
-        telemetry = get_telemetry(monitor)
-        label = {"cache": name}
-        telemetry.register_probe(
-            "bcache_occupancy_blocks",
-            lambda: float(len(self._blocks)),
-            labels=label,
-            help="Blocks resident in the cache",
-        )
-        telemetry.register_probe(
-            "bcache_dirty_blocks",
-            lambda: float(self.dirty_count),
-            labels=label,
-            help="Resident blocks awaiting write-back",
-        )
-        telemetry.register_probe(
-            "bcache_hits_total",
-            lambda: float(self.counts.get("hits", 0)),
-            labels=label,
-            help="Block lookups served from the cache",
-            kind="counter",
-        )
-        telemetry.register_probe(
-            "bcache_misses_total",
-            lambda: float(self.counts.get("misses", 0) + self.counts.get("collapsed_misses", 0)),
-            labels=label,
-            help="Block lookups that missed (incl. collapsed)",
-            kind="counter",
-        )
 
     # -- introspection ---------------------------------------------------------
 

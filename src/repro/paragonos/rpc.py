@@ -19,8 +19,8 @@ endpoint reserved when it was built.  One serve per round (not every
 waiting request at once) decides in which settle round each serve makes
 its first arbiter request, so it is part of the model's timing.
 
-Without a fault plan, tracer or telemetry, a call is two callback
-transmissions (:meth:`~repro.hardware.mesh.Mesh.post`) and one serve:
+Without a fault plan or tracer, a call is two callback transmissions
+(:meth:`~repro.hardware.mesh.Mesh.post`) and one serve:
 the request worm's delivery puts the envelope into the inbox under the
 caller's order key, and the reply worm's delivery resumes the caller
 directly.  :meth:`RPCEndpoint.post` is the callback form of a call, for
@@ -57,7 +57,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from repro.hardware.mesh import Mesh, MeshMessage
 from repro.hardware.node import Node
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.paragonos.messages import RPCMessage
 from repro.sim import ArbitratedStore, Environment
@@ -113,7 +112,7 @@ class _Inbox(ArbitratedStore):
             self.endpoint._start_serve(self.items.pop(0), self.serves)
 
 
-# fast-path: requires=faults,tracer,telemetry -- a serve with no process; only an unobserved, fault-free endpoint starts one
+# fast-path: requires=faults,tracer -- a serve with no process; only an unobserved, fault-free endpoint starts one
 class _CallbackServe:
     """One request served by a callback handler (see
     :meth:`RPCEndpoint.register_callback`): the serve's first step, then
@@ -184,17 +183,11 @@ class RPCEndpoint:
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        self.telemetry = get_telemetry(monitor)
         #: Callback calls (see :meth:`post`): legal only when nothing can
         #: observe or perturb a call's interior -- no fault plan (retries,
-        #: drops, the idempotency log), no trace spans, no telemetry
-        #: probe -- and the mesh runs callback worms.
-        self._fast = (
-            faults is None
-            and not self.tracer.enabled
-            and not self.telemetry.enabled
-            and mesh._fast_sends
-        )
+        #: drops, the idempotency log), no trace spans -- and the mesh
+        #: runs callback worms.
+        self._fast = faults is None and not self.tracer.enabled and mesh._fast_sends
         #: The order-key root slot the serves of this endpoint hang off.
         self.dispatch_key = env.reserve_order_key()
         self._inbox = _Inbox(self)
@@ -209,12 +202,6 @@ class RPCEndpoint:
         #: in-flight calls raise :class:`NodeCrashed` instead of
         #: retrying, and late replies to a dead node are ignored.
         self.halted_fn: Optional[Callable[[], bool]] = None
-        self.telemetry.register_probe(
-            "rpc_inbox_depth",
-            lambda: float(len(self._inbox.items)),
-            labels={"node": str(node.node_id)},
-            help="Requests delivered but not yet handed to a serve",
-        )
 
     def register(self, request_type: Type[RPCMessage], handler: Callable[..., Generator]) -> None:
         """Register *handler* (a generator function) for *request_type*.
@@ -232,9 +219,9 @@ class RPCEndpoint:
     ) -> None:
         """Register a callback form of *request_type*'s handler.
 
-        On an endpoint with callback calls (no fault plan, tracer or
-        telemetry), a request for which ``ready(request)`` holds when
-        its serve is due is served without a process: on the event that
+        On an endpoint with callback calls (no fault plan or tracer), a
+        request for which ``ready(request)`` holds when its serve is due
+        is served without a process: on the event that
         would have started the serve, ``handler(request, key, then)``
         runs, with *key* the serve's order key, and must call
         ``then(reply, None)`` once -- or ``then(None, error)``, which
@@ -277,7 +264,7 @@ class RPCEndpoint:
             yield from self._transmit(target, envelope)
         return (yield envelope.reply_event)
 
-    # fast-path: requires=faults,tracer,telemetry -- callback call: no process waits on either transmission
+    # fast-path: requires=faults,tracer -- callback call: no process waits on either transmission
     def post(
         self,
         target: "RPCEndpoint",
@@ -304,7 +291,7 @@ class RPCEndpoint:
         if event._ok:
             self.monitor.counter("rpc.calls").add(1)
 
-    # fast-path: requires=faults,tracer,telemetry -- the request worm's delivery admits the envelope by callback
+    # fast-path: requires=faults,tracer -- the request worm's delivery admits the envelope by callback
     def _post_envelope(self, target: "RPCEndpoint", envelope: _Envelope) -> None:
         delivered = Event(self.env)
         delivered.callbacks.append(target._admit)

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.faults.plan import NodeCrashed
 from repro.hardware.mesh import Mesh, MeshMessage
 from repro.hardware.node import Node
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.paragonos.art import AsyncRequestManager
 from repro.paragonos.messages import (
@@ -318,7 +317,6 @@ class PFSFileHandle:
             duration = self.env.now - start
             self.client.tracer.end(span, bytes_returned=len(data), replayed=True)
             self.stats.record_read(len(data), duration)
-            self.client._record_read(len(data), duration)
             return data
 
         mode = self.iomode
@@ -347,7 +345,6 @@ class PFSFileHandle:
         duration = self.env.now - start
         self.client.tracer.end(span, bytes_returned=len(data))
         self.stats.record_read(len(data), duration)
-        self.client._record_read(len(data), duration)
         return data
 
     def _clamp(self, offset: int, nbytes: int) -> int:
@@ -854,29 +851,10 @@ class PFSClient:
         #: bit-identical with or without the machinery.
         self.crash_windows: tuple = ()
         self.tracer = get_tracer(monitor)
-        #: Always-on per-rank read progress (probe source).
-        self.bytes_read_total = 0
-        telemetry = get_telemetry(monitor)
         #: Stripe pieces as callback calls (see :meth:`_post_pieces`)
         #: instead of a process each: only when no fault plan needs the
-        #: crash sentinel, no tracer records per-piece spans and no
-        #: telemetry probe samples the interior.
-        self._fast = (
-            faults is None and not self.tracer.enabled and not telemetry.enabled and endpoint._fast
-        )
-        label = {"node": str(node.node_id)}
-        telemetry.register_probe(
-            "client_read_bytes_total",
-            lambda: float(self.bytes_read_total),
-            labels=label,
-            help="Bytes returned to the application on this node (rank progress)",
-            kind="counter",
-        )
-        self._read_call_hist = telemetry.histogram(
-            "client_read_call_seconds",
-            labels=label,
-            help="User-visible duration of each read() call",
-        )
+        #: crash sentinel and no tracer records per-piece spans.
+        self._fast = faults is None and not self.tracer.enabled and endpoint._fast
 
     # -- crash/restart predicates ---------------------------------------------
 
@@ -1101,7 +1079,7 @@ class PFSClient:
             pfs_file.size_bytes = offset + nbytes
         return nbytes
 
-    # fast-path: requires=faults,tracer,telemetry -- stripe pieces as callback calls; no piece process carries a crash sentinel or a span
+    # fast-path: requires=faults,tracer -- stripe pieces as callback calls; no piece process carries a crash sentinel or a span
     def _post_pieces(self, requests, make_request, land: bool) -> Event:
         """Start every piece of a declustered transfer as a callback call.
 
@@ -1245,10 +1223,6 @@ class PFSClient:
     def _control(self, io_node: int, request: ControlRequest):
         """Generator: metadata RPC to one I/O node."""
         return (yield from self.endpoint.call(self._io_endpoint(io_node), request))
-
-    def _record_read(self, nbytes: int, duration: float) -> None:
-        self.bytes_read_total += nbytes
-        self._read_call_hist.observe(duration)
 
     def __repr__(self) -> str:
         return f"<PFSClient node={self.node.node_id}>"

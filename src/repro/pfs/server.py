@@ -40,7 +40,6 @@ from repro.paragonos.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.obs.telemetry import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.paragonos.rpc import RPCEndpoint
 from repro.sim import Environment
@@ -91,21 +90,6 @@ class PFSServer:
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        #: Requests currently being handled (always-on; probe source).
-        self._active_requests = 0
-        telemetry = get_telemetry(monitor)
-        label = {"node": str(node.node_id)}
-        telemetry.register_probe(
-            "pfs_server_active_requests",
-            lambda: float(self._active_requests),
-            labels=label,
-            help="Read/write requests currently in service on this server",
-        )
-        self._read_hist = telemetry.histogram(
-            "pfs_server_read_seconds",
-            labels=label,
-            help="Server-side handling time per read request",
-        )
         #: Counter objects by ``(kind, cause)`` / extra name, resolved on
         #: first use (so a counter appears in the snapshot when it would
         #: have been named).
@@ -173,25 +157,19 @@ class PFSServer:
         )
         if span.ctx is not None:
             request.ctx = span.ctx
-        started_at = self.env.now
-        self._active_requests += 1
-        try:
-            yield from self.node.busy(self.node.params.server_request_overhead_s)
-            if self.faults is not None:
-                stall = self.faults.decide("server_stall", f"node{self.node.node_id}")
-                if stall is not None:
-                    # The server thread wedges (page fault storm, driver
-                    # hiccup) before touching storage; the client's RPC
-                    # timeout covers it.
-                    self._count_extra("stalls")
-                    yield self.env.timeout(stall.duration_s)
-            if request.fastpath or self.cache is None:
-                data, cache_hit = (yield from self._read_fastpath(request)), False
-            else:
-                data, cache_hit = yield from self._read_buffered(request)
-        finally:
-            self._active_requests -= 1
-        self._read_hist.observe(self.env.now - started_at)
+        yield from self.node.busy(self.node.params.server_request_overhead_s)
+        if self.faults is not None:
+            stall = self.faults.decide("server_stall", f"node{self.node.node_id}")
+            if stall is not None:
+                # The server thread wedges (page fault storm, driver
+                # hiccup) before touching storage; the client's RPC
+                # timeout covers it.
+                self._count_extra("stalls")
+                yield self.env.timeout(stall.duration_s)
+        if request.fastpath or self.cache is None:
+            data, cache_hit = (yield from self._read_fastpath(request)), False
+        else:
+            data, cache_hit = yield from self._read_buffered(request)
         self.tracer.end(span, cache_hit=cache_hit)
         self._count("reads", request.nbytes, request.cause)
         return ReadReply(
@@ -292,11 +270,7 @@ class PFSServer:
         )
         if span.ctx is not None:
             request.ctx = span.ctx
-        self._active_requests += 1
-        try:
-            yield from self._handle_write_body(request)
-        finally:
-            self._active_requests -= 1
+        yield from self._handle_write_body(request)
         nbytes = len(request.data)
         self.tracer.end(span)
         self._count("writes", nbytes, "demand")
@@ -455,7 +429,7 @@ class PFSServer:
         return f"<PFSServer node={self.node.node_id} cache={'on' if self.cache else 'off'}>"
 
 
-# fast-path: requires=faults,tracer,telemetry -- a serve with no process; only an unobserved, fault-free endpoint runs it
+# fast-path: requires=faults,tracer -- a serve with no process; only an unobserved, fault-free endpoint runs it
 class _FastPathServe:
     """One Fast Path read or write served as a callback chain.
 
@@ -480,7 +454,6 @@ class _FastPathServe:
         self.key = key
         self.then = then
         self.data = None
-        server._active_requests += 1
         node = server.node
         node.busy_then(node.params.server_request_overhead_s, key, self._transfer)
 
@@ -508,11 +481,9 @@ class _FastPathServe:
         self._reply()
 
     def _reply(self) -> None:
-        self.server._active_requests -= 1
         self.then(self._finish(), None)
 
     def _fail(self, error: BaseException) -> None:
-        self.server._active_requests -= 1
         self.then(None, error)
 
     def _nbytes(self) -> int:

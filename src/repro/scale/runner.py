@@ -169,7 +169,6 @@ def run_scenario(
         n_compute=scenario.n_compute,
         n_io=scenario.n_io,
         tie_break=scenario.tie_break,
-        telemetry=scenario.telemetry,
         block_size=scenario.block_kb * KB,
         faults=faults,
     )
@@ -240,31 +239,6 @@ def run_scenario(
             job.spawn()
             if first_arrival is None or arrival_s < first_arrival:
                 first_arrival = arrival_s
-
-    if scenario.telemetry:
-        # Per-tenant telemetry labels: each probe sums over the tenant's
-        # job handles (handles accumulate as cohorts open; closed
-        # handles keep their stats).  Pull-based -- no events, so
-        # enabling telemetry never moves a fingerprint.
-        for tenant in scenario.tenants:
-            tenant_jobs = [jobs[key] for key in sorted(jobs) if key[0] == tenant.name]
-            label = {"tenant": tenant.name}
-            machine.obs.telemetry.register_probe(
-                "tenant_bytes_read",
-                lambda js=tenant_jobs: float(sum(job.bytes_read for job in js)),
-                labels=label,
-                help="Bytes delivered to this tenant's read calls",
-                kind="counter",
-            )
-            machine.obs.telemetry.register_probe(
-                "tenant_read_calls",
-                lambda js=tenant_jobs: float(
-                    sum(h.stats.read_calls for job in js for h in job.handles)
-                ),
-                labels=label,
-                help="Read calls completed by this tenant",
-                kind="counter",
-            )
 
     machine.run()
 

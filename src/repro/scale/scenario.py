@@ -180,7 +180,6 @@ class Scenario:
     tenants: Tuple[Tenant, ...]
     seed: int = 0
     tie_break: str = "fifo"
-    telemetry: bool = False
     block_kb: int = 64
 
     def __post_init__(self) -> None:

@@ -67,11 +67,6 @@ class Environment:
         self.tie_break = tie_break
         self._tie_sign = 1 if tie_break == "fifo" else -1
         self._active_process: Optional[Process] = None
-        #: Observers called as ``hook(now)`` after each processed event.
-        #: Hooks must never schedule events or mutate simulation state --
-        #: they exist so telemetry can sample in simulated time without a
-        #: perpetual sampler process keeping a run-until-empty loop alive.
-        self._tick_hooks: List[Any] = []
         #: Arbitrated resources with undecided grants, settled when the
         #: current timestep has no events left (see :meth:`step`).
         self._dirty_arbiters: List[Any] = []
@@ -188,16 +183,6 @@ class Environment:
                 arbiter._settle_queued = False
                 arbiter._settle()
 
-    def add_tick_hook(self, hook) -> None:
-        """Register *hook* to observe the clock after every :meth:`step`.
-
-        The hook receives the current simulated time.  It runs outside any
-        process context and must be a pure observer: scheduling events or
-        touching resources from a hook would perturb the run it is meant
-        to measure.
-        """
-        self._tick_hooks.append(hook)
-
     # -- scheduling -------------------------------------------------------
 
     def schedule(
@@ -214,7 +199,6 @@ class Environment:
             key += _NORMAL_BASE
         heappush(self._queue, (self._now + delay, key, event))
 
-    # fast-path: requires=telemetry -- merged grants elide interior events only telemetry tick hooks could observe
     def schedule_at(
         self,
         event: Event,
@@ -223,7 +207,7 @@ class Environment:
     ) -> None:
         """Put *event* on the queue at absolute time *when* (>= now).
 
-        Merged-grant fast paths use this to reproduce the *exact* float
+        Merged grants use this to reproduce the *exact* float
         a chain of successive timeouts would have produced (``(g + a) +
         b`` is not bit-identical to ``g + (a + b)``); callers pass the
         successively-added absolute time rather than a summed delay.
@@ -263,10 +247,6 @@ class Environment:
             # do not pass silently.
             exc = event._value
             raise exc
-
-        if self._tick_hooks:
-            for hook in self._tick_hooks:
-                hook(when)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -319,9 +299,6 @@ class Environment:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
-                if self._tick_hooks:
-                    for hook in self._tick_hooks:
-                        hook(when)
         except StopSimulation as stop:
             return stop.args[0]
         except EmptySchedule:

@@ -137,9 +137,8 @@ class Process(Event):
                 # Process finished normally.
                 self._ok = True
                 self._value = stop.value
-                if self.callbacks or env._tick_hooks:
-                    # Someone is waiting (or a telemetry sampler counts
-                    # event pops): deliver the terminal event normally.
+                if self.callbacks:
+                    # Someone is waiting: deliver the terminal event normally.
                     env.schedule(self)
                 else:
                     # Un-joined process: mark processed without an event.

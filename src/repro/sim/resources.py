@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 
-# fast-path: requires=telemetry -- one merged event replaces the grant + timeout chain; only telemetry could see the difference
 def _deferred_grant(event: Event, delay: Any) -> None:
     """Trigger *event* as a merged grant resuming after *delay*.
 
@@ -54,7 +53,7 @@ def _deferred_grant(event: Event, delay: Any) -> None:
 class Request(Event):
     """A request to hold one slot of a :class:`Resource`.
 
-    ``resume_delay`` is the merged-grant fast path: a request carrying a
+    ``resume_delay`` makes a merged grant: a request carrying a
     positive delay (or a tuple of delays) is granted at the same instant
     it would otherwise be (the slot is held from the grant time), but
     the requester is resumed after the delay(s) -- one scheduled event
@@ -79,7 +78,6 @@ class Request(Event):
         """Trigger the grant, deferring the resume by ``resume_delay``."""
         delay = self.resume_delay
         if delay:
-            # sim-ok: R006 -- resume_delay is only ever non-zero when the requester's own fast-path gate (telemetry off) passed
             _deferred_grant(self, delay)
         else:
             self.succeed()
@@ -399,7 +397,6 @@ class ArbitratedResource:
                     when = now + delay
                 nxt._ok = True
                 nxt._value = now
-                # sim-ok: R006 -- resume_delay is only ever non-zero when the requester's own fast-path gate (telemetry off) passed
                 env.schedule_at(nxt, when)
             else:
                 nxt.succeed()
@@ -465,8 +462,8 @@ class ArbitratedStore:
     Settlement never advances the clock, so switching a model from
     ``Store`` to ``ArbitratedStore`` changes *which same-timestamp put
     lands first*, never *how long anything takes*.  The admitted items
-    live in ``.items`` (same attribute as :class:`Store`, so telemetry
-    probes and pool scans keep working).
+    live in ``.items`` (same attribute as :class:`Store`, so pool scans
+    keep working).
     """
 
     def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
@@ -523,7 +520,7 @@ class ArbitratedStore:
                 while self._put_queue and len(self.items) < self._capacity:
                     put = self._put_queue.pop(0)
                     self.items.append(put.item)
-                    if put.callbacks or self.env._tick_hooks:
+                    if put.callbacks:
                         put.succeed()
                     else:
                         # Fire-and-forget put (nobody yielded it): admit

@@ -117,7 +117,7 @@ class CollectiveReadWorkload:
             prefetcher = self.prefetcher_factory(rank) if self.prefetcher_factory else None
             if prefetcher is not None and prefetcher.monitor is None:
                 # Factory-built prefetchers inherit the machine's handle so
-                # their counters and telemetry probes register.
+                # their counters register.
                 prefetcher.monitor = machine.monitor
             handle = yield from machine.clients[rank].open(
                 self.mount,

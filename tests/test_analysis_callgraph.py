@@ -463,7 +463,7 @@ class TestR006FastPathGating:
             tmp_path,
             {
                 "mod.py": """
-                    # fast-path: requires=faults,telemetry
+                    # fast-path: requires=faults,tracer
                     def fast(env):
                         pass
 
@@ -473,19 +473,19 @@ class TestR006FastPathGating:
             },
         )
         assert rule_ids(findings) == ["R006"]
-        assert "faults, telemetry" in findings[0].message
+        assert "faults, tracer" in findings[0].message
 
     def test_fully_guarded_call_is_clean(self, tmp_path):
         findings = analyze(
             tmp_path,
             {
                 "mod.py": """
-                    # fast-path: requires=faults,telemetry
+                    # fast-path: requires=faults,tracer
                     def fast(env):
                         pass
 
-                    def run(env, faults, telemetry):
-                        if faults is None and not telemetry.enabled:
+                    def run(env, faults, tracer):
+                        if faults is None and not tracer.enabled:
                             fast(env)
                     """,
             },
@@ -497,7 +497,7 @@ class TestR006FastPathGating:
             tmp_path,
             {
                 "mod.py": """
-                    # fast-path: requires=faults,telemetry
+                    # fast-path: requires=faults,tracer
                     def fast(env):
                         pass
 
@@ -508,23 +508,21 @@ class TestR006FastPathGating:
             },
         )
         assert rule_ids(findings) == ["R006"]
-        assert "establishing: telemetry;" in findings[0].message
+        assert "establishing: tracer;" in findings[0].message
 
     def test_gate_variable_resolved_through_class_attribute(self, tmp_path):
         findings = analyze(
             tmp_path,
             {
                 "mod.py": """
-                    # fast-path: requires=faults,tracer,telemetry
+                    # fast-path: requires=faults,tracer
                     def fast(env):
                         pass
 
                     class Driver:
-                        def __init__(self, faults, tracer, telemetry):
-                            self._merge = not telemetry.enabled
-                            self._fast = (
-                                faults is None and not tracer.enabled and self._merge
-                            )
+                        def __init__(self, faults, tracer):
+                            self._untraced = not tracer.enabled
+                            self._fast = faults is None and self._untraced
 
                         def run(self, env):
                             if self._fast:
@@ -574,11 +572,11 @@ class TestR006FastPathGating:
             tmp_path,
             {
                 "mod.py": """
-                    # fast-path: requires=faults,telemetry
+                    # fast-path: requires=faults,tracer
                     def fast(env):
                         pass
 
-                    # fast-path: requires=faults,telemetry
+                    # fast-path: requires=faults,tracer
                     def outer(env):
                         fast(env)
                     """,
@@ -608,15 +606,18 @@ class TestR006FastPathGating:
     def test_unknown_facet_in_pragma_reported(self, tmp_path):
         # The pragma line is assembled so this test file itself does not
         # contain an invalid pragma (the scanner reads raw source lines).
-        bad_pragma = "# fast-" + "path: requires=warp"
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": bad_pragma + "\ndef fast(env):\n    pass\n",
-            },
-        )
-        assert rule_ids(findings) == ["R006"]
-        assert "unknown fast-path facet" in findings[0].message
+        # ``telemetry`` names no gate any more, so a stale pragma naming
+        # it must be reported like any other unknown facet.
+        for facet in ("warp", "telemetry"):
+            bad_pragma = "# fast-" + "path: requires=" + facet
+            findings = analyze(
+                tmp_path / facet,
+                {
+                    "mod.py": bad_pragma + "\ndef fast(env):\n    pass\n",
+                },
+            )
+            assert rule_ids(findings) == ["R006"]
+            assert "unknown fast-path facet" in findings[0].message
 
     def test_default_pragma_requires_faults(self, tmp_path):
         findings = analyze(
@@ -866,8 +867,8 @@ class TestShippedTree:
         project = Project(summaries)
         marked = {fid for fid, f in project.functions.items() if f.pragma is not None}
         expected = {
-            "repro.sim.environment:Environment.schedule_at",
-            "repro.sim.resources:_deferred_grant",
+            "repro.hardware.mesh:Mesh.post",
+            "repro.hardware.raid:RAID3Array.access_then",
             "repro.hardware.scsi:SCSIBus.account_bypass",
             "repro.paragonos.rpc:RPCEndpoint._call_once",
         }
@@ -885,15 +886,14 @@ class TestShippedTree:
         assert "repro.hardware.mesh:_FastWorm.__init__" in entries
         assert "repro.hardware.scsi:SCSIBus.account_bypass" in entries
         assert "repro.paragonos.rpc:RPCEndpoint._call_once" in entries
-        assert "repro.sim.environment:Environment.schedule_at" in entries
-        assert "repro.sim.resources:_deferred_grant" in entries
+        assert "repro.hardware.mesh:Mesh.post" in entries
 
-    def test_mesh_fast_worm_gate_resolves_all_three_facets(self):
+    def test_mesh_fast_worm_gate_resolves_both_facets(self):
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
         sites = [
             e.site
             for e in project.edges["repro.hardware.mesh:Mesh.send"]
-            if e.callee == "repro.hardware.mesh:_FastWorm.__init__"
+            if e.callee == "repro.hardware.mesh:Mesh.post"
         ]
-        assert sites and set(sites[0].guard_facets) == {"faults", "tracer", "telemetry"}
+        assert sites and set(sites[0].guard_facets) == {"faults", "tracer"}

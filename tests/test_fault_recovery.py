@@ -302,8 +302,7 @@ class TestCopyBackRebuild:
         raid0 = next(a for a in machine.arrays if a.name == "raid0")
         assert raid0.rebuilds_completed == 1
         assert not raid0.degraded
-        # Rebuild progress is visible in the monitor (telemetry probes
-        # export the same counters as time series).
+        # Rebuild progress is visible in the monitor.
         copied = machine.monitor.counter_value("raid0.rebuild_copied_bytes")
         assert copied == raid0.rebuild_copied_bytes > 0
         assert machine.verify() == []
@@ -327,7 +326,7 @@ class TestCopyBackRebuild:
         machine = report.machine
         assert machine.verify() == []
         # The copy-back's SCSI transfers carry their own cause label, so
-        # telemetry can separate rebuild traffic from demand/prefetch.
+        # the monitor separates rebuild traffic from demand/prefetch.
         assert machine.monitor.counter_value("scsi0.rebuild_transfers") > 0
         assert machine.monitor.counter_value("scsi0.rebuild_bytes") > 0
 

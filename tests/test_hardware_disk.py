@@ -11,8 +11,9 @@ from repro.hardware import (
     SCSIParams,
 )
 from repro.hardware.disk import DiskError
+from repro.analysis.sanitizers import leaked_resources
 from repro.hardware.raid import RAIDError
-from repro.sim import Environment, Monitor
+from repro.sim import Environment, Interrupt, Monitor
 
 
 @pytest.fixture
@@ -326,6 +327,60 @@ class TestRAID3:
         p = env.process(proc(env))
         env.run()
         assert p.value == pytest.approx(est, rel=0.05)
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_waiter_interrupted_before_grant_leaves_the_arm_alone(self, tie_break):
+        """A stepped read interrupted while queued for the arm withdraws
+        its own queue entry and leaves the holder's arm alone."""
+        env = Environment(tie_break=tie_break)
+        bus = SCSIBus(env, params=SCSIParams(bandwidth_bps=1 * MB, arbitration_s=0.0))
+        dp = DiskParams(media_rate_bps=10 * MB, controller_overhead_s=0.0)
+        rp = RAIDParams(data_disks=1, controller_overhead_s=0.0)
+        raid = RAID3Array(env, bus, disk_params=dp, raid_params=rp)
+        # A second array on the bus keeps both reads on the stepped path.
+        RAID3Array(env, bus, name="raid-b", disk_params=dp, raid_params=rp)
+        done = {}
+
+        def reader(tag, lba):
+            try:
+                yield from raid.read(lba, 1 * MB)
+                done[tag] = env.now
+            except Interrupt:
+                done[tag] = "interrupted"
+
+        holder = env.process(reader("holder", 0))
+        waiter = env.process(reader("waiter", 64 * MB))
+        seen = []
+
+        def watcher():
+            yield env.timeout(0.2e-3)
+            assert raid._busy and len(raid._pending) == 1
+            waiter.interrupt("give up")
+            # Same instant, after the interrupt landed and before the
+            # end-of-timestep settle could re-grant a stale entry.
+            yield env.timeout(0)
+            seen.append((raid._busy, list(raid._pending)))
+            yield env.timeout(0.5)
+            seen.append((raid._busy, list(raid._pending)))
+            yield holder
+            seen.append((raid._busy, list(raid._pending)))
+            yield env.timeout(1.0)
+            started = env.now
+            yield from raid.read(2 * MB, 1 * MB)
+            seen.append(env.now - started)
+
+        env.process(watcher())
+        env.run()
+        assert done["waiter"] == "interrupted"
+        assert done["holder"] == pytest.approx(1.0, rel=0.05)
+        # The holder kept the arm until its read ended; no entry was left.
+        assert seen[0] == (True, [])
+        assert seen[1] == (True, [])
+        assert seen[2] == (False, [])
+        # A later read is served normally: 1 MB across the 1 MB/s bus.
+        assert seen[3] == pytest.approx(1.0, rel=0.05)
+        assert not raid._busy and raid._pending == []
+        assert leaked_resources(env) == []
 
     def test_two_arrays_share_bus(self, env):
         bus = SCSIBus(env, params=SCSIParams(bandwidth_bps=1 * MB, arbitration_s=0.0))

@@ -3,10 +3,11 @@
 The fast-kernel refactor (merged grants, closed-form RAID transfers,
 callback worms on the mesh, event elision) is only legal if it is
 *unobservable*: every report must stay bit-identical to the stepped
-implementation, under either same-timestamp tie-break, with or without
-telemetry, and the fast paths must fall back to stepping whenever a
-fault plan, tracer, or telemetry probe could observe the difference.
-This module pins each of those contracts:
+implementation, under either same-timestamp tie-break, and the fast
+paths must fall back to stepping whenever a fault plan or tracer could
+observe the difference.  A traced run (``trace=True``) takes every
+stepped path, so it is the lever these tests compare against.  This
+module pins each of those contracts:
 
 - the bench3 and copy-back-rebuild golden fingerprints re-verified
   under *both* tie-breaks (the goldens were captured before any fast
@@ -14,21 +15,17 @@ This module pins each of those contracts:
 - a mid-window fault spec splitting what the fast path would have
   batched -- with any fault plan active, batching is disabled wholesale
   and the stepped fallback must remain tie-order deterministic;
-- telemetry on vs. off produces identical report fingerprints (the
-  zero-overhead fast paths may skip *events*, never *numbers*), also on
-  multi-piece reads and writes, whose stripe pieces run as callback
-  calls with telemetry off and as one process each with it on, and on
-  Fast Path serves (unaligned, uncoalesced, read-modify-write, past the
-  end of the file), which run as callback chains with telemetry off and
-  as one serve process each with it on;
+- traced vs. untraced runs produce identical report fingerprints (the
+  fast paths may skip *events*, never *numbers*), also on multi-piece
+  reads and writes, whose stripe pieces run as callback calls untraced
+  and as one process each traced, and on Fast Path serves (unaligned,
+  uncoalesced, read-modify-write, past the end of the file), which run
+  as callback chains untraced and as one serve process each traced;
 - a callback access whose array fails while it is queued finishes on
   the stepped path and fails the application's call as a serve process
   would;
 - the exact event count and generator resumes of one paper cell, so a
-  change in kernel work is re-pinned on purpose;
-- the zero-overhead contract itself: an unconfigured machine installs
-  no tick hooks and takes no samples, so the per-event fast path in
-  ``Environment.run`` pays nothing for observability it isn't using.
+  change in kernel work is re-pinned on purpose.
 """
 
 import hashlib
@@ -81,13 +78,11 @@ def _bench3_cell(size_kb: int, prefetch: bool, tie_break: str = "fifo", **kwargs
     )
 
 
-def _write_cell(caching: str, tie_break: str, telemetry: bool, request: int = 256 * KB):
+def _write_cell(caching: str, tie_break: str, traced: bool, request: int = 256 * KB):
     """A collective write (four stripe pieces per call at the default
     256 KB) and its read-back: report fingerprints, stored content
     digest, final clock and every monitor counter."""
-    config = MachineConfig(
-        write_back=caching == "write-back", tie_break=tie_break, telemetry=telemetry
-    )
+    config = MachineConfig(write_back=caching == "write-back", tie_break=tie_break, trace=traced)
     machine = Machine(config)
     mount = machine.mount("/pfs", PFSConfig(buffered=caching != "fastpath"))
     pfs_file = machine.create_file(mount, "out", 0)
@@ -113,11 +108,11 @@ def _write_cell(caching: str, tie_break: str, telemetry: bool, request: int = 25
     )
 
 
-def _read_cell(tie_break: str, telemetry: bool, request: int, stripe_unit: int, coalesce: bool):
+def _read_cell(tie_break: str, traced: bool, request: int, stripe_unit: int, coalesce: bool):
     """A prefetching collective read on a machine built directly (for
     knobs ``run_collective`` does not take): report fingerprint, final
     clock and every monitor counter."""
-    config = MachineConfig(ufs_coalesce=coalesce, tie_break=tie_break, telemetry=telemetry)
+    config = MachineConfig(ufs_coalesce=coalesce, tie_break=tie_break, trace=traced)
     machine = Machine(config)
     mount = machine.mount("/pfs", PFSConfig(stripe_unit=stripe_unit))
     machine.create_file(mount, "data", scaled_file_size(request, rounds=4))
@@ -132,10 +127,10 @@ def _total(counters, suffix: str, prefix: str = "counter.") -> float:
     return sum(counters[k] for k in sorted(counters) if k.startswith(prefix) and k.endswith(suffix))
 
 
-def _read_past_eof(tie_break: str, telemetry: bool):
+def _read_past_eof(tie_break: str, traced: bool):
     """A Fast Path read running 32 KB past the end of a one-stripe file:
     the server's UFS rejects it, and the caller catches the RPCError."""
-    machine = Machine(MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, telemetry=telemetry))
+    machine = Machine(MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, trace=traced))
     mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
     size = 4 * 64 * KB
     pfs_file = machine.create_file(mount, "data", size)
@@ -203,14 +198,15 @@ class TestGoldensUnderBothTieBreaks:
         assert report_fingerprint(report) == rebuild_golden["fingerprint"]
 
 
-class TestTelemetryInvariance:
-    """Telemetry may add samples, never change measured numbers."""
+class TestSteppedPathInvariance:
+    """The stepped paths a traced run takes measure the same numbers as
+    the fast paths of an untraced one."""
 
     @pytest.mark.parametrize("prefetch", [False, True])
-    def test_fingerprint_identical_with_telemetry(self, prefetch):
+    def test_fingerprint_identical_when_traced(self, prefetch):
         plain = _bench3_cell(64, prefetch)
-        sampled = _bench3_cell(64, prefetch, telemetry=True)
-        assert report_fingerprint(plain) == report_fingerprint(sampled)
+        stepped = _bench3_cell(64, prefetch, trace=True)
+        assert report_fingerprint(plain) == report_fingerprint(stepped)
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize("size_kb,stripe_kb", [(64, 16), (256, 64)])
@@ -218,16 +214,16 @@ class TestTelemetryInvariance:
         """Multi-piece reads: callback stripe pieces against a process each."""
         kwargs = dict(stripe_unit=stripe_kb * KB, tie_break=tie_break)
         plain = _bench3_cell(size_kb, True, **kwargs)
-        sampled = _bench3_cell(size_kb, True, telemetry=True, **kwargs)
-        assert report_fingerprint(plain) == report_fingerprint(sampled)
+        stepped = _bench3_cell(size_kb, True, trace=True, **kwargs)
+        assert report_fingerprint(plain) == report_fingerprint(stepped)
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize("caching", ["fastpath", "write-through", "write-back"])
     def test_multi_stripe_write(self, caching, tie_break):
         """Multi-piece writes and their read-back, under each caching mode."""
-        plain = _write_cell(caching, tie_break, telemetry=False)
-        sampled = _write_cell(caching, tie_break, telemetry=True)
-        assert plain == sampled
+        plain = _write_cell(caching, tie_break, traced=False)
+        stepped = _write_cell(caching, tie_break, traced=True)
+        assert plain == stepped
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize(
@@ -240,8 +236,8 @@ class TestTelemetryInvariance:
         ranges chain several RAID accesses per request."""
         args = (request_kb * KB, stripe_kb * KB, coalesce)
         plain = _read_cell(tie_break, False, *args)
-        sampled = _read_cell(tie_break, True, *args)
-        assert plain == sampled
+        stepped = _read_cell(tie_break, True, *args)
+        assert plain == stepped
         counters = plain[2]
         reads = _total(counters, ".reads.demand")
         partial = _total(counters, ".partial_block_reads")
@@ -256,9 +252,9 @@ class TestTelemetryInvariance:
     def test_fastpath_write_read_modify_write(self, tie_break):
         """Unaligned Fast Path writes: edge blocks are read, merged and
         written back, and the range pays the partial-block copy."""
-        plain = _write_cell("fastpath", tie_break, telemetry=False, request=24 * KB)
-        sampled = _write_cell("fastpath", tie_break, telemetry=True, request=24 * KB)
-        assert plain == sampled
+        plain = _write_cell("fastpath", tie_break, traced=False, request=24 * KB)
+        stepped = _write_cell("fastpath", tie_break, traced=True, request=24 * KB)
+        assert plain == stepped
         counters = plain[4]
         assert _total(counters, ".partial_block_writes") > 0
         # The edge-block reads of the read-modify-writes reach the arrays.
@@ -266,19 +262,40 @@ class TestTelemetryInvariance:
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_read_past_eof_error_reaches_caller(self, tie_break):
-        plain = _read_past_eof(tie_break, telemetry=False)
-        sampled = _read_past_eof(tie_break, telemetry=True)
+        plain = _read_past_eof(tie_break, traced=False)
+        stepped = _read_past_eof(tie_break, traced=True)
         seen = plain[0]
         assert len(seen) == 1 and "outside file" in seen[0][1]
-        assert plain == sampled
+        assert plain == stepped
 
-    def test_telemetry_actually_sampled(self):
-        report = _bench3_cell(64, True, telemetry=True, keep_machine=True)
-        telemetry = report.machine.obs.telemetry
-        assert telemetry.enabled
-        assert telemetry.n_samples > 0
-        # The sampler rides the environment's tick hook.
-        assert report.machine.env._tick_hooks
+    def test_traced_machine_really_steps(self, monkeypatch):
+        """Tracing turns every fast-path gate off, and the traced run
+        resumes more generators than the untraced one."""
+        resumes = [0]
+        resume = Process._resume
+
+        def counting(self, event):
+            resumes[0] += 1
+            return resume(self, event)
+
+        monkeypatch.setattr(Process, "_resume", counting)
+        counts = {}
+        for traced in (False, True):
+            resumes[0] = 0
+            machine = _bench3_cell(64, True, trace=traced, keep_machine=True).machine
+            counts[traced] = resumes[0]
+            endpoints = [machine.coordinator_endpoint] + [
+                side.endpoint for side in machine.clients + machine.servers
+            ]
+            gates = [machine.mesh._fast_sends]
+            gates += [endpoint._fast for endpoint in endpoints]
+            gates += [client._fast for client in machine.clients]
+            gates += [array._fast_mode for array in machine.arrays]
+            if traced:
+                assert not any(gates)
+            else:
+                assert all(gates)
+        assert counts[True] > counts[False]
 
 
 class TestWorkCountPin:
@@ -327,27 +344,6 @@ class TestWorkCountPin:
         assert resumes[0] == 1168
 
 
-class TestZeroOverheadContract:
-    """An unconfigured machine pays nothing per event for observability."""
-
-    def test_no_tick_hooks_no_samples_by_default(self):
-        report = _bench3_cell(64, True, keep_machine=True)
-        machine = report.machine
-        assert machine.env._tick_hooks == []
-        telemetry = machine.obs.telemetry
-        assert not telemetry.enabled
-        assert telemetry.n_samples == 0
-        assert not telemetry.registry.families
-
-    def test_disabled_tick_hook_is_a_no_op(self):
-        """Defensive guard: even a stray hook on a disabled telemetry
-        must not sample (the hook is normally never installed)."""
-        report = _bench3_cell(64, False, keep_machine=True)
-        telemetry = report.machine.obs.telemetry
-        telemetry._on_tick(1.0)
-        assert telemetry.n_samples == 0
-
-
 class TestCallbackServeFallback:
     """A callback access whose array changes state while it is queued.
 
@@ -360,10 +356,8 @@ class TestCallbackServeFallback:
     """
 
     @staticmethod
-    def _inject_while_queued(tie_break: str, telemetry: bool):
-        machine = Machine(
-            MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, telemetry=telemetry)
-        )
+    def _inject_while_queued(tie_break: str, traced: bool):
+        machine = Machine(MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, trace=traced))
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         pfs_file = machine.create_file(mount, "data", 4 * 64 * KB)
         (io_index,) = pfs_file.attrs.stripe_group
@@ -412,6 +406,6 @@ class TestCallbackServeFallback:
         assert "injected media error" in errors[0][2]
         # The queued access finished on the stepped path, under a serve's key.
         assert len(stepped) == 1 and stepped[0][:-1] == server_key
-        # The process serves (forced by telemetry) see the same error at
+        # The process serves (forced by tracing) see the same error at
         # the same time.
         assert (outcomes, now) == self._inject_while_queued(tie_break, True)[:2]

@@ -1,8 +1,13 @@
-"""Unit tests for the bandwidth metrics (the paper's section-4 definitions)."""
+"""Unit tests for the bandwidth metrics (the paper's section-4
+definitions), the bottleneck report and the prefetch-stats merge."""
+
+import json
 
 import pytest
 
+from repro.experiments.common import KB, run_collective, scaled_file_size
 from repro.metrics import MB, BandwidthReport, report_from_handles
+from repro.obs.stats import PrefetchStats
 
 
 def make_report(**kwargs):
@@ -117,3 +122,77 @@ class TestReportFromHandles:
         assert report.prefetch is not None
         # Both ranks' stats merged: 3 demand reads each.
         assert report.prefetch.demand_reads == 6
+
+
+# -- which resource saturated: Machine.bottleneck_report ---------------------
+
+
+def small_run(prefetch=False, **kwargs):
+    """A fast 4C/4IO collective read (16 read calls total)."""
+    request = 128 * KB
+    return run_collective(
+        request_size=request,
+        file_size=scaled_file_size(request, n_compute=4, rounds=4),
+        prefetch=prefetch,
+        rounds=4,
+        n_compute=4,
+        n_io=4,
+        keep_machine=True,
+        **kwargs,
+    )
+
+
+class TestBottleneckReport:
+    def test_bottleneck_report_is_independent_of_tracing(self, prefetch_enabled):
+        # Tracing turns the RAID, mesh and RPC fast paths off; the
+        # busy-seconds they leave behind must not depend on it.
+        fast = small_run(prefetch=prefetch_enabled).machine.bottleneck_report()
+        stepped = small_run(prefetch=prefetch_enabled, trace=True).machine.bottleneck_report()
+        assert fast is not None
+        assert fast.to_jsonable() == stepped.to_jsonable()
+
+    def test_bottleneck_names_the_disks_for_io_bound_reads(self):
+        bottleneck = small_run(prefetch=True).machine.bottleneck_report()
+        assert bottleneck is not None
+        # An I/O-bound collective read saturates the raid devices, not
+        # the mesh or the CPUs (the paper's section 4.1 story).
+        assert bottleneck.resource.startswith("disk ")
+        assert bottleneck.utilization > 0.5
+        assert "disk" in bottleneck.by_family
+        described = bottleneck.describe()
+        assert "bottleneck: disk" in described
+        jsonable = bottleneck.to_jsonable()
+        assert json.loads(json.dumps(jsonable)) == jsonable
+
+
+# -- PrefetchStats.merge algebra --------------------------------------------
+
+
+def stats(hits, fractions):
+    out = PrefetchStats(hits=hits, issued=hits)
+    out.overlap_fractions = list(fractions)
+    return out
+
+
+class TestMergeAlgebra:
+    """``PrefetchStats.merge`` is commutative and associative, so
+    machine-wide aggregation cannot depend on rank iteration order."""
+
+    def test_merge_is_commutative(self):
+        a = stats(2, [0.9, 0.1])
+        b = stats(3, [0.5])
+        assert a.merge(b) == b.merge(a)
+
+    def test_merge_is_associative(self):
+        a = stats(1, [0.7, 0.2])
+        b = stats(4, [1.0])
+        c = stats(2, [0.0, 0.4])
+        assert a.merge(b).merge(c) == a.merge(b.merge(c))
+
+    def test_merge_sums_and_preserves_mean(self):
+        a = stats(2, [0.8, 0.4])
+        b = stats(1, [0.6])
+        merged = a.merge(b)
+        assert merged.hits == 3
+        assert merged.overlap_fractions == [0.4, 0.6, 0.8]
+        assert merged.mean_overlap_fraction == pytest.approx(0.6)

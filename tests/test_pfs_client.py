@@ -350,11 +350,11 @@ class TestWrites:
 class TestHandlerErrors:
     """A server handler error fails a declustered transfer the same way
     whether its stripe pieces run as callback calls (the default) or as
-    one process each (forced by telemetry)."""
+    one process each (forced by tracing)."""
 
     @staticmethod
-    def _ghost_transfer(machine_factory, op, telemetry, tie_break):
-        machine = machine_factory(telemetry=telemetry, tie_break=tie_break)
+    def _ghost_transfer(machine_factory, op, traced, tie_break):
+        machine = machine_factory(trace=traced, tie_break=tie_break)
         mount = machine.mount("/pfs", PFSConfig())
         # Metadata only: no I/O node has a stripe file for it.
         ghost = mount.create_file("ghost", size_bytes=4 * 64 * KB)

@@ -205,13 +205,6 @@ class TestRunScenario:
         scenario = homogeneous_scenario(16, 2, nprocs=2, rounds=2)
         assert run_scenario(scenario).fingerprint() == run_scenario(scenario).fingerprint()
 
-    def test_telemetry_does_not_move_the_fingerprint(self):
-        scenario = homogeneous_scenario(16, 2, nprocs=2, rounds=2)
-        import dataclasses
-
-        with_telemetry = dataclasses.replace(scenario, telemetry=True)
-        assert run_scenario(scenario).fingerprint() == run_scenario(with_telemetry).fingerprint()
-
     def test_keep_machine_exposes_clean_machine(self):
         result = run_scenario(
             homogeneous_scenario(16, 2, nprocs=2, rounds=2), keep_machine=True
