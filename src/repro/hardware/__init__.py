@@ -5,13 +5,11 @@ Subpackages model the machine bottom-up:
 - :mod:`repro.hardware.params` -- calibrated hardware constants.
 - :mod:`repro.hardware.node` -- compute / I/O / service node model.
 - :mod:`repro.hardware.mesh` -- 2D wormhole-routed mesh interconnect.
-- :mod:`repro.hardware.disk` -- single-spindle disk model.
 - :mod:`repro.hardware.raid` -- RAID-3 array of disks.
 - :mod:`repro.hardware.scsi` -- SCSI bus shared by array and controller.
 - :mod:`repro.hardware.memory` -- per-node memory accounting.
 """
 
-from repro.hardware.disk import Disk
 from repro.hardware.memory import MemoryRegion, OutOfMemoryError
 from repro.hardware.mesh import Mesh, MeshMessage
 from repro.hardware.node import Node, NodeKind
@@ -26,7 +24,6 @@ from repro.hardware.raid import RAID3Array
 from repro.hardware.scsi import SCSIBus
 
 __all__ = [
-    "Disk",
     "DiskParams",
     "MemoryRegion",
     "Mesh",

@@ -83,7 +83,6 @@ class _FastWorm:
         "idx",
         "requests",
         "granted",
-        "requested_at",
         "body_waited",
         "proxy",
         "value",
@@ -102,7 +101,6 @@ class _FastWorm:
         self.idx = -1
         self.requests: list = []
         self.granted: list = []
-        self.requested_at = 0.0
         self.body_waited = False
         # Software send overhead: the same Timeout the generator path
         # yields first, with the worm itself as the continuation.
@@ -118,7 +116,6 @@ class _FastWorm:
             granted_at = event._value
             if granted_at is None:
                 granted_at = env._now
-            mesh.wait_s += granted_at - self.requested_at
             self.granted.append(granted_at)
         pairs = self.pairs
         nxt = idx + 1
@@ -127,7 +124,6 @@ class _FastWorm:
         if nxt <= last:
             res = pairs[nxt][1]
             delay = (self.per_hop, self.body_time) if nxt == last else self.per_hop
-            self.requested_at = env._now
             req = res.request(  # sim-ok: R005 -- every hold is released in _finish, which runs on the final grant of this same worm
                 key=self.route_key, resume_delay=delay
             )
@@ -190,9 +186,6 @@ class Mesh:
         self._route_cache: Dict[Tuple[Coord, Coord], List[Tuple[Link, ArbitratedResource]]] = {}
         #: Per-directed-link seconds held by a streaming worm.
         self._link_busy_s: Dict[Link, float] = {}
-        #: Total seconds senders spent blocked on link acquisition
-        #: (contention: zero on an idle mesh by construction).
-        self.wait_s = 0.0
         # Hot-path monitor objects, resolved once instead of per message.
         self._c_messages = monitor.counter("mesh.messages")
         self._c_bytes = monitor.counter("mesh.bytes")
@@ -325,13 +318,11 @@ class Mesh:
                 # The tuple makes the resume time's float arithmetic
                 # identical to successive per-hop + body timeouts.
                 delay = (per_hop, body_time) if i == last else per_hop
-                requested_at = env.now
                 req = res.request(key=route_key, resume_delay=delay)
                 requests.append((link, res, req))
                 granted_at = yield req
                 if granted_at is None:
                     granted_at = env.now
-                self.wait_s += granted_at - requested_at
                 acquired.append((link, granted_at))
             if not pairs and body_time > 0:
                 yield env.timeout(body_time)

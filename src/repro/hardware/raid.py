@@ -72,10 +72,13 @@ class RAID3Array:
         self.elevator = elevator
         if self.raid_params.data_disks <= 0:
             raise ValueError("a RAID-3 array needs at least one data disk")
-        #: Pending requests waiting for the (ganged) arm: list of
-        #: (lba, causal key, grant_event) entries; dispatch picks
-        #: nearest-to-head, tie-broken by (lba, key) so same-timestamp
-        #: arrival order never decides the winner.
+        #: Requests waiting for the (ganged) arm, written only by
+        #: :meth:`_enqueue` and withdrawn only by :meth:`_leave_arm`:
+        #: (lba, causal key, arrived_at, grant_event, closed-form
+        #: payload) entries.  LOOK picks nearest-to-head in the sweep
+        #: direction, tie-broken by (lba, key); FIFO picks by
+        #: (arrived_at, key, position).  Neither lets same-timestamp
+        #: event-pop order decide the winner.
         self._pending: list = []
         self._busy = False
         #: Arbiter-settlement hook (see Environment._mark_arbiter_dirty):
@@ -227,7 +230,8 @@ class RAID3Array:
         Elevator mode is a proper LOOK sweep: serve the nearest request
         *in the current direction*, reversing only when none remain
         ahead.  (Greedy nearest-first -- SSTF -- starves distant
-        requests under saturation.)
+        requests under saturation.)  FIFO mode serves in arrival order,
+        with same-timestamp arrivals ordered by causal key.
         """
         pending = self._pending
         if self._busy or not pending:
@@ -262,9 +266,9 @@ class RAID3Array:
         else:
             best = min(
                 range(len(pending)),
-                key=lambda i: (pending[i][1], i),
+                key=lambda i: (pending[i][2], pending[i][1], i),
             )
-        lba, _key, grant, fast = pending.pop(best)
+        lba, _key, _arrived_at, grant, fast = pending.pop(best)
         self._busy = True
         if fast is not None and self.fast_ready:
             # Closed-form service: the arm is held for the whole interval
@@ -337,15 +341,15 @@ class RAID3Array:
         if lba + nbytes > self._high_water:
             self._high_water = lba + nbytes
 
-    def _enqueue(self, lba: int, nbytes: int, kind: str, key: Any) -> Tuple[Event, bool]:
-        """Queue an access for the arm under *key*; returns its grant
-        event and whether it was queued for the closed form (both forms)."""
+    def _enqueue(self, lba: int, key: Any, fast: Optional[Tuple[int, str]] = None) -> Event:
+        """Queue a request for the arm under *key*; returns its grant
+        event.  *fast* is the ``(nbytes, kind)`` closed-form payload of
+        an access queued under :attr:`fast_ready`, else ``None``."""
         env = self.env
         grant = Event(env)
-        fast = self.fast_ready
-        self._pending.append((lba, key, grant, (nbytes, kind) if fast else None))
+        self._pending.append((lba, key, env._now, grant, fast))
         env._mark_arbiter_dirty(self)
-        return grant, fast
+        return grant
 
     def _finish_closed_form(self, nbytes: int, kind: str, done: tuple) -> int:
         """Book a closed-form completion (see :meth:`_grant_next`): the
@@ -354,10 +358,7 @@ class RAID3Array:
         started_at, duration, sequential, cache_hit = done
         # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (no fault plan, tracer off)
         self.bus.account_bypass(nbytes, duration)
-        self.busy_s += self.env._now - started_at
-        self._busy = False
-        if self._pending:
-            self.env._mark_arbiter_dirty(self)
+        self._leave_arm(None, started_at)
         self._count(nbytes, kind, sequential, cache_hit)
         return nbytes
 
@@ -396,9 +397,16 @@ class RAID3Array:
             span = None
             span_ctx = ctx
         proc = env._active_process
-        grant, fast = self._enqueue(lba, nbytes, kind, proc.order_key if proc is not None else ())
-        if fast:
-            done = yield grant
+        fast = (nbytes, kind) if self.fast_ready else None
+        grant = self._enqueue(lba, proc.order_key if proc is not None else (), fast)
+        if fast is not None:
+            try:
+                done = yield grant
+            except BaseException:
+                # Interrupted while queued or inside the closed-form
+                # service; a completion books through _finish_closed_form.
+                self._leave_arm(grant, None)
+                raise
             if done is not None:
                 return self._finish_closed_form(nbytes, kind, done)
             # State changed while queued; the grant fell back to the
@@ -531,7 +539,7 @@ class RAID3Array:
         as ``then(None, error)``.  Validation errors raise here.
         """
         self._admit(lba, nbytes)
-        grant, _fast = self._enqueue(lba, nbytes, kind, key)
+        grant = self._enqueue(lba, key, (nbytes, kind) if self.fast_ready else None)
         access = _CallbackAccess(self, kind, lba, nbytes, key, then)
         grant.callbacks.append(access.granted)
 
@@ -643,11 +651,9 @@ class RAID3Array:
         operations) and never updates the track cache (the drive buffer
         serves host reads, not copy-back internals).
         """
-        grant = self.env.event()
         # (-1, seq): sorts before every causal process key, so an exact
         # (distance, lba) tie goes to the rebuild deterministically.
-        self._pending.append((lba, (-1, chunk_seq), grant, None))
-        self.env._mark_arbiter_dirty(self)
+        grant = self._enqueue(lba, (-1, chunk_seq))
         started_at = None
         try:
             yield grant
@@ -679,23 +685,33 @@ class RAID3Array:
             self._leave_arm(grant, started_at)
 
     def _leave_arm(self, grant: Optional[Event], started_at: Optional[float]) -> None:
-        """Give up the arm on a stepped access's way out, normal or not.
+        """The one way out of the arm queue for every request -- stepped,
+        rebuild or closed form -- on a normal exit or an interrupt.
 
-        An access interrupted while still queued (its *grant* never
-        fired) withdraws its own queue entry and leaves the arm to
-        whoever holds it.  Otherwise the access holds the arm -- granted
-        (even if interrupted before it resumed) or passed in already
-        held (*grant* is ``None``) -- and releases it.
+        - *grant* never fired (interrupted while queued): the request
+          withdraws its own entry and leaves the arm to its holder.
+        - *grant* fired stepped, or is ``None`` (the arm was passed in
+          already held): the request holds the arm and releases it,
+          booking the hold from *started_at* (``None`` if it never
+          started service).
+        - *grant* carries a closed-form value (interrupted inside its
+          precomputed service): the arm is released now, as the stepped
+          path would on the same interrupt, and the hold is booked from
+          the grant's start time.
         """
-        if grant is not None and grant._value is PENDING:
-            pending = self._pending
-            for i, entry in enumerate(pending):
-                if entry[2] is grant:
-                    del pending[i]
-                    break
-            return
+        if grant is not None:
+            done = grant._value
+            if done is PENDING:
+                pending = self._pending
+                for i, entry in enumerate(pending):
+                    if entry[3] is grant:
+                        del pending[i]
+                        break
+                return
+            if done is not None:
+                started_at = done[0]
         if started_at is not None:
-            self.busy_s += self.env.now - started_at
+            self.busy_s += self.env._now - started_at
         self._busy = False
         if self._pending:
             self.env._mark_arbiter_dirty(self)

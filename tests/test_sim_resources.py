@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.disk import Disk
-from repro.hardware.params import DiskParams
+from repro.hardware.raid import RAID3Array
+from repro.hardware.scsi import SCSIBus
 from repro.sim import (
     ArbitratedResource,
     Container,
@@ -199,29 +199,45 @@ class TestPriorityResource:
 
 
 class TestDiskArbitration:
-    """Single-spindle ``Disk`` dispatch is settled by arbitrated grants:
+    """The RAID arm's dispatch is settled by arbitrated grants:
     same-timestamp arrivals are ordered canonically (causal key for
     FIFO, LOOK sweep position for the elevator), never by event-pop
     order -- so service order is bit-identical under both kernel
-    tie-breaks."""
+    tie-breaks, in closed and in stepped form."""
 
     @staticmethod
-    def _service_order(tie_break, elevator, requests):
-        """Run reads of (tag, lba, issue_delay); return completion order."""
-        env = Environment(tie_break=tie_break)
-        disk = Disk(env, "d", params=DiskParams(), elevator=elevator, jitter=False)
-        order = []
+    def _array(env, form, elevator=True):
+        """A default-calibrated array; ``form="stepped"`` shares its bus
+        with an idle second array, which keeps it off the closed form."""
+        bus = SCSIBus(env)
+        raid = RAID3Array(env, bus, name="d", elevator=elevator)
+        if form == "stepped":
+            RAID3Array(env, bus, name="d-b")
+        assert raid.fast_ready == (form == "closed")
+        return raid
 
-        def proc(tag, lba, delay):
-            if delay:
-                yield env.timeout(delay)
-            yield from disk.read(lba, 64 * 1024)
-            order.append(tag)
+    @classmethod
+    def _service_orders(cls, elevator, requests):
+        """Run reads of (tag, lba, issue_delay) under each tie-break and
+        form; return the set of completion orders seen."""
+        orders = set()
+        for tie_break in ("fifo", "lifo"):
+            for form in ("closed", "stepped"):
+                env = Environment(tie_break=tie_break)
+                raid = cls._array(env, form, elevator)
+                order = []
 
-        for tag, lba, delay in requests:
-            env.process(proc(tag, lba, delay))
-        env.run()
-        return order
+                def proc(tag, lba, delay):
+                    if delay:
+                        yield env.timeout(delay)
+                    yield from raid.read(lba, 64 * 1024)
+                    order.append(tag)
+
+                for tag, lba, delay in requests:
+                    env.process(proc(tag, lba, delay))
+                env.run()
+                orders.add(tuple(order))
+        return orders
 
     def test_fifo_same_timestamp_arrivals_follow_causal_order(self):
         # Spawn order defines the causal process keys; a pop-order
@@ -229,32 +245,19 @@ class TestDiskArbitration:
         requests = [
             ("a", 30 * MB, 0.0), ("b", 10 * MB, 0.0), ("c", 50 * MB, 0.0), ("d", 20 * MB, 0.0)
         ]
-        for tb in ("fifo", "lifo"):
-            assert self._service_order(tb, False, requests) == [
-                "a",
-                "b",
-                "c",
-                "d",
-            ]
+        assert self._service_orders(False, requests) == {("a", "b", "c", "d")}
 
     def test_fifo_arrival_time_dominates_key(self):
         # A later arrival with a smaller causal key still waits its turn.
         requests = [("late", 10 * MB, 0.001), ("early", 50 * MB, 0.0)]
         # "late" is spawned first (smaller key) but arrives second.
-        for tb in ("fifo", "lifo"):
-            assert self._service_order(tb, False, requests) == ["early", "late"]
+        assert self._service_orders(False, requests) == {("early", "late")}
 
     def test_elevator_sweeps_ascending_regardless_of_spawn_order(self):
         requests = [
             ("c", 30 * MB, 0.0), ("a", 10 * MB, 0.0), ("d", 50 * MB, 0.0), ("b", 20 * MB, 0.0)
         ]
-        for tb in ("fifo", "lifo"):
-            assert self._service_order(tb, True, requests) == [
-                "a",
-                "b",
-                "c",
-                "d",
-            ]
+        assert self._service_orders(True, requests) == {("a", "b", "c", "d")}
 
     def test_elevator_look_reverses_only_when_nothing_ahead(self):
         # "first" is served alone (head moves to ~50MB); the rest queue
@@ -267,33 +270,36 @@ class TestDiskArbitration:
             ("down", 10 * MB, 0.001),
             ("up2", 60 * MB, 0.001),
         ]
-        for tb in ("fifo", "lifo"):
-            assert self._service_order(tb, True, requests) == [
-                "first",
-                "up1",
-                "up2",
-                "down",
-            ]
+        assert self._service_orders(True, requests) == {("first", "up1", "up2", "down")}
 
     def test_elevator_exact_distance_tie_broken_by_key(self):
         # Two same-timestamp requests for the same LBA: distance and LBA
         # tie exactly, so the causal (spawn-order) key decides.
         requests = [("x", 20 * MB, 0.0), ("y", 20 * MB, 0.0)]
-        for tb in ("fifo", "lifo"):
-            assert self._service_order(tb, True, requests) == ["x", "y"]
+        assert self._service_orders(True, requests) == {("x", "y")}
 
-    def test_busy_accounting_and_queue_depth(self, env):
-        disk = Disk(env, "d", params=DiskParams(), jitter=False)
+    def test_busy_accounting_and_queue_depth(self):
+        for form in ("closed", "stepped"):
+            env = Environment()
+            raid = self._array(env, form)
+            depths = []
 
-        def reader(lba):
-            yield from disk.read(lba, 64 * 1024)
+            def reader(lba):
+                yield from raid.read(lba, 64 * 1024)
 
-        env.process(reader(0))
-        env.process(reader(10 * MB))
-        env.run()
-        assert disk.queue_depth == 0
-        assert disk.busy_s > 0
-        assert disk.busy_s <= env.now
+            def watcher():
+                yield env.timeout(0.001)
+                depths.append(raid.queue_depth)
+
+            env.process(reader(0))
+            env.process(reader(10 * MB))
+            env.process(watcher())
+            env.run()
+            # One read held the arm while the other waited.
+            assert depths == [1], form
+            assert raid.queue_depth == 0, form
+            assert 0 < raid.busy_s <= env.now, form
+            assert raid.busy_s == pytest.approx(env.now), form
 
 
 class TestContainer:
