@@ -18,8 +18,8 @@ built on.  Two clients:
   establishes when truthy.  Conjunctions accumulate facets,
   disjunctions keep only the common ones, and bare names / ``self``
   attributes are expanded through their reaching (or class-attribute)
-  definitions, so ``if self._fast_sends:`` resolves through
-  ``self._fast_sends = faults is None and not self.tracer.enabled``.
+  definitions, so ``if self._fast:`` resolves through
+  ``self._fast = faults is None and not self.tracer.enabled``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ R006    fast-path gating.  A function marked ``# fast-path`` (see
         edge into a pragma'd function is checked: the union of the
         facets established by the lexically dominating ``if`` guards
         (resolved through reaching definitions and class attributes,
-        e.g. ``if self._fast_sends:``) plus the caller's own pragma must
+        e.g. ``if self._fast:``) plus the caller's own pragma must
         cover the callee's requirement.
 
 Suppression uses the same ``# sim-ok`` comments as the intraprocedural

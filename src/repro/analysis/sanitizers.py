@@ -138,7 +138,7 @@ def leaked_resources(env: Any) -> List[ResourceLeak]:
     nothing can ever release it).  Store/Container gets pending at quiesce
     are *not* leaks -- perpetual server loops legitimately idle on empty
     inboxes -- so only acquire/release-style resources (those exposing
-    ``users``) are inspected.
+    ``users``, a RAID array's arm included) are inspected.
     """
     if env.peek != float("inf"):
         return []

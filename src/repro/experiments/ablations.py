@@ -3,8 +3,6 @@
 These exercise the paper's "future work" directions and the design
 choices DESIGN.md calls out:
 
-- ranked mechanism importance over the declarative registry in
-  :mod:`repro.obs.ablation` (the observatory's canonical sweep);
 - prefetch depth (1 = the prototype, deeper pipelines);
 - prefetch policy on non-sequential patterns (strided detection stays
   silent on random access);
@@ -15,7 +13,9 @@ choices DESIGN.md calls out:
 The studies that toggle a registered mechanism (buffering, prefetch
 location) resolve their configurations through the registry rather than
 hand-rolling ``MachineConfig`` edits, so what "Fast Path off" means is
-defined in exactly one place.
+defined in exactly one place.  The ranked importance of every
+registered mechanism is the observatory's own report:
+``python -m repro.obs.ablation``.
 """
 
 from __future__ import annotations
@@ -35,56 +35,6 @@ from repro.machine import Machine
 from repro.pfs import IOMode
 from repro.workloads import CollectiveReadWorkload
 from repro.workloads.patterns import RandomPattern, StridedPattern
-
-
-def run_mechanism_importance(
-    modes: Optional[Sequence[str]] = None,
-    sizes_kb: Optional[Sequence[int]] = None,
-    rounds: Optional[int] = None,
-    compute_delay: Optional[float] = None,
-) -> ExperimentTable:
-    """Ranked mechanism importance from the observatory's registry sweep.
-
-    Delegates to :func:`repro.obs.ablation.run_sweep` (the canonical
-    baseline-plus-one-off harness) and renders its aggregate ranking as
-    an :class:`ExperimentTable`, so the experiment suite and the
-    ``BENCH_ablation.json`` tripwire share one definition of every
-    mechanism toggle.
-    """
-    from repro.obs import ablation as obs_ablation
-
-    kwargs = {}
-    if modes is not None:
-        kwargs["modes"] = tuple(modes)
-    if sizes_kb is not None:
-        kwargs["sizes_kb"] = tuple(sizes_kb)
-    if rounds is not None:
-        kwargs["rounds"] = rounds
-    if compute_delay is not None:
-        kwargs["compute_delay"] = compute_delay
-    report = obs_ablation.run_sweep(golden=False, **kwargs)
-    settings = report["settings"]
-    table = ExperimentTable(
-        title=(
-            "Ablation: ranked mechanism importance "
-            f"(modes={','.join(settings['modes'])}; "
-            f"sizes={','.join(str(s) for s in settings['request_sizes_kb'])}KB)"
-        ),
-        columns=["rank", "mechanism", "importance", "mean_delta_mbps", "cells"],
-    )
-    for rank, entry in enumerate(report["importance"]["aggregate"], start=1):
-        table.add_row(
-            rank,
-            entry["mechanism"],
-            entry["importance"],
-            entry["mean_delta_mbps"],
-            entry["cells"],
-        )
-    table.notes.append(
-        "importance = mean over cells of (bw_on - bw_off) / bw_on; "
-        "see BENCH_ablation.json for per-cell deltas and attribution"
-    )
-    return table
 
 
 def run_depth_ablation(
@@ -568,20 +518,8 @@ def check_ablation_shapes(
     depth: Optional[ExperimentTable] = None,
     modes: Optional[ExperimentTable] = None,
     policies: Optional[ExperimentTable] = None,
-    importance: Optional[ExperimentTable] = None,
 ) -> Optional[str]:
     """Sanity constraints on the ablation results."""
-    if importance is not None:
-        from repro.obs.ablation import MECHANISMS
-
-        if len(importance.rows) != len(MECHANISMS):
-            return (
-                f"importance ranking covers {len(importance.rows)} mechanisms, "
-                f"registry has {len(MECHANISMS)}"
-            )
-        ranked = dict(zip(importance.column("mechanism"), importance.column("importance")))
-        if ranked.get("prefetch", 0.0) <= 0.0:
-            return "prefetch importance is non-positive -- is it disconnected?"
     if depth is not None:
         bw = depth.column("bw_mbps")
         if bw[1] <= bw[0]:
@@ -604,8 +542,6 @@ def check_ablation_shapes(
 
 
 def main() -> None:  # pragma: no cover
-    ranking = run_mechanism_importance()
-    print(ranking.render(), "\n")
     depth = run_depth_ablation()
     print(depth.render(), "\n")
     modes = run_mode_ablation()
@@ -618,7 +554,7 @@ def main() -> None:  # pragma: no cover
     print(location.render(), "\n")
     scaling = run_scaling_ablation()
     print(scaling.render(), "\n")
-    problem = check_ablation_shapes(depth, modes, policies, importance=ranking)
+    problem = check_ablation_shapes(depth, modes, policies)
     print(f"shape check: {'OK' if problem is None else problem}")
 
 

@@ -7,6 +7,12 @@ way a worm's header flit advances), then holds the whole path while the
 body streams through at link bandwidth.  Dimension-ordered acquisition
 keeps the model deadlock-free, exactly as it does for the hardware.
 
+Every transmission is one callback worm (:meth:`Mesh.post`): the hop
+grants drive it without resuming the sender, who is woken once, on
+delivery.  Traced and faulted runs take the same worm: the
+``mesh_xfer`` span opens at send and closes at delivery, and
+``mesh_drop``/``mesh_dup`` are decided at delivery.
+
 On the real machine the mesh (175 MB/s links) is never the I/O
 bottleneck -- the disks are three orders of magnitude slower -- but
 modelling it keeps scaling studies honest and charges the per-message
@@ -55,22 +61,21 @@ class MeshMessage:
     duplicated: bool = False
 
 
-# fast-path: requires=faults,tracer -- callback worm skips per-hop generator resumes; legal only when nothing observes the interior
-class _FastWorm:
-    """Event-callback worm: one mesh transmission without a generator.
+class _Worm:
+    """One mesh transmission, driven by event callbacks.
 
-    The stepped ``Mesh.send`` body resumes the *caller's whole generator
-    chain* once per hop grant just to request the next link.  When
-    nothing can observe the interior of a transmission (no fault plan,
-    no trace span), this state machine drives the identical event
-    sequence -- same software-overhead timeout, same per-hop merged
-    grants at the same times with the same queue ids -- through flat
-    callbacks, and wakes the caller exactly once.
+    The software-overhead timeout and each hop's merged grant run
+    :meth:`advance`, which requests the next link in XY order; the final
+    grant's pop runs :meth:`_finish`, which releases the route, decides
+    any ``mesh_drop``/``mesh_dup`` fault, closes the ``mesh_xfer`` span
+    and fires ``proxy`` with ``value`` -- the sender's one wake-up.  The
+    proxy is an event that is never scheduled, so delivery costs no
+    event of its own.
 
-    The caller waits on ``proxy``, an event that is never scheduled: the
-    final grant's pop runs :meth:`advance` -> :meth:`_finish`, which
-    fires the proxy with ``value`` on that same pop -- exactly when the
-    generator version would have resumed the caller.
+    Nothing here looks inside a hop: the span covers [send, delivery],
+    and mesh faults are time-window predicates decided at delivery.  The
+    worm belongs to no process, so an interrupted sender does not cut it
+    short: it holds its links until the body has streamed through.
     """
 
     __slots__ = (
@@ -86,13 +91,17 @@ class _FastWorm:
         "body_waited",
         "proxy",
         "value",
+        "span",
     )
 
-    def __init__(self, mesh: "Mesh", message: MeshMessage, proxy: Event, value: Any) -> None:
+    def __init__(
+        self, mesh: "Mesh", message: MeshMessage, proxy: Event, value: Any, span: Any
+    ) -> None:
         self.mesh = mesh
         self.message = message
         self.proxy = proxy
         self.value = value
+        self.span = span
         p = mesh.params
         self.pairs = mesh._route_pairs(message.src, message.dst)
         self.route_key = (message.src, message.dst)
@@ -102,8 +111,8 @@ class _FastWorm:
         self.requests: list = []
         self.granted: list = []
         self.body_waited = False
-        # Software send overhead: the same Timeout the generator path
-        # yields first, with the worm itself as the continuation.
+        # Software send overhead (charged regardless of distance), with
+        # the worm itself as the continuation.
         sw = Timeout(mesh.env, p.sw_overhead_s)
         sw.callbacks.append(self.advance)
 
@@ -123,6 +132,10 @@ class _FastWorm:
         last = len(pairs) - 1
         if nxt <= last:
             res = pairs[nxt][1]
+            # Each link's grant + hold timeout is one merged event; the
+            # last link also absorbs the body streaming time.  The tuple
+            # makes the resume time's float arithmetic identical to
+            # successive per-hop + body timeouts.
             delay = (self.per_hop, self.body_time) if nxt == last else self.per_hop
             req = res.request(  # sim-ok: R005 -- every hold is released in _finish, which runs on the final grant of this same worm
                 key=self.route_key, resume_delay=delay
@@ -152,10 +165,24 @@ class _FastWorm:
             busy[link] = busy.get(link, 0.0) + (released_at - granted[i])
         message = self.message
         message.delivered_at = released_at
+        faults = mesh.faults
+        if faults is not None:
+            # Window-triggered only (see repro.faults.plan): same-time
+            # sends have no canonical global order, so drop/dup decisions
+            # depend on sim time alone and are tie-break-invariant.  The
+            # worm still paid full route occupancy + streaming time.
+            pair = f"{message.src[0]},{message.src[1]}->{message.dst[0]},{message.dst[1]}"
+            if faults.decide("mesh_drop", pair) is not None:
+                message.dropped = True
+            elif faults.decide("mesh_dup", pair) is not None:
+                message.duplicated = True
+            if self.span is not None:
+                mesh.tracer.end(self.span, dropped=message.dropped, duplicated=message.duplicated)
+        elif self.span is not None:
+            mesh.tracer.end(self.span)
         mesh._c_messages.add(1)
         mesh._c_bytes.add(message.size_bytes)
-        # Wake the caller on this same event pop (no extra event), just
-        # as the generator version's single resume would have.
+        # Wake the sender on this same event pop (no extra event).
         self.proxy.fire(self.value)
 
 
@@ -189,13 +216,6 @@ class Mesh:
         # Hot-path monitor objects, resolved once instead of per message.
         self._c_messages = monitor.counter("mesh.messages")
         self._c_bytes = monitor.counter("mesh.bytes")
-        #: Callback-worm transmissions (see :class:`_FastWorm`): same
-        #: event sequence as the generator path but without per-hop
-        #: resumes.  Requires that nothing can observe or perturb a
-        #: transmission's interior: fault plans decide drop/duplicate at
-        #: delivery and trace spans record hop interiors, so both fall
-        #: back to the generator path.
-        self._fast_sends = faults is None and not self.tracer.enabled
 
     # -- topology ---------------------------------------------------------
 
@@ -257,40 +277,23 @@ class Mesh:
             p.sw_overhead_s + self.hops(src, dst) * p.per_hop_s + size_bytes / p.link_bandwidth_bps
         )
 
-    # fast-path: requires=faults,tracer -- launches a callback worm, which only an unobserved, fault-free mesh may run
     def post(self, message: MeshMessage, proxy: Event, value: Any) -> None:
         """Transmit *message*; fire *proxy* with *value* on delivery.
 
-        The callback form of :meth:`send`: no process waits on the
-        transmission, so the sender may be a callback chain (an RPC
-        request delivered straight into the target's inbox, a reply
-        resuming its caller).  The proxy fires on the final grant's pop,
-        exactly when :meth:`send` would have returned.
+        Reserves the XY route link-by-link (header flit), then streams
+        the body while holding the path, then releases every link.  No
+        process waits on the transmission, so the sender may be a
+        callback chain (an RPC request delivered straight into the
+        target's inbox, a reply resuming its caller).  The proxy fires
+        on the final grant's pop, after any drop/duplicate decision has
+        been written onto *message*.
         """
         if message.size_bytes < 0:
             raise ValueError("message size must be non-negative")
         message.enqueued_at = self.env._now
-        _FastWorm(self, message, proxy, value)
-
-    def send(self, message: MeshMessage):
-        """Generator: transmit *message*; completes when delivered.
-
-        Reserves the XY route link-by-link (header flit), then streams the
-        body while holding the path, then releases every link.
-        """
-        env = self.env
-        if self._fast_sends:
-            proxy = Event(env)
-            self.post(message, proxy, message)
-            return (yield proxy)
-        message.enqueued_at = env.now
-        if message.size_bytes < 0:
-            raise ValueError("message size must be non-negative")
-        p = self.params
         tracer = self.tracer
-        traced = tracer.enabled
         span = None
-        if traced:
+        if tracer.enabled:
             span = tracer.begin(
                 "mesh_xfer",
                 ctx=message.ctx,
@@ -298,60 +301,13 @@ class Mesh:
                 src=message.src,
                 dst=message.dst,
             )
+        _Worm(self, message, proxy, value, span)
 
-        # Software send overhead (charged regardless of distance).
-        yield env.timeout(p.sw_overhead_s)
-
-        pairs = self._route_pairs(message.src, message.dst)
-        route_key = (message.src, message.dst)
-        per_hop = p.per_hop_s
-        body_time = message.size_bytes / p.link_bandwidth_bps
-        requests = []
-        acquired = []
-        try:
-            # Each link's grant + hold timeout is one merged event (the
-            # last link also absorbs the body streaming time): the slot
-            # is held from the grant instant and released when the body
-            # has streamed through.
-            last = len(pairs) - 1
-            for i, (link, res) in enumerate(pairs):
-                # The tuple makes the resume time's float arithmetic
-                # identical to successive per-hop + body timeouts.
-                delay = (per_hop, body_time) if i == last else per_hop
-                req = res.request(key=route_key, resume_delay=delay)
-                requests.append((link, res, req))
-                granted_at = yield req
-                if granted_at is None:
-                    granted_at = env.now
-                acquired.append((link, granted_at))
-            if not pairs and body_time > 0:
-                yield env.timeout(body_time)
-        finally:
-            released_at = env.now
-            for _link, res, req in requests:
-                res.release(req)
-            busy = self._link_busy_s
-            for link, granted_at in acquired:
-                busy[link] = busy.get(link, 0.0) + (released_at - granted_at)
-
-        message.delivered_at = env.now
-        if self.faults is not None:
-            # Window-triggered only (see repro.faults.plan): same-time
-            # sends have no canonical global order, so drop/dup decisions
-            # depend on sim time alone and are tie-break-invariant.  The
-            # worm still paid full route occupancy + streaming time.
-            pair = f"{message.src[0]},{message.src[1]}->" f"{message.dst[0]},{message.dst[1]}"
-            if self.faults.decide("mesh_drop", pair) is not None:
-                message.dropped = True
-            elif self.faults.decide("mesh_dup", pair) is not None:
-                message.duplicated = True
-            if traced:
-                tracer.end(span, dropped=message.dropped, duplicated=message.duplicated)
-        elif traced:
-            tracer.end(span)
-        self._c_messages.add(1)
-        self._c_bytes.add(message.size_bytes)
-        return message
+    def send(self, message: MeshMessage):
+        """Generator: transmit *message*; returns it once delivered."""
+        proxy = Event(self.env)
+        self.post(message, proxy, message)
+        return (yield proxy)
 
     def __repr__(self) -> str:
         return f"<Mesh {self.width}x{self.height}>"

@@ -139,6 +139,8 @@ class RAID3Array:
         #: path performs.
         self._fast_mode = faults is None and not self.tracer.enabled
         bus.attach_client()
+        # Leak-checked like any acquire/release resource (see users).
+        env.register_resource(self)
         # Hot-path monitor objects, resolved once instead of per access.
         self._c_reads = monitor.counter(f"{name}.reads")
         self._c_writes = monitor.counter(f"{name}.writes")
@@ -719,6 +721,13 @@ class RAID3Array:
     @property
     def queue_depth(self) -> int:
         return len(self._pending)
+
+    @property
+    def users(self) -> Tuple[str, ...]:
+        """Holders of the (ganged) arm: one while a request holds it.
+        Read by :func:`~repro.analysis.sanitizers.leaked_resources`, so an
+        arm still held once the event queue drains reports as a leak."""
+        return ("arm",) if self._busy else ()
 
     def __repr__(self) -> str:
         return (

@@ -19,19 +19,19 @@ endpoint reserved when it was built.  One serve per round (not every
 waiting request at once) decides in which settle round each serve makes
 its first arbiter request, so it is part of the model's timing.
 
-Without a fault plan or tracer, a call is two callback transmissions
-(:meth:`~repro.hardware.mesh.Mesh.post`) and one serve:
+Without a fault plan, a call is two callback transmissions
+(:meth:`~repro.hardware.mesh.Mesh.post`) and one serve, traced or not:
 the request worm's delivery puts the envelope into the inbox under the
 caller's order key, and the reply worm's delivery resumes the caller
 directly.  :meth:`RPCEndpoint.post` is the callback form of a call, for
-a caller that is not a process.  In such runs the serve itself need not
-be a process either: a request type with a callback handler
-(:meth:`RPCEndpoint.register_callback`, which the PFS server registers
-for Fast Path reads and writes) is served by a callback chain, started
-by the same urgent event a serve process would have been started by and
-arbitrating under the same key ``dispatch_key + (n,)``.  Its reply is
-posted as a serve process's would be, and a handler error fails the
-call with the same :class:`RPCError`.
+a caller that is not a process.  When the tracer is off too, the serve
+itself need not be a process either: a request type with a callback
+handler (:meth:`RPCEndpoint.register_callback`, which the PFS server
+registers for Fast Path reads and writes) is served by a callback chain,
+started by the same urgent event a serve process would have been started
+by and arbitrating under the same key ``dispatch_key + (n,)``.  Its
+reply is posted as a serve process's would be, and a handler error fails
+the call with the same :class:`RPCError`.
 
 Fault tolerance (active only when the machine runs with a
 :class:`~repro.faults.plan.FaultPlan`): calls carry a per-request reply
@@ -183,11 +183,11 @@ class RPCEndpoint:
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        #: Callback calls (see :meth:`post`): legal only when nothing can
-        #: observe or perturb a call's interior -- no fault plan (retries,
-        #: drops, the idempotency log), no trace spans -- and the mesh
-        #: runs callback worms.
-        self._fast = faults is None and not self.tracer.enabled and mesh._fast_sends
+        #: Callback calls (see :meth:`post`) and callback serves: legal
+        #: only when nothing can observe or perturb a call's interior --
+        #: no fault plan (retries, drops, the idempotency log), no trace
+        #: spans (a callback serve opens none).
+        self._fast = faults is None and not self.tracer.enabled
         #: The order-key root slot the serves of this endpoint hang off.
         self.dispatch_key = env.reserve_order_key()
         self._inbox = _Inbox(self)
@@ -253,15 +253,14 @@ class RPCEndpoint:
         self.monitor.counter("rpc.calls").add(1)
         return reply
 
-    # fast-path -- single attempt with no retry timer; only legal when no fault plan can stall or drop the call
+    # fast-path: requires=faults -- single attempt with no retry timer; only legal when no fault plan can stall or drop the call
     def _call_once(self, target: "RPCEndpoint", request: RPCMessage):
-        """Fault-free fast path: single attempt, wait forever."""
+        """Fault-free call: single attempt, wait forever.  The request
+        worm admits the envelope on delivery; the caller resumes once,
+        when the reply worm lands."""
         env = self.env
         envelope = _Envelope(request, Event(env), self, env._active_process.order_key)
-        if self._fast:
-            self._post_envelope(target, envelope)
-        else:
-            yield from self._transmit(target, envelope)
+        self._post_envelope(target, envelope)
         return (yield envelope.reply_event)
 
     # fast-path: requires=faults,tracer -- callback call: no process waits on either transmission
@@ -291,7 +290,7 @@ class RPCEndpoint:
         if event._ok:
             self.monitor.counter("rpc.calls").add(1)
 
-    # fast-path: requires=faults,tracer -- the request worm's delivery admits the envelope by callback
+    # fast-path: requires=faults -- the request worm's delivery admits the envelope by callback; nothing can drop or duplicate it
     def _post_envelope(self, target: "RPCEndpoint", envelope: _Envelope) -> None:
         delivered = Event(self.env)
         delivered.callbacks.append(target._admit)
@@ -372,17 +371,12 @@ class RPCEndpoint:
         )
 
     def _transmit(self, target: "RPCEndpoint", envelope: _Envelope):
-        """Carry one attempt across the mesh and into the target inbox."""
+        """Carry one attempt of a retried call across the mesh, which may
+        drop or duplicate it, and into the target inbox."""
         message = self._request_message(target, envelope)
         yield from self.mesh.send(message)
         if message.dropped:
             # Lost after occupying its route; the retry timeout recovers.
-            return
-        if self.faults is None:
-            # Admission into an unbounded inbox cannot block and nothing
-            # can drop or duplicate the message: fire and forget (the
-            # put still settles in canonical key order).
-            target._inbox.put(envelope, envelope.key)
             return
         yield target._inbox.put(envelope, envelope.key)
         if message.duplicated:
@@ -461,12 +455,10 @@ class RPCEndpoint:
             entry["reply"] = reply
             for env_ in entry["envelopes"]:
                 yield from self._send_reply(env_, reply)
-        elif self._fast:
-            # The reply worm resumes the caller on its final grant; this
-            # serve has nothing left to wait for.
-            self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
         else:
-            yield from self._send_reply(envelope, reply)
+            # Fault-free: the reply worm resumes the caller on its final
+            # grant; this serve has nothing left to wait for.
+            self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
         self.monitor.counter("rpc.served").add(1)
 
     def _reply_message(self, envelope: _Envelope, reply) -> MeshMessage:
@@ -479,7 +471,8 @@ class RPCEndpoint:
         )
 
     def _send_reply(self, envelope: _Envelope, reply):
-        """Ship the reply back across the mesh before waking the caller."""
+        """Ship a retried call's reply back across the mesh (which may
+        drop it) before waking the caller."""
         message = self._reply_message(envelope, reply)
         yield from self.mesh.send(message)
         if message.dropped:

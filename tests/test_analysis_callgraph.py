@@ -867,14 +867,14 @@ class TestShippedTree:
         project = Project(summaries)
         marked = {fid for fid, f in project.functions.items() if f.pragma is not None}
         expected = {
-            "repro.hardware.mesh:Mesh.post",
             "repro.hardware.raid:RAID3Array.access_then",
             "repro.hardware.scsi:SCSIBus.account_bypass",
             "repro.paragonos.rpc:RPCEndpoint._call_once",
+            "repro.paragonos.rpc:RPCEndpoint._post_envelope",
+            "repro.pfs.client:PFSClient._post_pieces",
         }
         assert expected <= marked
-        assert any(fid.startswith("repro.hardware.mesh:_FastWorm") for fid in marked)
-        # The PR 6 fast-path entries are reached through *resolved* edges
+        # The fast-path entries are reached through *resolved* edges
         # (the gating check actually sees them, rather than the calls
         # being unresolved and silently unchecked).
         entries = {
@@ -883,17 +883,27 @@ class TestShippedTree:
             for e in edges
             if e.callee in marked
         }
-        assert "repro.hardware.mesh:_FastWorm.__init__" in entries
         assert "repro.hardware.scsi:SCSIBus.account_bypass" in entries
         assert "repro.paragonos.rpc:RPCEndpoint._call_once" in entries
-        assert "repro.hardware.mesh:Mesh.post" in entries
+        assert "repro.paragonos.rpc:RPCEndpoint._post_envelope" in entries
+        assert "repro.pfs.client:PFSClient._post_pieces" in entries
 
-    def test_mesh_fast_worm_gate_resolves_both_facets(self):
+    def test_fast_path_gates_resolve_their_facets(self):
+        """Each gate resolves to exactly the facets its callee needs: the
+        callback stripe pieces skip spans, so they need the tracer off
+        as well; a fault-free call only needs no fault plan."""
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
-        sites = [
-            e.site
-            for e in project.edges["repro.hardware.mesh:Mesh.send"]
-            if e.callee == "repro.hardware.mesh:Mesh.post"
-        ]
-        assert sites and set(sites[0].guard_facets) == {"faults", "tracer"}
+        gates = {
+            (
+                "repro.pfs.client:PFSClient.transfer_read",
+                "repro.pfs.client:PFSClient._post_pieces",
+            ): {"faults", "tracer"},
+            (
+                "repro.paragonos.rpc:RPCEndpoint.call",
+                "repro.paragonos.rpc:RPCEndpoint._call_once",
+            ): {"faults"},
+        }
+        for (caller, callee), facets in gates.items():
+            sites = [e.site for e in project.edges[caller] if e.callee == callee]
+            assert sites and set(sites[0].guard_facets) == facets, (caller, callee)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.analysis.sanitizers import leaked_resources
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.hardware import Mesh, MeshMessage, MeshParams
-from repro.sim import Environment
+from repro.obs import Observability
+from repro.sim import Environment, Interrupt
 
 
 @pytest.fixture
@@ -170,3 +173,137 @@ class TestTransmission:
         env.run()
         assert mon.counter_value("mesh.messages") == 1
         assert mon.counter_value("mesh.bytes") == 1000
+
+
+#: 1 s software overhead, two 0.5 s hops, 200 bytes at 100 B/s: the worm
+#: holds link 0 over [1.0, 4.0] and link 1 over [1.5, 4.0].
+ONE_WORM = MeshParams(link_bandwidth_bps=100.0, sw_overhead_s=1.0, per_hop_s=0.5)
+ONE_WORM_BUSY = {"0,0->1,0": 3.0, "1,0->2,0": 2.5}
+
+
+def _one_transmission(trace=False, fault=None, window=(3.0, 2.0)):
+    """Send one message across ONE_WORM's two links; returns the message,
+    the sender's (returned message, wake-up time), link busy seconds,
+    mesh counters and the tracer."""
+    env = Environment()
+    obs = Observability(env, trace=trace)
+    faults = None
+    if fault is not None:
+        at_s, window_s = window
+        spec = FaultSpec(kind=fault, target="*", at_s=at_s, window_s=window_s)
+        faults = FaultInjector(env, FaultPlan(specs=(spec,)), monitor=obs)
+    mesh = Mesh(env, 4, 1, params=ONE_WORM, monitor=obs, faults=faults)
+    msg = MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200)
+
+    def sender():
+        got = yield from mesh.send(msg)
+        return got, env.now
+
+    proc = env.process(sender())
+    env.run()
+    counters = {name: obs.counter_value(name) for name in ("mesh.messages", "mesh.bytes")}
+    return msg, proc.value, mesh.link_busy_s(), counters, obs.tracer
+
+
+class TestOneWorm:
+    """Plain, traced and faulted transmissions run the same worm: tracing
+    adds one span, a fault window marks the message at delivery, and
+    neither moves a time, a link hold or a counter."""
+
+    @pytest.mark.parametrize(
+        "trace,fault",
+        [
+            (False, None),
+            (True, None),
+            (False, "mesh_drop"),
+            (True, "mesh_drop"),
+            (True, "mesh_dup"),
+        ],
+    )
+    def test_same_timing_occupancy_and_counters(self, trace, fault):
+        msg, (got, woke_at), busy, counters, _tracer = _one_transmission(trace, fault)
+        assert got is msg
+        assert msg.delivered_at == woke_at == 4.0
+        assert busy == ONE_WORM_BUSY
+        assert counters == {"mesh.messages": 1, "mesh.bytes": 200}
+        assert msg.dropped == (fault == "mesh_drop")
+        assert msg.duplicated == (fault == "mesh_dup")
+
+    def test_traced_span_covers_send_to_delivery(self):
+        *_, tracer = _one_transmission(trace=True)
+        (span,) = [s for s in tracer.spans if s.kind == "mesh_xfer"]
+        assert (span.start, span.end) == (0.0, 4.0)
+        assert "dropped" not in span.attrs and "duplicated" not in span.attrs
+        assert span.attrs["bytes"] == 200
+
+    @pytest.mark.parametrize("fault", ["mesh_drop", "mesh_dup"])
+    def test_faulted_span_carries_the_decision(self, fault):
+        *_, tracer = _one_transmission(trace=True, fault=fault)
+        (span,) = [s for s in tracer.spans if s.kind == "mesh_xfer"]
+        assert (span.start, span.end) == (0.0, 4.0)
+        assert span.attrs["dropped"] == (fault == "mesh_drop")
+        assert span.attrs["duplicated"] == (fault == "mesh_dup")
+
+    def test_window_is_read_at_delivery_not_at_send(self):
+        # Open over the send only: the message arrives after it closed.
+        msg, _woke, busy, _counters, tracer = _one_transmission(
+            trace=True, fault="mesh_drop", window=(0.0, 1.0)
+        )
+        assert not msg.dropped
+        (span,) = [s for s in tracer.spans if s.kind == "mesh_xfer"]
+        assert span.attrs["dropped"] is False
+        assert busy == ONE_WORM_BUSY
+
+    def test_dropped_message_occupies_its_full_route(self):
+        # A second message behind the dropped one on the shared first
+        # link is granted only once the dropped worm has streamed through.
+        env = Environment()
+        spec = FaultSpec(kind="mesh_drop", target="0,0->2,0", at_s=3.0, window_s=2.0)
+        faults = FaultInjector(env, FaultPlan(specs=(spec,)))
+        mesh = Mesh(env, 4, 1, params=ONE_WORM, faults=faults)
+        dropped = MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200)
+        behind = MeshMessage(src=(0, 0), dst=(1, 0), size_bytes=0)
+
+        def sender(msg, delay):
+            yield env.timeout(delay)
+            yield from mesh.send(msg)
+
+        env.process(sender(dropped, 0.0))
+        env.process(sender(behind, 0.5))
+        env.run()
+        assert dropped.dropped and not behind.dropped
+        assert dropped.delivered_at == 4.0
+        # Granted at 4.0, one 0.5 s hop, no body.
+        assert behind.delivered_at == 4.5
+        assert mesh.link_busy_s() == {"0,0->1,0": 3.5, "1,0->2,0": 2.5}
+
+    def test_interrupted_sender_leaves_the_worm_to_finish(self):
+        # The worm belongs to no process: interrupting its sender does not
+        # release the route early, and once the worm ends nothing is held.
+        env = Environment()
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        msg = MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200)
+        seen = []
+
+        def sender():
+            try:
+                yield from mesh.send(msg)
+                seen.append("delivered")
+            except Interrupt:
+                seen.append(("interrupted", env.now))
+
+        proc = env.process(sender())
+
+        def interrupter():
+            yield env.timeout(2.0)
+            proc.interrupt("give up")
+            yield env.timeout(0)
+            seen.append([len(mesh._links[link].users) for link in sorted(mesh._links)])
+
+        env.process(interrupter())
+        env.run()
+        assert seen == [("interrupted", 2.0), [1, 1]]
+        assert msg.delivered_at == 4.0
+        assert mesh.link_busy_s() == ONE_WORM_BUSY
+        assert all(not mesh._links[link].users for link in sorted(mesh._links))
+        assert leaked_resources(env) == []

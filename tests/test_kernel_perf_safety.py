@@ -1,7 +1,7 @@
 """Safety net for the PR-6 kernel fast paths.
 
 The fast-kernel refactor (merged grants, closed-form RAID transfers,
-callback worms on the mesh, event elision) is only legal if it is
+callback serves and stripe pieces, event elision) is only legal if it is
 *unobservable*: every report must stay bit-identical to the stepped
 implementation, under either same-timestamp tie-break, and the fast
 paths must fall back to stepping whenever a fault plan or tracer could
@@ -24,8 +24,9 @@ module pins each of those contracts:
 - a callback access whose array fails while it is queued finishes on
   the stepped path and fails the application's call as a serve process
   would;
-- the exact event count and generator resumes of one paper cell, so a
-  change in kernel work is re-pinned on purpose.
+- the exact event count and generator resumes of one paper cell and
+  one crash-restart cell, so a change in kernel work is re-pinned on
+  purpose.
 """
 
 import hashlib
@@ -64,6 +65,10 @@ REBUILD_PLAN = FaultPlan(
         FaultSpec(kind="disk_repair", target="raid0", at_s=0.01, disk_index=0, rebuild_rate=0.5),
     ),
 )
+
+#: perfbench's crash-restart windows: compute node 0 is down twice while
+#: the prefetching readers run, so calls retry and replies are replayed.
+CRASH_PLAN = FaultPlan.crash_restart(node="node0", windows=((0.03, 0.08), (0.2, 0.25)))
 
 
 def _bench3_cell(size_kb: int, prefetch: bool, tie_break: str = "fifo", **kwargs):
@@ -182,9 +187,9 @@ class TestGoldensUnderBothTieBreaks:
         """A fault window opening mid-run forces the stepped fallback.
 
         With ``faults`` set, every batching gate (RAID closed-form
-        transfers, mesh callback worms, fire-and-forget inbox puts) is
-        off from construction, so the rebuild window can never observe
-        a half-merged batch; this pins that the fallback still matches
+        transfers, callback serves and stripe pieces, fault-free RPC
+        calls) is off from construction, so the rebuild window can
+        never observe a half-merged batch; this pins that the fallback still matches
         the golden capture under both tie-breaks.
         """
         report = run_multipass(
@@ -287,8 +292,7 @@ class TestSteppedPathInvariance:
             endpoints = [machine.coordinator_endpoint] + [
                 side.endpoint for side in machine.clients + machine.servers
             ]
-            gates = [machine.mesh._fast_sends]
-            gates += [endpoint._fast for endpoint in endpoints]
+            gates = [endpoint._fast for endpoint in endpoints]
             gates += [client._fast for client in machine.clients]
             gates += [array._fast_mode for array in machine.arrays]
             if traced:
@@ -299,13 +303,27 @@ class TestSteppedPathInvariance:
 
 
 class TestWorkCountPin:
-    """The event count and generator resumes of one paper cell, pinned
-    exactly.
+    """The event count and generator resumes of one paper cell and one
+    crash-restart cell, pinned exactly.
 
     The counts do not depend on the host or the tie-break, so a change
-    in how much kernel work a fault-free read costs shows up here and is
-    re-pinned on purpose, with the new count recorded in CHANGES.md.
+    in how much kernel work a fault-free or a faulted read costs shows
+    up here and is re-pinned on purpose, with the new count recorded in
+    CHANGES.md.
     """
+
+    @staticmethod
+    def _crash_restart_read(tie_break: str):
+        size = 64 * KB
+        return run_collective(
+            request_size=size,
+            file_size=scaled_file_size(size, rounds=4),
+            prefetch=True,
+            rounds=4,
+            faults=CRASH_PLAN,
+            tie_break=tie_break,
+            keep_machine=True,
+        )
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_table1_256kb_prefetch_events(self, tie_break):
@@ -342,6 +360,28 @@ class TestWorkCountPin:
             tie_break=tie_break,
         )
         assert resumes[0] == 1168
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_crash_restart_64kb_prefetch_events(self, tie_break):
+        report = self._crash_restart_read(tie_break)
+        assert report.machine.env._eid == 780
+        assert report.machine.verify() == []
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_crash_restart_64kb_prefetch_generator_resumes(self, tie_break, monkeypatch):
+        """Faulted calls ride the same callback worms: a sender resumes
+        once per transmission, not once per hop (688 with the stepped
+        hop loop)."""
+        resumes = [0]
+        resume = Process._resume
+
+        def counting(self, event):
+            resumes[0] += 1
+            return resume(self, event)
+
+        monkeypatch.setattr(Process, "_resume", counting)
+        self._crash_restart_read(tie_break)
+        assert resumes[0] == 620
 
 
 class TestCallbackServeFallback:

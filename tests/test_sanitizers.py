@@ -22,6 +22,8 @@ from repro.analysis.sanitizers import (
     report_fingerprint,
 )
 from repro.config import MachineConfig
+from repro.hardware import RAID3Array, SCSIBus
+from repro.machine import Machine
 from repro.sim import ArbitratedResource, Environment, Resource
 
 
@@ -156,6 +158,35 @@ class TestLeakChecker:
         env.process(leaker())
         env.run()
         assert len(leaked_resources(env)) == 1
+
+    def test_wedged_raid_arm_flagged(self):
+        # The arm is held through RAID3Array._busy, not a request object:
+        # a holder that never leaves wedges every later access.
+        env = Environment()
+        raid = RAID3Array(env, SCSIBus(env))
+
+        def wedger():
+            yield raid._enqueue(0, ())
+
+        env.process(wedger())
+        env.run()
+        leaks = leaked_resources(env)
+        assert len(leaks) == 1
+        assert leaks[0].resource is raid
+        assert leaks[0].held == 1
+
+    def test_wedged_raid_arm_fails_machine_verify(self):
+        machine = Machine(MachineConfig(n_compute=1, n_io=1))
+        array = machine.arrays[0]
+
+        def wedger():
+            yield array._enqueue(0, ())
+
+        assert machine.verify() == []
+        machine.spawn(wedger())
+        machine.run()
+        assert machine.verify() == [str(leak) for leak in leaked_resources(machine.env)]
+        assert len(machine.verify()) == 1
 
     def test_no_verdict_while_events_remain(self):
         # A hold is only a leak once nothing can ever release it.
