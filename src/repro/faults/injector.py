@@ -7,9 +7,11 @@ call :meth:`FaultInjector.decide` at well-defined injection points
 trigger state (per-spec operation counters), applies the time-scheduled
 ``disk_failure`` / ``disk_repair`` specs lazily via :meth:`tick`, and
 keeps a delivery audit log that :meth:`Machine.verify` checks against
-ground-truth file content.  Digests are memoised by the content's
-canonical runs (:func:`repro.ufs.data.runs`), so the audit and
-``verify`` hash each distinct content once per machine.
+ground-truth file content.  The log keeps each delivered
+:class:`~repro.ufs.data.Data` value itself (content is immutable), so
+recording a delivery materialises nothing; ``verify`` compares it with
+the truth by ``Data`` equality, which reads bytes only when the two
+values' canonical runs differ.
 
 Determinism: ``decide`` consults only ``env.now`` and per-spec counters
 that advance with canonically-ordered operation streams; there is no
@@ -18,13 +20,12 @@ randomness here (plans are generated elsewhere, from seeds).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.plan import SCHEDULED_KINDS, FaultError, FaultPlan, FaultSpec
 from repro.obs.monitor import NULL_MONITOR, Monitor
 from repro.sim import Environment
-from repro.ufs.data import Data, Run, runs
+from repro.ufs.data import Data
 
 
 def _matches(spec_target: str, target: str) -> bool:
@@ -47,17 +48,15 @@ class FaultInjector:
         self._seen: Dict[int, int] = {}
         #: Fire count per spec (the ``fired`` report).
         self._fired: Dict[int, int] = {}
-        #: Delivery audit log: ``(file_id, offset, nbytes, sha256
-        #: hexdigest, kind, io_node)``.  ``kind`` is one of ``demand``
+        #: Delivery audit log: ``(file_id, offset, nbytes, data, kind,
+        #: io_node)``, ``data`` being the delivered ``Data``.  ``kind`` is one of ``demand``
         #: (bytes handed to the application), ``prefetch`` (bytes landed
         #: in a client prefetch buffer) or ``readahead`` (blocks pulled
         #: into a server's buffer cache); demand/prefetch offsets are
         #: PFS-file-space (``io_node = -1``), readahead offsets are
         #: UFS-stripe-space and ``io_node`` is the stripe index, i.e. the
         #: server's ``ufs.fs_id`` and its position in ``Machine.ufses``.
-        self.deliveries: List[Tuple[int, int, int, str, str, int]] = []
-        #: SHA-256 hex digest per canonical content runs (:meth:`digest`).
-        self._digests: Dict[Tuple[Run, ...], str] = {}
+        self.deliveries: List[Tuple[int, int, int, Data, str, int]] = []
         #: Scheduled specs not yet applied, in (at_s, plan) order.
         self._scheduled_pending: List[FaultSpec] = []
         self._arrays: Dict[str, Any] = {}
@@ -145,16 +144,6 @@ class FaultInjector:
 
     # -- delivery audit ----------------------------------------------------
 
-    def digest(self, data: Data) -> str:
-        """SHA-256 hex digest of ``data.to_bytes()``, hashed once per
-        distinct content: equal runs mean equal bytes."""
-        key = runs(data)
-        digest = self._digests.get(key)
-        if digest is None:
-            digest = hashlib.sha256(data.to_bytes()).hexdigest()
-            self._digests[key] = digest
-        return digest
-
     def record_delivery(
         self,
         file_id: int,
@@ -164,9 +153,9 @@ class FaultInjector:
         kind: str = "demand",
         io_node: int = -1,
     ) -> None:
-        """Log the digest of bytes delivered along one of the audited
-        paths (demand read, prefetch landing, server readahead)."""
-        self.deliveries.append((file_id, offset, nbytes, self.digest(data), kind, io_node))
+        """Log *data* delivered along one of the audited paths (demand
+        read, prefetch landing, server readahead)."""
+        self.deliveries.append((file_id, offset, nbytes, data, kind, io_node))
         self._count(f"faults.audited.{kind}")
 
     def _count(self, name: str, value: int = 1) -> None:

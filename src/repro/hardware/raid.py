@@ -292,7 +292,6 @@ class RAID3Array:
                 duration = bus_params.arbitration_s + nbytes / bandwidth
             else:
                 cache_hit = False
-                end = lba + nbytes
                 sequential = self._last_end_lba == lba
                 if not sequential:
                     # Same single-expression sum (and same RNG draw
@@ -303,17 +302,11 @@ class RAID3Array:
                 if media < bandwidth:
                     bandwidth = media
                 duration = bus_params.arbitration_s + nbytes / bandwidth
-                # Head / track-cache updates land at completion in the
-                # stepped path, but the arm hold makes them unreadable
-                # until then -- eager update is unobservable.
-                self._head_lba = end
-                self._last_end_lba = end
-                if kind == "read":
-                    window = self.disk_params.track_cache_bytes * self.data_disks
-                    self._cached_start = max(lba, end - window)
-                    self._cached_end = end
+            # Head and track-cache state is committed at completion
+            # (_finish_closed_form), as the stepped path does, so a
+            # holder interrupted mid-service leaves it untouched.
             grant._ok = True
-            grant._value = (now, duration, sequential, cache_hit)
+            grant._value = (now, duration, sequential, cache_hit, lba)
             # sim-ok: R006 -- fast payloads are attached in _enqueue only under the fast_ready gate (no fault plan, tracer off)
             env.schedule_at(grant, when + duration)
             return
@@ -355,14 +348,27 @@ class RAID3Array:
 
     def _finish_closed_form(self, nbytes: int, kind: str, done: tuple) -> int:
         """Book a closed-form completion (see :meth:`_grant_next`): the
-        accounting the stepped path would have accrued between the arm
-        grant and now (both forms)."""
-        started_at, duration, sequential, cache_hit = done
+        head and track-cache state and the accounting the stepped path
+        would have accrued between the arm grant and now (both forms)."""
+        started_at, duration, sequential, cache_hit, lba = done
+        if not cache_hit:
+            self._commit_transfer(lba, nbytes, kind)
         # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (no fault plan, tracer off)
         self.bus.account_bypass(nbytes, duration)
         self._leave_arm(None, started_at)
         self._count(nbytes, kind, sequential, cache_hit)
         return nbytes
+
+    def _commit_transfer(self, lba: int, nbytes: int, kind: str) -> None:
+        """A platter transfer ended: move the head past it and, for a
+        read, leave its tail in the track cache (both forms)."""
+        end = lba + nbytes
+        self._head_lba = end
+        self._last_end_lba = end
+        if kind == "read":
+            window = self.disk_params.track_cache_bytes * self.data_disks
+            self._cached_start = max(lba, end - window)
+            self._cached_end = end
 
     def _count(self, nbytes: int, kind: str, sequential: bool, cache_hit: bool) -> None:
         if kind == "read":
@@ -495,12 +501,7 @@ class RAID3Array:
                     # stream itself is concurrent as in normal mode).
                     yield self.env.timeout(nbytes / self.raid_params.xor_rate_bps)
                     self.monitor.counter(f"{self.name}.degraded_writes").add(1)
-                self._head_lba = lba + nbytes
-                self._last_end_lba = lba + nbytes
-                if kind == "read":
-                    window = self.disk_params.track_cache_bytes * self.data_disks
-                    self._cached_start = max(lba, lba + nbytes - window)
-                    self._cached_end = lba + nbytes
+                self._commit_transfer(lba, nbytes, kind)
         finally:
             self._leave_arm(grant, started_at)
         if span is not None:

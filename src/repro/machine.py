@@ -424,9 +424,9 @@ class Machine:
         #    pulled into server caches -- is byte-identical to the
         #    fault-free content (recovered reads -- retries, degraded-mode
         #    reconstruction, copy-back rebuild -- must be transparent).
-        #    Each path logs a digest; we rebuild ground truth lazily from
-        #    the stripe files and digest it through the injector's memo,
-        #    so content already hashed is not hashed again.
+        #    Each path logs the delivered ``Data``; we rebuild ground
+        #    truth lazily from the stripe files and compare by ``Data``
+        #    equality, which reads bytes only when the runs differ.
         #    Demand/prefetch offsets are PFS-file-space; readahead offsets
         #    are UFS-stripe-space on stripe ``io_node``.
         if self.faults is not None:
@@ -439,7 +439,7 @@ class Machine:
                     pfs_file = self.mounts[mount_point].files[fname]
                     attrs_by_id[pfs_file.file_id] = pfs_file.attrs
             for (
-                file_id, offset, nbytes, digest, kind, io_node,
+                file_id, offset, nbytes, delivered, kind, io_node,
             ) in self.faults.deliveries:
                 attrs = attrs_by_id.get(file_id)
                 if attrs is None:
@@ -458,7 +458,7 @@ class Machine:
                             for p in pieces
                         ]
                     )
-                if digest != self.faults.digest(truth):
+                if delivered != truth:
                     problems.append(
                         f"delivery audit: file {file_id} {kind} "
                         f"[{offset}, {offset + nbytes}) delivered bytes "

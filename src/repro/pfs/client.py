@@ -526,7 +526,7 @@ class PFSFileHandle:
                 )
         if client.faults is not None:
             # Audit what the application actually received; Machine.verify
-            # (invariant 7) diffs these digests against ground truth.
+            # (invariant 7) checks this content against ground truth.
             client.faults.record_delivery(self.file.file_id, offset, nbytes, data, kind="demand")
         return data
 

@@ -8,10 +8,11 @@ immutable, length-bearing description of file content that supports
 slicing and concatenation in O(pieces), and only produces real bytes
 when :meth:`Data.to_bytes` is called.  Writes stay lazy too: the UFS
 stores each written block as the slices and concatenations of the data
-it was given, so only the delivery audit, ``Machine.verify``, the
-benchmark fingerprint and tests ever turn content into bytes.
-:func:`runs` names content by its pieces without materialising it; the
-delivery audit keys its digest memo by it.
+it was given, so only the benchmark fingerprint and tests ever turn
+content into bytes.  :func:`runs` names content by its pieces without
+materialising it, and equality compares runs first: the delivery audit
+(``Machine.verify`` invariant 7) reads real bytes only when the runs of
+a delivery and its ground truth differ.
 
 Unwritten file content is :class:`SyntheticData`: byte *p* of stream
 *key* is a cheap deterministic mix of ``(key, p)``, so any two reads of
@@ -88,11 +89,12 @@ class Data:
             )
 
     def __eq__(self, other: object) -> bool:
+        # Equal runs mean equal bytes; only unequal runs need the bytes.
         if not isinstance(other, Data):
             return NotImplemented
         if len(self) != len(other):
             return False
-        return self.to_bytes() == other.to_bytes()
+        return runs(self) == runs(other) or self.to_bytes() == other.to_bytes()
 
     def __hash__(self) -> int:
         return hash((len(self), self.to_bytes()))
@@ -141,19 +143,6 @@ class SyntheticData(Data):
 
     def to_bytes(self) -> bytes:
         return _synthetic_bytes(self.key, self.offset, self.length)
-
-    def __eq__(self, other: object) -> bool:
-        # Fast path: same stream and range agree without materialising.
-        if isinstance(other, SyntheticData):
-            if (
-                self.key == other.key
-                and self.offset == other.offset
-                and self.length == other.length
-            ):
-                return True
-        return super().__eq__(other)
-
-    __hash__ = Data.__hash__
 
 
 class ConcatData(Data):

@@ -124,6 +124,17 @@ class TestShapeCheckers:
         table.add_row(1024, 2.4, 2.5, 12.0, 15.0, 16.0)
         assert check_figure2_shape(table) is None
 
+    def test_figure2_checker_rejects_a_falling_curve(self):
+        from repro.experiments.figure2 import check_figure2_shape
+
+        table = ExperimentTable(
+            title="t",
+            columns=["request_kb", "M_UNIX", "M_LOG", "M_SYNC", "M_RECORD", "M_ASYNC"],
+        )
+        table.add_row(64, 1.0, 1.1, 10.0, 9.0, 8.5)
+        table.add_row(1024, 2.4, 2.5, 6.0, 15.0, 16.0)  # M_SYNC falls by 40%
+        assert check_figure2_shape(table) == "M_SYNC does not grow with request size"
+
     def test_table1_checker_flags_big_divergence(self):
         from repro.experiments.table1 import check_table1_shape
 

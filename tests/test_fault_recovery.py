@@ -425,7 +425,7 @@ def _truth(machine, file_id, offset, nbytes):
 
 
 class TestDeliveryAudit:
-    """Invariant 7 and the digest memo behind it."""
+    """Invariant 7: every audited delivery equals its ground truth."""
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     def test_readahead_entries_verify(self, tie_break):
@@ -446,33 +446,56 @@ class TestDeliveryAudit:
         assert len(problems) == entries
         assert all("unknown file_id" in p for p in problems)
 
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_memo_cannot_hide_a_wrong_delivery(self, tie_break):
-        from repro.ufs.data import LiteralData, runs
-
+    @staticmethod
+    def _first_prefetch(tie_break):
+        """A clean crash-restart run, its first prefetch entry and the
+        lazy ground truth of that entry's range."""
         report = _small_run(faults=TestCrashRestart.CRASH_PLAN, tie_break=tie_break)
         machine = report.machine
-        faults = machine.faults
         assert machine.verify() == []
-        file_id, offset, nbytes, digest, _kind, _io = min(
-            (e for e in faults.deliveries if e[4] == "prefetch"), key=lambda e: e[1]
+        entry = min(
+            (e for e in machine.faults.deliveries if e[4] == "prefetch"), key=lambda e: e[1]
         )
+        file_id, offset, nbytes, delivered, _kind, _io = entry
         truth = _truth(machine, file_id, offset, nbytes)
-        assert faults._digests[runs(truth)] == digest
+        assert delivered == truth
+        return machine, file_id, offset, nbytes, truth
 
-        shifted = _truth(machine, file_id, offset + 1, nbytes)
-        faults.record_delivery(file_id, offset, nbytes, shifted, kind="prefetch")
-        assert machine.verify() == [
+    @staticmethod
+    def _problem(file_id, offset, nbytes):
+        return (
             f"delivery audit: file {file_id} prefetch [{offset}, {offset + nbytes}) "
             f"delivered bytes differ from fault-free content"
-        ]
+        )
 
-        faults.deliveries.pop()
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_shifted_delivery_is_reported(self, tie_break):
+        machine, file_id, offset, nbytes, _ = self._first_prefetch(tie_break)
+        shifted = _truth(machine, file_id, offset + 1, nbytes)
+        machine.faults.record_delivery(file_id, offset, nbytes, shifted, kind="prefetch")
+        assert machine.verify() == [self._problem(file_id, offset, nbytes)]
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_equal_bytes_under_other_runs_verify_clean(self, tie_break):
+        from repro.ufs.data import LiteralData, runs
+
+        machine, file_id, offset, nbytes, truth = self._first_prefetch(tie_break)
         copy = LiteralData(truth.to_bytes())
-        assert runs(copy) not in faults._digests
-        faults.record_delivery(file_id, offset, nbytes, copy, kind="prefetch")
-        assert faults.deliveries[-1][3] == digest
+        assert runs(copy) != runs(truth)
+        machine.faults.record_delivery(file_id, offset, nbytes, copy, kind="prefetch")
         assert machine.verify() == []
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_one_flipped_byte_is_reported(self, tie_break):
+        from repro.ufs.data import LiteralData
+
+        machine, file_id, offset, nbytes, truth = self._first_prefetch(tie_break)
+        payload = bytearray(truth.to_bytes())
+        payload[nbytes // 2] ^= 0x01
+        machine.faults.record_delivery(
+            file_id, offset, nbytes, LiteralData(payload), kind="prefetch"
+        )
+        assert machine.verify() == [self._problem(file_id, offset, nbytes)]
 
 
 class TestFaultBudget:

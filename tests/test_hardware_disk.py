@@ -486,6 +486,49 @@ class TestRAID3:
         assert raid.busy_s == pytest.approx(0.2e-3 + seen[1])
         assert leaked_resources(env) == []
 
+    @staticmethod
+    def _reread_after_interrupted_read(tie_break, form):
+        """Service time of a 64 KB re-read issued 1 s after a read of the
+        same range was interrupted in service at 0.2 ms."""
+        env = Environment(tie_break=tie_break)
+        dp = DiskParams(media_rate_bps=10 * MB, controller_overhead_s=0.0)
+        rp = RAIDParams(data_disks=1, controller_overhead_s=0.0)
+        raid = make_array(env, form, bus_bw=1 * MB, disk_params=dp, raid_params=rp)
+
+        def reader():
+            try:
+                yield from raid.read(0, 64 * KB)
+            except Interrupt:
+                pass
+
+        holder = env.process(reader())
+        seen = []
+
+        def watcher():
+            yield env.timeout(0.2e-3)
+            holder.interrupt("give up")
+            yield env.timeout(1.0)
+            started = env.now
+            yield from raid.read(0, 64 * KB)
+            seen.append(env.now - started)
+
+        env.process(watcher())
+        env.run()
+        assert not raid._busy and raid._pending == []
+        return seen[0]
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_interrupted_read_leaves_no_track_cache(self, tie_break):
+        """An interrupted transfer never reached the drive buffer, so a
+        re-read of its range pays positioning in both forms: the closed
+        form commits head and track-cache state at completion, as the
+        stepped form does, not at the grant (a cache hit would take the
+        bare 0.0625 s bus transfer)."""
+        stepped = self._reread_after_interrupted_read(tie_break, "stepped")
+        closed = self._reread_after_interrupted_read(tie_break, "closed")
+        assert stepped == pytest.approx(0.0735, abs=5e-5)
+        assert closed == stepped
+
     def test_two_arrays_share_bus(self, env):
         bus = SCSIBus(env, params=SCSIParams(bandwidth_bps=1 * MB, arbitration_s=0.0))
         dp = DiskParams(

@@ -11,7 +11,8 @@ module pins each of those contracts:
 
 - the bench3 and copy-back-rebuild golden fingerprints re-verified
   under *both* tie-breaks (the goldens were captured before any fast
-  path existed, so matching them proves the refactor changed nothing);
+  path existed, so matching them proves the refactor changed nothing),
+  and one Figure 2 cell per I/O mode plus the Separate Files cell;
 - a mid-window fault spec splitting what the fast path would have
   batched -- with any fault plan active, batching is disabled wholesale
   and the stepped fallback must remain tie-order deterministic;
@@ -25,7 +26,8 @@ module pins each of those contracts:
   the stepped path and fails the application's call as a serve process
   would;
 - the exact event count and generator resumes of one paper cell and
-  one crash-restart cell, so a change in kernel work is re-pinned on
+  one crash-restart cell, and the synthetic bytes the crash-restart
+  cell materialises (none), so a change in kernel work is re-pinned on
   purpose.
 """
 
@@ -172,15 +174,34 @@ class TestGoldensUnderBothTieBreaks:
         key = f"table1:{size_kb}kb:prefetch={prefetch}"
         assert report_fingerprint(report) == bench3_golden[key]
 
+    @pytest.fixture(scope="class")
+    def figure2_golden(self):
+        with open(GOLDEN_DIR / "figure2_fingerprints.json") as fh:
+            return json.load(fh)["cells"]
+
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
-    def test_separate_files_cell(self, bench3_golden, tie_break):
+    def test_separate_files_cell(self, bench3_golden, figure2_golden, tie_break):
         report = run_separate_files(
             request_size=64 * KB,
             file_size_per_node=64 * KB * 4,
             tie_break=tie_break,
         )
         key = "figure2:64kb:SEPARATE_FILES"
-        assert report_fingerprint(report) == bench3_golden[key]
+        assert report_fingerprint(report) == bench3_golden[key] == figure2_golden[key]
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize("mode", ["M_UNIX", "M_LOG", "M_SYNC", "M_RECORD", "M_ASYNC"])
+    def test_figure2_mode_cells(self, figure2_golden, mode, tie_break):
+        """One Figure 2 cell per I/O mode, as ``run_figure2`` builds it."""
+        report = run_collective(
+            request_size=64 * KB,
+            file_size=scaled_file_size(64 * KB, rounds=4),
+            iomode=IOMode[mode],
+            rounds=4,
+            async_partition=False,
+            tie_break=tie_break,
+        )
+        assert report_fingerprint(report) == figure2_golden[f"figure2:64kb:{mode}"]
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_rebuild_golden_mid_window_split(self, rebuild_golden, tie_break):
@@ -382,6 +403,30 @@ class TestWorkCountPin:
         monkeypatch.setattr(Process, "_resume", counting)
         self._crash_restart_read(tie_break)
         assert resumes[0] == 620
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_crash_restart_64kb_no_synthetic_bytes(self, tie_break, monkeypatch):
+        """The delivery audit logs each delivered ``Data`` and invariant 7
+        compares it by canonical runs, so neither the run nor a clean
+        ``verify()`` builds synthetic bytes (the run made 32 calls,
+        2,097,152 bytes, when it hashed every delivery)."""
+        import repro.ufs.data as data
+
+        calls = [0]
+        synthetic_bytes = data._synthetic_bytes
+
+        def counting(key, offset, length):
+            calls[0] += 1
+            return synthetic_bytes(key, offset, length)
+
+        monkeypatch.setattr(data, "_synthetic_bytes", counting)
+        report = self._crash_restart_read(tie_break)
+        machine = report.machine
+        assert machine.faults.deliveries
+        assert calls[0] == 0
+        assert machine.env._eid == 780
+        assert machine.verify() == []
+        assert calls[0] == 0
 
 
 class TestCallbackServeFallback:
