@@ -1,17 +1,24 @@
 """2D wormhole-routed mesh interconnect.
 
 The Paragon backplane is a 2D mesh with XY (dimension-ordered) routing.
-We model each directed link as a unit-capacity resource.  A message
-reserves the links along its XY route one at a time in path order (the
-way a worm's header flit advances), then holds the whole path while the
-body streams through at link bandwidth.  Dimension-ordered acquisition
-keeps the model deadlock-free, exactly as it does for the hardware.
+We model each directed link as a capacity-1 :class:`_Link` owned by the
+mesh.  A message reserves the links along its XY route one at a time
+in path order (the way a worm's header flit advances), then holds the
+whole path while the body streams through at link bandwidth.
+Dimension-ordered acquisition keeps the model deadlock-free, exactly as
+it does for the hardware.
 
-Every transmission is one callback worm (:meth:`Mesh.post`): the hop
-grants drive it without resuming the sender, who is woken once, on
-delivery.  Traced and faulted runs take the same worm: the
-``mesh_xfer`` span opens at send and closes at delivery, and
-``mesh_drop``/``mesh_dup`` are decided at delivery.
+Every transmission is one worm (:meth:`Mesh.post`), and the worm is
+itself the event the kernel schedules: once after its software
+overhead, then once per hop grant, each grant merged with the hop's
+hold (the last also with the body's streaming time).  A link keeps its
+waiting worms in a queue and settles like an arbitrated resource --
+same-instant contenders are ordered by ``(arrival time, route key,
+sequence)`` -- handing itself straight to the next worm; it books its
+own busy seconds.  The sender is woken once, on delivery.  Traced and
+faulted runs take the same worm: the ``mesh_xfer`` span opens at send
+and closes at delivery, and ``mesh_drop``/``mesh_dup`` are decided at
+delivery.
 
 On the real machine the mesh (175 MB/s links) is never the I/O
 bottleneck -- the disks are three orders of magnitude slower -- but
@@ -29,8 +36,8 @@ from repro.hardware.params import MeshParams
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 from repro.obs.trace import get_tracer
-from repro.sim import ArbitratedResource, Environment
-from repro.sim.events import Event, Timeout
+from repro.sim import Environment
+from repro.sim.events import Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 Coord = Tuple[int, int]
@@ -61,14 +68,86 @@ class MeshMessage:
     duplicated: bool = False
 
 
-class _Worm:
-    """One mesh transmission, driven by event callbacks.
+class _Link:
+    """One directed mesh link: capacity 1, its waiting worms in a queue.
 
-    The software-overhead timeout and each hop's merged grant run
-    :meth:`advance`, which requests the next link in XY order; the final
-    grant's pop runs :meth:`_finish`, which releases the route, decides
-    any ``mesh_drop``/``mesh_dup`` fault, closes the ``mesh_xfer`` span
-    and fires ``proxy`` with ``value`` -- the sender's one wake-up.  The
+    A worm's request appends ``(arrival time, route key, sequence,
+    worm)`` to :attr:`queue` and puts the link on the environment's
+    dirty arbiters; once the timestep has no events left, :meth:`_settle`
+    hands a free link to the first waiter in that order and schedules
+    the worm itself at the hop's resume time -- so same-instant
+    contenders are ordered by model content, never by event pop order,
+    exactly as on an :class:`~repro.sim.resources.ArbitratedResource`.
+    The link books its own busy seconds when its holder releases it.
+    """
+
+    __slots__ = (
+        "env",
+        "label",
+        "holder",
+        "granted_at",
+        "busy_s",
+        "queue",
+        "_seq",
+        "_settle_queued",
+    )
+
+    def __init__(self, env: Environment, label: str) -> None:
+        self.env = env
+        self.label = label
+        #: The worm holding the link, or None.
+        self.holder: Optional[_Worm] = None
+        self.granted_at = 0.0
+        #: Seconds the link was held by a worm.
+        self.busy_s = 0.0
+        self.queue: List[Tuple[float, Tuple[Coord, Coord], int, _Worm]] = []
+        self._seq = 0
+        #: Set while queued for settlement (managed by the environment).
+        self._settle_queued = False
+        env.register_resource(self)
+
+    @property
+    def users(self) -> Tuple["_Worm", ...]:
+        """The holder, if any: read by
+        :func:`~repro.analysis.sanitizers.leaked_resources`, so a link
+        still held once the event queue drains reports as a leak."""
+        return () if self.holder is None else (self.holder,)
+
+    def _settle(self) -> None:
+        """Grant a free link to its first waiter (called by the Environment)."""
+        queue = self.queue
+        if not queue or self.holder is not None:
+            return
+        if len(queue) > 1:
+            # (arrival, route key, sequence): the sequence is unique, so
+            # the worm itself is never compared.
+            queue.sort()
+        worm = queue.pop(0)[3]
+        self.holder = worm
+        env = self.env
+        now = env._now
+        self.granted_at = now
+        # The hold and the worm's resume are one event; the last hop also
+        # absorbs the body streaming time, added after the hop so the
+        # float is the one successive timeouts would give.
+        when = now + worm.per_hop
+        if worm.idx == worm.hops:
+            when += worm.body_time
+        env.schedule_at(worm, when)
+
+    def __repr__(self) -> str:
+        return f"<mesh link {self.label}>"
+
+
+class _Worm(Event):
+    """One mesh transmission, scheduled as its own event.
+
+    The kernel pops the worm once after its software overhead and once
+    per hop grant; each pop runs :meth:`_advance`, which queues the worm
+    on its next link in XY order.  After the last grant's pop it runs
+    :meth:`_finish`, which releases the route, decides any
+    ``mesh_drop``/``mesh_dup`` fault, closes the ``mesh_xfer`` span and
+    fires ``proxy`` with ``wake_value`` -- the sender's one wake-up.  The
     proxy is an event that is never scheduled, so delivery costs no
     event of its own.
 
@@ -81,88 +160,78 @@ class _Worm:
     __slots__ = (
         "mesh",
         "message",
-        "pairs",
+        "links",
+        "hops",
         "route_key",
         "per_hop",
         "body_time",
         "idx",
-        "requests",
-        "granted",
-        "body_waited",
         "proxy",
-        "value",
+        "wake_value",
         "span",
     )
 
     def __init__(
         self, mesh: "Mesh", message: MeshMessage, proxy: Event, value: Any, span: Any
     ) -> None:
+        env = mesh.env
+        self.env = env
+        # Born triggered, like a Timeout; the kernel re-runs _ADVANCE on
+        # every pop (a shared list of the plain function, so the worm
+        # holds no bound method of itself).
+        self.callbacks = _ADVANCE
+        self._value = None
+        self._ok = True
+        self._defused = False
         self.mesh = mesh
         self.message = message
         self.proxy = proxy
-        self.value = value
+        self.wake_value = value
         self.span = span
         p = mesh.params
-        self.pairs = mesh._route_pairs(message.src, message.dst)
-        self.route_key = (message.src, message.dst)
+        self.route_key = route_key = (message.src, message.dst)
+        self.links = links = mesh._route_links(route_key)
+        self.hops = len(links)
         self.per_hop = p.per_hop_s
         self.body_time = message.size_bytes / p.link_bandwidth_bps
-        self.idx = -1
-        self.requests: list = []
-        self.granted: list = []
-        self.body_waited = False
-        # Software send overhead (charged regardless of distance), with
-        # the worm itself as the continuation.
-        sw = Timeout(mesh.env, p.sw_overhead_s)
-        sw.callbacks.append(self.advance)
+        #: Links requested so far (1 once a zero-hop body is streaming).
+        self.idx = 0
+        # Software send overhead (charged regardless of distance).
+        env.schedule(self, p.sw_overhead_s)
 
-    def advance(self, event: Event) -> None:
-        """Continuation run by each hop's merged grant (and the sw timeout)."""
-        mesh = self.mesh
-        env = mesh.env
+    def _advance(self) -> None:
+        """Run by each pop of the worm: request the next link, or finish."""
         idx = self.idx
-        if idx >= 0:
-            granted_at = event._value
-            if granted_at is None:
-                granted_at = env._now
-            self.granted.append(granted_at)
-        pairs = self.pairs
-        nxt = idx + 1
-        self.idx = nxt
-        last = len(pairs) - 1
-        if nxt <= last:
-            res = pairs[nxt][1]
-            # Each link's grant + hold timeout is one merged event; the
-            # last link also absorbs the body streaming time.  The tuple
-            # makes the resume time's float arithmetic identical to
-            # successive per-hop + body timeouts.
-            delay = (self.per_hop, self.body_time) if nxt == last else self.per_hop
-            req = res.request(  # sim-ok: R005 -- every hold is released in _finish, which runs on the final grant of this same worm
-                key=self.route_key, resume_delay=delay
-            )
-            self.requests.append(req)
-            req.callbacks.append(self.advance)
+        if idx < self.hops:
+            link = self.links[idx]
+            self.idx = idx + 1
+            self.callbacks = _ADVANCE
+            env = self.env
+            seq = link._seq + 1
+            link._seq = seq
+            link.queue.append((env._now, self.route_key, seq, self))
+            if not link._settle_queued:
+                link._settle_queued = True
+                env._dirty_arbiters.append(link)
             return
-        if last < 0 and self.body_time > 0 and not self.body_waited:
-            # Zero-hop message: stream the body with a plain timeout.
-            self.body_waited = True
-            body = Timeout(env, self.body_time)
-            body.callbacks.append(self.advance)
+        if idx == 0 and self.body_time > 0:
+            # Zero-hop message: stream the body as one more pop.
+            self.idx = 1
+            self.callbacks = _ADVANCE
+            self.env.schedule(self, self.body_time)
             return
-        self._finish(env)
+        self._finish()
 
-    def _finish(self, env: Environment) -> None:
+    def _finish(self) -> None:
         mesh = self.mesh
-        pairs = self.pairs
+        env = self.env
         released_at = env._now
-        requests = self.requests
-        for i in range(len(pairs)):
-            pairs[i][1].release(requests[i])
-        busy = mesh._link_busy_s
-        granted = self.granted
-        for i in range(len(pairs)):
-            link = pairs[i][0]
-            busy[link] = busy.get(link, 0.0) + (released_at - granted[i])
+        for link in self.links:
+            link.busy_s += released_at - link.granted_at
+            link.holder = None
+            if link.queue and not link._settle_queued:
+                link._settle_queued = True
+                env._dirty_arbiters.append(link)
         message = self.message
         message.delivered_at = released_at
         faults = mesh.faults
@@ -183,7 +252,11 @@ class _Worm:
         mesh._c_messages.add(1)
         mesh._c_bytes.add(message.size_bytes)
         # Wake the sender on this same event pop (no extra event).
-        self.proxy.fire(self.value)
+        self.proxy.fire(self.wake_value)
+
+
+#: The callbacks of every worm pop: the kernel calls ``_Worm._advance(worm)``.
+_ADVANCE = [_Worm._advance]
 
 
 class Mesh:
@@ -207,12 +280,10 @@ class Mesh:
         self.monitor = monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        self._links: Dict[Link, ArbitratedResource] = {}
-        #: (src, dst) -> [(link, link resource), ...] -- XY routes are
+        self._links: Dict[Link, _Link] = {}
+        #: (src, dst) -> the links along the XY route -- routes are
         #: static, so each pair's route is computed and resolved once.
-        self._route_cache: Dict[Tuple[Coord, Coord], List[Tuple[Link, ArbitratedResource]]] = {}
-        #: Per-directed-link seconds held by a streaming worm.
-        self._link_busy_s: Dict[Link, float] = {}
+        self._route_cache: Dict[Tuple[Coord, Coord], Tuple[_Link, ...]] = {}
         # Hot-path monitor objects, resolved once instead of per message.
         self._c_messages = monitor.counter("mesh.messages")
         self._c_bytes = monitor.counter("mesh.bytes")
@@ -246,27 +317,24 @@ class Mesh:
     def hops(self, src: Coord, dst: Coord) -> int:
         return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
 
-    def _link(self, link: Link) -> ArbitratedResource:
+    def _link(self, link: Link) -> _Link:
         res = self._links.get(link)
         if res is None:
-            # Arbitrated: two worms requesting the same link at the same
-            # simulated time are ordered by (src, dst), not by event
-            # insertion order -- port arbitration must not be a race.
-            res = self._links[link] = ArbitratedResource(self.env, capacity=1)
+            res = self._links[link] = _Link(self.env, _link_label(link))
         return res
 
     def link_busy_s(self) -> Dict[str, float]:
         """Seconds each directed link was held by a worm, by link label."""
-        return {_link_label(link): self._link_busy_s.get(link, 0.0) for link in self._links}
+        links = self._links
+        return {_link_label(link): links[link].busy_s for link in links}
 
-    def _route_pairs(self, src: Coord, dst: Coord) -> List[Tuple[Link, ArbitratedResource]]:
-        """Cached [(link, resource), ...] along the XY route."""
-        key = (src, dst)
-        pairs = self._route_cache.get(key)
-        if pairs is None:
-            pairs = [(link, self._link(link)) for link in self.route(src, dst)]
-            self._route_cache[key] = pairs
-        return pairs
+    def _route_links(self, key: Tuple[Coord, Coord]) -> Tuple[_Link, ...]:
+        """Cached links along the XY route from ``key[0]`` to ``key[1]``."""
+        links = self._route_cache.get(key)
+        if links is None:
+            links = tuple(self._link(link) for link in self.route(*key))
+            self._route_cache[key] = links
+        return links
 
     # -- transmission -------------------------------------------------------
 

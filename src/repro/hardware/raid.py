@@ -283,6 +283,10 @@ class RAID3Array:
             env = self.env
             now = env._now
             when = now + self.raid_params.controller_overhead_s
+            # The stepped path draws its rotational latency only after the
+            # controller overhead; a holder that leaves inside it restores
+            # this state (_leave_arm), as if the draw had not been made.
+            rng_state = self._rng_state
             bus_params = self.bus.params
             bandwidth = bus_params.bandwidth_bps
             sequential = False
@@ -306,7 +310,7 @@ class RAID3Array:
             # (_finish_closed_form), as the stepped path does, so a
             # holder interrupted mid-service leaves it untouched.
             grant._ok = True
-            grant._value = (now, duration, sequential, cache_hit, lba)
+            grant._value = (now, duration, sequential, cache_hit, lba, rng_state)
             # sim-ok: R006 -- fast payloads are attached in _enqueue only under the fast_ready gate (no fault plan, tracer off)
             env.schedule_at(grant, when + duration)
             return
@@ -350,7 +354,7 @@ class RAID3Array:
         """Book a closed-form completion (see :meth:`_grant_next`): the
         head and track-cache state and the accounting the stepped path
         would have accrued between the arm grant and now (both forms)."""
-        started_at, duration, sequential, cache_hit, lba = done
+        started_at, duration, sequential, cache_hit, lba, _rng_state = done
         if not cache_hit:
             self._commit_transfer(lba, nbytes, kind)
         # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (no fault plan, tracer off)
@@ -700,7 +704,10 @@ class RAID3Array:
         - *grant* carries a closed-form value (interrupted inside its
           precomputed service): the arm is released now, as the stepped
           path would on the same interrupt, and the hold is booked from
-          the grant's start time.
+          the grant's start time.  A holder that leaves inside the
+          controller overhead gives back its rotational-latency draw:
+          the stepped path would not have made it yet, and the arm was
+          held throughout, so no other draw came in between.
         """
         if grant is not None:
             done = grant._value
@@ -713,6 +720,8 @@ class RAID3Array:
                 return
             if done is not None:
                 started_at = done[0]
+                if self.env._now < started_at + self.raid_params.controller_overhead_s:
+                    self._rng_state = done[5]
         if started_at is not None:
             self.busy_s += self.env._now - started_at
         self._busy = False

@@ -28,47 +28,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 
-def _deferred_grant(event: Event, delay: Any) -> None:
+def _deferred_grant(event: Event, delay: float) -> None:
     """Trigger *event* as a merged grant resuming after *delay*.
 
     The slot is held from now (``users.append`` happened in the caller);
-    the waiter's frame runs later.  The resume time is built by
-    successive addition -- a tuple of delays yields the exact same float
-    a chain of timeouts would have -- and the event's value is set to
-    the grant time so the waiter's bookkeeping stays bit-identical.
+    the waiter's frame runs later.  The event's value is set to the
+    grant time so the waiter's bookkeeping stays bit-identical.
     """
     env = event.env
     now = env.now
-    if type(delay) is tuple:
-        when = now
-        for leg in delay:
-            when += leg
-    else:
-        when = now + delay
     event._ok = True
     event._value = now
-    env.schedule_at(event, when)
+    env.schedule_at(event, now + delay)
 
 
 class Request(Event):
     """A request to hold one slot of a :class:`Resource`.
 
     ``resume_delay`` makes a merged grant: a request carrying a
-    positive delay (or a tuple of delays) is granted at the same instant
-    it would otherwise be (the slot is held from the grant time), but
-    the requester is resumed after the delay(s) -- one scheduled event
-    instead of a grant event plus follow-on
-    :class:`~repro.sim.events.Timeout` chain.  A tuple reproduces the
-    exact float arithmetic of successive timeouts (``(g + a) + b``).
-    The event's value is the grant time, so the resumed process can do
-    its wait/hold bookkeeping bit-identically to the stepped path;
-    a plain (unmerged) grant yields ``None`` and the grant time is
-    simply ``env.now``.
+    positive delay is granted at the same instant it would otherwise be
+    (the slot is held from the grant time), but the requester is resumed
+    after the delay -- one scheduled event instead of a grant event plus
+    a follow-on :class:`~repro.sim.events.Timeout`.  The event's value
+    is the grant time, so the resumed process can do its wait/hold
+    bookkeeping bit-identically to the stepped path; a plain (unmerged)
+    grant yields ``None`` and the grant time is simply ``env.now``.
     """
 
     __slots__ = ("resource", "resume_delay")
 
-    def __init__(self, resource: "Resource", resume_delay: Any = 0.0) -> None:
+    def __init__(self, resource: "Resource", resume_delay: float = 0.0) -> None:
         super().__init__(resource.env)
         self.resource = resource
         self.resume_delay = resume_delay
@@ -250,8 +239,8 @@ class ArbitratedRequest(Event):
 
     ``resume_delay`` works exactly as on :class:`Request`: the slot is
     held from the (canonically settled) grant instant, but the waiter's
-    frame resumes after the delay(s) -- merging the grant and its
-    follow-on timeout chain into one scheduled event.  The event's
+    frame resumes after the delay -- merging the grant and its
+    follow-on timeout into one scheduled event.  The event's
     value is the exact grant time (``None`` for a plain grant).
     """
 
@@ -261,10 +250,10 @@ class ArbitratedRequest(Event):
         self,
         resource: "ArbitratedResource",
         key: Any,
-        resume_delay: Any = 0.0,
+        resume_delay: float = 0.0,
     ) -> None:
         # Inlined Event.__init__ + queue insertion -- arbitrated requests
-        # are the hottest request type (every mesh hop makes one).
+        # are the hottest request type (node CPU and SCSI bus grants).
         env = resource.env
         self.env = env
         self.callbacks = []
@@ -342,7 +331,7 @@ class ArbitratedResource:
         """Number of slots currently held."""
         return len(self.users)
 
-    def request(self, key: Any = None, resume_delay: Any = 0.0) -> ArbitratedRequest:
+    def request(self, key: Any = None, resume_delay: float = 0.0) -> ArbitratedRequest:
         if key is None:
             proc = self.env._active_process
             key = proc.order_key if proc is not None else ()
@@ -387,17 +376,11 @@ class ArbitratedResource:
             delay = nxt.resume_delay
             if delay:
                 # Merged grant (as _deferred_grant, inlined): hold the
-                # slot from now and resume the waiter after the delay(s)
+                # slot from now and resume the waiter after the delay
                 # with one scheduled event whose value is the grant time.
-                if type(delay) is tuple:
-                    when = now
-                    for leg in delay:
-                        when += leg
-                else:
-                    when = now + delay
                 nxt._ok = True
                 nxt._value = now
-                env.schedule_at(nxt, when)
+                env.schedule_at(nxt, now + delay)
             else:
                 nxt.succeed()
 

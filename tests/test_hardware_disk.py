@@ -487,12 +487,14 @@ class TestRAID3:
         assert leaked_resources(env) == []
 
     @staticmethod
-    def _reread_after_interrupted_read(tie_break, form):
-        """Service time of a 64 KB re-read issued 1 s after a read of the
-        same range was interrupted in service at 0.2 ms."""
+    def _reread_after_interrupted_read(
+        tie_break, form, lba=0, interrupt_at=0.2e-3, controller_overhead_s=0.0
+    ):
+        """Service time of a 64 KB read at *lba* issued 1 s after a read
+        of ``[0, 64 KB)`` was interrupted in service at *interrupt_at*."""
         env = Environment(tie_break=tie_break)
         dp = DiskParams(media_rate_bps=10 * MB, controller_overhead_s=0.0)
-        rp = RAIDParams(data_disks=1, controller_overhead_s=0.0)
+        rp = RAIDParams(data_disks=1, controller_overhead_s=controller_overhead_s)
         raid = make_array(env, form, bus_bw=1 * MB, disk_params=dp, raid_params=rp)
 
         def reader():
@@ -505,11 +507,11 @@ class TestRAID3:
         seen = []
 
         def watcher():
-            yield env.timeout(0.2e-3)
+            yield env.timeout(interrupt_at)
             holder.interrupt("give up")
             yield env.timeout(1.0)
             started = env.now
-            yield from raid.read(0, 64 * KB)
+            yield from raid.read(lba, 64 * KB)
             seen.append(env.now - started)
 
         env.process(watcher())
@@ -528,6 +530,27 @@ class TestRAID3:
         closed = self._reread_after_interrupted_read(tie_break, "closed")
         assert stepped == pytest.approx(0.0735, abs=5e-5)
         assert closed == stepped
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_interrupted_in_overhead_leaves_the_rotation_undrawn(self, tie_break):
+        """A holder interrupted inside the controller overhead never
+        positioned, so the next non-sequential access draws the same
+        rotational latency in both forms; interrupted after the overhead,
+        both forms have drawn."""
+        times = {}
+        for interrupt_at in (0.5e-3, 5e-3):
+            for form in FORMS:
+                times[form, interrupt_at] = self._reread_after_interrupted_read(
+                    tie_break,
+                    form,
+                    lba=2 * MB,
+                    interrupt_at=interrupt_at,
+                    controller_overhead_s=1e-3,
+                )
+        assert times["stepped", 0.5e-3] == pytest.approx(0.06865, abs=5e-5)
+        assert times["closed", 0.5e-3] == times["stepped", 0.5e-3]
+        assert times["closed", 5e-3] == times["stepped", 5e-3]
+        assert times["stepped", 5e-3] != times["stepped", 0.5e-3]
 
     def test_two_arrays_share_bus(self, env):
         bus = SCSIBus(env, params=SCSIParams(bandwidth_bps=1 * MB, arbitration_s=0.0))

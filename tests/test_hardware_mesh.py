@@ -307,3 +307,93 @@ class TestOneWorm:
         assert mesh.link_busy_s() == ONE_WORM_BUSY
         assert all(not mesh._links[link].users for link in sorted(mesh._links))
         assert leaked_resources(env) == []
+
+
+
+TIE_BREAKS = ("fifo", "lifo")
+
+
+class TestLinkArbitration:
+    """A link belongs to the mesh: its waiting worms queue on it, and a
+    settle hands it straight to the next worm in canonical order."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_contenders_granted_in_arrival_then_route_key_order(self, tie_break, reverse):
+        # Link 1,0->2,0 is held over [1.0, 3.5].  Behind it queue a worm
+        # that arrived at 1.1 with the larger route key, then two that
+        # arrive together at 1.2 (key to 2,0 below key to 3,0).  The
+        # spawn order of the same-instant pair must not matter.
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        holder = MeshMessage(src=(1, 0), dst=(2, 0), size_bytes=200)
+        early = MeshMessage(src=(1, 0), dst=(3, 0), size_bytes=0)
+        near = MeshMessage(src=(1, 0), dst=(2, 0), size_bytes=0)
+        far = MeshMessage(src=(1, 0), dst=(3, 0), size_bytes=0)
+        delivered = []
+
+        def sender(msg, delay):
+            yield env.timeout(delay)
+            yield from mesh.send(msg)
+            delivered.append(msg)
+
+        together = [(near, 0.2), (far, 0.2)]
+        if reverse:
+            together.reverse()
+        for msg, delay in [(holder, 0.0), (early, 0.1)] + together:
+            env.process(sender(msg, delay))
+        env.run()
+        assert delivered == [holder, early, near, far]
+        # Each is granted 1,0->2,0 at its predecessor's delivery.
+        assert [m.delivered_at for m in delivered] == [3.5, 4.5, 5.0, 6.0]
+        assert mesh.link_busy_s() == {"1,0->2,0": 5.0, "2,0->3,0": 1.0}
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_queued_worm_granted_at_release_books_from_its_grant(self, tie_break):
+        # The first worm holds 0,0->1,0 over [1.0, 3.5]; the second asks
+        # at 1.5 and is granted at 3.5, so the link is busy 2.5 + 2.5 s
+        # (booking from its request would give 2.5 + 4.5).
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        first = MeshMessage(src=(0, 0), dst=(1, 0), size_bytes=200)
+        second = MeshMessage(src=(0, 0), dst=(1, 0), size_bytes=200)
+        link = mesh._link(((0, 0), (1, 0)))
+        seen = []
+
+        def sender(msg, delay):
+            yield env.timeout(delay)
+            yield from mesh.send(msg)
+
+        def watcher():
+            for at in (2.0, 4.0):
+                yield env.timeout(at - env.now)
+                (worm,) = link.users
+                seen.append((worm.message, link.granted_at, len(link.queue)))
+
+        env.process(sender(first, 0.0))
+        env.process(sender(second, 0.5))
+        env.process(watcher())
+        env.run()
+        assert seen == [(first, 1.0, 1), (second, 3.5, 0)]
+        assert (first.delivered_at, second.delivered_at) == (3.5, 6.0)
+        assert mesh.link_busy_s() == {"0,0->1,0": 5.0}
+        assert link.users == () and leaked_resources(env) == []
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_link_held_when_queue_drains_is_a_leak(self, tie_break):
+        # Drop the worm's pending pop while it holds its route: nothing
+        # is left to release the links, and the leak checker sees them.
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        mesh.post(MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200), env.event(), None)
+        env.run(until=2.0)
+        assert leaked_resources(env) == []
+        assert len(env) == 1
+        env._queue.clear()
+        env.run()
+        leaks = leaked_resources(env)
+        assert [leak.resource for leak in leaks] == [
+            mesh._links[((0, 0), (1, 0))],
+            mesh._links[((1, 0), (2, 0))],
+        ]
+        assert [leak.held for leak in leaks] == [1, 1]

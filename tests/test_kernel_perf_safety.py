@@ -50,7 +50,9 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.machine import Machine
 from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
+from repro.sim.events import Timeout
 from repro.sim.process import Process
+from repro.sim.resources import ArbitratedRequest
 from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -357,6 +359,34 @@ class TestWorkCountPin:
             tie_break=tie_break,
             keep_machine=True,
         )
+        assert report.machine.env._eid == 7688
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_table1_256kb_prefetch_request_and_timeout_objects(self, tie_break, monkeypatch):
+        """Kernel objects the same cell builds: mesh links grant straight
+        to their worms, so every ``ArbitratedRequest`` left is a node or
+        SCSI bus grant (5,104 when each mesh hop made one too), and the
+        cell builds no ``Timeout`` (1,024 when each message's software
+        overhead was one); the events scheduled do not change."""
+        built = {ArbitratedRequest: 0, Timeout: 0}
+        for cls in built:
+            init = cls.__init__
+
+            def counting(self, *args, _cls=cls, _init=init, **kwargs):
+                built[_cls] += 1
+                return _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        size = 256 * KB
+        report = run_collective(
+            request_size=size,
+            file_size=scaled_file_size(size, rounds=16),
+            prefetch=True,
+            rounds=16,
+            tie_break=tie_break,
+            keep_machine=True,
+        )
+        assert built == {ArbitratedRequest: 1648, Timeout: 0}
         assert report.machine.env._eid == 7688
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
