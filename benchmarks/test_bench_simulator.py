@@ -7,7 +7,7 @@ in the simulation engine.
 """
 
 from repro.pfs import IOMode
-from repro.sim import Environment, Resource
+from repro.sim import Arbiter, Environment, Hold
 
 KB = 1024
 MB = 1024 * 1024
@@ -33,18 +33,16 @@ def test_bench_kernel_event_throughput(benchmark):
 
 
 def test_bench_kernel_resource_contention(benchmark):
-    """Resource handoff speed: 20k acquire/release with contention."""
+    """Arbiter handoff speed: 20k holds of a 2-slot arbiter with contention."""
 
     def run():
         env = Environment()
-        resource = Resource(env, capacity=2)
+        arbiter = Arbiter(env, capacity=2)
         done = []
 
         def worker(env, n):
             for _ in range(n):
-                with resource.request() as req:
-                    yield req
-                    yield env.timeout(0.001)
+                yield Hold(arbiter, 0.001)
             done.append(True)
 
         for _ in range(20):

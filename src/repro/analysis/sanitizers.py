@@ -12,9 +12,9 @@ every tie-break permutation the kernel supports (``fifo`` and ``lifo``,
 i.e. same-timestamp events in insertion and reverse-insertion order) and
 diffs canonical report fingerprints.
 
-**Resource leaks.**  A ``request()`` whose ``release()`` was lost (an
-exception path, a forgotten finally) leaves the resource held forever;
-every later contender deadlocks silently.  :func:`leaked_resources`
+**Resource leaks.**  A slot whose release was lost (an exception path,
+a forgotten finally, a waiter whose event was dropped) stays held
+forever; every later contender deadlocks silently.  :func:`leaked_resources`
 inspects every resource registered with an :class:`Environment` once the
 event queue has drained, when any remaining hold is unreleasable by
 construction.
@@ -135,10 +135,10 @@ def leaked_resources(env: Any) -> List[ResourceLeak]:
     """Resources still held once *env*'s event queue has drained.
 
     Returns ``[]`` while events remain queued (a hold is only a leak when
-    nothing can ever release it).  Store/Container gets pending at quiesce
-    are *not* leaks -- perpetual server loops legitimately idle on empty
+    nothing can ever release it).  Store gets pending at quiesce are
+    *not* leaks -- perpetual server loops legitimately idle on empty
     inboxes -- so only acquire/release-style resources (those exposing
-    ``users``, a RAID array's arm included) are inspected.
+    ``users``: an arbiter, a RAID array's arm) are inspected.
     """
     if env.peek != float("inf"):
         return []

@@ -1,24 +1,24 @@
 """2D wormhole-routed mesh interconnect.
 
 The Paragon backplane is a 2D mesh with XY (dimension-ordered) routing.
-We model each directed link as a capacity-1 :class:`_Link` owned by the
-mesh.  A message reserves the links along its XY route one at a time
-in path order (the way a worm's header flit advances), then holds the
-whole path while the body streams through at link bandwidth.
-Dimension-ordered acquisition keeps the model deadlock-free, exactly as
-it does for the hardware.
+We model each directed link as a one-slot
+:class:`~repro.sim.resources.Arbiter` owned by the mesh.  A message
+reserves the links along its XY route one at a time in path order (the
+way a worm's header flit advances), then holds the whole path while the
+body streams through at link bandwidth.  Dimension-ordered acquisition
+keeps the model deadlock-free, exactly as it does for the hardware.
 
 Every transmission is one worm (:meth:`Mesh.post`), and the worm is
 itself the event the kernel schedules: once after its software
 overhead, then once per hop grant, each grant merged with the hop's
-hold (the last also with the body's streaming time).  A link keeps its
-waiting worms in a queue and settles like an arbitrated resource --
-same-instant contenders are ordered by ``(arrival time, route key,
-sequence)`` -- handing itself straight to the next worm; it books its
-own busy seconds.  The sender is woken once, on delivery.  Traced and
-faulted runs take the same worm: the ``mesh_xfer`` span opens at send
-and closes at delivery, and ``mesh_drop``/``mesh_dup`` are decided at
-delivery.
+hold (the last also with the body's streaming time).  The worm is the
+link's waiter: same-instant contenders are ordered by ``(arrival time,
+route key, sequence)``, and the settle schedules the granted worm
+itself.  The worm releases its links on delivery and books each one's
+busy seconds from its grant.  The sender is woken once, on delivery.
+Traced and faulted runs take the same worm: the ``mesh_xfer`` span
+opens at send and closes at delivery, and ``mesh_drop``/``mesh_dup``
+are decided at delivery.
 
 On the real machine the mesh (175 MB/s links) is never the I/O
 bottleneck -- the disks are three orders of magnitude slower -- but
@@ -36,7 +36,7 @@ from repro.hardware.params import MeshParams
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 from repro.obs.trace import get_tracer
-from repro.sim import Environment
+from repro.sim import Arbiter, Environment
 from repro.sim.events import Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
@@ -68,77 +68,6 @@ class MeshMessage:
     duplicated: bool = False
 
 
-class _Link:
-    """One directed mesh link: capacity 1, its waiting worms in a queue.
-
-    A worm's request appends ``(arrival time, route key, sequence,
-    worm)`` to :attr:`queue` and puts the link on the environment's
-    dirty arbiters; once the timestep has no events left, :meth:`_settle`
-    hands a free link to the first waiter in that order and schedules
-    the worm itself at the hop's resume time -- so same-instant
-    contenders are ordered by model content, never by event pop order,
-    exactly as on an :class:`~repro.sim.resources.ArbitratedResource`.
-    The link books its own busy seconds when its holder releases it.
-    """
-
-    __slots__ = (
-        "env",
-        "label",
-        "holder",
-        "granted_at",
-        "busy_s",
-        "queue",
-        "_seq",
-        "_settle_queued",
-    )
-
-    def __init__(self, env: Environment, label: str) -> None:
-        self.env = env
-        self.label = label
-        #: The worm holding the link, or None.
-        self.holder: Optional[_Worm] = None
-        self.granted_at = 0.0
-        #: Seconds the link was held by a worm.
-        self.busy_s = 0.0
-        self.queue: List[Tuple[float, Tuple[Coord, Coord], int, _Worm]] = []
-        self._seq = 0
-        #: Set while queued for settlement (managed by the environment).
-        self._settle_queued = False
-        env.register_resource(self)
-
-    @property
-    def users(self) -> Tuple["_Worm", ...]:
-        """The holder, if any: read by
-        :func:`~repro.analysis.sanitizers.leaked_resources`, so a link
-        still held once the event queue drains reports as a leak."""
-        return () if self.holder is None else (self.holder,)
-
-    def _settle(self) -> None:
-        """Grant a free link to its first waiter (called by the Environment)."""
-        queue = self.queue
-        if not queue or self.holder is not None:
-            return
-        if len(queue) > 1:
-            # (arrival, route key, sequence): the sequence is unique, so
-            # the worm itself is never compared.
-            queue.sort()
-        worm = queue.pop(0)[3]
-        self.holder = worm
-        env = self.env
-        now = env._now
-        self.granted_at = now
-        # The hold and the worm's resume are one event; the last hop also
-        # absorbs the body streaming time, added after the hop so the
-        # float is the one successive timeouts would give.
-        when = now + worm.per_hop
-        if worm.idx == worm.hops:
-            when += worm.body_time
-        env.schedule_at(worm, when)
-
-    def __repr__(self) -> str:
-        return f"<mesh link {self.label}>"
-
-
 class _Worm(Event):
     """One mesh transmission, scheduled as its own event.
 
@@ -163,7 +92,8 @@ class _Worm(Event):
         "links",
         "hops",
         "route_key",
-        "per_hop",
+        "seconds",
+        "tail",
         "body_time",
         "idx",
         "proxy",
@@ -192,7 +122,11 @@ class _Worm(Event):
         self.route_key = route_key = (message.src, message.dst)
         self.links = links = mesh._route_links(route_key)
         self.hops = len(links)
-        self.per_hop = p.per_hop_s
+        #: Each link's hold before the worm moves on (read by the
+        #: arbiter at the grant), and what the grant adds after it: the
+        #: body's streaming time on the last hop, else nothing.
+        self.seconds = p.per_hop_s
+        self.tail = 0.0
         self.body_time = message.size_bytes / p.link_bandwidth_bps
         #: Links requested so far (1 once a zero-hop body is streaming).
         self.idx = 0
@@ -204,7 +138,9 @@ class _Worm(Event):
         idx = self.idx
         if idx < self.hops:
             link = self.links[idx]
-            self.idx = idx + 1
+            self.idx = idx = idx + 1
+            if idx == self.hops:
+                self.tail = self.body_time
             self.callbacks = _ADVANCE
             env = self.env
             seq = link._seq + 1
@@ -228,6 +164,7 @@ class _Worm(Event):
         released_at = env._now
         for link in self.links:
             link.busy_s += released_at - link.granted_at
+            link.free += 1
             link.holder = None
             if link.queue and not link._settle_queued:
                 link._settle_queued = True
@@ -280,10 +217,10 @@ class Mesh:
         self.monitor = monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        self._links: Dict[Link, _Link] = {}
+        self._links: Dict[Link, Arbiter] = {}
         #: (src, dst) -> the links along the XY route -- routes are
         #: static, so each pair's route is computed and resolved once.
-        self._route_cache: Dict[Tuple[Coord, Coord], Tuple[_Link, ...]] = {}
+        self._route_cache: Dict[Tuple[Coord, Coord], Tuple[Arbiter, ...]] = {}
         # Hot-path monitor objects, resolved once instead of per message.
         self._c_messages = monitor.counter("mesh.messages")
         self._c_bytes = monitor.counter("mesh.bytes")
@@ -317,10 +254,10 @@ class Mesh:
     def hops(self, src: Coord, dst: Coord) -> int:
         return abs(src[0] - dst[0]) + abs(src[1] - dst[1])
 
-    def _link(self, link: Link) -> _Link:
+    def _link(self, link: Link) -> Arbiter:
         res = self._links.get(link)
         if res is None:
-            res = self._links[link] = _Link(self.env, _link_label(link))
+            res = self._links[link] = Arbiter(self.env, name=f"mesh link {_link_label(link)}")
         return res
 
     def link_busy_s(self) -> Dict[str, float]:
@@ -328,7 +265,7 @@ class Mesh:
         links = self._links
         return {_link_label(link): links[link].busy_s for link in links}
 
-    def _route_links(self, key: Tuple[Coord, Coord]) -> Tuple[_Link, ...]:
+    def _route_links(self, key: Tuple[Coord, Coord]) -> Tuple[Arbiter, ...]:
         """Cached links along the XY route from ``key[0]`` to ``key[1]``."""
         links = self._route_cache.get(key)
         if links is None:

@@ -5,8 +5,9 @@ machine this is the streaming bottleneck (~3.5 MB/s effective, SCSI-8),
 matching the paper's note that SCSI-16 hardware "effectively quadruples
 the bandwidth available on each I/O node".
 
-The bus is a unit-capacity resource; each transfer pays an arbitration
-overhead plus size / bandwidth.
+The bus is a one-slot :class:`~repro.sim.resources.Arbiter`; each
+transfer is one :class:`~repro.sim.resources.Hold` of it, paying an
+arbitration overhead plus size / bandwidth.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from repro.hardware.params import SCSIParams
 from repro.obs.trace import TraceContext, get_tracer
-from repro.sim import ArbitratedResource, Environment
+from repro.sim import Arbiter, Environment, Hold
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
@@ -36,9 +37,7 @@ class SCSIBus:
         self.tracer = get_tracer(monitor)
         # Arbitrated: simultaneous transfer requests are granted in
         # canonical (causal process key) order, not event-pop order.
-        self._bus = ArbitratedResource(env, capacity=1)
-        #: Accumulated time the bus spent transferring (utilisation).
-        self.busy_s = 0.0
+        self._bus = Arbiter(env, name=f"scsi bus {name}")
         #: Devices attached via :meth:`attach_client`.  The RAID
         #: closed-form fast path requires being the sole client: only
         #: then is a transfer during the arm hold provably uncontended.
@@ -47,6 +46,11 @@ class SCSIBus:
         self._c_transfers = monitor.counter(f"{name}.transfers")
         self._c_bytes = monitor.counter(f"{name}.bytes")
         self._cause_counters = {}
+
+    @property
+    def busy_s(self) -> float:
+        """Accumulated time the bus spent transferring (utilisation)."""
+        return self._bus.busy_s
 
     def transfer_time(self, nbytes: int) -> float:
         """Uncontended time to move *nbytes* across the bus."""
@@ -81,11 +85,9 @@ class SCSIBus:
         if traced:
             span = tracer.begin("scsi_xfer", ctx=ctx, bus=self.name, bytes=nbytes)
         duration = self.params.arbitration_s + nbytes / rate
-        # Merged grant: the bus is held for [grant, grant + duration]
-        # exactly as with a grant-then-timeout pair, in one event.
-        with self._bus.request(resume_delay=duration) as req:
-            yield req
-            self.busy_s += duration
+        # One event: the bus is held for [grant, grant + duration] and
+        # the hold books the duration when it releases the bus.
+        yield Hold(self._bus, duration)
         if traced:
             tracer.end(span)
         self._c_transfers.add(1)
@@ -119,13 +121,9 @@ class SCSIBus:
         applied directly.  Counter and ``busy_s`` totals come out
         identical to :meth:`transfer`.
         """
-        self.busy_s += duration
+        self._bus.busy_s += duration
         self._c_transfers.add(1)
         self._c_bytes.add(nbytes)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._bus.queue)
 
     def __repr__(self) -> str:
         return f"<SCSIBus {self.name} bw={self.params.bandwidth_bps / 2**20:.1f}MB/s>"

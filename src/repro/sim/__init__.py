@@ -12,11 +12,11 @@ Public surface:
   event primitives.
 - :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
   -- coroutine processes.
-- :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.FilterStore` -- shared resources.
+- :class:`~repro.sim.resources.Arbiter`,
+  :class:`~repro.sim.resources.Hold` -- slots granted in canonical order
+  at the end of each timestep, and one fixed-length hold of a slot.
+- :class:`~repro.sim.resources.ArbitratedStore` -- a store whose puts
+  and gets settle in the same canonical order.
 - :class:`~repro.obs.monitor.Monitor`,
   :class:`~repro.obs.monitor.CounterStat` -- the counter registry
   (re-exported from :mod:`repro.obs.monitor`).
@@ -26,31 +26,19 @@ from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.obs.monitor import CounterStat, Monitor
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import (
-    ArbitratedResource,
-    ArbitratedStore,
-    Container,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Arbiter, ArbitratedStore, Hold
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ArbitratedResource",
+    "Arbiter",
     "ArbitratedStore",
-    "Container",
     "CounterStat",
     "Environment",
     "Event",
-    "FilterStore",
+    "Hold",
     "Interrupt",
     "Monitor",
-    "PriorityResource",
     "Process",
-    "Resource",
-    "Store",
     "Timeout",
 ]

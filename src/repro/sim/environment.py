@@ -62,13 +62,13 @@ class Environment:
         #: experiment under both orders: a mechanism-faithful simulation
         #: must produce bit-identical reports either way, because
         #: same-timestamp arbitration is settled by canonical keys
-        #: (:class:`~repro.sim.resources.ArbitratedResource`), never by
-        #: event insertion order.
+        #: (:class:`~repro.sim.resources.Arbiter`), never by event
+        #: insertion order.
         self.tie_break = tie_break
         self._tie_sign = 1 if tie_break == "fifo" else -1
         self._active_process: Optional[Process] = None
-        #: Arbitrated resources with undecided grants, settled when the
-        #: current timestep has no events left (see :meth:`step`).
+        #: Arbiters and arbitrated stores with undecided grants, settled
+        #: when the current timestep has no events left (see :meth:`step`).
         self._dirty_arbiters: List[Any] = []
         #: Every resource ever constructed on this environment, in
         #: creation order -- the runtime leak sanitizer walks this.
@@ -167,11 +167,12 @@ class Environment:
             self._dirty_arbiters.append(arbiter)
 
     def _settle_arbiters(self) -> None:
-        """Settle every dirty arbitrated resource (canonical grant order).
+        """Settle every dirty arbiter (canonical grant order).
 
-        Settling may resume processes at the current time, which may
+        Settling may schedule waiters at the current time, which may
         dirty further arbiters; :meth:`step` loops until the timestep is
-        quiescent before letting the clock advance.
+        quiescent before letting the clock advance.  :meth:`run` inlines
+        the same loop.
         """
         while self._dirty_arbiters:
             # Swap the batch out so settles that re-dirty arbiters append
@@ -223,7 +224,7 @@ class Environment:
         """Process the next scheduled event, advancing the clock.
 
         Before the clock may advance past the current time (or the queue
-        runs dry), pending arbitrated-resource grants are settled so that
+        runs dry), pending arbiter grants are settled so that
         same-timestamp acquisition order is decided by canonical keys,
         never by event insertion order.
         """
@@ -281,14 +282,20 @@ class Environment:
                 stop_event.callbacks = [StopSimulation.callback]
                 self.schedule(stop_event, delay=at - self._now, priority_urgent=True)
 
-        # Inlined event loop: identical to calling step() repeatedly but
-        # without the per-event method call and re-resolved globals.
+        # Inlined event loop: identical to calling step() repeatedly (the
+        # settle loop of _settle_arbiters included) but without the
+        # per-event method calls and re-resolved globals.
         queue = self._queue
         pop = heappop
         try:
             while True:
                 if self._dirty_arbiters and (not queue or queue[0][0] > self._now):
-                    self._settle_arbiters()
+                    while self._dirty_arbiters:
+                        batch = self._dirty_arbiters
+                        self._dirty_arbiters = []
+                        for arbiter in batch:
+                            arbiter._settle_queued = False
+                            arbiter._settle()
                 if not queue:
                     raise EmptySchedule()
                 when, _key, event = pop(queue)

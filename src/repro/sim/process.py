@@ -80,8 +80,8 @@ class Process(Event):
         #: ``parent.order_key + (child_index,)``.  Because the key is
         #: derived from causal structure -- never from event-queue
         #: insertion order -- it is stable under permuted tie-breaking
-        #: and is the default arbitration key for
-        #: :class:`~repro.sim.resources.ArbitratedResource`.
+        #: and is the default arbitration key of an
+        #: :class:`~repro.sim.resources.Arbiter` hold.
         #:
         #: An explicit ``order_key`` bypasses both counters: neither the
         #: parent's child index nor the root counter advances, so a

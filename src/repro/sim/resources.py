@@ -1,190 +1,29 @@
 """Shared resources for simulation processes.
 
-- :class:`Resource` -- a semaphore with *capacity* slots and a FIFO wait
-  queue (e.g. a disk head, a SCSI bus, a file-pointer token).
-- :class:`PriorityResource` -- like :class:`Resource` but the wait queue is
-  ordered by a priority key.
-- :class:`Container` -- holds a continuous quantity (e.g. bytes of memory).
-- :class:`Store` / :class:`FilterStore` -- hold discrete items (e.g. message
-  queues between nodes).
+- :class:`Arbiter` -- *capacity* slots granted at the end of each
+  timestep in canonical order (the node CPUs, the message co-processor,
+  a SCSI bus, a mesh link).  Its waiters are events it schedules itself.
+- :class:`Hold` -- one fixed-length hold of an :class:`Arbiter` slot: a
+  process ``yield``-s it, or a callback chain passes ``then``.
+- :class:`ArbitratedStore` -- holds discrete items (the RPC inbox, the
+  ART active list), puts and gets settled in the same canonical order.
 
-Requests are events; processes ``yield`` them and may use them as context
-managers for automatic release::
-
-    with resource.request() as req:
-        yield req
-        ... hold the resource ...
+Nothing grants synchronously: a request made at simulated time *t* is
+decided once every event at *t* has run, by ``(arrival time, key,
+sequence)``, where the key is model content (by default the requesting
+process's causal :attr:`~repro.sim.process.Process.order_key`).  So a
+same-instant tie is won by content, never by event-pop order.
 """
 
 from __future__ import annotations
 
-import heapq
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, List
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
-
-
-def _deferred_grant(event: Event, delay: float) -> None:
-    """Trigger *event* as a merged grant resuming after *delay*.
-
-    The slot is held from now (``users.append`` happened in the caller);
-    the waiter's frame runs later.  The event's value is set to the
-    grant time so the waiter's bookkeeping stays bit-identical.
-    """
-    env = event.env
-    now = env.now
-    event._ok = True
-    event._value = now
-    env.schedule_at(event, now + delay)
-
-
-class Request(Event):
-    """A request to hold one slot of a :class:`Resource`.
-
-    ``resume_delay`` makes a merged grant: a request carrying a
-    positive delay is granted at the same instant it would otherwise be
-    (the slot is held from the grant time), but the requester is resumed
-    after the delay -- one scheduled event instead of a grant event plus
-    a follow-on :class:`~repro.sim.events.Timeout`.  The event's value
-    is the grant time, so the resumed process can do its wait/hold
-    bookkeeping bit-identically to the stepped path; a plain (unmerged)
-    grant yields ``None`` and the grant time is simply ``env.now``.
-    """
-
-    __slots__ = ("resource", "resume_delay")
-
-    def __init__(self, resource: "Resource", resume_delay: float = 0.0) -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        self.resume_delay = resume_delay
-        resource._do_request(self)
-
-    def _grant(self) -> None:
-        """Trigger the grant, deferring the resume by ``resume_delay``."""
-        delay = self.resume_delay
-        if delay:
-            _deferred_grant(self, delay)
-        else:
-            self.succeed()
-
-    def cancel(self) -> None:
-        """Withdraw an unfulfilled request from the wait queue."""
-        if self._value is PENDING:
-            self.resource._cancel(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.resource.release(self)
-
-
-class PriorityRequest(Request):
-    """A resource request with an explicit priority (lower = earlier)."""
-
-    __slots__ = ("priority", "time", "_key")
-
-    def __init__(self, resource: "PriorityResource", priority: float = 0.0) -> None:
-        self.priority = priority
-        self.time = resource.env.now
-        self._key = (priority, resource._next_seq())
-        super().__init__(resource)
-
-
-class Resource:
-    """Semaphore with *capacity* slots and a FIFO wait queue."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        self.env = env
-        self._capacity = capacity
-        self.users: List[Request] = []
-        self.queue: List[Request] = []
-        env.register_resource(self)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    def request(self, resume_delay: float = 0.0) -> Request:
-        return Request(self, resume_delay)
-
-    def release(self, request: Request) -> None:
-        """Release a slot previously granted to *request*."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Releasing an unfulfilled or already-released request is a
-            # no-op (e.g. context-manager exit after cancellation).
-            if request._value is PENDING:
-                self._cancel(request)
-            return
-        self._grant_waiters()
-
-    # -- internals -------------------------------------------------------
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request._grant()
-        else:
-            self.queue.append(request)
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _grant_waiters(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            nxt = self.queue.pop(0)
-            self.users.append(nxt)
-            nxt._grant()
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by request priority."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: List[tuple] = []
-        self._seq = 0
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            assert isinstance(request, PriorityRequest)
-            heapq.heappush(self._heap, (request._key, request))
-
-    def _cancel(self, request: Request) -> None:
-        self._heap = [(k, r) for (k, r) in self._heap if r is not request]
-        heapq.heapify(self._heap)
-
-    def _grant_waiters(self) -> None:
-        while self._heap and len(self.users) < self._capacity:
-            _key, nxt = heapq.heappop(self._heap)
-            self.users.append(nxt)
-            nxt.succeed()
 
 
 #: The native sort key of a queued request or store put/get.
@@ -234,155 +73,179 @@ class _CanonKey:
         return isinstance(other, _CanonKey) and self.key == other.key
 
 
-class ArbitratedRequest(Event):
-    """A request to hold one slot of an :class:`ArbitratedResource`.
+def _canonical_entry(entry: Tuple[float, Any, int, Event]) -> Any:
+    """The canonical sort key of a queued arbiter entry, for a queue
+    whose keys do not compare natively (see :func:`_canonical_sort`)."""
+    return (entry[0], _CanonKey(entry[1]), entry[2])
 
-    ``resume_delay`` works exactly as on :class:`Request`: the slot is
-    held from the (canonically settled) grant instant, but the waiter's
-    frame resumes after the delay -- merging the grant and its
-    follow-on timeout into one scheduled event.  The event's
-    value is the exact grant time (``None`` for a plain grant).
+
+class Arbiter:
+    """*capacity* slots, granted at the end of a timestep in canonical order.
+
+    A waiter is an event with a hold length ``seconds`` and a ``tail``.
+    Requesting a slot appends ``(arrival time, key, sequence, waiter)``
+    to :attr:`queue` and puts the arbiter on the environment's dirty
+    arbiters (unless it is already there).  Once the timestep has no
+    events left, :meth:`_settle` sorts the queue -- natively, the unique
+    sequence number keeps the waiter itself out of the comparison -- and
+    hands each free slot to the next waiter: the waiter's value becomes
+    the grant time and the arbiter schedules the waiter itself at
+    ``now + seconds + tail``.  Grants never advance the clock, so the
+    arbitration decides *who wins a tie*, never *how long anything
+    takes*.
+
+    A :class:`Hold` releases its slot when it pops and books its
+    ``seconds`` into :attr:`busy_s`.  A waiter of another kind releases
+    the slot itself, as a mesh worm does when its body has streamed
+    through (``tail`` is the body time on the worm's last hop): it
+    books ``released_at - granted_at``, increments :attr:`free`, clears
+    :attr:`holder` and re-dirties the arbiter if waiters are queued.
+
+    A request runs to completion: nothing cancels a queued waiter or
+    revokes a grant, so an interrupted process that was waiting on a
+    hold (or holding one) leaves the hold to be granted, held for its
+    full length and released on its own.
     """
 
-    __slots__ = ("resource", "key", "arrived_at", "resume_delay", "_seq")
+    __slots__ = (
+        "env",
+        "name",
+        "capacity",
+        "free",
+        "holder",
+        "granted_at",
+        "busy_s",
+        "queue",
+        "_seq",
+        "_settle_queued",
+    )
 
-    def __init__(
-        self,
-        resource: "ArbitratedResource",
-        key: Any,
-        resume_delay: float = 0.0,
-    ) -> None:
-        # Inlined Event.__init__ + queue insertion -- arbitrated requests
-        # are the hottest request type (node CPU and SCSI bus grants).
-        env = resource.env
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.resource = resource
-        self.key = key
-        self.arrived_at = env._now
-        self.resume_delay = resume_delay
-        seq = resource._seq + 1
-        resource._seq = seq
-        self._seq = seq
-        resource.queue.append(self)
-        if not resource._settle_queued:
-            resource._settle_queued = True
-            env._dirty_arbiters.append(resource)
-
-    def cancel(self) -> None:
-        """Withdraw an unfulfilled request from the wait queue."""
-        if self._value is PENDING:
-            self.resource._cancel(self)
-
-    def __enter__(self) -> "ArbitratedRequest":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.resource.release(self)
-
-
-class ArbitratedResource:
-    """Semaphore whose same-timestamp grants are settled canonically.
-
-    A plain :class:`Resource` grants a free slot synchronously, so when
-    two processes request it at the same simulated time the winner is
-    whichever *event* happened to pop first -- a tie-order race.  An
-    ``ArbitratedResource`` never grants synchronously: requests collect
-    during the timestep, and when the environment has processed every
-    event at the current time it settles the resource, granting free
-    slots to waiters ordered by ``(arrival time, key)``.  The key is
-    model content (defaulting to the requesting process's causal
-    :attr:`~repro.sim.process.Process.order_key`), so the outcome is
-    identical under any tie-breaking permutation of the event queue.
-
-    Grants still happen at the same simulated time the request was made
-    (settlement never advances the clock), so switching a model from
-    ``Resource`` to ``ArbitratedResource`` changes *who wins a tie*,
-    never *how long anything takes*.
-
-    API mirrors :class:`Resource`: ``request()`` returns an event to
-    ``yield``, usable as a context manager; ``release()`` frees a slot.
-    ``request(key=...)`` overrides the arbitration key; two requests with
-    equal arrival time and equal keys fall back to insertion order (give
-    contenders distinct keys to keep settlement canonical).
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
+    def __init__(self, env: "Environment", capacity: int = 1, name: str = "arbiter") -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.env = env
-        self._capacity = capacity
-        self.users: List[ArbitratedRequest] = []
-        self.queue: List[ArbitratedRequest] = []
+        self.name = name
+        self.capacity = capacity
+        #: Slots not held.
+        self.free = capacity
+        #: The waiter granted last, until a slot is released (on a
+        #: capacity-1 arbiter, the holder).  Cleared at the release, so
+        #: a finished waiter and what it references are not kept alive.
+        self.holder: Optional[Event] = None
+        #: The instant of the last grant.
+        self.granted_at = 0.0
+        #: Seconds the slots were held, summed over every release.
+        self.busy_s = 0.0
+        self.queue: List[Tuple[float, Any, int, Event]] = []
         self._seq = 0
         #: Set while queued for settlement (managed by the environment).
         self._settle_queued = False
         env.register_resource(self)
 
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    def request(self, key: Any = None, resume_delay: float = 0.0) -> ArbitratedRequest:
-        if key is None:
-            proc = self.env._active_process
-            key = proc.order_key if proc is not None else ()
-        return ArbitratedRequest(self, key, resume_delay)
-
-    def release(self, request: ArbitratedRequest) -> None:
-        """Release a slot previously granted to *request*."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            if request._value is PENDING:
-                self._cancel(request)
-            return
-        if self.queue:
-            self.env._mark_arbiter_dirty(self)
-
-    # -- internals -------------------------------------------------------
-
-    def _cancel(self, request: ArbitratedRequest) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
+    def users(self) -> Tuple[Optional[Event], ...]:
+        """One entry per held slot, read by
+        :func:`~repro.analysis.sanitizers.leaked_resources`, so a slot
+        still held once the event queue drains reports as a leak.  On a
+        capacity-1 arbiter the entry is the holder."""
+        return (self.holder,) * (self.capacity - self.free)
 
     def _settle(self) -> None:
-        """Grant free slots to waiters in canonical order."""
+        """Grant free slots to waiters in canonical order (called by the
+        Environment)."""
         queue = self.queue
-        if not queue:
-            return
-        users = self.users
-        free = self._capacity - len(users)
-        if free <= 0:
+        free = self.free
+        if not queue or not free:
             return
         if len(queue) > 1:
-            _canonical_sort(queue)
+            try:
+                queue.sort()
+            except TypeError:
+                # Keys of mixed shapes: the same order, through _CanonKey.
+                queue.sort(key=_canonical_entry)
         env = self.env
         now = env._now
-        while queue and free > 0:
-            nxt = queue.pop(0)
-            users.append(nxt)
+        self.granted_at = now
+        while queue and free:
+            waiter = queue.pop(0)[3]
             free -= 1
-            delay = nxt.resume_delay
-            if delay:
-                # Merged grant (as _deferred_grant, inlined): hold the
-                # slot from now and resume the waiter after the delay
-                # with one scheduled event whose value is the grant time.
-                nxt._ok = True
-                nxt._value = now
-                env.schedule_at(nxt, now + delay)
-            else:
-                nxt.succeed()
+            # The grant and the waiter's resume are one event; the tail
+            # is added after the hold, so the float is the one
+            # successive timeouts would give.
+            waiter._value = now
+            env.schedule_at(waiter, now + waiter.seconds + waiter.tail)
+        self.free = free
+        self.holder = waiter
+
+    def __repr__(self) -> str:
+        return f"<{self.name}>"
+
+
+class Hold(Event):
+    """Hold one slot of *arbiter* for *seconds* from its grant.
+
+    The hold is its own waiter: granted at the settle, it pops
+    *seconds* later (a zero-second hold pops at its grant instant),
+    releases the slot, books *seconds* into the arbiter's ``busy_s`` and
+    calls ``then()`` if one was given.  A process ``yield``-s a hold
+    made without ``then`` and resumes after the release with the grant
+    time; a callback chain passes ``then`` and keeps no reference.
+    *key* defaults to the active process's causal order key.
+    """
+
+    __slots__ = ("arbiter", "seconds", "then")
+
+    #: Added after ``seconds`` at the grant (see :meth:`Arbiter._settle`).
+    tail = 0.0
+
+    def __init__(
+        self,
+        arbiter: Arbiter,
+        seconds: float,
+        key: Any = None,
+        then: Optional[Callable[[], None]] = None,
+    ) -> None:
+        if seconds < 0:
+            raise ValueError(f"negative hold {seconds}")
+        # Inlined Event.__init__ and queue insertion: holds are the
+        # hottest waiters (every CPU, co-processor and SCSI bus grant).
+        env = arbiter.env
+        self.env = env
+        self.callbacks = [_release_hold] if then is None else _RELEASE_THEN
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.arbiter = arbiter
+        self.seconds = seconds
+        self.then = then
+        if key is None:
+            proc = env._active_process
+            key = proc.order_key if proc is not None else ()
+        seq = arbiter._seq + 1
+        arbiter._seq = seq
+        arbiter.queue.append((env._now, key, seq, self))
+        if not arbiter._settle_queued:
+            arbiter._settle_queued = True
+            env._dirty_arbiters.append(arbiter)
+
+
+def _release_hold(hold: Hold) -> None:
+    """Run by a hold's pop: book it, release its slot, call ``then``."""
+    arbiter = hold.arbiter
+    arbiter.busy_s += hold.seconds
+    arbiter.free += 1
+    arbiter.holder = None
+    if arbiter.queue and not arbiter._settle_queued:
+        arbiter._settle_queued = True
+        arbiter.env._dirty_arbiters.append(arbiter)
+    then = hold.then
+    if then is not None:
+        then()
+
+
+#: The callbacks of every hold made with ``then``: one shared list, as
+#: nothing else subscribes to such a hold.
+_RELEASE_THEN = [_release_hold]
 
 
 class ArbitratedStorePut(Event):
@@ -431,22 +294,16 @@ class ArbitratedStoreGet(Event):
 class ArbitratedStore:
     """Store whose same-timestamp puts and gets settle canonically.
 
-    A plain :class:`Store` admits puts and serves gets synchronously in
-    event-pop order, so when two processes put (or get) at the same
-    simulated time the item order is whichever event happened to pop
-    first -- the same tie-order race :class:`ArbitratedResource` closes
-    for semaphores.  An ``ArbitratedStore`` stages both sides during the
-    timestep and settles when the environment has processed every event
-    at the current time: queued puts are admitted ordered by ``(arrival
-    time, key)`` and queued gets are served in the same canonical order,
-    each taking the oldest admitted item.  Keys default to the calling
-    process's causal :attr:`~repro.sim.process.Process.order_key`.
-
-    Settlement never advances the clock, so switching a model from
-    ``Store`` to ``ArbitratedStore`` changes *which same-timestamp put
-    lands first*, never *how long anything takes*.  The admitted items
-    live in ``.items`` (same attribute as :class:`Store`, so pool scans
-    keep working).
+    A store that admitted puts and served gets synchronously would order
+    same-instant items by event pop -- the tie-order race an
+    :class:`Arbiter` closes for slots.  An ``ArbitratedStore`` stages
+    both sides during the timestep and settles when the environment has
+    processed every event at the current time: queued puts are admitted
+    ordered by ``(arrival time, key)`` and queued gets are served in the
+    same canonical order, each taking the oldest admitted item.  Keys
+    default to the calling process's causal
+    :attr:`~repro.sim.process.Process.order_key`.  Settlement never
+    advances the clock.  The admitted items live in ``.items``.
     """
 
     def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
@@ -519,180 +376,3 @@ class ArbitratedStore:
                     get = self._get_queue.pop(0)
                     get.succeed(self.items.pop(0))
                     progressed = True
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"amount must be > 0, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """Holds a continuous quantity between 0 and *capacity*."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_queue: List[ContainerPut] = []
-        self._get_queue: List[ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_queue.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level >= get.amount:
-                    self._get_queue.pop(0)
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True
-
-
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    __slots__ = ()
-
-    def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class FilterStoreGet(StoreGet):
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "FilterStore", filter: Callable[[Any], bool]) -> None:
-        self.filter = filter
-        super().__init__(store)
-
-
-class Store:
-    """FIFO store of discrete items with optional capacity."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        self.env = env
-        self._capacity = capacity
-        self.items: List[Any] = []
-        self._put_queue: List[StorePut] = []
-        self._get_queue: List[StoreGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        return StoreGet(self)
-
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self.items.append(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self.items.pop(0))
-            return True
-        return False
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            idx = 0
-            while idx < len(self._put_queue):
-                put = self._put_queue[idx]
-                if self._do_put(put):
-                    self._put_queue.pop(idx)
-                    progressed = True
-                else:
-                    idx += 1
-            idx = 0
-            while idx < len(self._get_queue):
-                get = self._get_queue[idx]
-                if self._do_get(get):
-                    self._get_queue.pop(idx)
-                    progressed = True
-                else:
-                    idx += 1
-
-
-class FilterStore(Store):
-    """Store whose ``get`` takes a predicate selecting which item to take."""
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        return FilterStoreGet(self, filter)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        assert isinstance(event, FilterStoreGet)
-        for i, item in enumerate(self.items):
-            if event.filter(item):
-                self.items.pop(i)
-                event.succeed(item)
-                return True
-        return False

@@ -52,7 +52,7 @@ from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
 from repro.sim.events import Timeout
 from repro.sim.process import Process
-from repro.sim.resources import ArbitratedRequest
+from repro.sim.resources import Hold
 from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -363,12 +363,14 @@ class TestWorkCountPin:
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_table1_256kb_prefetch_request_and_timeout_objects(self, tie_break, monkeypatch):
-        """Kernel objects the same cell builds: mesh links grant straight
-        to their worms, so every ``ArbitratedRequest`` left is a node or
-        SCSI bus grant (5,104 when each mesh hop made one too), and the
-        cell builds no ``Timeout`` (1,024 when each message's software
-        overhead was one); the events scheduled do not change."""
-        built = {ArbitratedRequest: 0, Timeout: 0}
+        """Kernel objects the same cell builds: every node CPU,
+        co-processor and SCSI bus grant is one ``Hold`` of an arbiter
+        (1,648, as many as the request objects of the generic resource
+        it replaced; 5,104 when each mesh hop made one too), mesh links
+        grant straight to their worms, and the cell builds no
+        ``Timeout`` (1,024 when each message's software overhead was
+        one); the events scheduled do not change."""
+        built = {Hold: 0, Timeout: 0}
         for cls in built:
             init = cls.__init__
 
@@ -386,7 +388,7 @@ class TestWorkCountPin:
             tie_break=tie_break,
             keep_machine=True,
         )
-        assert built == {ArbitratedRequest: 1648, Timeout: 0}
+        assert built == {Hold: 1648, Timeout: 0}
         assert report.machine.env._eid == 7688
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])

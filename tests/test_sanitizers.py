@@ -1,9 +1,9 @@
 """Runtime-sanitizer tests: tie-order race detector and leak checker.
 
 The synthetic-race tests build the *smallest* model that exhibits each
-bug class: a plain FIFO resource contended at one timestamp (tie-order
-race, fixed by :class:`ArbitratedResource`) and a request with no
-release (leak).
+bug class: a semaphore that grants synchronously, contended at one
+timestamp (tie-order race, fixed by :class:`Arbiter`), and a slot with
+no release (leak).
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from repro.analysis.sanitizers import (
 from repro.config import MachineConfig
 from repro.hardware import RAID3Array, SCSIBus
 from repro.machine import Machine
-from repro.sim import ArbitratedResource, Environment, Resource
+from repro.hardware.mesh import Mesh, MeshMessage
+from repro.hardware.params import MeshParams
+from repro.sim import Arbiter, Environment, Event, Hold
 
 
 @dataclass
@@ -58,23 +60,46 @@ class TestReportFingerprint:
         assert report_fingerprint(a) == report_fingerprint(b)
 
 
-def _contend(resource_factory):
+class _RacySemaphore:
+    """A one-slot semaphore that grants a free slot at request time, so
+    same-instant contenders win by event-pop order: the race."""
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self.users: List[Event] = []
+        self.queue: List[Tuple[Event, float]] = []
+
+    def hold(self, seconds: float) -> Event:
+        done = Event(self.env)
+        self.queue.append((done, seconds))
+        self._grant()
+        return done
+
+    def _grant(self) -> None:
+        if self.queue and not self.users:
+            done, seconds = self.queue.pop(0)
+            self.users.append(done)
+            self.env.timeout(seconds).callbacks.append(lambda _ev: self._release(done))
+
+    def _release(self, done: Event) -> None:
+        self.users.remove(done)
+        done.succeed()
+        self._grant()
+
+
+def _contend(hold):
     """Two processes contend for one slot at the same timestamp; the
-    grant order is the 'result' of this miniature experiment."""
+    grant order is the 'result' of this miniature experiment.  *hold*
+    maps ``env`` to a function making a one-second hold."""
 
     def run(tie_break: str) -> MiniReport:
         env = Environment(tie_break=tie_break)
-        resource = resource_factory(env)
+        one_second = hold(env)
         order: List[str] = []
 
         def contender(name):
-            req = resource.request()
-            try:
-                yield req
-                order.append(name)
-                yield env.timeout(1.0)
-            finally:
-                resource.release(req)
+            yield one_second()
+            order.append(name)
 
         for name in ("a", "b"):
             env.process(contender(name))
@@ -84,62 +109,84 @@ def _contend(resource_factory):
     return run
 
 
+def _racy(env):
+    semaphore = _RacySemaphore(env)
+    return lambda: semaphore.hold(1.0)
+
+
+def _arbitrated(env):
+    arbiter = Arbiter(env)
+    return lambda: Hold(arbiter, 1.0)
+
+
 class TestTieOrderDetector:
     def test_synthetic_race_is_flagged(self):
-        # A plain FIFO resource grants in request order == event pop
-        # order: permuting the tie-break permutes the winner.
-        result = check_tie_order(_contend(lambda env: Resource(env, capacity=1)))
+        # A synchronous grant follows request order == event pop order:
+        # permuting the tie-break permutes the winner.
+        result = check_tie_order(_contend(_racy))
         assert not result.deterministic
         assert len(set(result.fingerprints.values())) == 2
         assert result.reports["fifo"].order != result.reports["lifo"].order
         assert "RACE" in result.describe()
 
     def test_arbitrated_resource_is_deterministic(self):
-        # The fix: canonical arbitration keys make the winner identical
-        # under either tie-break.
-        result = check_tie_order(_contend(lambda env: ArbitratedResource(env, capacity=1)))
+        # The fix: an arbiter grants by canonical keys, so the winner is
+        # identical under either tie-break.
+        result = check_tie_order(_contend(_arbitrated))
         assert result.deterministic
         assert len(set(result.fingerprints.values())) == 1
         assert "deterministic" in result.describe()
 
     def test_assert_raises_on_race(self):
         with pytest.raises(TieOrderRace):
-            assert_tie_order_deterministic(_contend(lambda env: Resource(env, capacity=1)))
+            assert_tie_order_deterministic(_contend(_racy))
 
     def test_assert_passes_and_returns_result(self):
-        result = assert_tie_order_deterministic(
-            _contend(lambda env: ArbitratedResource(env, capacity=1))
-        )
+        result = assert_tie_order_deterministic(_contend(_arbitrated))
         assert result.deterministic
+
+
+class _Slot:
+    """An acquire/release resource exposing ``users``: what the leak
+    checker inspects."""
+
+    def __init__(self, env: Environment) -> None:
+        self.users: List[str] = []
+        env.register_resource(self)
+
+    def acquire(self, who: str) -> None:
+        self.users.append(who)
+
+    def release(self, who: str) -> None:
+        self.users.remove(who)
 
 
 class TestLeakChecker:
     def test_unreleased_request_is_flagged(self):
         env = Environment()
-        resource = Resource(env, capacity=1)
+        slot = _Slot(env)
 
         def leaker():
-            # sim-ok: R005 -- fixture deliberately leaks to exercise the checker
-            req = resource.request()
-            yield req
+            slot.acquire("leaker")
+            yield env.timeout(1.0)
 
         env.process(leaker())
         env.run()
         leaks = leaked_resources(env)
         assert len(leaks) == 1
-        assert leaks[0].resource is resource
+        assert leaks[0].resource is slot
         assert leaks[0].held == 1
         with pytest.raises(AssertionError, match="resource leak"):
             assert_no_leaks(env)
 
     def test_released_request_is_clean(self):
         env = Environment()
-        resource = Resource(env, capacity=1)
+        slot = _Slot(env)
 
         def polite():
-            with resource.request() as req:
-                yield req
-                yield env.timeout(1.0)
+            slot.acquire("polite")
+            yield env.timeout(1.0)
+            slot.release("polite")
 
         env.process(polite())
         env.run()
@@ -147,17 +194,18 @@ class TestLeakChecker:
         assert_no_leaks(env)
 
     def test_arbitrated_resource_leak_flagged(self):
+        # A hold always releases its slot, so an arbiter only leaks
+        # through a waiter that releases explicitly: a mesh worm whose
+        # pending pop is dropped while it holds its one-hop route.
         env = Environment()
-        resource = ArbitratedResource(env, capacity=1)
-
-        def leaker():
-            # sim-ok: R005 -- fixture deliberately leaks to exercise the checker
-            req = resource.request()
-            yield req
-
-        env.process(leaker())
+        mesh = Mesh(env, 2, 1, params=MeshParams(sw_overhead_s=1.0, per_hop_s=1.0))
+        mesh.post(MeshMessage(src=(0, 0), dst=(1, 0), size_bytes=0), env.event(), None)
+        env.run(until=1.5)
+        env._queue.clear()
         env.run()
-        assert len(leaked_resources(env)) == 1
+        (leak,) = leaked_resources(env)
+        assert isinstance(leak.resource, Arbiter) and leak.held == 1
+        assert "mesh link 0,0->1,0" in str(leak)
 
     def test_wedged_raid_arm_flagged(self):
         # The arm is held through RAID3Array._busy, not a request object:
@@ -191,15 +239,14 @@ class TestLeakChecker:
     def test_no_verdict_while_events_remain(self):
         # A hold is only a leak once nothing can ever release it.
         env = Environment()
-        resource = Resource(env, capacity=1)
+        arbiter = Arbiter(env)
 
         def holder():
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10.0)
+            yield Hold(arbiter, 10.0)
 
         env.process(holder())
         env.run(until=5.0)
+        assert arbiter.users
         assert leaked_resources(env) == []
 
 

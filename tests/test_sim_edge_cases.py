@@ -1,18 +1,10 @@
-"""Edge-case tests for the DES kernel: interrupts vs resources,
-condition corners, store corners — the awkward interactions."""
+"""Edge-case tests for the DES kernel: interrupts vs holds, condition
+corners, store corners — the awkward interactions."""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Container,
-    Environment,
-    FilterStore,
-    Interrupt,
-    Resource,
-    Store,
-)
+from repro.analysis.sanitizers import leaked_resources
+from repro.sim import AllOf, AnyOf, Arbiter, ArbitratedStore, Environment, Hold, Interrupt
 
 
 @pytest.fixture
@@ -20,75 +12,79 @@ def env():
     return Environment()
 
 
-class TestInterruptResourceInteraction:
-    def test_interrupt_while_queued_leaves_request_cancellable(self, env):
-        """An interrupted waiter must cancel its queued request or it
-        would still be granted later -- document the required pattern."""
-        resource = Resource(env, capacity=1)
-        granted = []
+TIE_BREAKS = ("fifo", "lifo")
 
-        def holder(env):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10.0)
 
-        def waiter(env):
-            req = resource.request()
+class TestInterruptedHold:
+    """A hold runs to completion once requested: interrupting the
+    process that waits on it (queued or holding) neither cancels it nor
+    releases the slot early.  The hold is granted in its turn, held for
+    its full length, booked and released on its own."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_hold_interrupted_while_queued_runs_to_completion(self, tie_break):
+        env = Environment(tie_break=tie_break)
+        arbiter = Arbiter(env)
+        seen = []
+
+        def holder():
+            yield Hold(arbiter, 10.0)
+
+        def waiter():
             try:
-                yield req
-                granted.append("waiter")
+                yield Hold(arbiter, 2.0)
+                seen.append("granted")
             except Interrupt:
-                req.cancel()
-                return "interrupted"
-            finally:
-                if req.triggered and req.ok:
-                    resource.release(req)
+                seen.append(("interrupted", env.now))
 
-        def interrupter(env, victim):
+        def latecomer():
+            yield env.timeout(11.0)
+            granted = yield Hold(arbiter, 1.0)
+            seen.append(("latecomer", granted, env.now))
+
+        def interrupter(victim):
+            yield env.timeout(1.0)
+            victim.interrupt()
+            yield env.timeout(0)
+            seen.append(("queued", len(arbiter.queue)))
+
+        env.process(holder())
+        env.process(interrupter(env.process(waiter())))
+        env.process(latecomer())
+        env.run()
+        # The interrupted hold still held the slot over [10, 12].
+        assert seen == [("interrupted", 1.0), ("queued", 1), ("latecomer", 12.0, 13.0)]
+        assert arbiter.busy_s == 13.0
+        assert leaked_resources(env) == []
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_hold_interrupted_while_holding_runs_to_completion(self, tie_break):
+        env = Environment(tie_break=tie_break)
+        arbiter = Arbiter(env)
+        seen = []
+
+        def holder():
+            try:
+                yield Hold(arbiter, 5.0)
+            except Interrupt:
+                seen.append(("interrupted", env.now, len(arbiter.users)))
+
+        def waiter():
+            yield env.timeout(0.5)
+            granted = yield Hold(arbiter, 1.0)
+            seen.append(("waiter", granted, env.now))
+
+        def interrupter(victim):
             yield env.timeout(1.0)
             victim.interrupt()
 
-        env.process(holder(env))
-        victim = env.process(waiter(env))
-        env.process(interrupter(env, victim))
+        env.process(interrupter(env.process(holder())))
+        env.process(waiter())
         env.run()
-        assert victim.value == "interrupted"
-        assert not resource.queue  # the cancelled request is gone
-        assert granted == []
-
-    def test_uncancelled_request_still_granted_after_interrupt(self, env):
-        """Without cancel(), the grant happens anyway -- the kernel does
-        not revoke queued requests on interrupt (like SimPy)."""
-        resource = Resource(env, capacity=1)
-
-        def holder(env):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(2.0)
-
-        leaked = {}
-
-        def waiter(env):
-            # sim-ok: R005 -- deliberate leak pins the kernel's no-revoke-on-interrupt behaviour
-            req = resource.request()
-            leaked["req"] = req
-            try:
-                yield req
-            except Interrupt:
-                pass  # deliberately no cancel
-            yield env.timeout(5.0)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        env.process(holder(env))
-        victim = env.process(waiter(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        # The leaked request was eventually granted (holds the slot).
-        assert leaked["req"].triggered
-        assert resource.count == 1  # leaked hold!
+        # The slot stays held until 5.0; the waiter is granted only then.
+        assert seen == [("interrupted", 1.0, 1), ("waiter", 5.0, 6.0)]
+        assert arbiter.busy_s == 6.0
+        assert leaked_resources(env) == []
 
 
 class TestConditionCorners:
@@ -150,23 +146,8 @@ class TestConditionCorners:
 
 
 class TestStoreCorners:
-    def test_filter_store_preserves_unmatched_order(self, env):
-        store = FilterStore(env)
-
-        def proc(env):
-            for item in [3, 1, 4, 1, 5]:
-                yield store.put(item)
-            got = yield store.get(lambda x: x == 4)
-            return got, list(store.items)
-
-        p = env.process(proc(env))
-        env.run()
-        got, remaining = p.value
-        assert got == 4
-        assert remaining == [3, 1, 1, 5]
-
     def test_store_capacity_one_ping_pong(self, env):
-        store = Store(env, capacity=1)
+        store = ArbitratedStore(env, capacity=1)
         log = []
 
         def producer(env):
@@ -189,27 +170,6 @@ class TestStoreCorners:
         assert [g[1] for g in gets] == [0, 1, 2]
         # Each later put had to wait for the matching get.
         assert puts[2][2] >= gets[1][2]
-
-    def test_container_fifo_fairness_under_starvation(self, env):
-        box = Container(env, capacity=100, init=0)
-        order = []
-
-        def getter(env, tag, amount):
-            yield box.get(amount)
-            order.append(tag)
-
-        def putter(env):
-            for _ in range(3):
-                yield env.timeout(1.0)
-                yield box.put(10)
-
-        env.process(getter(env, "big", 25))
-        env.process(getter(env, "small", 5))
-        env.process(putter(env))
-        env.run()
-        # Strict FIFO: the big request blocks the small one behind it
-        # until it can be satisfied (no starvation of the head).
-        assert order == ["big", "small"]
 
 
 class TestEnvironmentCorners:

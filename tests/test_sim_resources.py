@@ -1,4 +1,5 @@
-"""Unit tests for simulation resources, containers and stores."""
+"""Unit tests for simulation resources: the arbiter, its holds and the
+arbitrated store."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,15 +7,8 @@ from hypothesis import strategies as st
 
 from repro.hardware.raid import RAID3Array
 from repro.hardware.scsi import SCSIBus
-from repro.sim import (
-    ArbitratedResource,
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.hardware import Node, NodeKind
+from repro.sim import Arbiter, ArbitratedStore, Environment, Hold
 from repro.sim.resources import _canonical_order, _canonical_sort, _CanonKey, _native_order
 
 MB = 1024 * 1024
@@ -25,177 +19,154 @@ def env():
     return Environment()
 
 
+TIE_BREAKS = ("fifo", "lifo")
+
+
 class TestResource:
+    """An :class:`Arbiter` as a semaphore: holds of its slots."""
+
     def test_bad_capacity(self, env):
         with pytest.raises(ValueError):
-            Resource(env, capacity=0)
+            Arbiter(env, capacity=0)
+        with pytest.raises(ValueError):
+            Hold(Arbiter(env), -1.0)
 
     def test_immediate_grant_under_capacity(self, env):
-        res = Resource(env, capacity=2)
+        res = Arbiter(env, capacity=2)
 
         def proc(env, res):
-            with res.request() as req:
-                yield req
-                return env.now
+            granted = yield Hold(res, 1.0)
+            return granted, env.now
 
         p1 = env.process(proc(env, res))
         p2 = env.process(proc(env, res))
         env.run()
-        assert p1.value == 0.0 and p2.value == 0.0
+        assert p1.value == (0.0, 1.0) and p2.value == (0.0, 1.0)
 
     def test_mutual_exclusion(self, env):
-        res = Resource(env, capacity=1)
+        res = Arbiter(env, capacity=1)
         holds = []
 
         def proc(env, res, tag):
-            with res.request() as req:
-                yield req
-                holds.append((tag, "acquire", env.now))
-                yield env.timeout(1.0)
-                holds.append((tag, "release", env.now))
+            granted = yield Hold(res, 1.0)
+            holds.append((tag, granted, env.now))
 
         env.process(proc(env, res, "a"))
         env.process(proc(env, res, "b"))
         env.run()
-        assert holds == [
-            ("a", "acquire", 0.0),
-            ("a", "release", 1.0),
-            ("b", "acquire", 1.0),
-            ("b", "release", 2.0),
-        ]
+        assert holds == [("a", 0.0, 1.0), ("b", 1.0, 2.0)]
 
     def test_fifo_ordering(self, env):
-        res = Resource(env, capacity=1)
+        res = Arbiter(env, capacity=1)
         order = []
 
         def proc(env, res, tag, arrive):
             yield env.timeout(arrive)
-            with res.request() as req:
-                yield req
-                order.append(tag)
-                yield env.timeout(10.0)
+            yield Hold(res, 10.0)
+            order.append(tag)
 
-        for i, tag in enumerate(["first", "second", "third"]):
+        # Spawned last-first: the larger causal key arrives first.
+        for i, tag in reversed(list(enumerate(["first", "second", "third"]))):
             env.process(proc(env, res, tag, i * 0.1))
         env.run()
         assert order == ["first", "second", "third"]
 
     def test_count_and_capacity(self, env):
-        res = Resource(env, capacity=3)
+        res = Arbiter(env, capacity=3)
 
         def proc(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(1.0)
+            yield Hold(res, 1.0)
 
         for _ in range(5):
             env.process(proc(env, res))
         env.run(until=0.5)
         assert res.capacity == 3
-        assert res.count == 3
+        assert len(res.users) == 3 and res.free == 0
         assert len(res.queue) == 2
         env.run()
-        assert res.count == 0
-
-    def test_context_manager_releases_on_exception(self, env):
-        res = Resource(env, capacity=1)
-
-        def crasher(env, res):
-            with res.request() as req:
-                yield req
-                raise RuntimeError("boom")
-
-        def waiter(env, res):
-            yield env.timeout(0.1)
-            with res.request() as req:
-                yield req
-                return "got it"
-
-        c = env.process(crasher(env, res))
-        w = env.process(waiter(env, res))
-        with pytest.raises(RuntimeError):
-            env.run()
-        env.run()  # continue after the crash
-        assert w.value == "got it"
-        assert not c.ok
-
-    def test_cancel_queued_request(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10.0)
-
-        def impatient(env, res):
-            req = res.request()
-            result = yield req | env.timeout(1.0)
-            if req not in result:
-                req.cancel()
-                return "gave up"
-            res.release(req)
-            return "acquired"
-
-        env.process(holder(env, res))
-        p = env.process(impatient(env, res))
-        env.run()
-        assert p.value == "gave up"
-        assert not res.queue
-
-    def test_release_unacquired_is_noop(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env, res):
-            with res.request() as req:
-                yield req
-                yield env.timeout(5.0)
-
-        def leaver(env, res):
-            req = res.request()  # queued behind holder
-            yield env.timeout(1.0)
-            res.release(req)  # still pending -> treated as cancel
-            return "left"
-
-        env.process(holder(env, res))
-        p = env.process(leaver(env, res))
-        env.run()
-        assert p.value == "left"
-        assert not res.queue
+        assert res.users == () and res.free == 3
 
 
-class TestPriorityResource:
-    def test_priority_order(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
+class TestArbiter:
+    """Grant order, event cost and busy accounting of the arbiter, under
+    both kernel tie-breaks.  (A mesh link held when the queue drains is
+    reported as a leak: ``TestLinkArbitration`` in test_hardware_mesh.py.)"""
 
-        def proc(env, res, tag, prio, arrive):
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_capacity_three_grants_in_arrival_then_key_order(self, tie_break, reverse):
+        # Three blockers hold every slot over [0, 1].  Behind them queue
+        # key (9,) at 0.5, then four keys together at 0.75.  At 1.0 the
+        # three slots go to (9,) (earliest), then (1,) and (2,); (4,)
+        # and (7,) follow at 2.0.  The spawn order must not matter.
+        env = Environment(tie_break=tie_break)
+        res = Arbiter(env, capacity=3)
+        granted = {}
+        holds = {}
+
+        def proc(key, arrive):
             yield env.timeout(arrive)
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(tag)
-                yield env.timeout(10.0)
+            holds[key] = hold = Hold(res, 1.0, key=key)
+            granted[key] = yield hold
 
-        env.process(proc(env, res, "holder", 0, 0.0))
-        env.process(proc(env, res, "low", 5, 0.1))
-        env.process(proc(env, res, "high", 1, 0.2))
+        together = [(4,), (1,), (7,), (2,)]
+        if reverse:
+            together.reverse()
+        spawns = [((0, i), 0.0) for i in (1, 2, 3)] + [((9,), 0.5)]
+        spawns += [(key, 0.75) for key in together]
+        for key, arrive in spawns:
+            env.process(proc(key, arrive))
+        env.run(until=1.5)
+        assert res.holder is holds[(2,)]  # the last of the three granted at 1.0
+        assert [entry[1] for entry in res.queue] == [(4,), (7,)]
         env.run()
-        assert order == ["holder", "high", "low"]
+        assert granted == {
+            (0, 1): 0.0, (0, 2): 0.0, (0, 3): 0.0,
+            (9,): 1.0, (1,): 1.0, (2,): 1.0, (4,): 2.0, (7,): 2.0,
+        }
 
-    def test_equal_priority_is_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_zero_second_hold_is_one_event_at_its_grant(self, tie_break):
+        # Process start (one event), the hold (one event, popped at its
+        # grant instant); the process ends unjoined (no event).
+        env = Environment(tie_break=tie_break)
+        res = Arbiter(env)
 
-        def proc(env, res, tag, arrive):
-            yield env.timeout(arrive)
-            with res.request(priority=1) as req:
-                yield req
-                order.append(tag)
-                yield env.timeout(10.0)
+        def proc():
+            yield env.timeout(1.5)
+            granted = yield Hold(res, 0.0)
+            return granted, env.now
 
-        for i, tag in enumerate(["a", "b", "c"]):
-            env.process(proc(env, res, tag, i * 0.01))
+        p = env.process(proc())
         env.run()
-        assert order == ["a", "b", "c"]
+        assert p.value == (1.5, 1.5)
+        assert env._eid == 3
+        assert res.busy_s == 0.0 and res.free == 1
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_busy_seconds_are_the_float_sum_of_the_holds(self, tie_break):
+        # Process and callback holds on one CPU, released in grant
+        # order; the node reads the arbiter's own total.
+        env = Environment(tie_break=tie_break)
+        node = Node(env, 0, NodeKind.COMPUTE, (0, 0))
+        lengths = [0.1, 0.2, 1e-7, 0.3, 0.0, 1 / 3, 2.5e-5]
+        done = []
+
+        def proc(i, seconds):
+            yield from node.busy(seconds)
+            done.append(i)
+
+        for i, seconds in enumerate(lengths):
+            if i % 2:
+                node.busy_then(seconds, (i,), lambda i=i: done.append(i))
+            else:
+                env.process(proc(i, seconds), order_key=(i,))
+        env.run()
+        assert done == list(range(len(lengths)))
+        total = 0.0
+        for seconds in lengths:
+            total += seconds
+        assert node.cpu_busy_s == node.cpu.busy_s == total
 
 
 class TestDiskArbitration:
@@ -302,68 +273,11 @@ class TestDiskArbitration:
             assert raid.busy_s == pytest.approx(env.now), form
 
 
-class TestContainer:
-    def test_level_tracking(self, env):
-        box = Container(env, capacity=100, init=10)
-
-        def proc(env, box):
-            yield box.put(40)
-            assert box.level == 50
-            yield box.get(25)
-            assert box.level == 25
-            return box.level
-
-        p = env.process(proc(env, box))
-        env.run()
-        assert p.value == 25
-
-    def test_get_blocks_until_available(self, env):
-        box = Container(env, capacity=100, init=0)
-
-        def getter(env, box):
-            yield box.get(10)
-            return env.now
-
-        def putter(env, box):
-            yield env.timeout(3.0)
-            yield box.put(10)
-
-        g = env.process(getter(env, box))
-        env.process(putter(env, box))
-        env.run()
-        assert g.value == pytest.approx(3.0)
-
-    def test_put_blocks_at_capacity(self, env):
-        box = Container(env, capacity=10, init=10)
-
-        def putter(env, box):
-            yield box.put(5)
-            return env.now
-
-        def getter(env, box):
-            yield env.timeout(2.0)
-            yield box.get(5)
-
-        p = env.process(putter(env, box))
-        env.process(getter(env, box))
-        env.run()
-        assert p.value == pytest.approx(2.0)
-
-    def test_invalid_args(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=10)
-        box = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            box.put(0)
-        with pytest.raises(ValueError):
-            box.get(-1)
-
-
 class TestStore:
+    """The :class:`ArbitratedStore` as a FIFO store."""
+
     def test_fifo_items(self, env):
-        store = Store(env)
+        store = ArbitratedStore(env)
         got = []
 
         def producer(env, store):
@@ -381,7 +295,7 @@ class TestStore:
         assert got == [0, 1, 2]
 
     def test_get_blocks_on_empty(self, env):
-        store = Store(env)
+        store = ArbitratedStore(env)
 
         def consumer(env, store):
             item = yield store.get()
@@ -397,7 +311,7 @@ class TestStore:
         assert c.value == ("late", 4.0)
 
     def test_put_blocks_at_capacity(self, env):
-        store = Store(env, capacity=1)
+        store = ArbitratedStore(env, capacity=1)
 
         def producer(env, store):
             yield store.put("a")
@@ -414,7 +328,7 @@ class TestStore:
         assert p.value == pytest.approx(2.0)
 
     def test_multiple_consumers_fifo(self, env):
-        store = Store(env)
+        store = ArbitratedStore(env)
         got = {}
 
         def consumer(env, store, tag):
@@ -431,44 +345,6 @@ class TestStore:
         env.process(producer(env, store))
         env.run()
         assert got == {"c1": "x", "c2": "y"}
-
-
-class TestFilterStore:
-    def test_filter_selects_matching_item(self, env):
-        store = FilterStore(env)
-
-        def producer(env, store):
-            yield store.put({"id": 1})
-            yield store.put({"id": 2})
-            yield store.put({"id": 3})
-
-        def consumer(env, store):
-            item = yield store.get(lambda it: it["id"] == 2)
-            return item
-
-        env.process(producer(env, store))
-        c = env.process(consumer(env, store))
-        env.run()
-        assert c.value == {"id": 2}
-        assert [it["id"] for it in store.items] == [1, 3]
-
-    def test_filter_waits_for_match(self, env):
-        store = FilterStore(env)
-
-        def consumer(env, store):
-            item = yield store.get(lambda it: it == "wanted")
-            return (item, env.now)
-
-        def producer(env, store):
-            yield store.put("other")
-            yield env.timeout(5.0)
-            yield store.put("wanted")
-
-        c = env.process(consumer(env, store))
-        env.process(producer(env, store))
-        env.run()
-        assert c.value == ("wanted", 5.0)
-        assert store.items == ["other"]
 
 
 class _Waiter:
@@ -526,21 +402,19 @@ class TestCanonicalSettleOrder:
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_resource_grants_mixed_shape_keys_canonically(self, tie_break):
         env = Environment(tie_break=tie_break)
-        res = ArbitratedResource(env, capacity=1)
+        res = Arbiter(env, capacity=1)
         keys = [(3,), "b", (1, 2), 4.5, "a", (2,)]
         granted = []
 
         def holder(key):
-            req = res.request(key=key, resume_delay=0.25)
-            granted_at = yield req
+            granted_at = yield Hold(res, 0.25, key=key)
             granted.append((key, granted_at, env.now))
-            res.release(req)
 
         for key in keys:
             env.process(holder(key), order_key=(0,))
         env.run()
         order = sorted(keys, key=_CanonKey)
         assert [key for key, _at, _now in granted] == order
-        # Merged grants: each holds from its grant for 0.25 s.
+        # Each holds from its grant for 0.25 s.
         assert [at for _key, at, _now in granted] == [0.25 * i for i in range(len(keys))]
         assert [now for _key, _at, now in granted] == [0.25 * (i + 1) for i in range(len(keys))]
