@@ -6,7 +6,6 @@ Static analysis (``python -m repro.analysis src tests``):
 - R002  no module-level / unseeded RNGs
 - R003  no set / dict-view iteration at scheduling or stats-merge sites
 - R004  observability hooks must not perturb the simulation
-- R005  resource ``request()`` / ``release()`` pairing
 
 Whole-program analysis (``python -m repro.analysis --interprocedural``),
 built on a module-resolved call graph (:mod:`repro.analysis.callgraph`)
@@ -14,9 +13,6 @@ and a reaching-definitions framework (:mod:`repro.analysis.dataflow`):
 
 - R003v2  unordered iteration within k call-hops of a scheduling site
           (findings carry the call chain; SARIF emits it as codeFlows)
-- R005v2  cross-function request/release ownership (request-and-return
-          transfers, receive-and-release discharges; flags leaks and
-          double releases) -- replaces R005 in this mode
 - R006    ``# fast-path``-marked functions may only be entered under
           guards establishing their facets (faults/tracer)
 

@@ -6,9 +6,9 @@ Two layers:
   every fact the interprocedural rules need into a serialisable
   :class:`ModuleSummary`: functions with their call sites (symbolically
   targeted, guard-facet-annotated), unordered-iteration hazards,
-  resource-ownership facts, ``# fast-path`` pragmas, classes with their
-  methods / bases / attribute types, the import-alias map, and the
-  ``sim-ok`` suppression table.  Summaries are plain data -- the
+  ``# fast-path`` pragmas, classes with their methods / bases /
+  attribute types, the import-alias map, and the ``sim-ok``
+  suppression table.  Summaries are plain data -- the
   incremental cache (:mod:`repro.analysis.cache`) stores them as JSON
   keyed on the file's content hash, so unchanged files are never
   re-parsed.
@@ -23,8 +23,7 @@ Two layers:
 Resolution is deliberately conservative: a call whose target cannot be
 pinned to one project function (higher-order callbacks, duck-typed
 receivers, dynamic dispatch) yields **no** edge rather than a guessed
-one, and the rules treat unresolved calls pessimistically where safety
-requires it (escape analysis) and silently where it does not.
+one, and the rules skip unresolved calls.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import (
     ALL_FACETS,
@@ -52,7 +51,7 @@ from repro.analysis.rules import (
 )
 from repro.analysis.suppressions import parse_suppressions
 
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: ``# fast-path`` pragma, optionally with explicit required facets:
 #: ``# fast-path: requires=faults,tracer``.  Anything after
@@ -102,19 +101,12 @@ class CallSite:
 
     ``guard_facets`` are the fast-path gate facets established by the
     ``if`` guards lexically dominating the call (rule R006).
-    ``arg_names`` are top-level positional ``Name`` arguments (position,
-    name); ``nested_names`` every name appearing anywhere in the
-    arguments (escape analysis); ``assigned_to`` the local name the
-    call's value is bound to, when directly assigned.
     """
 
     line: int
     col: int
     target: Tuple[str, ...]
     guard_facets: Tuple[str, ...] = ()
-    arg_names: Tuple[Tuple[int, str], ...] = ()
-    nested_names: Tuple[str, ...] = ()
-    assigned_to: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -122,9 +114,6 @@ class CallSite:
             "col": self.col,
             "target": list(self.target),
             "guards": list(self.guard_facets),
-            "args": [list(a) for a in self.arg_names],
-            "nested": list(self.nested_names),
-            "assigned": self.assigned_to,
         }
 
     @classmethod
@@ -134,9 +123,6 @@ class CallSite:
             col=d["col"],
             target=tuple(d["target"]),
             guard_facets=tuple(d["guards"]),
-            arg_names=tuple((a[0], a[1]) for a in d["args"]),
-            nested_names=tuple(d["nested"]),
-            assigned_to=d["assigned"],
         )
 
 
@@ -161,23 +147,6 @@ class Hazard:
 
 
 @dataclass(frozen=True)
-class Acquire:
-    """``name = <base>.request(...)`` outside a ``with`` block."""
-
-    name: str
-    line: int
-    col: int
-    base: str
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "line": self.line, "col": self.col, "base": self.base}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Acquire":
-        return cls(name=d["name"], line=d["line"], col=d["col"], base=d["base"])
-
-
-@dataclass(frozen=True)
 class FunctionFact:
     """Everything the interprocedural rules know about one function."""
 
@@ -185,18 +154,11 @@ class FunctionFact:
     name: str
     line: int
     col: int
-    params: Tuple[str, ...]
-    is_method: bool
     sensitive: bool  # intraprocedural R003 site detection
     schedules: bool  # makes a direct scheduling-attr call
     pragma: Optional[Tuple[str, ...]]  # required facets, None = unmarked
     hazards: Tuple[Hazard, ...] = ()
     calls: Tuple[CallSite, ...] = ()
-    acquires: Tuple[Acquire, ...] = ()
-    releases: Tuple[str, ...] = ()
-    returned: Tuple[str, ...] = ()
-    escapes: Tuple[str, ...] = ()
-    released_params: Tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -204,18 +166,11 @@ class FunctionFact:
             "name": self.name,
             "line": self.line,
             "col": self.col,
-            "params": list(self.params),
-            "method": self.is_method,
             "sensitive": self.sensitive,
             "schedules": self.schedules,
             "pragma": None if self.pragma is None else list(self.pragma),
             "hazards": [h.to_json() for h in self.hazards],
             "calls": [c.to_json() for c in self.calls],
-            "acquires": [a.to_json() for a in self.acquires],
-            "releases": list(self.releases),
-            "returned": list(self.returned),
-            "escapes": list(self.escapes),
-            "released_params": list(self.released_params),
         }
 
     @classmethod
@@ -225,18 +180,11 @@ class FunctionFact:
             name=d["name"],
             line=d["line"],
             col=d["col"],
-            params=tuple(d["params"]),
-            is_method=d["method"],
             sensitive=d["sensitive"],
             schedules=d["schedules"],
             pragma=None if d["pragma"] is None else tuple(d["pragma"]),
             hazards=tuple(Hazard.from_json(h) for h in d["hazards"]),
             calls=tuple(CallSite.from_json(c) for c in d["calls"]),
-            acquires=tuple(Acquire.from_json(a) for a in d["acquires"]),
-            releases=tuple(d["releases"]),
-            returned=tuple(d["returned"]),
-            escapes=tuple(d["escapes"]),
-            released_params=tuple(d["released_params"]),
         )
 
 
@@ -381,7 +329,6 @@ class _FunctionExtractor:
         self,
         func: ast.AST,
         qname: str,
-        is_method: bool,
         pragmas: Dict[int, Tuple[str, ...]],
         class_pragma: Optional[Tuple[str, ...]],
         class_attrs: Optional[ClassAttrs],
@@ -389,7 +336,6 @@ class _FunctionExtractor:
     ) -> None:
         self.func = func
         self.qname = qname
-        self.is_method = is_method
         self.class_attrs = class_attrs
         self.aliases = aliases
         self.defs = ReachingDefs(func)
@@ -403,107 +349,58 @@ class _FunctionExtractor:
                     self.param_types[a.arg] = cls
         self.calls: List[CallSite] = []
         self.hazards: List[Hazard] = []
-        self.acquires: List[Acquire] = []
-        self.releases: Set[str] = set()
-        self.returned: Set[str] = set()
-        self.escapes: Set[str] = set()
         self.schedules = False
 
     def run(self) -> FunctionFact:
         func = self.func
-        with_requests: Set[int] = set()
-        for node in _walk_shallow(func):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Call)
-                        and isinstance(expr.func, ast.Attribute)
-                        and expr.func.attr == "request"
-                    ):
-                        with_requests.add(id(expr))
-                    if isinstance(expr, ast.Name):
-                        # ``with req:`` -- context-manager exit releases.
-                        self.escapes.add(expr.id)
         # Walk statements in order, tracking the enclosing statement (for
         # reaching-defs lookups) and the stack of positive if-guards (for
         # gate facets).
-        self._walk_block(getattr(func, "body", []), guard_stack=(), with_requests=with_requests)
-        sensitive = _is_ordering_sensitive(func, self.aliases)
-        args = getattr(func, "args", None)
-        params = (
-            tuple(a.arg for a in list(args.posonlyargs) + list(args.args))
-            if args is not None
-            else ()
-        )
-        released_params = tuple(sorted(self.releases & set(params)))
+        self._walk_block(getattr(func, "body", []), guard_stack=())
         return FunctionFact(
             qname=self.qname,
             name=getattr(func, "name", "?"),
             line=getattr(func, "lineno", 1),
             col=getattr(func, "col_offset", 0) + 1,
-            params=params,
-            is_method=self.is_method,
-            sensitive=sensitive,
+            sensitive=_is_ordering_sensitive(func, self.aliases),
             schedules=self.schedules,
             pragma=self.pragma,
             hazards=tuple(self.hazards),
             calls=tuple(self.calls),
-            acquires=tuple(self.acquires),
-            releases=tuple(sorted(self.releases)),
-            returned=tuple(sorted(self.returned)),
-            escapes=tuple(sorted(self.escapes)),
-            released_params=released_params,
         )
 
     # -- statement walk ---------------------------------------------------
 
-    def _walk_block(
-        self,
-        stmts: Sequence[ast.stmt],
-        guard_stack: Tuple[ast.expr, ...],
-        with_requests: Set[int],
-    ) -> None:
+    def _walk_block(self, stmts: Sequence[ast.stmt], guard_stack: Tuple[ast.expr, ...]) -> None:
         for stmt in stmts:
-            self._walk_stmt(stmt, guard_stack, with_requests)
+            self._walk_stmt(stmt, guard_stack)
 
-    def _walk_stmt(
-        self,
-        stmt: ast.stmt,
-        guard_stack: Tuple[ast.expr, ...],
-        with_requests: Set[int],
-    ) -> None:
+    def _walk_stmt(self, stmt: ast.stmt, guard_stack: Tuple[ast.expr, ...]) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # nested scopes analysed separately
         env = self.defs.at(stmt)
-        self._scan_exprs(stmt, env, guard_stack, with_requests)
+        self._scan_exprs(stmt, env, guard_stack)
         if isinstance(stmt, ast.If):
-            self._walk_block(stmt.body, guard_stack + (stmt.test,), with_requests)
-            self._walk_block(stmt.orelse, guard_stack, with_requests)
+            self._walk_block(stmt.body, guard_stack + (stmt.test,))
+            self._walk_block(stmt.orelse, guard_stack)
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            self._walk_block(stmt.body, guard_stack, with_requests)
-            self._walk_block(stmt.orelse, guard_stack, with_requests)
+            self._walk_block(stmt.body, guard_stack)
+            self._walk_block(stmt.orelse, guard_stack)
             return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._walk_block(stmt.body, guard_stack, with_requests)
+            self._walk_block(stmt.body, guard_stack)
             return
         if isinstance(stmt, ast.Try):
-            self._walk_block(stmt.body, guard_stack, with_requests)
+            self._walk_block(stmt.body, guard_stack)
             for handler in stmt.handlers:
-                self._walk_block(handler.body, guard_stack, with_requests)
-            self._walk_block(stmt.orelse, guard_stack, with_requests)
-            self._walk_block(stmt.finalbody, guard_stack, with_requests)
+                self._walk_block(handler.body, guard_stack)
+            self._walk_block(stmt.orelse, guard_stack)
+            self._walk_block(stmt.finalbody, guard_stack)
             return
 
-    def _scan_exprs(
-        self,
-        stmt: ast.stmt,
-        env,
-        guard_stack: Tuple[ast.expr, ...],
-        with_requests: Set[int],
-    ) -> None:
-        """Record calls / hazards / ownership facts rooted at *stmt*."""
+    def _scan_exprs(self, stmt: ast.stmt, env, guard_stack: Tuple[ast.expr, ...]) -> None:
+        """Record the calls and hazards rooted at *stmt*."""
         # Iteration sites (for-loops and comprehension generators).
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._check_hazard(stmt, stmt.iter, env)
@@ -514,28 +411,7 @@ class _FunctionExtractor:
                 for gen in node.generators:
                     self._check_hazard(node, gen.iter, env)
             elif isinstance(node, ast.Call):
-                self._record_call(stmt, node, env, guard_stack, with_requests)
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            value = stmt.value
-            values = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
-            for v in values:
-                if isinstance(v, ast.Name):
-                    self.returned.add(v.id)
-        if isinstance(stmt, ast.Assign):
-            self._record_assign(stmt, with_requests)
-        # Attribute / subscript stores escape their value's names.
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                value = getattr(stmt, "value", None)
-                if value is not None:
-                    for node in ast.walk(value):
-                        if isinstance(node, ast.Name):
-                            self.escapes.add(node.id)
+                self._record_call(node, env, guard_stack)
 
     def _stmt_exprs(self, stmt: ast.stmt) -> Iterator[ast.AST]:
         """Expressions belonging to *stmt* itself (not nested statements)."""
@@ -570,77 +446,19 @@ class _FunctionExtractor:
             )
         )
 
-    def _record_assign(self, stmt: ast.Assign, with_requests: Set[int]) -> None:
-        value = stmt.value
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-        if not names:
-            return
-        call = value
-        if isinstance(call, (ast.Await, ast.YieldFrom)):
-            call = call.value
-        if not isinstance(call, ast.Call):
-            return
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "request"
-            and id(call) not in with_requests
-        ):
-            try:
-                base = ast.unparse(call.func.value)
-            except Exception:  # pragma: no cover - unparse failure
-                base = "<expr>"
-            self.acquires.append(
-                Acquire(name=names[0], line=stmt.lineno, col=stmt.col_offset + 1, base=base)
-            )
-
-    def _record_call(
-        self,
-        stmt: ast.stmt,
-        call: ast.Call,
-        env,
-        guard_stack: Tuple[ast.expr, ...],
-        with_requests: Set[int],
-    ) -> None:
+    def _record_call(self, call: ast.Call, env, guard_stack: Tuple[ast.expr, ...]) -> None:
         func = call.func
         if isinstance(func, ast.Attribute) and func.attr in _SCHEDULING_ATTRS:
             self.schedules = True
-        if isinstance(func, ast.Attribute) and func.attr == "release":
-            for arg in call.args[:1]:
-                if isinstance(arg, ast.Name):
-                    self.releases.add(arg.id)
-        target = self._symbolic_target(func, env)
         facets: FrozenSet[str] = frozenset()
         for test in guard_stack:
             facets |= gate_facets(test, env, self.class_attrs)
-        arg_names: List[Tuple[int, str]] = []
-        nested: Set[str] = set()
-        for pos, arg in enumerate(call.args):
-            if isinstance(arg, ast.Name):
-                arg_names.append((pos, arg.id))
-            for node in ast.walk(arg):
-                if isinstance(node, ast.Name):
-                    nested.add(node.id)
-        for kw in call.keywords:
-            for node in ast.walk(kw.value):
-                if isinstance(node, ast.Name):
-                    nested.add(node.id)
-        assigned = None
-        if isinstance(stmt, ast.Assign):
-            value = stmt.value
-            if isinstance(value, (ast.Await, ast.YieldFrom)):
-                value = value.value
-            if value is call:
-                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-                assigned = names[0] if names else None
         self.calls.append(
             CallSite(
                 line=call.lineno,
                 col=call.col_offset + 1,
-                target=target,
+                target=self._symbolic_target(func, env),
                 guard_facets=tuple(sorted(facets)),
-                arg_names=tuple(arg_names),
-                nested_names=tuple(sorted(nested)),
-                assigned_to=assigned,
             )
         )
 
@@ -723,18 +541,15 @@ def extract_module(source: str, path: str, module: Optional[str] = None) -> Modu
     def extract_function(
         node: ast.AST,
         qname: str,
-        is_method: bool,
         class_pragma: Optional[Tuple[str, ...]],
         class_attrs: Optional[ClassAttrs],
     ) -> None:
-        fact = _FunctionExtractor(
-            node, qname, is_method, pragmas, class_pragma, class_attrs, aliases
-        ).run()
+        fact = _FunctionExtractor(node, qname, pragmas, class_pragma, class_attrs, aliases).run()
         functions.append(fact)
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            extract_function(node, node.name, False, None, None)
+            extract_function(node, node.name, None, None)
         elif isinstance(node, ast.ClassDef):
             class_pragma = _pragma_for(node, pragmas)
             attrs = _collect_class_attrs(node)
@@ -743,9 +558,7 @@ def extract_module(source: str, path: str, module: Optional[str] = None) -> Modu
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods.append(item.name)
-                    extract_function(
-                        item, f"{node.name}.{item.name}", True, class_pragma, attrs
-                    )
+                    extract_function(item, f"{node.name}.{item.name}", class_pragma, attrs)
             bases = []
             for base in node.bases:
                 if isinstance(base, ast.Name):

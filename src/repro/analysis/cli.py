@@ -2,13 +2,10 @@
 
 Modes
 -----
-Default: the intraprocedural rules (R001-R005) per file.
+Default: the intraprocedural rules (R001-R004) per file.
 
 ``--interprocedural``: additionally build the whole-program call graph
-and run R003v2/R005v2/R006.  R005 is replaced by R005v2 in this mode
-(the cross-function rule subsumes the same-function pairing check, so a
-handle legitimately discharged across a call boundary is not
-double-flagged).  ``--cache FILE`` keeps per-file summaries keyed on
+and run R003v2/R006.  ``--cache FILE`` keeps per-file summaries keyed on
 content hashes so unchanged files are never re-parsed.
 
 ``--baseline FILE`` makes only *new* findings (not recorded in the
@@ -31,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.engine import lint_paths, rule_catalogue
 from repro.analysis.findings import Finding
 from repro.analysis.report import render_json, render_text, to_sarif
-from repro.analysis.rules import ALL_RULES
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -40,10 +36,9 @@ def make_parser() -> argparse.ArgumentParser:
         description=(
             "Determinism lint for the Paragon PFS simulation: wall-clock "
             "reads, unseeded RNGs, unordered iteration at scheduling/merge "
-            "sites, impure observability hooks, unpaired resource requests; "
-            "with --interprocedural also call-graph-lifted unordered "
-            "iteration (R003v2), cross-function ownership (R005v2), and "
-            "fast-path gating (R006)."
+            "sites, impure observability hooks; with --interprocedural also "
+            "call-graph-lifted unordered iteration (R003v2) and fast-path "
+            "gating (R006)."
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint (default: src)")
@@ -54,7 +49,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--interprocedural",
         action="store_true",
-        help="run the whole-program rules (R003v2, R005v2, R006) as well",
+        help="run the whole-program rules (R003v2, R006) as well",
     )
     parser.add_argument(
         "--max-hops",
@@ -133,8 +128,7 @@ def collect_findings(
     from repro.analysis.cache import summarize_paths
     from repro.analysis.interproc import DEFAULT_MAX_HOPS, analyze_project
 
-    intra_rules = [rule for rule in ALL_RULES if rule.rule.rule_id != "R005"]
-    findings = list(lint_paths(paths, intra_rules))
+    findings = list(lint_paths(paths))
     summaries, _stats = summarize_paths(paths, cache_file)
     findings.extend(
         analyze_project(summaries, max_hops=max_hops or DEFAULT_MAX_HOPS)

@@ -1,6 +1,6 @@
 """Interprocedural determinism rules over the linked call graph.
 
-Three rules, all built on :class:`repro.analysis.callgraph.Project`:
+Two rules, both built on :class:`repro.analysis.callgraph.Project`:
 
 R003v2  unordered iteration within *k* call-hops of a scheduling/merge
         site.  Closes the ROADMAP gap verbatim: a ``for x in some_set:``
@@ -9,16 +9,6 @@ R003v2  unordered iteration within *k* call-hops of a scheduling/merge
         function whose own calls reach a scheduling primitive is treated
         as sensitive itself (the loop order decides the order of the
         scheduling calls it makes).  Findings carry the call chain.
-
-R005v2  cross-function request/release ownership.  A function that
-        requests and *returns* the handle transfers ownership to its
-        caller; a function that receives a handle parameter and releases
-        it discharges the caller's obligation.  The rule flags handles
-        that no channel ever discharges (leak) and handles released on
-        both sides of a call (double release).  Escapes -- storing the
-        handle on an object, entering it as a context manager, passing
-        it into an unresolved call -- conservatively count as discharge,
-        so the rule under-reports rather than cry wolf.
 
 R006    fast-path gating.  A function marked ``# fast-path`` (see
         docs/performance.md: fast paths may skip events but only when
@@ -38,15 +28,9 @@ the intraprocedural engine's job and is not duplicated here.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.callgraph import (
-    CallSite,
-    Edge,
-    FunctionFact,
-    ModuleSummary,
-    Project,
-)
+from repro.analysis.callgraph import Edge, FunctionFact, ModuleSummary, Project
 from repro.analysis.findings import ChainStep, Finding, Rule
 
 DEFAULT_MAX_HOPS = 3
@@ -57,13 +41,6 @@ R003V2 = Rule(
     "unordered set/dict-view iteration reachable within k call-hops of an "
     "event-scheduling or stats-merge site; sort first (chain attached)",
 )
-R005V2 = Rule(
-    "R005v2",
-    "cross-function-ownership",
-    "resource handles must be discharged across function boundaries: "
-    "request-and-return transfers ownership, receive-and-release "
-    "discharges it; leaks and double releases are flagged",
-)
 R006 = Rule(
     "R006",
     "fast-path-gating",
@@ -72,7 +49,7 @@ R006 = Rule(
     "tracer off)",
 )
 
-INTERPROC_RULES: Sequence[Rule] = (R003V2, R005V2, R006)
+INTERPROC_RULES: Sequence[Rule] = (R003V2, R006)
 
 
 def _display(fid: str) -> str:
@@ -94,7 +71,6 @@ class InterprocAnalysis:
     def run(self) -> List[Finding]:
         findings: List[Finding] = []
         findings.extend(self._check_r003v2())
-        findings.extend(self._check_r005v2())
         findings.extend(self._check_r006())
         return sorted(self._apply_suppressions(findings))
 
@@ -240,209 +216,6 @@ class InterprocAnalysis:
                     0,
                 )
         return [finding for finding, _len in best.values()]
-
-    # -- R005v2 ----------------------------------------------------------
-
-    def _discharging_params(self) -> Dict[str, FrozenSet[str]]:
-        """Fixpoint: parameters a function discharges (releases, escapes,
-        returns, or forwards to a discharging callee)."""
-        project = self.project
-        out: Dict[str, Set[str]] = {}
-        for fid in project.functions:
-            fact = self._fact(fid)
-            base = (set(fact.releases) | set(fact.escapes) | set(fact.returned)) & set(
-                fact.params
-            )
-            out[fid] = base
-        changed = True
-        while changed:
-            changed = False
-            for fid in sorted(project.functions):
-                fact = self._fact(fid)
-                params = set(fact.params)
-                current = out[fid]
-                for edge in project.edges.get(fid, ()):
-                    callee = self._fact(edge.callee)
-                    callee_discharging = out.get(edge.callee, set())
-                    for pos, name in edge.site.arg_names:
-                        if name not in params or name in current:
-                            continue
-                        param = self._param_at(callee, edge.site, pos)
-                        if param is not None and param in callee_discharging:
-                            current.add(name)
-                            changed = True
-                # Names passed into calls we could not resolve escape.
-                resolved_sites = {id(e.site) for e in project.edges.get(fid, ())}
-                for site in fact.calls:
-                    if id(site) in resolved_sites:
-                        top = {name for _pos, name in site.arg_names}
-                        hidden = set(site.nested_names) - top
-                    else:
-                        hidden = set(site.nested_names)
-                    for name in hidden & params - current:
-                        current.add(name)
-                        changed = True
-        return {fid: frozenset(names) for fid, names in out.items()}
-
-    def _owns_return(self) -> Dict[str, bool]:
-        """Fixpoint: functions that return a handle they acquired."""
-        project = self.project
-        owns = {fid: False for fid in project.functions}
-        for fid in project.functions:
-            fact = self._fact(fid)
-            acquired = {a.name for a in fact.acquires}
-            if acquired & set(fact.returned):
-                owns[fid] = True
-        changed = True
-        while changed:
-            changed = False
-            for fid in sorted(project.functions):
-                if owns[fid]:
-                    continue
-                fact = self._fact(fid)
-                returned = set(fact.returned)
-                for edge in project.edges.get(fid, ()):
-                    if (
-                        owns.get(edge.callee)
-                        and edge.site.assigned_to is not None
-                        and edge.site.assigned_to in returned
-                    ):
-                        owns[fid] = True
-                        changed = True
-                        break
-        return owns
-
-    def _param_at(
-        self, callee: FunctionFact, site: CallSite, pos: int
-    ) -> Optional[str]:
-        """Callee parameter a positional argument lands in (self-aware)."""
-        offset = 0
-        if callee.is_method:
-            bound = site.target[0] in ("self", "selfattr", "cls")
-            constructor = callee.qname.endswith(".__init__") and site.target[0] in (
-                "name",
-                "dotted",
-            )
-            if bound or constructor:
-                offset = 1
-        index = pos + offset
-        if 0 <= index < len(callee.params):
-            return callee.params[index]
-        return None
-
-    def _name_discharged(
-        self,
-        fid: str,
-        name: str,
-        discharging: Dict[str, FrozenSet[str]],
-    ) -> Optional[str]:
-        """How *name* is discharged in *fid*, or None if leaked.
-
-        Returns a short description of the discharge channel (used to
-        keep messages honest in tests); leak findings fire on None.
-        """
-        project = self.project
-        fact = self._fact(fid)
-        if name in fact.releases:
-            return "released locally"
-        if name in fact.escapes:
-            return "escapes"
-        if name in fact.returned:
-            return "returned (ownership transferred to caller)"
-        resolved_sites = {}
-        for edge in project.edges.get(fid, ()):
-            resolved_sites[id(edge.site)] = edge
-        for site in fact.calls:
-            edge = resolved_sites.get(id(site))
-            if edge is None:
-                if name in site.nested_names:
-                    return "passed to an unresolved call"
-                continue
-            callee = self._fact(edge.callee)
-            top = {n for _pos, n in site.arg_names}
-            if name in set(site.nested_names) - top:
-                return "passed nested into a call"
-            for pos, arg in site.arg_names:
-                if arg != name:
-                    continue
-                param = self._param_at(callee, site, pos)
-                if param is not None and param in discharging.get(edge.callee, ()):
-                    return f"discharged by '{_display(edge.callee)}'"
-        return None
-
-    def _check_r005v2(self) -> List[Finding]:
-        project = self.project
-        discharging = self._discharging_params()
-        owns = self._owns_return()
-        findings: List[Finding] = []
-        for fid in sorted(project.functions):
-            fact = self._fact(fid)
-            path = project.path_of(fid)
-            # Leaked local acquires (the intra R005 base case, minus the
-            # interprocedural discharge channels).
-            for acquire in fact.acquires:
-                if self._name_discharged(fid, acquire.name, discharging) is None:
-                    findings.append(
-                        Finding(
-                            path=path,
-                            line=acquire.line,
-                            col=acquire.col,
-                            rule_id=R005V2.rule_id,
-                            message=(
-                                f"'{acquire.name} = {acquire.base}.request(...)' in "
-                                f"'{fact.name}' is never released, returned, or "
-                                "passed to a releasing callee; the hold leaks"
-                            ),
-                        )
-                    )
-            # Handles received from ownership-transferring callees.
-            for edge in project.edges.get(fid, ()):
-                handle = edge.site.assigned_to
-                if handle is None or not owns.get(edge.callee):
-                    continue
-                local_acquires = {a.name for a in fact.acquires}
-                if handle in local_acquires:
-                    continue  # already checked above
-                if self._name_discharged(fid, handle, discharging) is None:
-                    findings.append(
-                        Finding(
-                            path=path,
-                            line=edge.site.line,
-                            col=edge.site.col,
-                            rule_id=R005V2.rule_id,
-                            message=(
-                                f"'{handle}' receives a resource handle from "
-                                f"'{_display(edge.callee)}' (which transfers "
-                                "ownership by returning its request) but "
-                                f"'{fact.name}' never discharges it"
-                            ),
-                            chain=self._chain_steps(fid, (edge,)),
-                        )
-                    )
-            # Double release: caller releases a handle it also hands to a
-            # callee that releases the same parameter.
-            for edge in project.edges.get(fid, ()):
-                callee = self._fact(edge.callee)
-                for pos, name in edge.site.arg_names:
-                    if name not in fact.releases:
-                        continue
-                    param = self._param_at(callee, edge.site, pos)
-                    if param is not None and param in callee.released_params:
-                        findings.append(
-                            Finding(
-                                path=path,
-                                line=edge.site.line,
-                                col=edge.site.col,
-                                rule_id=R005V2.rule_id,
-                                message=(
-                                    f"'{name}' is released by '{fact.name}' and "
-                                    f"also by callee '{_display(edge.callee)}' "
-                                    f"(parameter '{param}'); double release"
-                                ),
-                                chain=self._chain_steps(fid, (edge,)),
-                            )
-                        )
-        return findings
 
     # -- R006 ------------------------------------------------------------
 

@@ -12,14 +12,12 @@ R002  no module-level / unseeded random number generators
 R003  no iteration over sets or ``dict.values()`` at ordering-sensitive
       sites (event scheduling, stats merging)
 R004  observability hooks must not perturb the simulation
-R005  every non-``with`` resource ``request()`` needs a matching
-      ``release()`` in the same function
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, Rule
 
@@ -323,82 +321,9 @@ class ObservabilityPurity(LintRule):
         return findings
 
 
-# -- R005: request/release pairing -----------------------------------------
-
-
-def _base_source(node: ast.AST) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse failure
-        return "<expr>"
-
-
-class ResourceLeakPairing(LintRule):
-    """A ``request()`` held outside a ``with`` block leaks the resource
-    on any exception path unless the same function visibly releases it;
-    leaked holds deadlock every later contender."""
-
-    rule = Rule(
-        "R005",
-        "request-release-pairing",
-        "a non-with resource .request() needs a matching .release() in "
-        "the same function (or use 'with resource.request() as req')",
-    )
-
-    def check(self, tree, path, aliases):
-        findings = []
-        for func in _functions(tree):
-            with_requests: Set[int] = set()
-            released_names: Set[str] = set()
-            for node in _walk_shallow(func):
-                if isinstance(node, (ast.With, ast.AsyncWith)):
-                    for item in node.items:
-                        expr = item.context_expr
-                        if (
-                            isinstance(expr, ast.Call)
-                            and isinstance(expr.func, ast.Attribute)
-                            and expr.func.attr == "request"
-                        ):
-                            with_requests.add(id(expr))
-                elif isinstance(node, ast.Call):
-                    if (
-                        isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "release"
-                        and node.args
-                        and isinstance(node.args[0], ast.Name)
-                    ):
-                        released_names.add(node.args[0].id)
-            for node in _walk_shallow(func):
-                if not isinstance(node, ast.Assign):
-                    continue
-                value = node.value
-                if not (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Attribute)
-                    and value.func.attr == "request"
-                    and id(value) not in with_requests
-                ):
-                    continue
-                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                if not targets:
-                    continue
-                if not any(name in released_names for name in targets):
-                    findings.append(
-                        self.finding(
-                            path, node,
-                            f"'{targets[0]} = "
-                            f"{_base_source(value.func.value)}.request(...)' "
-                            "has no matching .release() in "
-                            f"'{getattr(func, 'name', '?')}'",
-                        )
-                    )
-        return findings
-
-
 ALL_RULES: Sequence[LintRule] = (
     NoWallClock(),
     NoUnseededRandom(),
     NoUnorderedIteration(),
     ObservabilityPurity(),
-    ResourceLeakPairing(),
 )

@@ -1,6 +1,6 @@
 """Runtime sanitizers: tie-order race detection and resource-leak checks.
 
-Static rules (R001-R005) catch what is visible in source; these two
+Static rules (R001-R004) catch what is visible in source; these two
 sanitizers catch what only shows up at run time:
 
 **Tie-order races.**  A discrete-event simulation pops same-timestamp

@@ -9,13 +9,19 @@ body streams through at link bandwidth.  Dimension-ordered acquisition
 keeps the model deadlock-free, exactly as it does for the hardware.
 
 Every transmission is one worm (:meth:`Mesh.post`), and the worm is
-itself the event the kernel schedules: once after its software
-overhead, then once per hop grant, each grant merged with the hop's
-hold (the last also with the body's streaming time).  The worm is the
-link's waiter: same-instant contenders are ordered by ``(arrival time,
-route key, sequence)``, and the settle schedules the granted worm
-itself.  The worm releases its links on delivery and books each one's
-busy seconds from its grant.  The sender is woken once, on delivery.
+itself the event the kernel schedules: after its software overhead,
+then after each hop grant, each grant merged with the hop's hold (the
+last also with the body's streaming time).  The worm is the link's
+waiter: same-instant contenders are ordered by ``(arrival time, route
+key, sequence)``, and the settle schedules the granted worm itself.
+When the settle would grant a link to the worm alone (the link is
+free, no arbiter is dirty and no other event is due now), the worm
+books the grant itself; when no other event is due at or before its
+next pop either, it moves the clock there in place, so one kernel pop
+may carry a worm through several hops.  It counts each event it skips,
+so later event ids are those the pops would have had.  The worm
+releases its links on delivery and books each one's busy seconds from
+its grant.  The sender is woken once, on delivery.
 Traced and faulted runs take the same worm: the ``mesh_xfer`` span
 opens at send and closes at delivery, and ``mesh_drop``/``mesh_dup``
 are decided at delivery.
@@ -42,6 +48,8 @@ from repro.obs.monitor import NULL_MONITOR, Monitor
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
+
+_INF = float("inf")
 
 
 def _link_label(link: Link) -> str:
@@ -71,10 +79,11 @@ class MeshMessage:
 class _Worm(Event):
     """One mesh transmission, scheduled as its own event.
 
-    The kernel pops the worm once after its software overhead and once
-    per hop grant; each pop runs :meth:`_advance`, which queues the worm
-    on its next link in XY order.  After the last grant's pop it runs
-    :meth:`_finish`, which releases the route, decides any
+    The kernel pops the worm after its software overhead and after hop
+    grants; each pop runs :meth:`_advance`, which takes the worm through
+    its next links in XY order, granting itself those it provably wins
+    alone and queueing on the first it does not.  After the last grant
+    it runs :meth:`_finish`, which releases the route, decides any
     ``mesh_drop``/``mesh_dup`` fault, closes the ``mesh_xfer`` span and
     fires ``proxy`` with ``wake_value`` -- the sender's one wake-up.  The
     proxy is an event that is never scheduled, so delivery costs no
@@ -134,28 +143,62 @@ class _Worm(Event):
         env.schedule(self, p.sw_overhead_s)
 
     def _advance(self) -> None:
-        """Run by each pop of the worm: request the next link, or finish."""
+        """Run by each pop of the worm: request the next link, or finish.
+
+        When the settle would grant the link to this worm alone -- the
+        link is free, no arbiter is dirty (a free link with waiters is
+        always dirty, so its queue is empty too) and no event is queued
+        at ``now`` -- the worm books the grant itself, as
+        :meth:`Arbiter._settle` would.  If its next pop would also be the
+        kernel's next one (every queued event is strictly later), it
+        counts the event it skips and moves the clock there in place.
+        """
+        env = self.env
+        queue = env._queue
+        now = env._now
+        # Nothing below pushes an event or dirties an arbiter before it
+        # returns, so both hold at every hop the worm runs ahead to.
+        next_at = queue[0][0] if queue else _INF
+        alone = next_at > now and not env._dirty_arbiters
+        hops = self.hops
         idx = self.idx
-        if idx < self.hops:
+        while idx < hops:
             link = self.links[idx]
             self.idx = idx = idx + 1
-            if idx == self.hops:
+            if idx == hops:
                 self.tail = self.body_time
+            if alone and link.free:
+                link.free = 0
+                link.granted_at = now
+                link.holder = self
+                self._value = now
+                when = now + self.seconds + self.tail
+                if next_at <= when:
+                    self.callbacks = _ADVANCE
+                    env.schedule_at(self, when)
+                    return
+                env._eid += 1
+                env._now = now = when
+                continue
             self.callbacks = _ADVANCE
-            env = self.env
             seq = link._seq + 1
             link._seq = seq
-            link.queue.append((env._now, self.route_key, seq, self))
+            link.queue.append((now, self.route_key, seq, self))
             if not link._settle_queued:
                 link._settle_queued = True
                 env._dirty_arbiters.append(link)
             return
         if idx == 0 and self.body_time > 0:
-            # Zero-hop message: stream the body as one more pop.
+            # Zero-hop message: stream the body as one more pop, by the
+            # same rule.
             self.idx = 1
-            self.callbacks = _ADVANCE
-            self.env.schedule(self, self.body_time)
-            return
+            when = now + self.body_time
+            if not alone or next_at <= when:
+                self.callbacks = _ADVANCE
+                env.schedule_at(self, when)
+                return
+            env._eid += 1
+            env._now = when
         self._finish()
 
     def _finish(self) -> None:

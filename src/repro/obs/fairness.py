@@ -60,7 +60,9 @@ def jain_index(values: Sequence[float]) -> float:
     squares = math.fsum(v * v for v in values)
     if squares == 0.0:
         return 1.0
-    return (total * total) / (len(values) * squares)
+    # The exact quotient is at most 1 (Cauchy-Schwarz); rounding can put
+    # near-equal allocations one ulp above it.
+    return min(1.0, (total * total) / (len(values) * squares))
 
 
 def nearest_rank_percentile(sorted_values: Sequence[float], pct: float) -> float:

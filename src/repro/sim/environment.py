@@ -227,6 +227,11 @@ class Environment:
         runs dry), pending arbiter grants are settled so that
         same-timestamp acquisition order is decided by canonical keys,
         never by event insertion order.
+
+        One step may carry a mesh worm through several hops: a worm that
+        is provably the next event books its own link grant and moves
+        the clock to its next pop in place, counting the event it skips
+        (see :class:`~repro.hardware.mesh._Worm`).
         """
         queue = self._queue
         if self._dirty_arbiters and (not queue or queue[0][0] > self._now):

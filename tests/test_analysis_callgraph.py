@@ -3,7 +3,7 @@
 Covers the call-graph engine (module naming, symbol resolution through
 aliases / re-exports / the class-attribute type heuristic, conservative
 handling of higher-order calls), the interprocedural rules (R003v2,
-R005v2, R006) against seeded violations and clean fixtures, the
+R006) against seeded violations and clean fixtures, the
 incremental summary cache, SARIF 2.1.0 codeFlows, the CLI flags, and the
 baseline ratchet.  The shipped tree itself must be interprocedurally
 clean (the self-check satellite of the analysis suite).
@@ -344,119 +344,6 @@ class TestR003v2:
         assert findings == []
 
 
-class TestR005v2:
-    def test_request_and_return_then_release_is_clean(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    def acquire(res):
-                        req = res.request()
-                        return req
-
-                    def use(res):
-                        req = acquire(res)
-                        res.release(req)
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_transferred_handle_never_discharged_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    def acquire(res):
-                        req = res.request()
-                        return req
-
-                    def use(res):
-                        req = acquire(res)
-                        del req
-                    """,
-            },
-        )
-        assert rule_ids(findings) == ["R005v2"]
-        assert "transfers" in findings[0].message
-        assert [s.function for s in findings[0].chain] == ["mod.use", "mod.acquire"]
-
-    def test_receive_and_release_discharges_callers_handle(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    def free(res, req):
-                        res.release(req)
-
-                    def hold(res):
-                        req = res.request()
-                        free(res, req)
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_double_release_across_boundary_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    def free(res, req):
-                        res.release(req)
-
-                    def hold(res):
-                        req = res.request()
-                        free(res, req)
-                        res.release(req)
-                    """,
-            },
-        )
-        assert rule_ids(findings) == ["R005v2"]
-        assert "double release" in findings[0].message
-
-    def test_plain_leak_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    def hold(res):
-                        req = res.request()
-                        print("held")
-                    """,
-            },
-        )
-        assert rule_ids(findings) == ["R005v2"]
-        assert "leaks" in findings[0].message
-
-    def test_escape_to_attribute_counts_as_discharge(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    class Holder:
-                        def grab(self, res):
-                            req = res.request()
-                            self.req = req
-                    """,
-            },
-        )
-        assert findings == []
-
-    def test_handle_passed_to_unresolved_call_not_flagged(self, tmp_path):
-        findings = analyze(
-            tmp_path,
-            {
-                "mod.py": """
-                    def hold(res, registry):
-                        req = res.request()
-                        registry.adopt(req)
-                    """,
-            },
-        )
-        assert findings == []
-
-
 class TestR006FastPathGating:
     def test_unguarded_call_flagged_with_missing_facets(self, tmp_path):
         findings = analyze(
@@ -751,7 +638,7 @@ class TestSarifCodeFlows:
         assert doc["$schema"].endswith("sarif-2.1.0.json")
         run = doc["runs"][0]
         rules = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        for rid in ("R003v2", "R005v2", "R006"):
+        for rid in ("R003v2", "R006"):
             assert rid in rules
         for rule in run["tool"]["driver"]["rules"]:
             assert rule["shortDescription"]["text"]
@@ -853,7 +740,7 @@ class TestCLI:
     def test_list_rules_includes_interprocedural(self, capsys):
         assert main(["--list-rules", "--interprocedural"]) == 0
         out = capsys.readouterr().out
-        for rid in ("R003v2", "R005v2", "R006"):
+        for rid in ("R003v2", "R006"):
             assert rid in out
 
 

@@ -20,7 +20,7 @@ from repro.analysis import (
     rule_catalogue,
     to_sarif,
 )
-from repro.analysis.cli import collect_findings, main
+from repro.analysis.cli import main
 
 
 def lint(source: str, path: str = "src/repro/example.py"):
@@ -246,48 +246,6 @@ class TestR004ObservabilityPurity:
         assert findings == []
 
 
-class TestR005RequestReleasePairing:
-    UNPAIRED = """
-        def grab(resource, env):
-            req = resource.request()
-            yield req
-            yield env.timeout(1.0)
-        """
-    PAIRED = """
-        def grab(resource, env):
-            req = resource.request()
-            try:
-                yield req
-            finally:
-                resource.release(req)
-        """
-    WITH = """
-        def grab(resource, env):
-            with resource.request() as req:
-                yield req
-        """
-
-    def test_unpaired_request_flagged(self):
-        assert "R005" in rule_ids(lint(self.UNPAIRED))
-
-    def test_paired_request_clean(self):
-        assert lint(self.PAIRED) == []
-
-    def test_with_request_clean(self):
-        assert lint(self.WITH) == []
-
-    @pytest.mark.parametrize(
-        "fixture, flagged", [("UNPAIRED", True), ("PAIRED", False), ("WITH", False)]
-    )
-    def test_interprocedural_r005v2_subsumes_r005(self, tmp_path, fixture, flagged):
-        # --interprocedural drops R005 for R005v2: every seeded R005
-        # violation must still be reported, and no clean fixture.
-        (tmp_path / "example.py").write_text(textwrap.dedent(getattr(self, fixture)))
-        ids = rule_ids(collect_findings([str(tmp_path)], interprocedural=True))
-        assert ("R005v2" in ids) == flagged
-        assert "R005" not in ids
-
-
 class TestSuppressions:
     BAD = """
         import time
@@ -349,7 +307,7 @@ class TestReporting:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.analysis"
         listed = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"R001", "R002", "R003", "R004", "R005"} <= listed
+        assert {"R001", "R002", "R003", "R004"} <= listed
         result = run["results"][0]
         assert result["ruleId"] == "R001"
         location = result["locations"][0]["physicalLocation"]
@@ -407,6 +365,6 @@ class TestShippedTree:
         root = pathlib.Path(__file__).resolve().parent.parent
         assert lint_paths([str(root / "src"), str(root / "tests")]) == []
 
-    @pytest.mark.parametrize("rule_id", ["R001", "R002", "R003", "R004", "R005"])
+    @pytest.mark.parametrize("rule_id", ["R001", "R002", "R003", "R004"])
     def test_catalogue_covers_rule(self, rule_id):
         assert rule_id in {r.rule_id for r in rule_catalogue()}

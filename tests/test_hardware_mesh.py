@@ -1,12 +1,14 @@
 """Unit tests for the 2D mesh interconnect model."""
 
+import heapq
+
 import pytest
 
 from repro.analysis.sanitizers import leaked_resources
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.hardware import Mesh, MeshMessage, MeshParams
 from repro.obs import Observability
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, environment
 
 
 @pytest.fixture
@@ -397,3 +399,142 @@ class TestLinkArbitration:
             mesh._links[((1, 0), (2, 0))],
         ]
         assert [leak.held for leak in leaks] == [1, 1]
+
+
+#: A contended 4x4 scenario: same-instant sends, a shared first link
+#: (0,0->1,0), routes crossing at (1,1) and (2,2), short and long bodies,
+#: and a zero-hop body shorter than a hop, sent with two routed worms.
+#: Each entry is (send time, src, dst, bytes).
+CONTENDED = (
+    (0.0, (0, 0), (3, 0), 64 * 1024),
+    (0.0, (0, 0), (1, 2), 256),
+    (0.0, (1, 0), (1, 3), 8 * 1024),
+    (5e-6, (0, 1), (3, 1), 32 * 1024),
+    (5e-6, (2, 3), (2, 0), 0),
+    (5e-6, (2, 2), (2, 2), 8),
+    (4e-5, (3, 2), (0, 2), 16 * 1024),
+)
+
+
+def _contended(tie_break, noise_until=None):
+    """Run CONTENDED; with *noise_until*, also a chain of no-op events
+    every 30 ns (under one hop) until then, so no worm is ever the next
+    event and every hop goes through the heap and the settle.  Returns
+    each message's delivery time, the link busy seconds and the number
+    of events scheduled."""
+    env = Environment(tie_break=tie_break)
+    mesh = Mesh(env, 4, 4)
+    messages = []
+
+    def sender(at, msg):
+        yield env.timeout(at)
+        yield from mesh.send(msg)
+
+    for at, src, dst, size in CONTENDED:
+        msg = MeshMessage(src=src, dst=dst, size_bytes=size)
+        messages.append(msg)
+        env.process(sender(at, msg))
+
+    if noise_until is not None:
+
+        def noise():
+            while env.now < noise_until:
+                yield env.timeout(3e-8)
+
+        env.process(noise())
+    env.run()
+    return [m.delivered_at for m in messages], mesh.link_busy_s(), env._eid
+
+
+class TestRunAhead:
+    """A worm that is provably the next event books its own grant and
+    moves the clock through its hops in place; nothing it does may differ
+    from the same hops taken through the heap and the settle."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_same_deliveries_and_busy_as_every_hop_through_the_heap(self, tie_break, monkeypatch):
+        pops = [0]
+
+        def counting(queue):
+            pops[0] += 1
+            return heapq.heappop(queue)
+
+        monkeypatch.setattr(environment, "heappop", counting)
+        delivered, busy, events = _contended(tie_break)
+        plain_pops, pops[0] = pops[0], 0
+        noisy_delivered, noisy_busy, noisy_events = _contended(tie_break, noise_until=1e-3)
+        assert delivered == noisy_delivered
+        assert busy == noisy_busy
+        # The plain run skipped some pops; the noisy one skipped none.
+        assert plain_pops < events
+        assert pops[0] == noisy_events
+        assert max(delivered) < 1e-3
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_event_at_a_grant_time_keeps_its_tie_order(self, tie_break):
+        # The worm's second hop is due at 1.5, when an unrelated event is
+        # queued too: the worm pops at 1.5 as its own event, ordered
+        # against the other by the tie-break, so only under lifo has it
+        # asked for link 1 when the other runs.
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        link1 = mesh._link(((1, 0), (2, 0)))
+        seen = []
+
+        def unrelated(_event):
+            link0 = mesh._links[((0, 0), (1, 0))]
+            seen.append((env.now, len(link0.users), len(link1.users), len(link1.queue)))
+
+        env.timeout(1.5).callbacks.append(unrelated)
+        msg = MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200)
+        mesh.post(msg, env.event(), None)
+        env.run()
+        assert seen == [(1.5, 1, 0, 0 if tie_break == "fifo" else 1)]
+        assert msg.delivered_at == 4.0
+        assert mesh.link_busy_s() == ONE_WORM_BUSY
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_run_until_a_grant_time_stops_before_the_grant(self, tie_break):
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        mesh.post(MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200), env.event(), None)
+        env.run(until=1.5)
+        link0, link1 = (mesh._links[link] for link in sorted(mesh._links))
+        assert env.now == 1.5
+        assert (len(link0.users), len(link1.users), len(link1.queue)) == (1, 0, 0)
+        assert env._dirty_arbiters == []
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("until,held", [(1.2, [1, 0, 0]), (1.7, [1, 1, 0]), (2.2, [1, 1, 1])])
+    def test_run_until_between_hops(self, tie_break, until, held):
+        # Three hops granted at 1.0, 1.5 and 2.0, delivery at 4.5.
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        msg = MeshMessage(src=(0, 0), dst=(3, 0), size_bytes=200)
+        mesh.post(msg, env.event(), None)
+        env.run(until=until)
+        assert env.now == until
+        links = [mesh._links[link] for link in sorted(mesh._links)]
+        assert [len(link.users) for link in links] == held
+        assert [link.granted_at for link, n in zip(links, held) if n] == [1.0, 1.5, 2.0][
+            : sum(held)
+        ]
+        env.run()
+        assert msg.delivered_at == 4.5
+        assert mesh.link_busy_s() == {"0,0->1,0": 3.5, "1,0->2,0": 3.0, "2,0->3,0": 2.5}
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("later", [False, True])
+    def test_run_until_the_delivery_proxy(self, tie_break, later):
+        env = Environment(tie_break=tie_break)
+        mesh = Mesh(env, 4, 1, params=ONE_WORM)
+        if later:
+            env.timeout(10.0)
+        proxy = env.event()
+        msg = MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200)
+        mesh.post(msg, proxy, "delivered")
+        assert env.run(until=proxy) == "delivered"
+        assert env.now == msg.delivered_at == 4.0
+        assert len(env) == (1 if later else 0)
+        assert mesh.link_busy_s() == ONE_WORM_BUSY
+        assert leaked_resources(env) == []

@@ -26,12 +26,13 @@ module pins each of those contracts:
   the stepped path and fails the application's call as a serve process
   would;
 - the exact event count and generator resumes of one paper cell and
-  one crash-restart cell, and the synthetic bytes the crash-restart
+  one crash-restart cell, the heap pops of the paper cell, and the synthetic bytes the crash-restart
   cell materialises (none), so a change in kernel work is re-pinned on
   purpose.
 """
 
 import hashlib
+import heapq
 import json
 import pathlib
 
@@ -50,6 +51,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.machine import Machine
 from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
+from repro.sim import environment
 from repro.sim.events import Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Hold
@@ -413,6 +415,31 @@ class TestWorkCountPin:
             tie_break=tie_break,
         )
         assert resumes[0] == 1168
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_table1_256kb_prefetch_heap_pops(self, tie_break, monkeypatch):
+        """Heap pops of the same cell: a mesh worm that is provably the
+        next event moves the clock through its hops in place, counting
+        each event it skips, so the cell pops 5,025 of its 7,688 events
+        (all 7,688 when every hop went through the heap)."""
+        pops = [0]
+
+        def counting(queue):
+            pops[0] += 1
+            return heapq.heappop(queue)
+
+        monkeypatch.setattr(environment, "heappop", counting)
+        size = 256 * KB
+        report = run_collective(
+            request_size=size,
+            file_size=scaled_file_size(size, rounds=16),
+            prefetch=True,
+            rounds=16,
+            tie_break=tie_break,
+            keep_machine=True,
+        )
+        assert pops[0] == 5025
+        assert report.machine.env._eid == 7688
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_prefetch_events(self, tie_break):
