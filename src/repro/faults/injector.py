@@ -60,6 +60,21 @@ class FaultInjector:
         #: Scheduled specs not yet applied, in (at_s, plan) order.
         self._scheduled_pending: List[FaultSpec] = []
         self._arrays: Dict[str, Any] = {}
+        #: The specs :meth:`decide` evaluates, by kind: ``(plan index,
+        #: spec)`` in plan order, so counters advance as a scan of the
+        #: whole plan would advance them.
+        self._by_kind: Dict[str, List[Tuple[int, FaultSpec]]] = {}
+        for index, spec in enumerate(plan.specs):
+            if spec.kind not in SCHEDULED_KINDS:
+                self._by_kind.setdefault(spec.kind, []).append((index, spec))
+        #: Array targets of the specs that act inside a RAID access.
+        self._disk_targets = frozenset(
+            spec.target
+            for kind in ("media_error", "slow_sector")
+            for _index, spec in self._by_kind.get(kind, ())
+        )
+        #: Whether any spec can drop or duplicate a mesh message.
+        self.watches_mesh = "mesh_drop" in self._by_kind or "mesh_dup" in self._by_kind
 
     # -- trigger evaluation ------------------------------------------------
 
@@ -70,11 +85,12 @@ class FaultInjector:
         advance (specs observe the full operation stream whether or not
         an earlier spec fires), so plans compose predictably.
         """
+        specs = self._by_kind.get(kind)
+        if specs is None:
+            return None
         now = self.env.now
         hit: Optional[Tuple[int, FaultSpec]] = None
-        for index, spec in enumerate(self.plan.specs):
-            if spec.kind != kind or spec.kind in SCHEDULED_KINDS:
-                continue
+        for index, spec in specs:
             if not _matches(spec.target, target):
                 continue
             if spec.windowed:
@@ -101,6 +117,22 @@ class FaultInjector:
             for index, n in self._fired.items()
             if kind is None or self.plan.specs[index].kind == kind
         )
+
+    def spares(self, array_name: str) -> bool:
+        """True when nothing in the plan can act inside an access to the
+        array *array_name*, so the array may serve it in closed form.
+
+        Inside an access the plan acts only through :meth:`tick`, which
+        is a no-op once no scheduled spec is pending (the list is filled
+        by :meth:`start`, before any access, and only shrinks), and
+        through ``decide("media_error" | "slow_sector", array_name)``,
+        which advances no counter and fires nothing unless a spec of
+        those kinds targets the array by name or by ``"*"``.
+        """
+        if self._scheduled_pending:
+            return False
+        targets = self._disk_targets
+        return array_name not in targets and "*" not in targets
 
     # -- scheduled (disk failure/repair) application -----------------------
 

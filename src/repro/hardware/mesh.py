@@ -216,15 +216,17 @@ class _Worm(Event):
         message.delivered_at = released_at
         faults = mesh.faults
         if faults is not None:
-            # Window-triggered only (see repro.faults.plan): same-time
-            # sends have no canonical global order, so drop/dup decisions
-            # depend on sim time alone and are tie-break-invariant.  The
-            # worm still paid full route occupancy + streaming time.
-            pair = f"{message.src[0]},{message.src[1]}->{message.dst[0]},{message.dst[1]}"
-            if faults.decide("mesh_drop", pair) is not None:
-                message.dropped = True
-            elif faults.decide("mesh_dup", pair) is not None:
-                message.duplicated = True
+            if faults.watches_mesh:
+                # Window-triggered only (see repro.faults.plan): same-time
+                # sends have no canonical global order, so drop/dup
+                # decisions depend on sim time alone and are
+                # tie-break-invariant.  The worm still paid full route
+                # occupancy + streaming time.
+                pair = f"{message.src[0]},{message.src[1]}->{message.dst[0]},{message.dst[1]}"
+                if faults.decide("mesh_drop", pair) is not None:
+                    message.dropped = True
+                elif faults.decide("mesh_dup", pair) is not None:
+                    message.duplicated = True
             if self.span is not None:
                 mesh.tracer.end(self.span, dropped=message.dropped, duplicated=message.duplicated)
         elif self.span is not None:

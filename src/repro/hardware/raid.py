@@ -127,7 +127,7 @@ class RAID3Array:
         self._high_water = 0
         #: Accumulated time the arm was held (utilisation).
         self.busy_s = 0.0
-        #: Closed-form fast path: when no fault plan or trace span can
+        #: Closed-form fast path: when no trace span or fault spec can
         #: observe the interior of an access, the whole service
         #: (controller overhead, positioning, pipelined bus stream) is
         #: computed at the arm grant and the requester is resumed once,
@@ -136,8 +136,10 @@ class RAID3Array:
         #: construction: the arm hold serialises every reader/writer of
         #: the head, track-cache and RNG state, and the completion time
         #: is built with the same successive float additions the stepped
-        #: path performs.
-        self._fast_mode = faults is None and not self.tracer.enabled
+        #: path performs.  This flag is the part fixed at construction
+        #: (no tracer); :attr:`fast_ready` adds the fault plan and the
+        #: array's own state, which change during a run.
+        self._fast_mode = not self.tracer.enabled
         bus.attach_client()
         # Leak-checked like any acquire/release resource (see users).
         env.register_resource(self)
@@ -206,9 +208,14 @@ class RAID3Array:
     @property
     def fast_ready(self) -> bool:
         """True when an access queued now would be served in closed form:
-        nothing observes the array (see ``_fast_mode``), it is its bus's
-        only client, and no injected, failed or rebuilding state needs
-        the stepped path."""
+        no tracer observes the array (see ``_fast_mode``), it is its
+        bus's only client, no injected, failed or rebuilding state needs
+        the stepped path, and the fault plan, if any, can act inside no
+        access to this array (:meth:`FaultInjector.spares`: no pending
+        disk failure or repair, no media-error or slow-sector spec
+        aimed at it).  A crash plan for a compute node leaves every
+        array in closed form."""
+        faults = self.faults
         return (
             self._fast_mode
             and self.bus.clients == 1
@@ -216,6 +223,7 @@ class RAID3Array:
             and not self._failed_disks
             and not self._data_lost
             and not self._rebuilding
+            and (faults is None or faults.spares(self.name))
         )
 
     def _validate(self, lba: int, nbytes: int) -> None:
@@ -311,7 +319,7 @@ class RAID3Array:
             # holder interrupted mid-service leaves it untouched.
             grant._ok = True
             grant._value = (now, duration, sequential, cache_hit, lba, rng_state)
-            # sim-ok: R006 -- fast payloads are attached in _enqueue only under the fast_ready gate (no fault plan, tracer off)
+            # sim-ok: R006 -- fast payloads are attached in _enqueue only under the fast_ready gate (tracer off, no fault spec that can act inside this array's accesses)
             env.schedule_at(grant, when + duration)
             return
         grant.succeed()
@@ -357,7 +365,7 @@ class RAID3Array:
         started_at, duration, sequential, cache_hit, lba, _rng_state = done
         if not cache_hit:
             self._commit_transfer(lba, nbytes, kind)
-        # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (no fault plan, tracer off)
+        # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (tracer off, no fault spec that can act inside this array's accesses)
         self.bus.account_bypass(nbytes, duration)
         self._leave_arm(None, started_at)
         self._count(nbytes, kind, sequential, cache_hit)

@@ -109,16 +109,18 @@ class SCSIBus:
         self.clients += 1
         return self.clients
 
-    # fast-path: requires=faults,tracer -- bookkeeping-only transfer; grant must be provably uncontended and unobserved
+    # fast-path: requires=tracer -- bookkeeping-only transfer; grant must be provably uncontended and unobserved
     def account_bypass(self, nbytes: int, duration: float) -> None:
         """Book an exclusive transfer of known *duration* without events.
 
         Used by the RAID closed-form fast path: when the array is the
-        bus's only client (``clients == 1``; rebuild traffic exists only
-        under fault plans, which disable the fast path) and no trace
-        span can observe the interval, the grant is
-        provably uncontended and the transfer's accounting can be
-        applied directly.  Counter and ``busy_s`` totals come out
+        bus's only client (``clients == 1``; its own rebuild traffic
+        runs only while the array is rebuilding, which keeps it off the
+        closed form) and no trace span can observe the interval, the
+        grant is provably uncontended and the transfer's accounting can
+        be applied directly.  A fault plan does not gate it: the closed
+        form runs under a plan whenever no spec can act inside the
+        array's accesses.  Counter and ``busy_s`` totals come out
         identical to :meth:`transfer`.
         """
         self._bus.busy_s += duration

@@ -188,6 +188,9 @@ class RPCEndpoint:
         #: no fault plan (retries, drops, the idempotency log), no trace
         #: spans (a callback serve opens none).
         self._fast = faults is None and not self.tracer.enabled
+        if faults is not None:
+            #: This node's name as ``rpc_stall`` specs target it.
+            self._stall_target = f"node{node.node_id}"
         #: The order-key root slot the serves of this endpoint hang off.
         self.dispatch_key = env.reserve_order_key()
         self._inbox = _Inbox(self)
@@ -433,7 +436,7 @@ class RPCEndpoint:
                 return
             entry = {"state": "in-flight", "envelopes": [envelope], "reply": None}
             self._request_log[key] = entry
-            stall = self.faults.decide("rpc_stall", f"node{self.node.node_id}")
+            stall = self.faults.decide("rpc_stall", self._stall_target)
             if stall is not None:
                 self.monitor.counter("rpc.stalls").add(1)
                 yield self.env.timeout(stall.duration_s)

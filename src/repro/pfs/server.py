@@ -89,6 +89,9 @@ class PFSServer:
         self.coalesce = coalesce
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
+        if faults is not None:
+            #: This node's name as ``server_stall`` specs target it.
+            self._stall_target = f"node{node.node_id}"
         self.tracer = get_tracer(monitor)
         #: Counter objects by ``(kind, cause)`` / extra name, resolved on
         #: first use (so a counter appears in the snapshot when it would
@@ -159,7 +162,7 @@ class PFSServer:
             request.ctx = span.ctx
         yield from self.node.busy(self.node.params.server_request_overhead_s)
         if self.faults is not None:
-            stall = self.faults.decide("server_stall", f"node{self.node.node_id}")
+            stall = self.faults.decide("server_stall", self._stall_target)
             if stall is not None:
                 # The server thread wedges (page fault storm, driver
                 # hiccup) before touching storage; the client's RPC

@@ -1,12 +1,25 @@
-"""Shared pytest fixtures.
+"""Shared pytest fixtures and the Hypothesis profiles.
 
 The canonical machine shapes were previously duplicated per test module;
 they live here once.  ``machine_factory`` is the escape hatch for tests
 that need a non-standard shape or extra :class:`MachineConfig` knobs
 (``trace=True``, ``write_back=True``, ...).
+
+Hypothesis runs under the ``derandomized`` profile by default: every
+property test draws the same examples on every run and keeps no example
+database, so the suite's outcome depends on the tree alone.  The
+``explore`` profile draws fresh random examples and also keeps no
+database; select it with ``pytest --hypothesis-profile=explore`` to hunt
+for counterexamples the fixed draw does not reach (a failure prints the
+blob that reproduces it).
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None, print_blob=True)
+settings.load_profile("derandomized")
 
 from repro.config import MachineConfig
 from repro.core import DepthKAhead, Prefetcher

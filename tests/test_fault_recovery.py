@@ -13,7 +13,11 @@ Covers the PR-4 acceptance criteria:
   tree are unchanged (``faults=None`` is a true no-op);
 - :class:`ArbitratedStore` settles same-timestamp puts/gets canonically
   (the RPC-inbox / ART-pool arbitration the retry path relies on);
-- the bench tie-order sampler is a pure deterministic function.
+- the bench tie-order sampler is a pure deterministic function;
+- under a plan, each RAID array keeps its closed form exactly where no
+  spec can act inside its accesses: the fault-recovery benchmark's
+  cells give the same numbers untraced and traced (a traced run steps
+  every array), and counting stepped accesses shows which arrays step.
 
 The CI fault matrix runs this module once per tie-break order by
 setting ``FAULT_TIE_BREAK=fifo`` / ``lifo``; unset, both legs run.
@@ -713,3 +717,233 @@ class TestFaultProperties:
             if spec.kind in ("rpc_stall", "server_stall", "slow_sector"):
                 assert 0 < spec.duration_s < plan.retry.timeout_s
         assert plan.scheduled == plan.by_kind("disk_failure")
+
+
+# -- the RAID closed form under a fault plan ---------------------------------
+#
+# An array serves an access in closed form whenever the plan can act inside
+# no access to it (``FaultInjector.spares``).  A traced run steps every
+# array, so comparing it with the untraced run shows the closed form changes
+# no number; counting the stepped accesses shows it is really taken.
+
+
+def _read_cell(size_kb, rounds, faults):
+    """A prefetching M_RECORD collective read, as the fault-recovery
+    benchmark's read cells run it."""
+
+    def run(tie_break, trace):
+        size = size_kb * KB
+        report = run_collective(
+            request_size=size,
+            file_size=scaled_file_size(size, rounds=rounds),
+            prefetch=True,
+            rounds=rounds,
+            faults=faults,
+            tie_break=tie_break,
+            trace=trace,
+            keep_machine=True,
+        )
+        return report.machine, [report]
+
+    return run
+
+
+def _write_cell(size_kb, iomode, faults):
+    """A 4-round Fast Path collective write, then an M_RECORD read-back,
+    as the fault-recovery benchmark's write cells run them."""
+
+    def run(tie_break, trace):
+        from repro.config import MachineConfig, PFSConfig
+        from repro.machine import Machine
+        from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
+
+        size = size_kb * KB
+        machine = Machine(MachineConfig(faults=faults, tie_break=tie_break, trace=trace))
+        mount = machine.mount("/pfs", PFSConfig(buffered=False))
+        machine.create_file(mount, "out", 0)
+        writer = CollectiveWriteWorkload(
+            machine, mount, "out", request_size=size, rounds=4, iomode=iomode
+        )
+        reader = CollectiveReadWorkload(
+            machine, mount, "out", request_size=size, iomode=IOMode.M_RECORD
+        )
+        return machine, [writer.run().report, reader.run().report]
+
+    return run
+
+
+def _rebuild_cell(tie_break, trace):
+    """The canonical six-pass re-read under the copy-back rebuild plan."""
+    from repro.experiments.common import build_machine, prefetcher_factory
+    from repro.workloads import CollectiveReadWorkload
+
+    machine, mount = build_machine(tie_break=tie_break, faults=REBUILD_PLAN, trace=trace)
+    machine.create_file(mount, "data", scaled_file_size(64 * KB, rounds=4))
+    reports = []
+    for _ in range(6):
+        workload = CollectiveReadWorkload(
+            machine,
+            mount,
+            "data",
+            request_size=64 * KB,
+            iomode=IOMode.M_RECORD,
+            rounds=4,
+            prefetcher_factory=prefetcher_factory(True, machine=machine),
+        )
+        reports.append(workload.run().report)
+    return machine, reports
+
+
+def _fault_recovery_cells():
+    """``(key, run)`` for the fault-recovery benchmark's crash-restart,
+    degraded, rebuild and seeded scattered cells, the scattered plans
+    drawn as the benchmark draws them for seeds 1 and 3."""
+    import random
+
+    crash = FaultPlan.crash_restart(node="node0", windows=((0.03, 0.08), (0.2, 0.25)))
+    degraded = FaultPlan.single_disk_failure(array="raid0", at_s=0.0)
+    record, unix = IOMode.M_RECORD, IOMode.M_UNIX
+    cells = [
+        ("crash:read:64kb", _read_cell(64, 4, crash)),
+        ("crash:read:128kb", _read_cell(128, 4, crash)),
+        ("crash:read:256kb", _read_cell(256, 4, crash)),
+        ("crash:write:64kb:M_RECORD", _write_cell(64, record, crash)),
+        ("crash:write:64kb:M_UNIX", _write_cell(64, unix, crash)),
+        ("crash:write:128kb:M_RECORD", _write_cell(128, record, crash)),
+        ("degraded:read:64kb", _read_cell(64, 8, degraded)),
+        ("degraded:read:256kb", _read_cell(256, 8, degraded)),
+        ("degraded:write:64kb:M_RECORD", _write_cell(64, record, degraded)),
+        ("rebuild:canonical", _rebuild_cell),
+    ]
+    for seed in (1, 3):
+        rng = random.Random(seed)
+        plans = [
+            FaultPlan.scattered(seed=rng.randrange(1 << 30), horizon_s=1.0, n_faults=5)
+            for _ in range(5)
+        ]
+        cells += [
+            (f"seed{seed}:scattered:read:64kb", _read_cell(64, 8, plans[0])),
+            (f"seed{seed}:scattered:read:128kb", _read_cell(128, 4, plans[1])),
+            (f"seed{seed}:scattered:read:256kb", _read_cell(256, 4, plans[2])),
+            (f"seed{seed}:scattered:write:64kb:M_RECORD", _write_cell(64, record, plans[3])),
+            (f"seed{seed}:scattered:write:64kb:M_UNIX", _write_cell(64, unix, plans[4])),
+        ]
+    return cells
+
+
+#: raid1's spindle dies at 5.5 ms, while the first accesses (queued at
+#: 5 ms) are in service: those must step, so the failure lands where the
+#: stepped service applies it.
+RAID1_FAILS_MID_ACCESS = FaultPlan.single_disk_failure(array="raid1", at_s=0.0055)
+#: The fault-recovery cells, plus a read under that failure.
+FAULT_RECOVERY_CELLS = _fault_recovery_cells() + [
+    ("raid1-fails-at-5.5ms:read:64kb", _read_cell(64, 4, RAID1_FAILS_MID_ACCESS))
+]
+
+
+def _outcome(run, tie_break, trace):
+    """Everything a run may not change by stepping: report fingerprints,
+    final clock, per-array and per-bus busy seconds."""
+    machine, reports = run(tie_break, trace)
+    assert machine.verify() == []
+    return (
+        [report_fingerprint(report) for report in reports],
+        machine.env.now,
+        [array.busy_s for array in machine.arrays],
+        [bus.busy_s for bus in machine.buses],
+    )
+
+
+@pytest.fixture
+def arm_forms(monkeypatch):
+    """Each RAID access from here on, as ``(form, array, pending,
+    down)``: ``form`` is ``"stepped"`` (recorded when its stepped service
+    starts, which is when it was queued) or ``"closed"`` (recorded at its
+    closed-form completion); ``pending`` is whether a scheduled disk
+    failure or repair was still pending then, ``down`` whether the array
+    was degraded or rebuilding."""
+    from repro.hardware.raid import RAID3Array
+
+    log = []
+
+    def state(array):
+        pending = bool(array.faults._scheduled_pending)
+        return array.name, pending, array.degraded or array._rebuilding
+
+    stepped = RAID3Array._stepped
+    finish = RAID3Array._finish_closed_form
+
+    def recording_stepped(self, *args):
+        log.append(("stepped",) + state(self))
+        return stepped(self, *args)
+
+    def recording_finish(self, *args):
+        log.append(("closed",) + state(self))
+        return finish(self, *args)
+
+    monkeypatch.setattr(RAID3Array, "_stepped", recording_stepped)
+    monkeypatch.setattr(RAID3Array, "_finish_closed_form", recording_finish)
+    return log
+
+
+ARRAYS = {f"raid{i}" for i in range(8)}
+
+
+class TestClosedFormUnderPlans:
+    """The closed form is kept exactly where no spec can act inside an
+    access, and it changes no number there."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize(
+        "run", [pytest.param(run, id=key) for key, run in FAULT_RECOVERY_CELLS]
+    )
+    def test_fault_recovery_cell_traced_equals_untraced(self, run, tie_break):
+        assert _outcome(run, tie_break, False) == _outcome(run, tie_break, True)
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_media_error_steps_only_its_array(self, tie_break, arm_forms):
+        plan = FaultPlan(specs=(FaultSpec(kind="media_error", target="raid0", after_n=1),))
+        report = _small_run(faults=plan, tie_break=tie_break)
+        assert report.machine.verify() == []
+        assert report.machine.faults.fired("media_error") == 1
+        assert {name for form, name, _p, _d in arm_forms if form == "stepped"} == {"raid0"}
+        assert {name for form, name, _p, _d in arm_forms if form == "closed"} == ARRAYS - {"raid0"}
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_wildcard_spec_steps_every_array(self, tie_break, arm_forms):
+        plan = FaultPlan(
+            specs=(FaultSpec(kind="slow_sector", target="*", after_n=3, duration_s=0.001),)
+        )
+        report = _small_run(faults=plan, tie_break=tie_break)
+        assert report.machine.verify() == []
+        assert report.machine.faults.fired("slow_sector") == 1
+        assert {name for form, name, _p, _d in arm_forms if form == "stepped"} == ARRAYS
+        assert not [entry for entry in arm_forms if entry[0] == "closed"]
+
+    @staticmethod
+    def _check_scheduled(arm_forms, failed, closed_arrays):
+        stepped = [entry[1:] for entry in arm_forms if entry[0] == "stepped"]
+        closed = [entry[1:] for entry in arm_forms if entry[0] == "closed"]
+        # Every array steps while a scheduled spec is pending ...
+        assert {name for name, pending, _down in stepped if pending} == ARRAYS
+        # ... then only the failed array, and only while it is down ...
+        after = {(name, down) for name, pending, down in stepped if not pending}
+        assert after == {(failed, True)}
+        # ... and everything else completes in closed form.
+        assert {name for name, _pending, _down in closed} == closed_arrays
+        assert not any(pending or down for _name, pending, down in closed)
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_pending_failure_steps_every_array_until_applied(self, tie_break, arm_forms):
+        report = _small_run(faults=RAID1_FAILS_MID_ACCESS, tie_break=tie_break)
+        assert report.machine.verify() == []
+        self._check_scheduled(arm_forms, "raid1", ARRAYS - {"raid1"})
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_rebuilt_array_returns_to_closed_form(self, tie_break, arm_forms):
+        machine, _reports = _rebuild_cell(tie_break, False)
+        assert machine.verify() == []
+        assert machine.arrays[0].rebuilds_completed == 1
+        self._check_scheduled(arm_forms, "raid0", ARRAYS)
+        # The re-reads after the rebuild completes run in closed form.
+        assert ("closed", "raid0", False, False) in arm_forms

@@ -27,8 +27,8 @@ module pins each of those contracts:
   would;
 - the exact event count and generator resumes of one paper cell and
   one crash-restart cell, the heap pops of the paper cell, and the synthetic bytes the crash-restart
-  cell materialises (none), so a change in kernel work is re-pinned on
-  purpose.
+  cell materialises and the stepped RAID accesses it makes (none of
+  either), so a change in kernel work is re-pinned on purpose.
 """
 
 import hashlib
@@ -48,6 +48,7 @@ from repro.experiments.common import (
     scaled_file_size,
 )
 from repro.faults import FaultPlan, FaultSpec
+from repro.hardware.raid import RAID3Array
 from repro.machine import Machine
 from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
@@ -443,15 +444,36 @@ class TestWorkCountPin:
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_prefetch_events(self, tie_break):
+        """A crash plan for a compute node can act inside no RAID access,
+        so every array serves in closed form (780 events when any fault
+        plan stepped every array)."""
         report = self._crash_restart_read(tie_break)
-        assert report.machine.env._eid == 780
+        assert report.machine.env._eid == 704
         assert report.machine.verify() == []
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_crash_restart_64kb_prefetch_stepped_accesses(self, tie_break, monkeypatch):
+        """No access of the same cell takes the stepped RAID service (all
+        34 did when any fault plan stepped every array)."""
+        calls = [0]
+        stepped = RAID3Array._stepped
+
+        def counting(self, *args):
+            calls[0] += 1
+            return stepped(self, *args)
+
+        monkeypatch.setattr(RAID3Array, "_stepped", counting)
+        report = self._crash_restart_read(tie_break)
+        assert calls[0] == 0
+        assert report.machine.env._eid == 704
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_prefetch_generator_resumes(self, tie_break, monkeypatch):
         """Faulted calls ride the same callback worms: a sender resumes
         once per transmission, not once per hop (688 with the stepped
-        hop loop)."""
+        hop loop), and each RAID access resumes its process once, at its
+        closed-form completion (620 when any fault plan stepped every
+        array)."""
         resumes = [0]
         resume = Process._resume
 
@@ -461,14 +483,15 @@ class TestWorkCountPin:
 
         monkeypatch.setattr(Process, "_resume", counting)
         self._crash_restart_read(tie_break)
-        assert resumes[0] == 620
+        assert resumes[0] == 544
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_no_synthetic_bytes(self, tie_break, monkeypatch):
         """The delivery audit logs each delivered ``Data`` and invariant 7
         compares it by canonical runs, so neither the run nor a clean
         ``verify()`` builds synthetic bytes (the run made 32 calls,
-        2,097,152 bytes, when it hashed every delivery)."""
+        2,097,152 bytes, when it hashed every delivery; 780 events when
+        any fault plan stepped every array)."""
         import repro.ufs.data as data
 
         calls = [0]
@@ -483,7 +506,7 @@ class TestWorkCountPin:
         machine = report.machine
         assert machine.faults.deliveries
         assert calls[0] == 0
-        assert machine.env._eid == 780
+        assert machine.env._eid == 704
         assert machine.verify() == []
         assert calls[0] == 0
 
