@@ -61,15 +61,6 @@ paper's static one-request-ahead prototype against the depth-k
 pipelines across the paper's delay sweep plus the strided and
 deep-sequential families, with the acceptance verdicts (contender >=
 static on every paper cell; strict win on a new family) inline.
-
-Since PR 9 the output also carries a ``scale`` block: the multi-tenant
-scale sweep (:mod:`benchmarks.shard_runner` over :mod:`repro.scale`) --
-the nodes-vs-aggregate-bandwidth curve for 16..2048-node meshes under
-disjoint-window (scale-out) and pinned-window (contended) placements,
-the saturation knee, per-curve minimum Jain fairness, and the 64-node
-8-tenant anchor fingerprinted under fifo / lifo / the sharded runner
-(all three must agree).  Large cells run through the process pool;
-``--quick`` trims the sweep to the 32-node smoke cell.
 """
 
 from __future__ import annotations
@@ -83,7 +74,6 @@ import zlib
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import shard_runner  # noqa: E402
 import speed  # noqa: E402
 from repro.analysis.sanitizers import check_tie_order  # noqa: E402
 from repro.experiments.common import (  # noqa: E402
@@ -335,7 +325,6 @@ def run_bench(
     table1 = bench_table1(t1_sizes, rounds, tie_check)
     figure2 = bench_figure2(f2_sizes, rounds, tie_check)
     policies = run_policy_bench(quick=quick)
-    scale = shard_runner.run_sweep(quick=quick)
     all_points = table1 + figure2
     measure_speed(all_points, t1_sizes, f2_sizes, rounds, repeats)
     total_wall = sum(p["wall_time_s"] for p in all_points)
@@ -346,7 +335,7 @@ def run_bench(
         "cells_per_s": _round(len(all_points) / total_wall, 2),
     }
     return {
-        "bench": "pr9-scale-multitenant",
+        "bench": "table1-figure2-policies",
         "machine": {"n_compute": 8, "n_io": 8, "block_kb": 64},
         "settings": {"rounds": rounds, "quick": quick, "tie_check": tie_check},
         "metric": "collective read bandwidth (MB/s): total bytes / "
@@ -359,7 +348,6 @@ def run_bench(
         "speed": speed_block,
         "ablation": ablation_summary(),
         "policies": policies,
-        "scale": scale,
         "table1": table1,
         "figure2": figure2,
     }
@@ -435,20 +423,6 @@ def main(argv=None) -> int:
     )
     if not (policy_cmp["paper_ok"] and policy_cmp["new_family_strict_win"]):
         print("POLICY BENCH ACCEPTANCE FAILED", file=sys.stderr)
-        return 1
-    scale = results["scale"]
-    scaleout = scale["scaleout"]
-    anchor = scale["anchor"]
-    print(
-        f"scale sweep: {len(scaleout['curve'])} scale-out sizes, "
-        f"knee at {scaleout['knee_nodes'] or 'none'} "
-        f"(contended: {scale['contended']['knee_nodes'] or 'none'}), "
-        f"min jain {scaleout['min_jain']}, "
-        f"anchor deterministic={anchor['deterministic']}"
-    )
-    min_jain = scaleout["min_jain"]
-    if not anchor["deterministic"] or (min_jain is not None and min_jain < 0.9):
-        print("SCALE SWEEP ACCEPTANCE FAILED", file=sys.stderr)
         return 1
     return 0
 

@@ -99,21 +99,6 @@ class MachineConfig:
         if self.faults is not None:
             self._validate_fault_targets()
 
-    @classmethod
-    def sized(cls, total_nodes: int, **overrides) -> "MachineConfig":
-        """A config for a *total_nodes*-node machine, split half compute /
-        half I/O (the paper's 8+8 shape, scaled to the 16..2048-node
-        meshes the multi-tenant scenarios sweep).  ``total_nodes`` counts
-        compute + I/O nodes; the service node rides along for free.
-        Explicit ``n_compute``/``n_io`` overrides win.
-        """
-        if total_nodes < 2:
-            raise ValueError("need at least 2 nodes (1 compute + 1 I/O)")
-        n_io = total_nodes // 2
-        overrides.setdefault("n_compute", total_nodes - n_io)
-        overrides.setdefault("n_io", n_io)
-        return cls(**overrides)
-
     def _validate_fault_targets(self) -> None:
         """Concrete fault targets must fit this machine's shape.
 

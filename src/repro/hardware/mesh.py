@@ -91,8 +91,10 @@ class _Worm(Event):
 
     Nothing here looks inside a hop: the span covers [send, delivery],
     and mesh faults are time-window predicates decided at delivery.  The
-    worm belongs to no process, so an interrupted sender does not cut it
-    short: it holds its links until the body has streamed through.
+    worm belongs to no process and, like every process and hold, runs to
+    completion: it holds its links until the body has streamed through.
+    A crash is taken at call entry (``NodeCrashed``) and the call
+    replayed, never by cutting a worm short.
     """
 
     __slots__ = (

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 from repro.hardware.scsi import SCSIBus
 from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import Environment
-from repro.sim.events import PENDING, Event
+from repro.sim.events import Event
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 
@@ -73,7 +73,7 @@ class RAID3Array:
         if self.raid_params.data_disks <= 0:
             raise ValueError("a RAID-3 array needs at least one data disk")
         #: Requests waiting for the (ganged) arm, written only by
-        #: :meth:`_enqueue` and withdrawn only by :meth:`_leave_arm`:
+        #: :meth:`_enqueue` and popped only by :meth:`_grant_next`:
         #: (lba, causal key, arrived_at, grant_event, closed-form
         #: payload) entries.  LOOK picks nearest-to-head in the sweep
         #: direction, tie-broken by (lba, key); FIFO picks by
@@ -291,10 +291,6 @@ class RAID3Array:
             env = self.env
             now = env._now
             when = now + self.raid_params.controller_overhead_s
-            # The stepped path draws its rotational latency only after the
-            # controller overhead; a holder that leaves inside it restores
-            # this state (_leave_arm), as if the draw had not been made.
-            rng_state = self._rng_state
             bus_params = self.bus.params
             bandwidth = bus_params.bandwidth_bps
             sequential = False
@@ -315,10 +311,9 @@ class RAID3Array:
                     bandwidth = media
                 duration = bus_params.arbitration_s + nbytes / bandwidth
             # Head and track-cache state is committed at completion
-            # (_finish_closed_form), as the stepped path does, so a
-            # holder interrupted mid-service leaves it untouched.
+            # (_finish_closed_form), as the stepped path does.
             grant._ok = True
-            grant._value = (now, duration, sequential, cache_hit, lba, rng_state)
+            grant._value = (now, duration, sequential, cache_hit, lba)
             # sim-ok: R006 -- fast payloads are attached in _enqueue only under the fast_ready gate (tracer off, no fault spec that can act inside this array's accesses)
             env.schedule_at(grant, when + duration)
             return
@@ -362,12 +357,12 @@ class RAID3Array:
         """Book a closed-form completion (see :meth:`_grant_next`): the
         head and track-cache state and the accounting the stepped path
         would have accrued between the arm grant and now (both forms)."""
-        started_at, duration, sequential, cache_hit, lba, _rng_state = done
+        started_at, duration, sequential, cache_hit, lba = done
         if not cache_hit:
             self._commit_transfer(lba, nbytes, kind)
         # sim-ok: R006 -- a closed-form grant value exists only for accesses queued under the fast_ready gate (tracer off, no fault spec that can act inside this array's accesses)
         self.bus.account_bypass(nbytes, duration)
-        self._leave_arm(None, started_at)
+        self._leave_arm(started_at)
         self._count(nbytes, kind, sequential, cache_hit)
         return nbytes
 
@@ -420,13 +415,7 @@ class RAID3Array:
         fast = (nbytes, kind) if self.fast_ready else None
         grant = self._enqueue(lba, proc.order_key if proc is not None else (), fast)
         if fast is not None:
-            try:
-                done = yield grant
-            except BaseException:
-                # Interrupted while queued or inside the closed-form
-                # service; a completion books through _finish_closed_form.
-                self._leave_arm(grant, None)
-                raise
+            done = yield grant
             if done is not None:
                 return self._finish_closed_form(nbytes, kind, done)
             # State changed while queued; the grant fell back to the
@@ -439,11 +428,10 @@ class RAID3Array:
         for *grant* (``None`` when the arm is already held)."""
         sequential = False
         cache_hit = False
-        started_at = None
+        if grant is not None:
+            yield grant
+        started_at = self.env.now
         try:
-            if grant is not None:
-                yield grant
-            started_at = self.env.now
             yield self.env.timeout(self.raid_params.controller_overhead_s)
             if self.faults is not None:
                 # Re-check the schedule: the failure may be due between
@@ -515,7 +503,8 @@ class RAID3Array:
                     self.monitor.counter(f"{self.name}.degraded_writes").add(1)
                 self._commit_transfer(lba, nbytes, kind)
         finally:
-            self._leave_arm(grant, started_at)
+            # A RAIDError raised above still gives the arm back.
+            self._leave_arm(started_at)
         if span is not None:
             if self.faults is not None or degraded_now:
                 self.tracer.end(
@@ -668,70 +657,36 @@ class RAID3Array:
         """
         # (-1, seq): sorts before every causal process key, so an exact
         # (distance, lba) tie goes to the rebuild deterministically.
-        grant = self._enqueue(lba, (-1, chunk_seq))
-        started_at = None
-        try:
-            yield grant
-            started_at = self.env.now
-            yield self.env.timeout(self.raid_params.controller_overhead_s)
-            sequential = self._last_end_lba == lba
-            positioning = self.positioning_time(lba, sequential)
-            if positioning > 0:
-                yield self.env.timeout(positioning)
-            # Surviving spindles stream their shares across the bus...
-            yield from self.bus.transfer(
-                nbytes, stream_rate_bps=self.media_rate_bps, cause="rebuild"
-            )
-            # ... plus the parity spindle's share, then the controller
-            # XORs the missing spindle's content and writes it back.
-            share = -(-nbytes // self.data_disks)
-            yield from self.bus.transfer(
-                share,
-                stream_rate_bps=self.disk_params.media_rate_bps,
-                cause="rebuild",
-            )
-            yield self.env.timeout(nbytes / self.raid_params.xor_rate_bps)
-            self._head_lba = lba + nbytes
-            self._last_end_lba = lba + nbytes
-            self.rebuild_copied_bytes += share
-            self.monitor.counter(f"{self.name}.rebuild_copied_bytes").add(share)
-            return self.env.now - started_at
-        finally:
-            self._leave_arm(grant, started_at)
+        yield self._enqueue(lba, (-1, chunk_seq))
+        started_at = self.env.now
+        yield self.env.timeout(self.raid_params.controller_overhead_s)
+        sequential = self._last_end_lba == lba
+        positioning = self.positioning_time(lba, sequential)
+        if positioning > 0:
+            yield self.env.timeout(positioning)
+        # Surviving spindles stream their shares across the bus...
+        yield from self.bus.transfer(nbytes, stream_rate_bps=self.media_rate_bps, cause="rebuild")
+        # ... plus the parity spindle's share, then the controller
+        # XORs the missing spindle's content and writes it back.
+        share = -(-nbytes // self.data_disks)
+        yield from self.bus.transfer(
+            share,
+            stream_rate_bps=self.disk_params.media_rate_bps,
+            cause="rebuild",
+        )
+        yield self.env.timeout(nbytes / self.raid_params.xor_rate_bps)
+        self._head_lba = lba + nbytes
+        self._last_end_lba = lba + nbytes
+        self.rebuild_copied_bytes += share
+        self.monitor.counter(f"{self.name}.rebuild_copied_bytes").add(share)
+        self._leave_arm(started_at)
+        return self.env.now - started_at
 
-    def _leave_arm(self, grant: Optional[Event], started_at: Optional[float]) -> None:
-        """The one way out of the arm queue for every request -- stepped,
-        rebuild or closed form -- on a normal exit or an interrupt.
-
-        - *grant* never fired (interrupted while queued): the request
-          withdraws its own entry and leaves the arm to its holder.
-        - *grant* fired stepped, or is ``None`` (the arm was passed in
-          already held): the request holds the arm and releases it,
-          booking the hold from *started_at* (``None`` if it never
-          started service).
-        - *grant* carries a closed-form value (interrupted inside its
-          precomputed service): the arm is released now, as the stepped
-          path would on the same interrupt, and the hold is booked from
-          the grant's start time.  A holder that leaves inside the
-          controller overhead gives back its rotational-latency draw:
-          the stepped path would not have made it yet, and the arm was
-          held throughout, so no other draw came in between.
-        """
-        if grant is not None:
-            done = grant._value
-            if done is PENDING:
-                pending = self._pending
-                for i, entry in enumerate(pending):
-                    if entry[3] is grant:
-                        del pending[i]
-                        break
-                return
-            if done is not None:
-                started_at = done[0]
-                if self.env._now < started_at + self.raid_params.controller_overhead_s:
-                    self._rng_state = done[5]
-        if started_at is not None:
-            self.busy_s += self.env._now - started_at
+    def _leave_arm(self, started_at: float) -> None:
+        """The one way out of the arm for every request -- stepped,
+        rebuild or closed form: book the hold from *started_at* and
+        release the arm to the next waiter."""
+        self.busy_s += self.env._now - started_at
         self._busy = False
         if self._pending:
             self.env._mark_arbiter_dirty(self)

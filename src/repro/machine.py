@@ -281,64 +281,23 @@ class Machine:
                 self.ufses[io_index].unlink(pfs_file.file_id)
         self.coordinator.unregister_file(pfs_file)
 
-    def unmount(self, name: str) -> None:
-        """Tear down a mount: audit, remove its files, drop the mount.
-
-        Multi-tenant scenarios (:mod:`repro.scale`) mount one namespace
-        per tenant and tear it down when the tenant leaves the machine.
-        The delivery audit (invariant 7) is settled *before* the stripe
-        files disappear -- :meth:`verify` runs first and any violation
-        aborts the unmount -- and the audited entries for this mount's
-        files are then pruned so later :meth:`verify` calls on the
-        shared machine don't flag the departed tenant's file ids as
-        unknown.
-        """
-        mount = self.mounts.get(name)
-        if mount is None:
-            raise ValueError(f"no mount {name!r}; mounted: {sorted(self.mounts)}")
-        problems = self.verify()
-        if problems:
-            raise AssertionError(f"unmount {name!r} with invariant violations: " + "; ".join(problems))
-        file_ids = {pfs_file.file_id for pfs_file in mount.files.values()}
-        for filename in list(mount.files):
-            self.remove_file(mount, filename)
-        if self.faults is not None and file_ids:
-            self.faults.deliveries[:] = [
-                entry for entry in self.faults.deliveries if entry[0] not in file_ids
-            ]
-        del self.mounts[name]
-
-    def build_prefetcher(
-        self,
-        rank: int = 0,
-        *,
-        policy: Optional[str] = None,
-        depth: Optional[int] = None,
-        stride_detect: Optional[bool] = None,
-    ) -> Prefetcher:
+    def build_prefetcher(self, rank: int = 0) -> Prefetcher:
         """A prefetcher configured from this machine's policy knobs.
 
         Builds the policy named by ``config.prefetch_policy`` (with
         ``prefetch_depth`` / ``prefetch_stride_detect``).  The default
         config yields exactly the paper's prototype
         (``Prefetcher(DepthKAhead(1))``), so factory call sites that
-        route through here stay bit-identical to the seed.
-
-        The keyword overrides let one machine serve *heterogeneous*
-        prefetch configurations -- multi-tenant scenarios where each
-        tenant names its own policy/depth (:mod:`repro.scale`) -- while
-        still inheriting the machine's monitor.  The positional signature
-        stays a drop-in :data:`~repro.workloads.synthetic.PrefetcherFactory`.
+        route through here stay bit-identical to the seed.  The
+        signature is a drop-in
+        :data:`~repro.workloads.synthetic.PrefetcherFactory`.
         """
         cfg = self.config
-        policy_name = cfg.prefetch_policy if policy is None else policy
         return Prefetcher(
             make_policy(
-                policy_name,
-                depth=cfg.prefetch_depth if depth is None else depth,
-                stride_detect=(
-                    cfg.prefetch_stride_detect if stride_detect is None else stride_detect
-                ),
+                cfg.prefetch_policy,
+                depth=cfg.prefetch_depth,
+                stride_detect=cfg.prefetch_stride_detect,
             ),
             monitor=self.monitor,
         )

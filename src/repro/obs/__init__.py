@@ -28,7 +28,6 @@ from repro.obs.export import (
     latency_breakdown,
     render_breakdown,
 )
-from repro.obs.fairness import FairnessReport, TenantUsage, jain_index
 from repro.obs.monitor import NULL_MONITOR, BottleneckReport, CounterStat, Monitor
 from repro.obs.observability import Observability
 from repro.obs.stats import PrefetchStats
@@ -44,7 +43,6 @@ from repro.obs.trace import (
 __all__ = [
     "BottleneckReport",
     "CounterStat",
-    "FairnessReport",
     "Monitor",
     "NOOP_SPAN",
     "NULL_MONITOR",
@@ -52,7 +50,6 @@ __all__ = [
     "Observability",
     "PrefetchStats",
     "Span",
-    "TenantUsage",
     "TraceContext",
     "Tracer",
     "breakdown_of",
@@ -60,7 +57,6 @@ __all__ = [
     "chrome_trace_json",
     "critical_path_report",
     "get_tracer",
-    "jain_index",
     "latency_breakdown",
     "render_breakdown",
 ]

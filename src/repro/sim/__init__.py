@@ -10,8 +10,7 @@ Public surface:
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf` --
   event primitives.
-- :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`
-  -- coroutine processes.
+- :class:`~repro.sim.process.Process` -- coroutine processes.
 - :class:`~repro.sim.resources.Arbiter`,
   :class:`~repro.sim.resources.Hold` -- slots granted in canonical order
   at the end of each timestep, and one fixed-length hold of a slot.
@@ -25,7 +24,7 @@ Public surface:
 from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.obs.monitor import CounterStat, Monitor
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.resources import Arbiter, ArbitratedStore, Hold
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "Environment",
     "Event",
     "Hold",
-    "Interrupt",
     "Monitor",
     "Process",
     "Timeout",

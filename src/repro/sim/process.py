@@ -7,6 +7,12 @@ exception is thrown into the generator).
 
 A process is itself an event: it triggers when the generator finishes
 (value = the generator's return value) or raises.
+
+Nothing interrupts a process: every process, hold and mesh worm runs to
+completion once started.  A node crash is taken where a client path
+checks the fault plan -- call entry, the RPC retry loop, the delivery
+check -- as :class:`~repro.faults.plan.NodeCrashed`, and the workload
+replays the call after the restart.
 """
 
 from __future__ import annotations
@@ -19,48 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-
-class _InterruptEvent(Event):
-    """Internal urgent event used to deliver an interrupt."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks = [self._deliver]
-        self.env.schedule(self, priority_urgent=True)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if process._value is not PENDING:
-            return  # process already finished; drop the interrupt
-        # Unsubscribe the process from whatever it is waiting on and
-        # resume it with the failed interrupt event.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._resume(self)
-
-
 class Process(Event):
     """An active component executing a generator function."""
 
-    __slots__ = ("_generator", "_target", "name", "order_key", "_children")
+    __slots__ = ("_generator", "name", "order_key", "_children")
 
     def __init__(
         self,
@@ -91,9 +59,6 @@ class Process(Event):
         #: without perturbing its accidental parent's future children.
         self._children = 0
         self.order_key = order_key if order_key is not None else env.reserve_order_key()
-        #: The event this process is currently waiting on (None when
-        #: running or finished).
-        self._target: Optional[Event] = None
         # Kick off the process via an initialisation event.
         init = Event(env)
         init._ok = True
@@ -102,22 +67,9 @@ class Process(Event):
         env.schedule(init, priority_urgent=True)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting on."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt this process, throwing :class:`Interrupt` into it."""
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        _InterruptEvent(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with *event*'s value or exception."""
@@ -164,7 +116,6 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event not yet processed: subscribe and go to sleep.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             # Event already processed: resume immediately with its value.

@@ -102,9 +102,7 @@ class Arbiter:
     :attr:`holder` and re-dirties the arbiter if waiters are queued.
 
     A request runs to completion: nothing cancels a queued waiter or
-    revokes a grant, so an interrupted process that was waiting on a
-    hold (or holding one) leaves the hold to be granted, held for its
-    full length and released on its own.
+    revokes a grant.
     """
 
     __slots__ = (

@@ -8,8 +8,6 @@
   (sequential, strided, random) for M_ASYNC studies.
 - :mod:`repro.workloads.traces` -- I/O trace recording and replay for
   trace-driven runs.
-- :mod:`repro.workloads.tenant` -- arrival-driven job cohorts for
-  multi-tenant traffic (:mod:`repro.scale`).
 """
 
 from repro.workloads.patterns import (
@@ -24,11 +22,9 @@ from repro.workloads.synthetic import (
     StridedReadWorkload,
     WorkloadResult,
 )
-from repro.workloads.tenant import ArrivalDrivenJob
 from repro.workloads.traces import TraceEvent, TraceRecorder, TraceReplayer
 
 __all__ = [
-    "ArrivalDrivenJob",
     "CollectiveReadWorkload",
     "CollectiveWriteWorkload",
     "RandomPattern",

@@ -12,7 +12,13 @@ database, so the suite's outcome depends on the tree alone.  The
 database; select it with ``pytest --hypothesis-profile=explore`` to hunt
 for counterexamples the fixed draw does not reach (a failure prints the
 blob that reproduces it).
+
+``TIE_BREAKS`` is the tie-break axis of the fault suites.  The CI fault
+matrix runs them once per order by setting ``FAULT_TIE_BREAK=fifo`` /
+``lifo``; unset, both orders run.
 """
+
+import os
 
 import pytest
 from hypothesis import settings
@@ -27,6 +33,10 @@ from repro.machine import Machine
 
 KB = 1024
 MB = 1024 * 1024
+
+TIE_BREAKS = tuple(
+    x for x in ("fifo", "lifo") if os.environ.get("FAULT_TIE_BREAK") in (None, "", x)
+)
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ setting ``FAULT_TIE_BREAK=fifo`` / ``lifo``; unset, both legs run.
 
 import importlib.util
 import json
-import os
 import pathlib
 
 import pytest
@@ -49,10 +48,8 @@ from repro.faults import (
 )
 from repro.pfs import IOMode
 from repro.sim import ArbitratedStore, Environment
+from tests.conftest import TIE_BREAKS
 
-TIE_BREAKS = tuple(
-    x for x in ("fifo", "lifo") if os.environ.get("FAULT_TIE_BREAK") in (None, "", x)
-)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bench3_fingerprints.json"
 GOLDEN_REBUILD = pathlib.Path(__file__).parent / "golden" / "rebuild_fingerprint.json"
@@ -390,6 +387,35 @@ class TestCrashRestart:
         )
         for node in machine.compute_nodes:
             assert node.memory.used_by("prefetch") == 0
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_m_sync_crash_resumes_at_its_barrier_grant(self, tie_break):
+        # node0 goes down while its first M_SYNC read is in flight.  The
+        # barrier already retired that call, so the restarted rank must
+        # resume at the offset it was granted: a fresh SyncArrive would
+        # open a generation no other rank joins and exhaust the retry
+        # budget (FaultBudgetExceeded).
+        plan = FaultPlan.crash_restart(node="node0", windows=((0.01, 0.03),))
+        report = run_collective(
+            request_size=64 * KB,
+            file_size=scaled_file_size(64 * KB, rounds=2),
+            iomode=IOMode.M_SYNC,
+            rounds=2,
+            prefetch=True,
+            faults=plan,
+            tie_break=tie_break,
+            keep_machine=True,
+        )
+        machine = report.machine
+        assert machine.verify() == []
+        demand = [
+            (offset, nbytes)
+            for (_f, offset, nbytes, _d, kind, _io) in machine.faults.deliveries
+            if kind == "demand"
+        ]
+        assert len(demand) == len(set(demand))
+        assert sorted(o for o, _n in demand) == [i * 64 * KB for i in range(16)]
+        assert report.total_bytes == 16 * 64 * KB
 
     def test_crash_plan_validates_node_exists(self):
         plan = FaultPlan.crash_restart(node="node99", windows=((0.01, 0.02),))

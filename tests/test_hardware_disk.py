@@ -9,9 +9,8 @@ from repro.hardware import (
     SCSIBus,
     SCSIParams,
 )
-from repro.analysis.sanitizers import leaked_resources
 from repro.hardware.raid import RAIDError
-from repro.sim import Environment, Interrupt, Monitor
+from repro.sim import Environment, Monitor
 
 
 @pytest.fixture
@@ -391,166 +390,6 @@ class TestRAID3:
         env.run()
         assert order == ["first", "mid", "late"]
         assert not raid._busy and raid._pending == []
-
-    @pytest.mark.parametrize("form", FORMS)
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_waiter_interrupted_before_grant_leaves_the_arm_alone(self, tie_break, form):
-        """A read interrupted while queued for the arm withdraws its own
-        queue entry and leaves the holder's arm alone."""
-        env = Environment(tie_break=tie_break)
-        dp = DiskParams(media_rate_bps=10 * MB, controller_overhead_s=0.0)
-        rp = RAIDParams(data_disks=1, controller_overhead_s=0.0)
-        raid = make_array(env, form, bus_bw=1 * MB, disk_params=dp, raid_params=rp)
-        done = {}
-
-        def reader(tag, lba):
-            try:
-                yield from raid.read(lba, 1 * MB)
-                done[tag] = env.now
-            except Interrupt:
-                done[tag] = "interrupted"
-
-        holder = env.process(reader("holder", 0))
-        waiter = env.process(reader("waiter", 64 * MB))
-        seen = []
-
-        def watcher():
-            yield env.timeout(0.2e-3)
-            assert raid._busy and len(raid._pending) == 1
-            waiter.interrupt("give up")
-            # Same instant, after the interrupt landed and before the
-            # end-of-timestep settle could re-grant a stale entry.
-            yield env.timeout(0)
-            seen.append((raid._busy, list(raid._pending)))
-            yield env.timeout(0.5)
-            seen.append((raid._busy, list(raid._pending)))
-            yield holder
-            seen.append((raid._busy, list(raid._pending)))
-            yield env.timeout(1.0)
-            started = env.now
-            yield from raid.read(2 * MB, 1 * MB)
-            seen.append(env.now - started)
-
-        env.process(watcher())
-        env.run()
-        assert done["waiter"] == "interrupted"
-        assert done["holder"] == pytest.approx(1.0, rel=0.05)
-        # The holder kept the arm until its read ended; no entry was left.
-        assert seen[0] == (True, [])
-        assert seen[1] == (True, [])
-        assert seen[2] == (False, [])
-        # A later read is served normally: 1 MB across the 1 MB/s bus.
-        assert seen[3] == pytest.approx(1.0, rel=0.05)
-        assert not raid._busy and raid._pending == []
-        assert raid.busy_s == pytest.approx(done["holder"] + seen[3])
-        assert leaked_resources(env) == []
-
-    @pytest.mark.parametrize("form", FORMS)
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_holder_interrupted_in_service_frees_the_arm(self, tie_break, form):
-        """A read interrupted while it holds the arm releases it at that
-        instant, booking only the held span; a later read is served."""
-        env = Environment(tie_break=tie_break)
-        dp = DiskParams(media_rate_bps=10 * MB, controller_overhead_s=0.0)
-        rp = RAIDParams(data_disks=1, controller_overhead_s=0.0)
-        raid = make_array(env, form, bus_bw=1 * MB, disk_params=dp, raid_params=rp)
-        done = {}
-
-        def reader():
-            try:
-                yield from raid.read(0, 1 * MB)
-                done["holder"] = env.now
-            except Interrupt:
-                done["holder"] = "interrupted"
-
-        holder = env.process(reader())
-        seen = []
-
-        def watcher():
-            yield env.timeout(0.2e-3)
-            assert raid._busy and raid._pending == []
-            holder.interrupt("give up")
-            yield env.timeout(0)
-            seen.append((raid._busy, list(raid._pending)))
-            yield env.timeout(1.0)
-            started = env.now
-            yield from raid.read(2 * MB, 1 * MB)
-            seen.append(env.now - started)
-
-        env.process(watcher())
-        env.run()
-        assert done["holder"] == "interrupted"
-        assert seen[0] == (False, [])
-        assert seen[1] == pytest.approx(1.0, rel=0.05)
-        assert not raid._busy and raid._pending == []
-        assert raid.busy_s == pytest.approx(0.2e-3 + seen[1])
-        assert leaked_resources(env) == []
-
-    @staticmethod
-    def _reread_after_interrupted_read(
-        tie_break, form, lba=0, interrupt_at=0.2e-3, controller_overhead_s=0.0
-    ):
-        """Service time of a 64 KB read at *lba* issued 1 s after a read
-        of ``[0, 64 KB)`` was interrupted in service at *interrupt_at*."""
-        env = Environment(tie_break=tie_break)
-        dp = DiskParams(media_rate_bps=10 * MB, controller_overhead_s=0.0)
-        rp = RAIDParams(data_disks=1, controller_overhead_s=controller_overhead_s)
-        raid = make_array(env, form, bus_bw=1 * MB, disk_params=dp, raid_params=rp)
-
-        def reader():
-            try:
-                yield from raid.read(0, 64 * KB)
-            except Interrupt:
-                pass
-
-        holder = env.process(reader())
-        seen = []
-
-        def watcher():
-            yield env.timeout(interrupt_at)
-            holder.interrupt("give up")
-            yield env.timeout(1.0)
-            started = env.now
-            yield from raid.read(lba, 64 * KB)
-            seen.append(env.now - started)
-
-        env.process(watcher())
-        env.run()
-        assert not raid._busy and raid._pending == []
-        return seen[0]
-
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_interrupted_read_leaves_no_track_cache(self, tie_break):
-        """An interrupted transfer never reached the drive buffer, so a
-        re-read of its range pays positioning in both forms: the closed
-        form commits head and track-cache state at completion, as the
-        stepped form does, not at the grant (a cache hit would take the
-        bare 0.0625 s bus transfer)."""
-        stepped = self._reread_after_interrupted_read(tie_break, "stepped")
-        closed = self._reread_after_interrupted_read(tie_break, "closed")
-        assert stepped == pytest.approx(0.0735, abs=5e-5)
-        assert closed == stepped
-
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_interrupted_in_overhead_leaves_the_rotation_undrawn(self, tie_break):
-        """A holder interrupted inside the controller overhead never
-        positioned, so the next non-sequential access draws the same
-        rotational latency in both forms; interrupted after the overhead,
-        both forms have drawn."""
-        times = {}
-        for interrupt_at in (0.5e-3, 5e-3):
-            for form in FORMS:
-                times[form, interrupt_at] = self._reread_after_interrupted_read(
-                    tie_break,
-                    form,
-                    lba=2 * MB,
-                    interrupt_at=interrupt_at,
-                    controller_overhead_s=1e-3,
-                )
-        assert times["stepped", 0.5e-3] == pytest.approx(0.06865, abs=5e-5)
-        assert times["closed", 0.5e-3] == times["stepped", 0.5e-3]
-        assert times["closed", 5e-3] == times["stepped", 5e-3]
-        assert times["stepped", 5e-3] != times["stepped", 0.5e-3]
 
     def test_two_arrays_share_bus(self, env):
         bus = SCSIBus(env, params=SCSIParams(bandwidth_bps=1 * MB, arbitration_s=0.0))

@@ -8,7 +8,7 @@ from repro.analysis.sanitizers import leaked_resources
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.hardware import Mesh, MeshMessage, MeshParams
 from repro.obs import Observability
-from repro.sim import Environment, Interrupt, environment
+from repro.sim import Environment, environment
 
 
 @pytest.fixture
@@ -278,37 +278,6 @@ class TestOneWorm:
         # Granted at 4.0, one 0.5 s hop, no body.
         assert behind.delivered_at == 4.5
         assert mesh.link_busy_s() == {"0,0->1,0": 3.5, "1,0->2,0": 2.5}
-
-    def test_interrupted_sender_leaves_the_worm_to_finish(self):
-        # The worm belongs to no process: interrupting its sender does not
-        # release the route early, and once the worm ends nothing is held.
-        env = Environment()
-        mesh = Mesh(env, 4, 1, params=ONE_WORM)
-        msg = MeshMessage(src=(0, 0), dst=(2, 0), size_bytes=200)
-        seen = []
-
-        def sender():
-            try:
-                yield from mesh.send(msg)
-                seen.append("delivered")
-            except Interrupt:
-                seen.append(("interrupted", env.now))
-
-        proc = env.process(sender())
-
-        def interrupter():
-            yield env.timeout(2.0)
-            proc.interrupt("give up")
-            yield env.timeout(0)
-            seen.append([len(mesh._links[link].users) for link in sorted(mesh._links)])
-
-        env.process(interrupter())
-        env.run()
-        assert seen == [("interrupted", 2.0), [1, 1]]
-        assert msg.delivered_at == 4.0
-        assert mesh.link_busy_s() == ONE_WORM_BUSY
-        assert all(not mesh._links[link].users for link in sorted(mesh._links))
-        assert leaked_resources(env) == []
 
 
 

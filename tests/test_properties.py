@@ -1,11 +1,12 @@
 """Hypothesis property tests on core data structures and invariants."""
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.ufs.allocator import AllocationError, ExtentAllocator
 from repro.ufs.data import LiteralData, SyntheticData, concat_data
+from tests.conftest import TIE_BREAKS
 
 KB = 1024
 
@@ -476,13 +477,14 @@ class TestRebuildProperties:
     @given(
         st.sampled_from([0.25, 0.5, 1.0]),
         st.sampled_from([0, 1, 3]),
+        st.sampled_from(TIE_BREAKS),
     )
     @settings(
         max_examples=6,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_rebuild_byte_conservation(self, rate, disk_index):
+    def test_rebuild_byte_conservation(self, rate, disk_index, tie_break):
         """The copy-back writes exactly the failed spindle's share of the
         live stripe region onto the replacement -- no more, no less --
         regardless of throttle rate or which spindle died."""
@@ -494,6 +496,7 @@ class TestRebuildProperties:
             rounds=2,
             prefetch=True,
             faults=self._rebuild_plan(rate, disk_index),
+            tie_break=tie_break,
             keep_machine=True,
         )
         machine = report.machine
@@ -506,26 +509,27 @@ class TestRebuildProperties:
         assert raid0.rebuild_copied_bytes == live // raid0.data_disks
         assert machine.verify() == []
 
-    @given(st.sampled_from([0.25, 0.5, 1.0]))
+    @given(st.sampled_from([0.25, 0.5, 1.0]), st.sampled_from(TIE_BREAKS))
     @settings(
         max_examples=3,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_rebuild_window_bandwidth_at_most_fault_free(self, rate):
+    def test_rebuild_window_bandwidth_at_most_fault_free(self, rate, tie_break):
         """Rebuild traffic competes with demand I/O: bandwidth while the
         copy-back runs never exceeds the fault-free run's, and the same
         bytes are delivered."""
         from repro.experiments.common import run_multipass, scaled_file_size
 
         file_size = scaled_file_size(64 * KB, rounds=2)
-        fault_free = run_multipass(64 * KB, file_size, passes=3, rounds=2)
+        fault_free = run_multipass(64 * KB, file_size, passes=3, rounds=2, tie_break=tie_break)
         rebuild = run_multipass(
             64 * KB,
             file_size,
             passes=3,
             rounds=2,
             faults=self._rebuild_plan(rate),
+            tie_break=tie_break,
             keep_machine=True,
         )
         assert rebuild.total_bytes == fault_free.total_bytes
@@ -534,7 +538,13 @@ class TestRebuildProperties:
         assert raid0.rebuilds_completed == 1
         assert rebuild.machine.verify() == []
 
-    def test_post_rebuild_reads_pay_no_reconstruction(self):
+    @given(st.sampled_from(TIE_BREAKS))
+    @settings(
+        max_examples=2,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_post_rebuild_reads_pay_no_reconstruction(self, tie_break):
         """After the frontier reaches the live high-water mark the array
         is healthy again: a fresh pass on the same machine reconstructs
         nothing (monotone recovery's 'back to full speed' half)."""
@@ -548,6 +558,7 @@ class TestRebuildProperties:
             passes=2,
             rounds=2,
             faults=self._rebuild_plan(0.5),
+            tie_break=tie_break,
             keep_machine=True,
         )
         machine = report.machine
@@ -588,13 +599,16 @@ class TestCrashRestartProperties:
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=1, max_value=3),
         st.booleans(),
+        st.sampled_from(TIE_BREAKS),
     )
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_crash_replay_never_double_delivers_or_skips(self, seed, n_windows, prefetch):
+    def test_crash_replay_never_double_delivers_or_skips(
+        self, seed, n_windows, prefetch, tie_break
+    ):
         """Any number of crash/restart cycles at seeded random points:
         the demand audit log holds exactly one record per file record --
         no duplicates (a crash-before-reply replayed, not re-executed)
@@ -609,6 +623,7 @@ class TestCrashRestartProperties:
             rounds=2,
             prefetch=prefetch,
             faults=plan,
+            tie_break=tie_break,
             keep_machine=True,
         )
         machine = report.machine
@@ -626,13 +641,14 @@ class TestCrashRestartProperties:
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from(["M_LOG", "M_UNIX"]),
+        st.sampled_from(TIE_BREAKS),
     )
     @settings(
         max_examples=8,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_crash_never_double_advances_shared_pointer(self, seed, mode):
+    def test_crash_never_double_advances_shared_pointer(self, seed, mode, tie_break):
         """Shared-pointer modes: replaying the coordination handshake
         after a crash advances the file pointer exactly once per logical
         read -- the delivered offsets tile the file prefix with no gap
@@ -649,6 +665,7 @@ class TestCrashRestartProperties:
             rounds=2,
             faults=plan,
             async_partition=False,
+            tie_break=tie_break,
             keep_machine=True,
         )
         machine = report.machine
@@ -665,13 +682,14 @@ class TestCrashRestartProperties:
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=1, max_value=3),
         st.sampled_from(["M_RECORD", "M_UNIX", "M_LOG"]),
+        st.sampled_from(TIE_BREAKS),
     )
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_write_crash_never_drops_or_duplicates_records(self, seed, n_windows, mode):
+    def test_write_crash_never_drops_or_duplicates_records(self, seed, n_windows, mode, tie_break):
         """Write-side twin of the read-path crash properties: a crash at
         any point in a write call (mid-transfer, during the pointer
         handshake, or after the data landed but before the call
@@ -689,7 +707,7 @@ class TestCrashRestartProperties:
 
         nprocs, rounds, request = 4, 2, 64 * KB
         plan = FaultPlan.crash_restart(node="node0", windows=self._windows(seed, n_windows))
-        machine = Machine(MachineConfig(n_compute=nprocs, n_io=4, faults=plan))
+        machine = Machine(MachineConfig(n_compute=nprocs, n_io=4, faults=plan, tie_break=tie_break))
         mount = machine.mount("/pfs")
         pfs_file = machine.create_file(mount, "out", 0)
         workload = CollectiveWriteWorkload(
@@ -807,182 +825,3 @@ class TestFaultPlaneProperties:
                 assert spec.duration_s < a.retry.timeout_s
             if spec.windowed:
                 assert spec.window_s < a.retry.timeout_s
-
-
-# -- strategies for the fairness algebra (repro.obs.fairness) ---------------
-
-_bandwidths = st.lists(
-    st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
-    max_size=12,
-)
-
-_tenant_names = st.sampled_from(["alpha", "beta", "gamma", "delta"])
-
-
-def _usages(name=None):
-    name_strategy = st.just(name) if name is not None else _tenant_names
-    return st.builds(
-        lambda tenant, nbytes, jobs, durations: __import__(
-            "repro.obs.fairness", fromlist=["TenantUsage"]
-        ).TenantUsage(
-            tenant=tenant, bytes_read=nbytes, jobs=jobs, call_durations_s=sorted(durations)
-        ),
-        name_strategy,
-        st.integers(min_value=0, max_value=2**40),
-        st.integers(min_value=0, max_value=64),
-        st.lists(
-            st.floats(min_value=1e-9, max_value=100.0, allow_nan=False, allow_infinity=False),
-            max_size=10,
-        ),
-    )
-
-
-def _reports():
-    from repro.obs.fairness import FairnessReport
-
-    return st.builds(
-        lambda usages: FairnessReport(tenants={u.tenant: u for u in usages}),
-        st.lists(_usages(), max_size=4, unique_by=lambda u: u.tenant),
-    )
-
-
-class TestFairnessProperties:
-    """The fairness algebra the sharded bench runner leans on: Jain's
-    index laws, and FairnessReport/TenantUsage merges that commute and
-    associate *exactly* (mirroring the PrefetchStats.merge laws) so
-    shard merge order can never move a fingerprint."""
-
-    @given(_bandwidths)
-    # Near-equal allocations whose quotient rounds one ulp above 1.
-    @example([999999987.0, 999999992.0])
-    @settings(max_examples=200, deadline=None)
-    def test_jain_in_unit_interval(self, values):
-        from repro.obs.fairness import jain_index
-
-        index = jain_index(values)
-        assert 0.0 < index <= 1.0
-
-    @given(_bandwidths, st.randoms(use_true_random=False))
-    @settings(max_examples=200, deadline=None)
-    def test_jain_permutation_invariant(self, values, rng):
-        """Bit-identical under tenant reordering (fsum is
-        correctly-rounded, so the sum is order-free)."""
-        from repro.obs.fairness import jain_index
-
-        shuffled = list(values)
-        rng.shuffle(shuffled)
-        assert jain_index(shuffled) == jain_index(values)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
-        st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_jain_identical_tenants_is_exactly_one(self, value, n):
-        from repro.obs.fairness import jain_index
-
-        assert jain_index([value] * n) == 1.0
-
-    @given(_bandwidths)
-    @settings(max_examples=100, deadline=None)
-    def test_jain_scale_invariant(self, values):
-        """Jain's index depends on the *shape* of the allocation, not
-        its units (MB/s vs bytes/s must agree to float tolerance)."""
-        from repro.obs.fairness import jain_index
-
-        scaled = [v * 1024.0 for v in values]
-        assert abs(jain_index(scaled) - jain_index(values)) < 1e-9
-
-    @given(_usages(name="alpha"), _usages(name="alpha"))
-    @settings(max_examples=150, deadline=None)
-    def test_usage_merge_commutative(self, a, b):
-        assert a.merge(b) == b.merge(a)
-
-    @given(_usages(name="alpha"), _usages(name="alpha"), _usages(name="alpha"))
-    @settings(max_examples=150, deadline=None)
-    def test_usage_merge_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @given(_usages(name="alpha"), _usages(name="alpha"))
-    @settings(max_examples=100, deadline=None)
-    def test_usage_derived_time_is_population_pure(self, a, b):
-        """read_call_time_s is a pure function of the duration multiset,
-        so merging in either order yields the identical float."""
-        merged = a.merge(b)
-        assert merged.read_call_time_s == b.merge(a).read_call_time_s
-        assert merged.read_calls == a.read_calls + b.read_calls
-
-    @given(_usages(name="beta"))
-    @settings(max_examples=50, deadline=None)
-    def test_usage_merge_rejects_foreign_tenant(self, usage):
-        from repro.obs.fairness import TenantUsage
-
-        try:
-            usage.merge(TenantUsage(tenant="gamma"))
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("merge across tenants must raise")
-
-    @given(_reports(), _reports())
-    @settings(max_examples=150, deadline=None)
-    def test_report_merge_commutative(self, a, b):
-        assert a.merge(b) == b.merge(a)
-
-    @given(_reports(), _reports(), _reports())
-    @settings(max_examples=150, deadline=None)
-    def test_report_merge_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
-
-    @given(_reports())
-    @settings(max_examples=100, deadline=None)
-    def test_report_merge_identity_and_no_aliasing(self, report):
-        from repro.obs.fairness import FairnessReport
-
-        merged = report.merge(FairnessReport())
-        assert merged == report
-        # The merged report must not alias the operand's mutable usages.
-        for name in sorted(merged.tenants):
-            assert merged.tenants[name] is not report.tenants[name]
-
-    @given(_reports(), _reports())
-    @settings(max_examples=100, deadline=None)
-    def test_report_merge_fingerprint_order_free(self, a, b):
-        """The canonical fingerprint (what sharded cells are compared
-        by) is identical whichever shard merges first."""
-        from repro.analysis.sanitizers import report_fingerprint
-
-        assert report_fingerprint(a.merge(b)) == report_fingerprint(b.merge(a))
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=2**30),
-                st.lists(
-                    st.floats(
-                        min_value=1e-9, max_value=10.0, allow_nan=False, allow_infinity=False
-                    ),
-                    max_size=6,
-                ),
-            ),
-            max_size=8,
-        ),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_record_fold_order_free(self, handles, rng):
-        """Folding per-handle stats in any order yields bit-identical
-        usage -- the property that makes scenario fairness reports
-        tie-order invariant."""
-        from repro.obs.fairness import TenantUsage
-
-        forward = TenantUsage(tenant="alpha")
-        for nbytes, durations in handles:
-            forward.record(nbytes, durations)
-        shuffled = list(handles)
-        rng.shuffle(shuffled)
-        backward = TenantUsage(tenant="alpha")
-        for nbytes, durations in shuffled:
-            backward.record(nbytes, durations)
-        assert forward == backward
-        assert forward.read_call_time_s == backward.read_call_time_s

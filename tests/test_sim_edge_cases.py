@@ -1,90 +1,14 @@
-"""Edge-case tests for the DES kernel: interrupts vs holds, condition
-corners, store corners — the awkward interactions."""
+"""Edge-case tests for the DES kernel: condition corners, store
+corners — the awkward interactions."""
 
 import pytest
 
-from repro.analysis.sanitizers import leaked_resources
-from repro.sim import AllOf, AnyOf, Arbiter, ArbitratedStore, Environment, Hold, Interrupt
+from repro.sim import AllOf, AnyOf, ArbitratedStore, Environment
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-TIE_BREAKS = ("fifo", "lifo")
-
-
-class TestInterruptedHold:
-    """A hold runs to completion once requested: interrupting the
-    process that waits on it (queued or holding) neither cancels it nor
-    releases the slot early.  The hold is granted in its turn, held for
-    its full length, booked and released on its own."""
-
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_hold_interrupted_while_queued_runs_to_completion(self, tie_break):
-        env = Environment(tie_break=tie_break)
-        arbiter = Arbiter(env)
-        seen = []
-
-        def holder():
-            yield Hold(arbiter, 10.0)
-
-        def waiter():
-            try:
-                yield Hold(arbiter, 2.0)
-                seen.append("granted")
-            except Interrupt:
-                seen.append(("interrupted", env.now))
-
-        def latecomer():
-            yield env.timeout(11.0)
-            granted = yield Hold(arbiter, 1.0)
-            seen.append(("latecomer", granted, env.now))
-
-        def interrupter(victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-            yield env.timeout(0)
-            seen.append(("queued", len(arbiter.queue)))
-
-        env.process(holder())
-        env.process(interrupter(env.process(waiter())))
-        env.process(latecomer())
-        env.run()
-        # The interrupted hold still held the slot over [10, 12].
-        assert seen == [("interrupted", 1.0), ("queued", 1), ("latecomer", 12.0, 13.0)]
-        assert arbiter.busy_s == 13.0
-        assert leaked_resources(env) == []
-
-    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_hold_interrupted_while_holding_runs_to_completion(self, tie_break):
-        env = Environment(tie_break=tie_break)
-        arbiter = Arbiter(env)
-        seen = []
-
-        def holder():
-            try:
-                yield Hold(arbiter, 5.0)
-            except Interrupt:
-                seen.append(("interrupted", env.now, len(arbiter.users)))
-
-        def waiter():
-            yield env.timeout(0.5)
-            granted = yield Hold(arbiter, 1.0)
-            seen.append(("waiter", granted, env.now))
-
-        def interrupter(victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        env.process(interrupter(env.process(holder())))
-        env.process(waiter())
-        env.run()
-        # The slot stays held until 5.0; the waiter is granted only then.
-        assert seen == [("interrupted", 1.0, 1), ("waiter", 5.0, 6.0)]
-        assert arbiter.busy_s == 6.0
-        assert leaked_resources(env) == []
 
 
 class TestConditionCorners:

@@ -1,8 +1,8 @@
-"""Unit tests for simulation processes and interrupts."""
+"""Unit tests for simulation processes."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -137,104 +137,6 @@ class TestOrderKeys:
         env.run()
         assert p.order_key == (3,)
         assert keys == [(3, 1), (3, 2), (3, 3)]
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_sleeper(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt(cause="wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert victim.value == ("interrupted", "wake up", 2.0)
-
-    def test_interrupted_process_can_continue(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            return env.now
-
-        def interrupter(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert victim.value == pytest.approx(3.0)
-
-    def test_interrupt_dead_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
-
-        def late(env, victim):
-            yield env.timeout(5.0)
-            with pytest.raises(RuntimeError):
-                victim.interrupt()
-            return "checked"
-
-        v = env.process(quick(env))
-        p = env.process(late(env, v))
-        env.run()
-        assert p.value == "checked"
-
-    def test_self_interrupt_rejected(self, env):
-        def selfish(env):
-            me = env.active_process
-            with pytest.raises(RuntimeError):
-                me.interrupt()
-            yield env.timeout(0)
-            return "ok"
-
-        p = env.process(selfish(env))
-        env.run()
-        assert p.value == "ok"
-
-    def test_unhandled_interrupt_crashes_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100.0)
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("no handler")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupt_while_waiting_on_process(self, env):
-        def child(env):
-            yield env.timeout(50.0)
-            return "child done"
-
-        def parent(env, c):
-            try:
-                yield c
-            except Interrupt:
-                return "parent interrupted"
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        c = env.process(child(env))
-        p = env.process(parent(env, c))
-        env.process(interrupter(env, p))
-        env.run()
-        assert p.value == "parent interrupted"
-        assert c.value == "child done"  # child unaffected
 
 
 class TestProcessPatterns:

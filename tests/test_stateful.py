@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.hardware.memory import MemoryRegion, OutOfMemoryError
 from repro.ufs.allocator import AllocationError, ExtentAllocator
+from tests.conftest import TIE_BREAKS
 
 
 class AllocatorMachine(RuleBasedStateMachine):
@@ -110,18 +111,22 @@ class MemoryRegionMachine(RuleBasedStateMachine):
 class FaultPlanMachine(RuleBasedStateMachine):
     """Randomly grown fault plans stay valid and fully recoverable.
 
-    Rules accumulate specs -- transient faults, one disk
-    failure/copy-back-rebuild pair, crash/restart windows -- under the
-    plan's own validity constraints; invariants check the plan always
-    constructs and its windows pair up.  One terminal rule drives a real
-    machine with the accumulated plan and asserts the PR-5 acceptance
-    invariants: ``Machine.verify()`` clean (including the invariant-7
-    delivery audit) and exactly-once demand delivery.
+    The machine draws an I/O mode, a depth-k prefetcher of depth 1-3 and
+    a tie-break order.  Rules accumulate specs -- transient faults, one
+    disk failure/copy-back-rebuild pair, crash/restart windows on any
+    compute node -- under the plan's own validity constraints;
+    invariants check the plan always constructs and its windows pair
+    up.  One terminal rule drives a real machine with the accumulated
+    plan and asserts the fault plane's acceptance invariants:
+    ``Machine.verify()`` clean (including the invariant-7 delivery
+    audit), exactly-once demand delivery and no prefetch memory left on
+    any compute node.
     """
 
     REQUEST = 64 * 1024
     ROUNDS = 2
     NPROCS = 8
+    MODES = ("M_RECORD", "M_SYNC", "M_UNIX", "M_ASYNC")
 
     def __init__(self):
         super().__init__()
@@ -129,6 +134,16 @@ class FaultPlanMachine(RuleBasedStateMachine):
         self.repaired_raids = set()
         self.crash_cursor = 0.01
         self.ran = False
+
+    @initialize(
+        mode=st.sampled_from(MODES),
+        depth=st.integers(min_value=1, max_value=3),
+        tie_break=st.sampled_from(TIE_BREAKS),
+    )
+    def setup(self, mode, depth, tie_break):
+        self.mode = mode
+        self.depth = depth
+        self.tie_break = tie_break
 
     @rule(
         kind=st.sampled_from(["media_error", "slow_sector", "server_stall"]),
@@ -176,7 +191,7 @@ class FaultPlanMachine(RuleBasedStateMachine):
     @rule(
         gap=st.floats(min_value=0.01, max_value=0.1),
         width=st.floats(min_value=0.005, max_value=0.05),
-        node=st.integers(min_value=0, max_value=1),
+        node=st.integers(min_value=0, max_value=NPROCS - 1),
     )
     def add_crash_window(self, gap, width, node):
         from repro.faults import FaultSpec
@@ -205,6 +220,7 @@ class FaultPlanMachine(RuleBasedStateMachine):
         from repro.experiments.common import run_collective, scaled_file_size
         from repro.faults import FaultPlan
         from repro.paragonos.rpc import RPCError
+        from repro.pfs import IOMode
 
         self.ran = True
         plan = FaultPlan(specs=tuple(self.specs))
@@ -212,9 +228,12 @@ class FaultPlanMachine(RuleBasedStateMachine):
             report = run_collective(
                 request_size=self.REQUEST,
                 file_size=scaled_file_size(self.REQUEST, rounds=self.ROUNDS),
+                iomode=IOMode[self.mode],
                 rounds=self.ROUNDS,
                 prefetch=True,
                 faults=plan,
+                tie_break=self.tie_break,
+                prefetch_depth=self.depth,
                 keep_machine=True,
             )
         except RPCError as exc:
@@ -240,6 +259,8 @@ class FaultPlanMachine(RuleBasedStateMachine):
         assert sorted(o for _f, o, _n in demand) == [
             i * self.REQUEST for i in range(self.NPROCS * self.ROUNDS)
         ]
+        for node in machine.compute_nodes:
+            assert node.memory.used_by("prefetch") == 0
         repairs = machine.monitor.counter_value("faults.injected.disk_repair")
         if "raid0" in self.repaired_raids and repairs == 1:
             # The scheduler is lazy (tick() at array accesses), so the
@@ -349,150 +370,11 @@ class PolicyMachine(RuleBasedStateMachine):
         ) < 1e-9
 
 
-
-class ScaleMachine(RuleBasedStateMachine):
-    """Multi-tenant lifecycle on one shared machine: tenants spawn, run
-    to completion, and tear down -- under a seeded crash window -- while
-    the machine stays verifiable after every step.
-
-    Each ``spawn_tenant`` rule mounts a fresh namespace, runs one
-    arrival-driven cohort (:class:`repro.workloads.tenant.ArrivalDrivenJob`)
-    to quiescence in a randomly drawn I/O mode, and audits exactly-once
-    delivery of the tenant's bytes from the fault-plan delivery log.
-    ``teardown_tenant`` unmounts a departed tenant (which re-verifies and
-    prunes the audit log); invariants assert ``Machine.verify()`` stays
-    clean and no prefetcher ever leaks buffer memory across the churn.
-    """
-
-    REQUEST = 64 * 1024
-    N_COMPUTE = 4
-    N_IO = 4
-    MODES = ("M_RECORD", "M_SYNC", "M_UNIX", "M_ASYNC")
-
-    @initialize(
-        tie=st.sampled_from(["fifo", "lifo"]),
-        crash_node=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-        crash_at=st.floats(min_value=0.002, max_value=0.05),
-        width=st.floats(min_value=0.005, max_value=0.05),
-    )
-    def setup(self, tie, crash_node, crash_at, width):
-        from repro.config import MachineConfig
-        from repro.faults import FaultPlan, FaultSpec
-        from repro.machine import Machine
-
-        specs = ()
-        if crash_node is not None:
-            # One early crash window on a compute node; the first
-            # tenant(s) read straight through it (the cohort's
-            # NodeCrashed retry waits out the window and re-issues).
-            specs = (
-                FaultSpec(kind="node_crash", target=f"node{crash_node}", at_s=crash_at),
-                FaultSpec(
-                    kind="node_restart", target=f"node{crash_node}", at_s=crash_at + width
-                ),
-            )
-        # An (possibly empty) plan is always attached so the delivery
-        # audit -- verify() invariant 7 and the exactly-once check
-        # below -- records every demand read.
-        self.machine = Machine(
-            MachineConfig(
-                n_compute=self.N_COMPUTE,
-                n_io=self.N_IO,
-                tie_break=tie,
-                faults=FaultPlan(specs=specs),
-            )
-        )
-        self.serial = 0
-        self.live = {}
-        self.all_prefetchers = []
-
-    @rule(
-        mode_name=st.sampled_from(MODES),
-        nprocs=st.integers(min_value=1, max_value=4),
-        rounds=st.integers(min_value=1, max_value=4),
-        arrival=st.floats(min_value=0.0, max_value=0.02),
-        depth=st.integers(min_value=1, max_value=3),
-    )
-    def spawn_tenant(self, mode_name, nprocs, rounds, arrival, depth):
-        from repro.config import PFSConfig
-        from repro.pfs import IOMode
-        from repro.workloads.tenant import ArrivalDrivenJob
-
-        machine = self.machine
-        name = f"t{self.serial:03d}"
-        self.serial += 1
-        mount = machine.mount(f"/{name}", PFSConfig(stripe_unit=self.REQUEST))
-        size = self.REQUEST * nprocs * rounds
-        pfs_file = machine.create_file(mount, "data", size)
-        prefetchers = []
-
-        def factory(rank):
-            pf = machine.build_prefetcher(rank, depth=depth)
-            prefetchers.append(pf)
-            self.all_prefetchers.append(pf)
-            return pf
-
-        job = ArrivalDrivenJob(
-            machine,
-            mount,
-            ["data"],
-            IOMode[mode_name],
-            request_size=self.REQUEST,
-            rounds=rounds,
-            clients=[
-                machine.clients[(self.serial + r) % self.N_COMPUTE] for r in range(nprocs)
-            ],
-            arrival_s=arrival,
-            prefetcher_factory=factory,
-            name=name,
-        )
-        job.spawn()
-        machine.run()  # drain this cohort to quiescence
-        assert job.completed, f"{name} never finished its reads"
-        assert job.bytes_read == size
-        # -- exactly-once delivery for this tenant's file --------------
-        demand = [
-            (offset, nbytes)
-            for (file_id, offset, nbytes, _d, kind, _io) in machine.faults.deliveries
-            if kind == "demand" and file_id == pfs_file.file_id
-        ]
-        assert len(demand) == len(set(demand)), "a byte range was delivered twice"
-        assert sorted(offset for offset, _n in demand) == [
-            i * self.REQUEST for i in range(nprocs * rounds)
-        ]
-        self.live[name] = {"mount": f"/{name}", "prefetchers": prefetchers}
-
-    @precondition(lambda self: self.live)
-    @rule(index=st.integers(min_value=0, max_value=10_000))
-    def teardown_tenant(self, index):
-        name = sorted(self.live)[index % len(self.live)]
-        info = self.live.pop(name)
-        # The departing tenant must not leave prefetch buffers behind
-        # (close() frees them; teardown would hide the leak otherwise).
-        for pf in info["prefetchers"]:
-            assert pf.buffer_list.live_bytes == 0
-        self.machine.unmount(info["mount"])
-
-    @invariant()
-    def machine_always_verifies(self):
-        if hasattr(self, "machine"):
-            assert self.machine.verify() == []
-
-    @invariant()
-    def no_prefetch_memory_held(self):
-        if hasattr(self, "machine"):
-            for pf in self.all_prefetchers:
-                assert pf.buffer_list.live_bytes == 0
-                assert pf.buffer_list.memory.used_by("prefetch") == 0
-
-
 TestAllocatorMachine = AllocatorMachine.TestCase
 TestAllocatorMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 TestMemoryRegionMachine = MemoryRegionMachine.TestCase
 TestMemoryRegionMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 TestFaultPlanMachine = FaultPlanMachine.TestCase
-TestFaultPlanMachine.settings = settings(max_examples=12, stateful_step_count=12, deadline=None)
+TestFaultPlanMachine.settings = settings(max_examples=40, stateful_step_count=12, deadline=None)
 TestPolicyMachine = PolicyMachine.TestCase
 TestPolicyMachine.settings = settings(max_examples=20, stateful_step_count=12, deadline=None)
-TestScaleMachine = ScaleMachine.TestCase
-TestScaleMachine.settings = settings(max_examples=15, stateful_step_count=8, deadline=None)
