@@ -1,6 +1,7 @@
 """Machine-readable bench trajectory: the Table 1 / Figure 2 points.
 
-Writes ``BENCH_9.json`` at the repo root: collective read bandwidth for
+Writes ``BENCH_local.json`` (untracked) at the repo root, or ``--output``:
+collective read bandwidth for
 every (request size, prefetch) Table 1 cell and every (mode, request
 size) Figure 2 cell, plus a per-cell bottleneck summary naming the
 saturating resource.  The file is the perf baseline later PRs regress
@@ -43,6 +44,9 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py [--quick]
         [--tie-check {full,sample}] [--output PATH]
 
+The committed ``BENCH_<n>.json`` snapshots are frozen: ``main`` refuses
+an ``--output`` that names one, before any cell runs.
+
 ``--quick`` trims sizes and rounds for CI; the default settings match
 the experiment suite (rounds=16, the paper's request sizes).  Output is
 deterministic -- no timestamps, rounded floats, content-hash sampling --
@@ -68,6 +72,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import subprocess
 import sys
 import zlib
 
@@ -92,6 +98,31 @@ FIGURE2_MODES = (IOMode.M_UNIX, IOMode.M_LOG, IOMode.M_SYNC, IOMode.M_RECORD, IO
 #: One in SAMPLE_MODULUS cells gets the full fifo/lifo check in
 #: ``--tie-check=sample`` mode.
 SAMPLE_MODULUS = 4
+
+
+#: Where ``main`` writes without ``--output``: an untracked scratch name,
+#: never one of the frozen ``BENCH_<n>.json`` snapshots.
+DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_local.json")
+
+_SNAPSHOT = re.compile(r"BENCH_\d+\.json")
+
+
+def committed_snapshot(path: str) -> bool:
+    """True when *path* names a ``BENCH_<n>.json`` snapshot that git
+    tracks (or, outside a git checkout, one that exists)."""
+    path = os.path.abspath(path)
+    name = os.path.basename(path)
+    if not _SNAPSHOT.fullmatch(name):
+        return False
+    try:
+        done = subprocess.run(
+            ["git", "ls-files", "--error-unmatch", name],
+            cwd=os.path.dirname(path),
+            capture_output=True,
+        )
+    except OSError:
+        return os.path.exists(path)
+    return done.returncode == 0
 
 
 def tie_check_sampled(cell_key: str) -> bool:
@@ -365,8 +396,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_9.json"),
-        help="output path (default: repo-root BENCH_9.json)",
+        default=DEFAULT_OUTPUT,
+        help="output path (default: repo-root BENCH_local.json); a committed "
+        "BENCH_<n>.json snapshot is refused",
     )
     parser.add_argument(
         "--repeats",
@@ -375,6 +407,8 @@ def main(argv=None) -> int:
         help="wall-clock repeats per cell (best-of-N)",
     )
     args = parser.parse_args(argv)
+    if committed_snapshot(args.output):
+        parser.error(f"{args.output} is a committed BENCH_<n>.json snapshot; pick another --output")
     results = run_bench(quick=args.quick, tie_check=args.tie_check, repeats=args.repeats)
     with open(args.output, "w") as fh:
         json.dump(results, fh, indent=2)

@@ -526,7 +526,7 @@ class RAID3Array:
         """Generator: write *nbytes*; parity spindle streams concurrently."""
         return self._access(lba, nbytes, "write", ctx=ctx)
 
-    # fast-path: requires=faults,tracer -- no process waits on the arm; only the unobserved, fault-free closed form completes it by callback
+    # fast-path: requires=tracer -- no process waits on the arm; only the unobserved closed form, which a fault plan keeps where it spares the array, completes it by callback
     def access_then(
         self, kind: str, lba: int, nbytes: int, key: Any, then: Callable[[Any, Any], None]
     ) -> None:
@@ -543,6 +543,8 @@ class RAID3Array:
         as ``then(None, error)``.  Validation errors raise here.
         """
         self._admit(lba, nbytes)
+        if self.faults is not None:
+            self.faults.tick()
         grant = self._enqueue(lba, key, (nbytes, kind) if self.fast_ready else None)
         access = _CallbackAccess(self, kind, lba, nbytes, key, then)
         grant.callbacks.append(access.granted)
@@ -709,7 +711,7 @@ class RAID3Array:
         )
 
 
-# fast-path: requires=faults,tracer -- completes a closed-form access by callback; built only by access_then
+# fast-path: requires=tracer -- completes a closed-form access by callback; built only by access_then
 class _CallbackAccess:
     """One :meth:`RAID3Array.access_then` access, waiting for its grant."""
 

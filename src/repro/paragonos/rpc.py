@@ -19,32 +19,43 @@ endpoint reserved when it was built.  One serve per round (not every
 waiting request at once) decides in which settle round each serve makes
 its first arbiter request, so it is part of the model's timing.
 
-Without a fault plan, a call is two callback transmissions
-(:meth:`~repro.hardware.mesh.Mesh.post`) and one serve, traced or not:
-the request worm's delivery puts the envelope into the inbox under the
-caller's order key, and the reply worm's delivery resumes the caller
-directly.  :meth:`RPCEndpoint.post` is the callback form of a call, for
-a caller that is not a process.  When the tracer is off too, the serve
-itself need not be a process either: a request type with a callback
-handler (:meth:`RPCEndpoint.register_callback`, which the PFS server
-registers for Fast Path reads and writes) is served by a callback chain,
-started by the same urgent event a serve process would have been started
-by and arbitrating under the same key ``dispatch_key + (n,)``.  Its
-reply is posted as a serve process's would be, and a handler error fails
-the call with the same :class:`RPCError`.
+Untraced, a call is two callback transmissions
+(:meth:`~repro.hardware.mesh.Mesh.post`) and its serve, fault plan or
+not: the request worm's delivery puts the envelope into the inbox under
+the caller's order key, and the reply lands the caller on one event pop.
+:meth:`RPCEndpoint.post` is the callback form of a call, for a caller
+that is not a process; :meth:`RPCEndpoint.call` under a fault plan is one
+such post and one resume.  The serve need not be a process either: a
+request type with a callback handler
+(:meth:`RPCEndpoint.register_callback`, which the PFS server registers
+for Fast Path reads and writes) is served by a callback chain, started
+by the same urgent event a serve process would have been started by and
+arbitrating under the same key ``dispatch_key + (n,)``.  Its reply is
+posted as a serve process's would be, and a handler error fails the call
+with the same :class:`RPCError`.  Generator handlers (coordinator,
+control and buffered requests, arrays the fault plan does not spare)
+keep their serve processes.  A traced run takes the process forms --
+:meth:`RPCEndpoint._call_with_retries`, :meth:`RPCEndpoint._transmit`,
+:meth:`RPCEndpoint._serve`, :meth:`RPCEndpoint._send_reply` -- which
+open the ``rpc_call``/``rpc_attempt`` spans and are the reference the
+callback forms are compared against; a fault-free call runs the same way
+traced or not.
 
 Fault tolerance (active only when the machine runs with a
-:class:`~repro.faults.plan.FaultPlan`): calls carry a per-request reply
-timeout with bounded exponential backoff; on timeout the *same* request
-object -- hence the same idempotent ``msg_id`` -- is retransmitted.  The
-server deduplicates by ``(source node, msg_id)``: a retransmit of an
-in-flight request coalesces onto the running handler, and a retransmit
-of a completed one replays the cached reply without re-executing the
-handler (so side-effectful work is applied at most once).  A call whose
-budget is exhausted raises
+:class:`~repro.faults.plan.FaultPlan`), in either form: calls carry a
+per-request reply timeout with bounded exponential backoff; on timeout
+the *same* request object -- hence the same idempotent ``msg_id`` -- is
+retransmitted (:class:`_RetriedCall` untraced).  The server deduplicates
+by ``(source node, msg_id)`` (:meth:`RPCEndpoint._consult_log`): a
+retransmit of an in-flight request coalesces onto the running handler,
+and a retransmit of a completed one replays the cached reply without
+re-executing the handler (so side-effectful work is applied at most
+once).  A call whose budget is exhausted raises
 :class:`~repro.faults.plan.FaultBudgetExceeded` carrying the trace span
-chain.  Handler *errors* are not retried -- they are deterministic
-outcomes, not lost messages -- preserving the fault-free semantics.
+chain (empty untraced).  Handler *errors* are not retried -- they are
+deterministic outcomes, not lost messages -- preserving the fault-free
+semantics.  Each attempt's reply timer stays queued after the reply
+wins, so a faulted run's clock drains to the last timer.
 
 The inbox is an :class:`~repro.sim.ArbitratedStore`: same-timestamp
 request arrivals (natural under retry storms) are admitted in canonical
@@ -60,7 +71,7 @@ from repro.hardware.node import Node
 from repro.obs.trace import get_tracer
 from repro.paragonos.messages import RPCMessage
 from repro.sim import ArbitratedStore, Environment
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event, Timeout
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
 if TYPE_CHECKING:
@@ -112,19 +123,30 @@ class _Inbox(ArbitratedStore):
             self.endpoint._start_serve(self.items.pop(0), self.serves)
 
 
-# fast-path: requires=faults,tracer -- a serve with no process; only an unobserved, fault-free endpoint starts one
+# fast-path: requires=tracer -- a serve with no process; only an unobserved endpoint starts one
 class _CallbackServe:
     """One request served by a callback handler (see
-    :meth:`RPCEndpoint.register_callback`): the serve's first step, then
-    its reply or handler error, as :meth:`RPCEndpoint._serve` does them."""
+    :meth:`RPCEndpoint.register_callback`), taking the steps of
+    :meth:`RPCEndpoint._serve` in the same order: the serve's first step,
+    then its reply or handler error.
 
-    __slots__ = ("endpoint", "envelope", "key", "handler")
+    Under a fault plan these include the serve's fault steps: the
+    request log (a retransmit of a running request coalesces onto it, a
+    retransmit of a finished one gets its reply again without the
+    handler running), the ``rpc_stall`` wait before the handler, and
+    reply shipping in envelope order (:class:`_ReplyShipper`).
+    """
+
+    __slots__ = ("endpoint", "envelope", "key", "handler", "entry")
 
     def __init__(self, endpoint: "RPCEndpoint", envelope: _Envelope, key: Any, handler) -> None:
         self.endpoint = endpoint
         self.envelope = envelope
         self.key = key
         self.handler = handler
+        #: The request-log entry this serve runs the handler for (fault
+        #: plans only).
+        self.entry: Optional[Dict] = None
         # The start event a serve process would have been kicked off
         # by, with this serve's first step as its callback.
         env = endpoint.env
@@ -135,7 +157,23 @@ class _CallbackServe:
         env.schedule(start, priority_urgent=True)
 
     def start(self, _event: Event) -> None:
-        self.endpoint._inbox.rearm()
+        endpoint = self.endpoint
+        endpoint._inbox.rearm()
+        if endpoint.faults is not None:
+            verdict, entry = endpoint._consult_log(self.envelope)
+            if verdict == "coalesced":
+                return
+            if verdict == "replay":
+                _ReplyShipper(endpoint, [self.envelope], entry["reply"], served=False)
+                return
+            self.entry = entry
+            stall_s = endpoint._stall_s()
+            if stall_s is not None:
+                Timeout(endpoint.env, stall_s).callbacks.append(self._handle)
+                return
+        self._handle(None)
+
+    def _handle(self, _stalled: Optional[Event]) -> None:
         try:
             self.handler(self.envelope.request, self.key, self.done)
         except Exception as exc:
@@ -143,13 +181,158 @@ class _CallbackServe:
 
     def done(self, reply: Any, error: Optional[BaseException]) -> None:
         envelope = self.envelope
-        if error is not None:
-            envelope.reply_event.fail(RPCError(str(error)))
-            return
         endpoint = self.endpoint
+        entry = self.entry
+        if error is not None:
+            endpoint._fail_serve(envelope, entry, error)
+            return
+        if entry is not None:
+            entry["state"] = "done"
+            entry["reply"] = reply
+            _ReplyShipper(endpoint, entry["envelopes"], reply, served=True)
+            return
         # The reply worm resumes the caller on its final grant.
         endpoint.mesh.post(endpoint._reply_message(envelope, reply), envelope.reply_event, reply)
         endpoint.monitor.counter("rpc.served").add(1)
+
+
+# fast-path: requires=tracer -- reply shipping with no process; only a callback serve starts one
+class _ReplyShipper:
+    """A logged serve's replies under a fault plan, as
+    :meth:`RPCEndpoint._send_reply` ships them from a serve process: to
+    each envelope of *targets* in order (a live list that a coalesced
+    retransmit may still grow), one reply worm at a time, each sent when
+    the previous one is delivered.  A dropped reply is lost; a delivered
+    one succeeds its reply event unless that was already triggered.  A
+    *served* request counts ``rpc.served`` after its last reply; a replay
+    does not."""
+
+    __slots__ = ("endpoint", "targets", "reply", "shipped", "served")
+
+    def __init__(
+        self, endpoint: "RPCEndpoint", targets: List[_Envelope], reply: Any, served: bool
+    ) -> None:
+        self.endpoint = endpoint
+        self.targets = targets
+        self.reply = reply
+        self.shipped = 0
+        self.served = served
+        self._next(None)
+
+    def _next(self, delivered: Optional[Event]) -> None:
+        targets = self.targets
+        shipped = self.shipped
+        if delivered is not None and not delivered._value.dropped:
+            # (A dropped reply is lost: the caller's retransmit is
+            # answered from the request log.)
+            reply_event = targets[shipped - 1].reply_event
+            if not reply_event.triggered:
+                reply_event.succeed(self.reply)
+        endpoint = self.endpoint
+        if shipped == len(targets):
+            if self.served:
+                endpoint.monitor.counter("rpc.served").add(1)
+            return
+        self.shipped = shipped + 1
+        proxy = Event(endpoint.env)
+        proxy.callbacks.append(self._next)
+        message = endpoint._reply_message(targets[shipped], self.reply)
+        endpoint.mesh.post(message, proxy, message)
+
+
+# fast-path: requires=tracer -- a retried call with no process; only an unobserved endpoint makes one
+class _RetriedCall:
+    """One call under a fault plan, as callbacks: the steps of
+    :meth:`RPCEndpoint._call_with_retries` without a process.
+
+    Each attempt checks that the calling node is up, sends the request
+    worm with a fresh reply event, and starts the attempt's reply timer
+    when the worm is delivered -- the instant the process form starts
+    it.  Whichever of the reply and the timer is processed first decides
+    the attempt: a reply succeeds *done* with its value (or fails it
+    with the :class:`RPCError` of a handler error, or with
+    :class:`~repro.faults.plan.NodeCrashed` if the node is down by
+    then); a timeout counts a retry and starts the next attempt, or
+    fails *done* with :class:`~repro.faults.plan.FaultBudgetExceeded`
+    once the budget is spent.  A timer stays queued after its reply
+    wins, as the process form's does.
+    """
+
+    __slots__ = (
+        "endpoint",
+        "target",
+        "request",
+        "key",
+        "done",
+        "attempt",
+        "reply_event",
+        "timer",
+        "timeouts",
+    )
+
+    def __init__(
+        self,
+        endpoint: "RPCEndpoint",
+        target: "RPCEndpoint",
+        request: RPCMessage,
+        key: Any,
+        done: Event,
+    ) -> None:
+        self.endpoint = endpoint
+        self.target = target
+        self.request = request
+        self.key = key
+        self.done = done
+        self.attempt = 0
+        self.timer: Optional[Event] = None
+        self.timeouts: List[float] = []
+        self._send()
+
+    def _send(self) -> None:
+        endpoint = self.endpoint
+        if endpoint.halted_fn is not None and endpoint.halted_fn():
+            self.done.fail(endpoint._node_crashed(self.request))
+            return
+        reply_event = Event(endpoint.env)
+        # The server may fail this event after the attempt timed out.
+        reply_event.callbacks.append(_defuse_late_failure)
+        reply_event.callbacks.append(self._replied)
+        self.reply_event = reply_event
+        envelope = _Envelope(self.request, reply_event, endpoint, self.key)
+        endpoint._post_envelope(self.target, envelope, self._delivered)
+
+    def _delivered(self, _delivered: Event) -> None:
+        endpoint = self.endpoint
+        limit = endpoint.faults.plan.retry.timeout_for(self.attempt)
+        self.timeouts.append(limit)
+        timer = self.timer = Timeout(endpoint.env, limit)
+        timer.callbacks.append(self._timed_out)
+
+    def _replied(self, event: Event) -> None:
+        done = self.done
+        if event is not self.reply_event or done._value is not PENDING:
+            return
+        if not event._ok:
+            done.fail(event._value)
+            return
+        halted_fn = self.endpoint.halted_fn
+        if halted_fn is not None and halted_fn():
+            # A dead node cannot consume the reply; the request log
+            # replays it when the restarted node asks again.
+            done.fail(self.endpoint._node_crashed(self.request))
+            return
+        done.fire(event._value)
+
+    def _timed_out(self, timer: Event) -> None:
+        if timer is not self.timer or self.done._value is not PENDING:
+            return
+        endpoint = self.endpoint
+        endpoint.monitor.counter("rpc.retries").add(1)
+        self.attempt += 1
+        if self.attempt < endpoint.faults.plan.retry.max_attempts:
+            self._send()
+            return
+        self.done.fail(endpoint._budget_exceeded(self.target, self.request, self.timeouts, []))
 
 
 def _defuse_late_failure(event) -> None:
@@ -184,10 +367,11 @@ class RPCEndpoint:
         self.faults = faults
         self.tracer = get_tracer(monitor)
         #: Callback calls (see :meth:`post`) and callback serves: legal
-        #: only when nothing can observe or perturb a call's interior --
-        #: no fault plan (retries, drops, the idempotency log), no trace
-        #: spans (a callback serve opens none).
-        self._fast = faults is None and not self.tracer.enabled
+        #: only when nothing observes a call's interior -- no trace spans
+        #: (neither opens one).  Under a fault plan they take the retry,
+        #: request-log and stall steps too (:class:`_RetriedCall`,
+        #: :class:`_CallbackServe`).
+        self._fast = not self.tracer.enabled
         if faults is not None:
             #: This node's name as ``rpc_stall`` specs target it.
             self._stall_target = f"node{node.node_id}"
@@ -222,11 +406,12 @@ class RPCEndpoint:
     ) -> None:
         """Register a callback form of *request_type*'s handler.
 
-        On an endpoint with callback calls (no fault plan or tracer), a
-        request for which ``ready(request)`` holds when its serve is due
-        is served without a process: on the event that
-        would have started the serve, ``handler(request, key, then)``
-        runs, with *key* the serve's order key, and must call
+        On an endpoint with callback serves (no tracer), a request for
+        which ``ready(request)`` holds when its serve is due is served
+        without a process: on the event that would have started the
+        serve (after the request-log and ``rpc_stall`` steps under a
+        fault plan), ``handler(request, key, then)`` runs, with *key*
+        the serve's order key, and must call
         ``then(reply, None)`` once -- or ``then(None, error)``, which
         fails the call with the :class:`RPCError` :meth:`register`'s
         handler would have raised.  Every other request of the type
@@ -251,6 +436,11 @@ class RPCEndpoint:
         if self.faults is None:
             reply = yield from self._call_once(target, request)
             self.tracer.end(span)
+        elif self._fast:
+            # One post, one resume: the retried call runs on callbacks.
+            done = Event(self.env)
+            _RetriedCall(self, target, request, self.env._active_process.order_key, done)
+            reply = yield done
         else:
             reply = yield from self._call_with_retries(target, request, span)
         self.monitor.counter("rpc.calls").add(1)
@@ -266,7 +456,7 @@ class RPCEndpoint:
         self._post_envelope(target, envelope)
         return (yield envelope.reply_event)
 
-    # fast-path: requires=faults,tracer -- callback call: no process waits on either transmission
+    # fast-path: requires=tracer -- callback call: no process waits on a transmission, a reply or a retry timer
     def post(
         self,
         target: "RPCEndpoint",
@@ -278,30 +468,56 @@ class RPCEndpoint:
 
         The request is admitted into *target*'s inbox under *key* (the
         order key a calling process would have had).  ``on_reply(event)``
-        runs when the reply lands, on the pop of the reply worm's final
-        grant; if the handler failed it runs instead with a failed event
-        whose value is the :class:`RPCError` :meth:`call` would raise.
-        A callback that does not take over the failure must leave the
-        event un-defused, so the error still stops the run.
+        runs when the reply lands: on the pop of the reply worm's final
+        grant, or under a fault plan on the pop of the reply event that
+        wins its attempt (see :class:`_RetriedCall`).  If the call fails
+        it runs instead with a failed event whose value is the exception
+        :meth:`call` would raise: the handler's :class:`RPCError`, or
+        under a fault plan :class:`~repro.faults.plan.NodeCrashed` or
+        :class:`~repro.faults.plan.FaultBudgetExceeded`.  A callback that
+        does not take over the failure must leave the event un-defused,
+        so the error still stops the run.
         """
         reply_event = Event(self.env)
         reply_event.callbacks.append(self._count_call)
         reply_event.callbacks.append(on_reply)
-        self._post_envelope(target, _Envelope(request, reply_event, self, key))
+        if self.faults is None:
+            self._post_envelope(target, _Envelope(request, reply_event, self, key))
+        else:
+            _RetriedCall(self, target, request, key, reply_event)
 
     def _count_call(self, event: Event) -> None:
         if event._ok:
             self.monitor.counter("rpc.calls").add(1)
 
-    # fast-path: requires=faults -- the request worm's delivery admits the envelope by callback; nothing can drop or duplicate it
-    def _post_envelope(self, target: "RPCEndpoint", envelope: _Envelope) -> None:
+    def _post_envelope(
+        self,
+        target: "RPCEndpoint",
+        envelope: _Envelope,
+        then: Optional[Callable[[Event], None]] = None,
+    ) -> None:
+        """Send *envelope*'s request worm; its delivery admits the
+        envelope into *target*'s inbox (see :meth:`_admit`), then calls
+        ``then(delivered)`` if given."""
         delivered = Event(self.env)
         delivered.callbacks.append(target._admit)
-        self.mesh.post(self._request_message(target, envelope), delivered, envelope)
+        if then is not None:
+            delivered.callbacks.append(then)
+        message = self._request_message(target, envelope)
+        self.mesh.post(message, delivered, message)
 
     def _admit(self, delivered: Event) -> None:
-        envelope = delivered._value
-        self._inbox.put(envelope, envelope.key)
+        """Put a delivered request into the inbox under the caller's key,
+        as :meth:`_transmit` does: not at all if the mesh dropped it, and
+        a second time one settle round later if it was duplicated."""
+        message = delivered._value
+        if message.dropped:
+            # Lost after occupying its route; the retry timer recovers.
+            return
+        envelope = message.payload
+        put = self._inbox.put(envelope, envelope.key)
+        if message.duplicated:
+            put.callbacks.append(lambda _put: self._inbox.put(envelope, envelope.key))
 
     def _call_with_retries(self, target: "RPCEndpoint", request: RPCMessage, span):
         """Timeout + bounded exponential backoff with idempotent msg_id."""
@@ -343,14 +559,18 @@ class RPCEndpoint:
             self.tracer.end(attempt_span, outcome="timeout")
             self.monitor.counter("rpc.retries").add(1)
         self.tracer.end(span, attempts=policy.max_attempts, outcome="budget_exceeded")
-        from repro.faults.plan import FaultBudgetExceeded
         from repro.obs.trace import NOOP_SPAN
 
         chain = [] if span is NOOP_SPAN else [span] + self.tracer.ancestors(span)
-        raise FaultBudgetExceeded(
+        raise self._budget_exceeded(target, request, timeouts, chain)
+
+    def _budget_exceeded(self, target: "RPCEndpoint", request: RPCMessage, timeouts, chain):
+        from repro.faults.plan import FaultBudgetExceeded
+
+        return FaultBudgetExceeded(
             f"RPC {type(request).__name__} msg_id={request.msg_id} from node "
             f"{self.node.node_id} to node {target.node.node_id} got no reply "
-            f"after {policy.max_attempts} attempts (timeouts: {timeouts})",
+            f"after {len(timeouts)} attempts (timeouts: {timeouts})",
             span_chain=chain,
             attempts=timeouts,
         )
@@ -420,38 +640,19 @@ class RPCEndpoint:
             return
         entry = None
         if self.faults is not None:
-            key = (envelope.source.node.node_id, request.msg_id)
-            entry = self._request_log.get(key)
-            if entry is not None:
-                if entry["state"] == "in-flight":
-                    # Retransmit (or duplicate) of a running request:
-                    # coalesce onto the in-flight handler's reply.
-                    if envelope not in entry["envelopes"]:
-                        entry["envelopes"].append(envelope)
-                    self.monitor.counter("rpc.duplicates_coalesced").add(1)
-                    return
-                # Completed: replay the cached reply, never re-execute.
-                self.monitor.counter("rpc.replays").add(1)
+            verdict, entry = self._consult_log(envelope)
+            if verdict == "coalesced":
+                return
+            if verdict == "replay":
                 yield from self._send_reply(envelope, entry["reply"])
                 return
-            entry = {"state": "in-flight", "envelopes": [envelope], "reply": None}
-            self._request_log[key] = entry
-            stall = self.faults.decide("rpc_stall", self._stall_target)
-            if stall is not None:
-                self.monitor.counter("rpc.stalls").add(1)
-                yield self.env.timeout(stall.duration_s)
+            stall_s = self._stall_s()
+            if stall_s is not None:
+                yield self.env.timeout(stall_s)
         try:
             reply = yield from handler(request)
         except Exception as exc:  # propagate handler failure to the caller
-            if entry is not None:
-                # A handler error is a deterministic outcome, not a lost
-                # message: drop the log entry so a retransmit re-raises.
-                del self._request_log[(envelope.source.node.node_id, request.msg_id)]
-                for env_ in entry["envelopes"]:
-                    if not env_.reply_event.triggered:
-                        env_.reply_event.fail(RPCError(str(exc)))
-            else:
-                envelope.reply_event.fail(RPCError(str(exc)))
+            self._fail_serve(envelope, entry, exc)
             return
         if entry is not None:
             entry["state"] = "done"
@@ -463,6 +664,54 @@ class RPCEndpoint:
             # grant; this serve has nothing left to wait for.
             self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
         self.monitor.counter("rpc.served").add(1)
+
+    def _consult_log(self, envelope: _Envelope) -> Tuple[str, Dict]:
+        """A serve's request-log step under a fault plan, keyed by
+        ``(source node, msg_id)``.
+
+        Returns ``(verdict, entry)``: ``"coalesced"`` when a retransmit
+        (or duplicate) of a running request joined its in-flight entry,
+        whose handler will reply to it too; ``"replay"`` when the request
+        already completed, so the entry's cached reply is shipped again
+        and the handler never re-runs (side effects apply at most once);
+        ``"new"`` when the serve logged a new in-flight entry and runs
+        the handler.
+        """
+        key = (envelope.source.node.node_id, envelope.request.msg_id)
+        entry = self._request_log.get(key)
+        if entry is None:
+            entry = {"state": "in-flight", "envelopes": [envelope], "reply": None}
+            self._request_log[key] = entry
+            return "new", entry
+        if entry["state"] == "in-flight":
+            if envelope not in entry["envelopes"]:
+                entry["envelopes"].append(envelope)
+            self.monitor.counter("rpc.duplicates_coalesced").add(1)
+            return "coalesced", entry
+        self.monitor.counter("rpc.replays").add(1)
+        return "replay", entry
+
+    def _stall_s(self) -> Optional[float]:
+        """Seconds a new logged request waits before its handler runs,
+        if an ``rpc_stall`` spec fires for this node."""
+        stall = self.faults.decide("rpc_stall", self._stall_target)
+        if stall is None:
+            return None
+        self.monitor.counter("rpc.stalls").add(1)
+        return stall.duration_s
+
+    def _fail_serve(self, envelope: _Envelope, entry: Optional[Dict], exc: BaseException) -> None:
+        """Fail a serve's caller(s) with the handler's error.  A handler
+        error is a deterministic outcome, not a lost message: a logged
+        request's entry is dropped, so a retransmit re-raises, and every
+        waiting envelope it coalesced fails."""
+        if entry is None:
+            envelope.reply_event.fail(RPCError(str(exc)))
+            return
+        del self._request_log[(envelope.source.node.node_id, envelope.request.msg_id)]
+        for env_ in entry["envelopes"]:
+            if not env_.reply_event.triggered:
+                env_.reply_event.fail(RPCError(str(exc)))
 
     def _reply_message(self, envelope: _Envelope, reply) -> MeshMessage:
         return MeshMessage(

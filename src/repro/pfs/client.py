@@ -852,9 +852,9 @@ class PFSClient:
         self.crash_windows: tuple = ()
         self.tracer = get_tracer(monitor)
         #: Stripe pieces as callback calls (see :meth:`_post_pieces`)
-        #: instead of a process each: only when no fault plan needs the
-        #: crash sentinel and no tracer records per-piece spans.
-        self._fast = faults is None and not self.tracer.enabled and endpoint._fast
+        #: instead of a process each: only when no tracer records
+        #: per-piece spans.
+        self._fast = not self.tracer.enabled and endpoint._fast
 
     # -- crash/restart predicates ---------------------------------------------
 
@@ -1055,7 +1055,7 @@ class PFSClient:
         if len(requests) == 1:
             ok = yield from put(requests[0])()
         elif self._fast:
-            yield self._post_pieces(
+            replies = yield self._post_pieces(
                 requests,
                 lambda creq: WriteRequest(
                     file_id=pfs_file.file_id,
@@ -1065,7 +1065,8 @@ class PFSClient:
                 ),
                 land=False,
             )
-            ok = True
+            # A crashed piece's reply is the None sentinel.
+            ok = all(replies)
         else:
             procs = [
                 self.env.process(put(creq)(), name=f"write-piece-{i}")
@@ -1079,7 +1080,7 @@ class PFSClient:
             pfs_file.size_bytes = offset + nbytes
         return nbytes
 
-    # fast-path: requires=faults,tracer -- stripe pieces as callback calls; no piece process carries a crash sentinel or a span
+    # fast-path: requires=tracer -- stripe pieces as callback calls; no piece process opens a span
     def _post_pieces(self, requests, make_request, land: bool) -> Event:
         """Start every piece of a declustered transfer as a callback call.
 
@@ -1088,11 +1089,16 @@ class PFSClient:
         had (reserved from the calling process, as ``env.process``
         does); with *land*, its reply is landed through the message
         co-processor under that key, as :meth:`Node.receive` would.  The
-        returned event fires with the replies, in piece order, on the
-        last landing.  A handler error fails it with the
-        :class:`~repro.paragonos.rpc.RPCError` a piece process would have
-        raised; a later error stays un-defused and stops the run, as it
-        does under ``AllOf``.
+        returned event fires with the replies, in piece order, once
+        every piece has finished.  A piece whose call raises
+        :class:`NodeCrashed` has no landing and finishes with the piece
+        process's ``None`` sentinel, so the caller raises once for the
+        whole transfer.  Any other error (a handler's
+        :class:`~repro.paragonos.rpc.RPCError`, a
+        :class:`~repro.faults.plan.FaultBudgetExceeded`) fails the event
+        at once, as the first failed piece process fails the ``AllOf``;
+        a later error stays un-defused and stops the run, as it does
+        under ``AllOf``.
         """
         env = self.env
         node = self.node
@@ -1112,7 +1118,10 @@ class PFSClient:
 
             def on_reply(event: Event, i=i, key=key, nbytes=creq.length) -> None:
                 if not event._ok:
-                    if done._value is PENDING:
+                    if isinstance(event._value, NodeCrashed):
+                        event._defused = True
+                        arrived(i, None)
+                    elif done._value is PENDING:
                         event._defused = True
                         done.fail(event._value)
                     return

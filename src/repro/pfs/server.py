@@ -17,9 +17,10 @@ a higher overhead involved in creating temporary buffers for the size
 of the partial blocks and copying only the necessary data").
 
 Each request runs in a serve process of the node's RPC endpoint, except
-on the Fast Path of a fault-free, unobserved run: there a read or write
-is served by a callback chain (:class:`_FastPathServe`) that takes the
-same steps in the same order and under the same order key.
+on the Fast Path of an unobserved run whose array would serve it in
+closed form: there a read or write is served by a callback chain
+(:class:`_FastPathServe`) that takes the same steps in the same order
+and under the same order key, a fault plan's ``server_stall`` included.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.paragonos.messages import (
 from repro.obs.trace import get_tracer
 from repro.paragonos.rpc import RPCEndpoint
 from repro.sim import Environment
+from repro.sim.events import Timeout
 from repro.obs.monitor import NULL_MONITOR, CounterStat, Monitor
 from repro.ufs import UFS, concat_data
 
@@ -104,8 +106,8 @@ class PFSServer:
         endpoint.register(ReadRequest, self._handle_read)
         endpoint.register(WriteRequest, self._handle_write)
         endpoint.register(ControlRequest, self._handle_control)
-        # Fault-free, unobserved endpoints serve Fast Path reads and
-        # writes without a process (see _FastPathServe).
+        # Unobserved endpoints serve Fast Path reads and writes without
+        # a process (see _FastPathServe).
         endpoint.register_callback(ReadRequest, partial(_FastPathRead, self), self._fastpath_ready)
         endpoint.register_callback(
             WriteRequest, partial(_FastPathWrite, self), self._fastpath_ready
@@ -162,13 +164,9 @@ class PFSServer:
             request.ctx = span.ctx
         yield from self.node.busy(self.node.params.server_request_overhead_s)
         if self.faults is not None:
-            stall = self.faults.decide("server_stall", self._stall_target)
-            if stall is not None:
-                # The server thread wedges (page fault storm, driver
-                # hiccup) before touching storage; the client's RPC
-                # timeout covers it.
-                self._count_extra("stalls")
-                yield self.env.timeout(stall.duration_s)
+            stall_s = self._stall_s()
+            if stall_s is not None:
+                yield self.env.timeout(stall_s)
         if request.fastpath or self.cache is None:
             data, cache_hit = (yield from self._read_fastpath(request)), False
         else:
@@ -181,6 +179,17 @@ class PFSServer:
             data=data,
             cache_hit=cache_hit,
         )
+
+    def _stall_s(self) -> Optional[float]:
+        """Seconds a read waits after its request overhead, if a
+        ``server_stall`` spec of the fault plan fires for this node: the
+        server thread wedges (page fault storm, driver hiccup) before
+        touching storage, and the client's RPC timeout covers it."""
+        stall = self.faults.decide("server_stall", self._stall_target)
+        if stall is None:
+            return None
+        self._count_extra("stalls")
+        return stall.duration_s
 
     def _read_fastpath(self, request: ReadRequest):
         """Direct disk -> reply transfer with block coalescing."""
@@ -432,7 +441,7 @@ class PFSServer:
         return f"<PFSServer node={self.node.node_id} cache={'on' if self.cache else 'off'}>"
 
 
-# fast-path: requires=faults,tracer -- a serve with no process; only an unobserved, fault-free endpoint runs it
+# fast-path: requires=tracer -- a serve with no process; only an unobserved endpoint runs it
 class _FastPathServe:
     """One Fast Path read or write served as a callback chain.
 
@@ -440,16 +449,20 @@ class _FastPathServe:
     :meth:`~repro.paragonos.rpc.RPCEndpoint.register_callback`), it takes
     the same steps as the serve process's :meth:`PFSServer._handle_read`
     / :meth:`PFSServer._handle_write`, in the same order and under the
-    serve's order key *key*: the request overhead on the CPU, the UFS
-    transfer, the partial-block copy when the range is unaligned, then
-    the counters and ``then(reply, None)`` -- or ``then(None, error)``
-    on a handler error.
+    serve's order key *key*: the request overhead on the CPU, a read's
+    ``server_stall`` under a fault plan, the UFS transfer, the
+    partial-block copy when the range is unaligned, then the counters
+    and ``then(reply, None)`` -- or ``then(None, error)`` on a handler
+    error.
     """
 
     __slots__ = ("server", "request", "key", "then", "data")
 
     #: The ``pfs_server.<node>.*`` counter of an unaligned request.
     partial_counter = ""
+    #: Whether a fault plan's ``server_stall`` applies (reads only, as
+    #: in :meth:`PFSServer._handle_read`).
+    stalls = False
 
     def __init__(self, server: PFSServer, request, key: Any, then: Callable) -> None:
         self.server = server
@@ -460,7 +473,15 @@ class _FastPathServe:
         node = server.node
         node.busy_then(node.params.server_request_overhead_s, key, self._transfer)
 
-    def _transfer(self) -> None:
+    def _transfer(self, stalled: Optional[Timeout] = None) -> None:
+        """Run after the request overhead (with *stalled*, after the
+        ``server_stall`` that followed it): start the UFS transfer."""
+        server = self.server
+        if stalled is None and self.stalls and server.faults is not None:
+            stall_s = server._stall_s()
+            if stall_s is not None:
+                Timeout(server.env, stall_s).callbacks.append(self._transfer)
+                return
         try:
             self._start_transfer()
         except Exception as exc:
@@ -502,6 +523,7 @@ class _FastPathServe:
 class _FastPathRead(_FastPathServe):
     __slots__ = ()
     partial_counter = "partial_block_reads"
+    stalls = True
 
     def _nbytes(self) -> int:
         return self.request.nbytes

@@ -42,7 +42,7 @@ class BlockDevice:
         yield from self.array.write(start_block * self.block_size, nbytes, ctx=ctx)
         return nbytes
 
-    # fast-path: requires=faults,tracer -- the RAID callback access completes only in an unobserved, fault-free closed form
+    # fast-path: requires=tracer -- the RAID callback access completes in closed form only while unobserved
     def access_then(
         self, kind: str, start_block: int, nblocks: int, key: Any, then: Callable[[Any, Any], None]
     ) -> None:

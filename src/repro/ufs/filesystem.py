@@ -218,7 +218,7 @@ class UFS:
             yield from self.device.write_extent(physical, run_len, ctx=ctx)
         return self._wrote(len(data))
 
-    # fast-path: requires=faults,tracer -- disk runs on RAID callbacks, which only an unobserved, fault-free array completes
+    # fast-path: requires=tracer -- disk runs on RAID callbacks, which only an unobserved array completes
     def read_then(
         self,
         file_id: int,
@@ -235,7 +235,7 @@ class UFS:
         this call returns.  Validation errors raise here."""
         _CallbackRead(self, file_id, offset, nbytes, coalesce, key, then).step()
 
-    # fast-path: requires=faults,tracer -- disk runs on RAID callbacks, which only an unobserved, fault-free array completes
+    # fast-path: requires=tracer -- disk runs on RAID callbacks, which only an unobserved array completes
     def write_then(
         self,
         file_id: int,
@@ -385,7 +385,7 @@ class UFS:
         return f"<UFS {self.name} files={len(self._inodes)}>"
 
 
-# fast-path: requires=faults,tracer -- one disk access at a time on RAID callbacks; built only by read_then / write_then
+# fast-path: requires=tracer -- one disk access at a time on RAID callbacks; built only by read_then / write_then
 class _CallbackIO:
     """A :meth:`UFS.read_then` or :meth:`UFS.write_then` in progress.
 

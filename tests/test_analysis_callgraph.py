@@ -757,7 +757,8 @@ class TestShippedTree:
             "repro.hardware.raid:RAID3Array.access_then",
             "repro.hardware.scsi:SCSIBus.account_bypass",
             "repro.paragonos.rpc:RPCEndpoint._call_once",
-            "repro.paragonos.rpc:RPCEndpoint._post_envelope",
+            "repro.paragonos.rpc:RPCEndpoint.post",
+            "repro.paragonos.rpc:_RetriedCall.__init__",
             "repro.pfs.client:PFSClient._post_pieces",
         }
         assert expected <= marked
@@ -772,24 +773,30 @@ class TestShippedTree:
         }
         assert "repro.hardware.scsi:SCSIBus.account_bypass" in entries
         assert "repro.paragonos.rpc:RPCEndpoint._call_once" in entries
-        assert "repro.paragonos.rpc:RPCEndpoint._post_envelope" in entries
+        assert "repro.paragonos.rpc:RPCEndpoint.post" in entries
+        assert "repro.paragonos.rpc:_RetriedCall.__init__" in entries
         assert "repro.pfs.client:PFSClient._post_pieces" in entries
 
     def test_fast_path_gates_resolve_their_facets(self):
         """Each gate resolves to exactly the facets its callee needs: the
-        callback stripe pieces skip spans, so they need the tracer off
-        as well; a fault-free call only needs no fault plan."""
+        callback stripe pieces and the callback retried call skip spans,
+        so they need the tracer off (and run under fault plans); a
+        fault-free call only needs no fault plan."""
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
         gates = {
             (
                 "repro.pfs.client:PFSClient.transfer_read",
                 "repro.pfs.client:PFSClient._post_pieces",
-            ): {"faults", "tracer"},
+            ): {"tracer"},
             (
                 "repro.paragonos.rpc:RPCEndpoint.call",
                 "repro.paragonos.rpc:RPCEndpoint._call_once",
             ): {"faults"},
+            (
+                "repro.paragonos.rpc:RPCEndpoint.call",
+                "repro.paragonos.rpc:_RetriedCall.__init__",
+            ): {"tracer"},
         }
         for (caller, callee), facets in gates.items():
             sites = [e.site for e in project.edges[caller] if e.callee == callee]

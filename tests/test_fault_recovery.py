@@ -708,6 +708,36 @@ class TestBenchTieSampler:
             bench.run_bench(tie_check="never")
 
 
+class TestBenchOutput:
+    """``run_bench.py`` never overwrites a committed ``BENCH_<n>.json``."""
+
+    bench = TestBenchTieSampler.bench
+
+    def test_default_output_is_an_untracked_scratch_name(self, bench):
+        assert pathlib.Path(bench.DEFAULT_OUTPUT).name == "BENCH_local.json"
+        assert not bench.committed_snapshot(bench.DEFAULT_OUTPUT)
+
+    def test_committed_snapshot_is_refused_before_any_cell_runs(self, bench, monkeypatch, capsys):
+        root = pathlib.Path(__file__).parent.parent
+        snapshot = root / "BENCH_9.json"
+        before = snapshot.read_bytes()
+
+        def no_run(**_kwargs):
+            raise AssertionError("a bench ran")
+
+        monkeypatch.setattr(bench, "run_bench", no_run)
+        assert bench.committed_snapshot(str(snapshot))
+        with pytest.raises(SystemExit) as excinfo:
+            bench.main(["--output", str(snapshot)])
+        assert excinfo.value.code != 0
+        assert "committed" in capsys.readouterr().err
+        assert snapshot.read_bytes() == before
+
+    def test_other_names_are_not_snapshots(self, bench, tmp_path):
+        assert not bench.committed_snapshot(str(tmp_path / "BENCH_ci.json"))
+        assert not bench.committed_snapshot(str(tmp_path / "BENCH_12.json"))
+
+
 class TestFaultProperties:
     """Hypothesis: random in-budget plans are always fully transparent."""
 
@@ -869,14 +899,40 @@ FAULT_RECOVERY_CELLS = _fault_recovery_cells() + [
 
 def _outcome(run, tie_break, trace):
     """Everything a run may not change by stepping: report fingerprints,
-    final clock, per-array and per-bus busy seconds."""
+    final clock, every monitor counter, the delivery audit log (its
+    ``Data`` compared by equality), per-array, per-bus and per-link busy
+    seconds, and each compute and I/O node's CPU and co-processor busy
+    seconds.
+
+    The audit log is compared sorted by ``(file, offset, nbytes, kind,
+    io_node)``: deliveries at one instant are logged in event-pop order,
+    which no model rule fixes (fifo and lifo already log
+    ``seed1:scattered:read:256kb``'s two demand deliveries at
+    1.0273709640625 s in opposite orders)."""
     machine, reports = run(tie_break, trace)
     assert machine.verify() == []
+    counters = {
+        name: value
+        for name, value in machine.monitor.snapshot().items()
+        if name.startswith("counter.")
+    }
+    deliveries = sorted(
+        (
+            (file_id, offset, nbytes, kind, io_node, data)
+            for file_id, offset, nbytes, data, kind, io_node in machine.faults.deliveries
+        ),
+        key=lambda entry: entry[:5],
+    )
+    nodes = machine.compute_nodes + machine.io_nodes
     return (
         [report_fingerprint(report) for report in reports],
         machine.env.now,
+        counters,
+        deliveries,
         [array.busy_s for array in machine.arrays],
         [bus.busy_s for bus in machine.buses],
+        machine.mesh.link_busy_s(),
+        [(node.cpu.busy_s, node.msgproc.busy_s) for node in nodes],
     )
 
 
@@ -973,3 +1029,55 @@ class TestClosedFormUnderPlans:
         self._check_scheduled(arm_forms, "raid0", ARRAYS)
         # The re-reads after the rebuild completes run in closed form.
         assert ("closed", "raid0", False, False) in arm_forms
+
+
+class TestCallbackRPCUnderPlans:
+    """Under a plan, an untraced run keeps the RPC callback path: its
+    retried calls, its Fast Path serves on spared arrays and its stripe
+    pieces run with no process, while a traced run still takes the
+    process forms."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_crash_cell_starts_no_piece_or_fast_path_serve_process(self, tie_break, monkeypatch):
+        from repro.paragonos.messages import ReadRequest, WriteRequest
+        from repro.paragonos.rpc import RPCEndpoint
+        from repro.sim.process import Process
+
+        names = []
+        fast_path_serves = []
+        retried = [0]
+        init = Process.__init__
+        serve = RPCEndpoint._serve
+        call_with_retries = RPCEndpoint._call_with_retries
+
+        def recording_init(self, env, generator, name=None, order_key=None):
+            names.append(name or "")
+            return init(self, env, generator, name=name, order_key=order_key)
+
+        def recording_serve(self, envelope):
+            request = envelope.request
+            if isinstance(request, (ReadRequest, WriteRequest)) and request.fastpath:
+                fast_path_serves.append(request)
+            return serve(self, envelope)
+
+        def counting_call(self, *args):
+            retried[0] += 1
+            return call_with_retries(self, *args)
+
+        monkeypatch.setattr(Process, "__init__", recording_init)
+        monkeypatch.setattr(RPCEndpoint, "_serve", recording_serve)
+        monkeypatch.setattr(RPCEndpoint, "_call_with_retries", counting_call)
+        run = dict(FAULT_RECOVERY_CELLS)["crash:read:256kb"]
+        counts = {}
+        for trace in (False, True):
+            names.clear()
+            fast_path_serves.clear()
+            retried[0] = 0
+            machine, _reports = run(tie_break, trace)
+            assert machine.verify() == []
+            # A compute-node crash plan spares every array.
+            assert all(machine.faults.spares(array.name) for array in machine.arrays)
+            pieces = sum(name.startswith("read-piece-") for name in names)
+            counts[trace] = (pieces, len(fast_path_serves), retried[0])
+        assert counts[False] == (0, 0, 0)
+        assert all(count > 0 for count in counts[True])

@@ -330,7 +330,8 @@ class TestSteppedPathInvariance:
 
 class TestWorkCountPin:
     """The event count and generator resumes of one paper cell and one
-    crash-restart cell, pinned exactly.
+    crash-restart cell, and the processes the crash-restart cell
+    spawns, pinned exactly.
 
     The counts do not depend on the host or the tie-break, so a change
     in how much kernel work a fault-free or a faulted read costs shows
@@ -446,9 +447,10 @@ class TestWorkCountPin:
     def test_crash_restart_64kb_prefetch_events(self, tie_break):
         """A crash plan for a compute node can act inside no RAID access,
         so every array serves in closed form (780 events when any fault
-        plan stepped every array)."""
+        plan stepped every array), and its retried calls and serves run
+        on callbacks (704 when they ran in processes)."""
         report = self._crash_restart_read(tie_break)
-        assert report.machine.env._eid == 704
+        assert report.machine.env._eid == 641
         assert report.machine.verify() == []
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
@@ -465,15 +467,17 @@ class TestWorkCountPin:
         monkeypatch.setattr(RAID3Array, "_stepped", counting)
         report = self._crash_restart_read(tie_break)
         assert calls[0] == 0
-        assert report.machine.env._eid == 704
+        assert report.machine.env._eid == 641
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_prefetch_generator_resumes(self, tie_break, monkeypatch):
-        """Faulted calls ride the same callback worms: a sender resumes
-        once per transmission, not once per hop (688 with the stepped
-        hop loop), and each RAID access resumes its process once, at its
-        closed-form completion (620 when any fault plan stepped every
-        array)."""
+        """Faulted calls ride the same callback worms and run their
+        retries on callbacks: a caller resumes once per call, not once
+        each for the transmission, the inbox put and the reply-or-timeout
+        condition, and the Fast Path reads are served with no process
+        (544 with a process per retried call and serve, 620 when any
+        fault plan stepped every array, 688 with the stepped hop
+        loop)."""
         resumes = [0]
         resume = Process._resume
 
@@ -483,7 +487,25 @@ class TestWorkCountPin:
 
         monkeypatch.setattr(Process, "_resume", counting)
         self._crash_restart_read(tie_break)
-        assert resumes[0] == 544
+        assert resumes[0] == 343
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_crash_restart_64kb_prefetch_processes(self, tie_break, monkeypatch):
+        """Processes the same cell spawns: the readers, their open and
+        close calls and the ART workers; no request is served by a
+        process (90 when each of the 34 Fast Path reads had a serve
+        process)."""
+        spawned = [0]
+        init = Process.__init__
+
+        def counting(self, *args, **kwargs):
+            spawned[0] += 1
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        report = self._crash_restart_read(tie_break)
+        assert spawned[0] == 56
+        assert report.machine.verify() == []
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_no_synthetic_bytes(self, tie_break, monkeypatch):
@@ -491,7 +513,8 @@ class TestWorkCountPin:
         compares it by canonical runs, so neither the run nor a clean
         ``verify()`` builds synthetic bytes (the run made 32 calls,
         2,097,152 bytes, when it hashed every delivery; 780 events when
-        any fault plan stepped every array)."""
+        any fault plan stepped every array, 704 with a process per
+        retried call and serve)."""
         import repro.ufs.data as data
 
         calls = [0]
@@ -506,7 +529,7 @@ class TestWorkCountPin:
         machine = report.machine
         assert machine.faults.deliveries
         assert calls[0] == 0
-        assert machine.env._eid == 704
+        assert machine.env._eid == 641
         assert machine.verify() == []
         assert calls[0] == 0
 
