@@ -23,9 +23,9 @@ Design constraints:
 Span kinds used by the stack (see ``docs/observability.md``):
 
 ``client_call``, ``coordinate``, ``stripe_piece``, ``rpc_call``,
-``mesh_xfer``, ``server_io``, ``disk_service``, ``scsi_xfer``,
-``art_setup``, ``art_io``, ``prefetch_issue``, ``prefetch_land``,
-``prefetch_hit_copy``.
+``rpc_attempt``, ``mesh_xfer``, ``server_io``, ``disk_service``,
+``scsi_xfer``, ``art_setup``, ``art_io``, ``prefetch_issue``,
+``prefetch_land``, ``prefetch_wait``, ``prefetch_hit_copy``.
 """
 
 from __future__ import annotations

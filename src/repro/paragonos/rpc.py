@@ -19,14 +19,16 @@ endpoint reserved when it was built.  One serve per round (not every
 waiting request at once) decides in which settle round each serve makes
 its first arbiter request, so it is part of the model's timing.
 
-Untraced, a call is two callback transmissions
-(:meth:`~repro.hardware.mesh.Mesh.post`) and its serve, fault plan or
-not: the request worm's delivery puts the envelope into the inbox under
-the caller's order key, and the reply lands the caller on one event pop.
-:meth:`RPCEndpoint.post` is the callback form of a call, for a caller
-that is not a process; :meth:`RPCEndpoint.call` under a fault plan is one
-such post and one resume.  The serve need not be a process either: a
-request type with a callback handler
+A call is two callback transmissions
+(:meth:`~repro.hardware.mesh.Mesh.post`) and its serve, traced or not,
+fault plan or not: the request worm's delivery puts the envelope into
+the inbox under the caller's order key, and the reply lands the caller
+on one event pop.  :meth:`RPCEndpoint.post` is the callback form of a
+call, for a caller that is not a process; :meth:`RPCEndpoint.call`
+under a fault plan is one :class:`_RetriedCall` and one resume.  Both
+open the call's ``rpc_call`` span, and a retried call opens an
+``rpc_attempt`` span per attempt.  The serve need not be a process
+either: on an untraced endpoint a request type with a callback handler
 (:meth:`RPCEndpoint.register_callback`, which the PFS server registers
 for Fast Path reads and writes) is served by a callback chain, started
 by the same urgent event a serve process would have been started by and
@@ -34,23 +36,20 @@ arbitrating under the same key ``dispatch_key + (n,)``.  Its reply is
 posted as a serve process's would be, and a handler error fails the call
 with the same :class:`RPCError`.  Generator handlers (coordinator,
 control and buffered requests, arrays the fault plan does not spare)
-keep their serve processes.  A traced run takes the process forms --
-:meth:`RPCEndpoint._call_with_retries`, :meth:`RPCEndpoint._transmit`,
-:meth:`RPCEndpoint._serve`, :meth:`RPCEndpoint._send_reply` -- which
-open the ``rpc_call``/``rpc_attempt`` spans and are the reference the
-callback forms are compared against; a fault-free call runs the same way
-traced or not.
+and every serve of a traced endpoint keep their serve processes
+(:meth:`RPCEndpoint._serve`), which open the server's spans.
 
 Fault tolerance (active only when the machine runs with a
-:class:`~repro.faults.plan.FaultPlan`), in either form: calls carry a
-per-request reply timeout with bounded exponential backoff; on timeout
-the *same* request object -- hence the same idempotent ``msg_id`` -- is
-retransmitted (:class:`_RetriedCall` untraced).  The server deduplicates
+:class:`~repro.faults.plan.FaultPlan`): calls carry a per-request reply
+timeout with bounded exponential backoff; on timeout the *same* request
+object -- hence the same idempotent ``msg_id`` -- is retransmitted
+(:class:`_RetriedCall`).  The server deduplicates
 by ``(source node, msg_id)`` (:meth:`RPCEndpoint._consult_log`): a
 retransmit of an in-flight request coalesces onto the running handler,
 and a retransmit of a completed one replays the cached reply without
 re-executing the handler (so side-effectful work is applied at most
-once).  A call whose budget is exhausted raises
+once), logged and replayed replies alike shipped by a
+:class:`_ReplyShipper`.  A call whose budget is exhausted raises
 :class:`~repro.faults.plan.FaultBudgetExceeded` carrying the trace span
 chain (empty untraced).  Handler *errors* are not retried -- they are
 deterministic outcomes, not lost messages -- preserving the fault-free
@@ -68,7 +67,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from repro.hardware.mesh import Mesh, MeshMessage
 from repro.hardware.node import Node
-from repro.obs.trace import get_tracer
+from repro.obs.trace import NOOP_SPAN, get_tracer
 from repro.paragonos.messages import RPCMessage
 from repro.sim import ArbitratedStore, Environment
 from repro.sim.events import PENDING, Event, Timeout
@@ -180,32 +179,21 @@ class _CallbackServe:
             self.done(None, exc)
 
     def done(self, reply: Any, error: Optional[BaseException]) -> None:
-        envelope = self.envelope
-        endpoint = self.endpoint
-        entry = self.entry
         if error is not None:
-            endpoint._fail_serve(envelope, entry, error)
-            return
-        if entry is not None:
-            entry["state"] = "done"
-            entry["reply"] = reply
-            _ReplyShipper(endpoint, entry["envelopes"], reply, served=True)
-            return
-        # The reply worm resumes the caller on its final grant.
-        endpoint.mesh.post(endpoint._reply_message(envelope, reply), envelope.reply_event, reply)
-        endpoint.monitor.counter("rpc.served").add(1)
+            self.endpoint._fail_serve(self.envelope, self.entry, error)
+        else:
+            self.endpoint._reply(self.envelope, self.entry, reply)
 
 
-# fast-path: requires=tracer -- reply shipping with no process; only a callback serve starts one
 class _ReplyShipper:
-    """A logged serve's replies under a fault plan, as
-    :meth:`RPCEndpoint._send_reply` ships them from a serve process: to
-    each envelope of *targets* in order (a live list that a coalesced
-    retransmit may still grow), one reply worm at a time, each sent when
-    the previous one is delivered.  A dropped reply is lost; a delivered
-    one succeeds its reply event unless that was already triggered.  A
-    *served* request counts ``rpc.served`` after its last reply; a replay
-    does not."""
+    """A logged serve's replies under a fault plan, from a serve process
+    or a callback serve: to each envelope of *targets* in order (a live
+    list that a coalesced retransmit may still grow), one reply worm at a
+    time, each sent when the previous one is delivered.  A dropped reply
+    is lost (the caller's retransmit is answered from the request log); a
+    delivered one succeeds its reply event unless that was already
+    triggered.  A *served* request counts ``rpc.served`` after its last
+    reply; a replay does not."""
 
     __slots__ = ("endpoint", "targets", "reply", "shipped", "served")
 
@@ -223,8 +211,6 @@ class _ReplyShipper:
         targets = self.targets
         shipped = self.shipped
         if delivered is not None and not delivered._value.dropped:
-            # (A dropped reply is lost: the caller's retransmit is
-            # answered from the request log.)
             reply_event = targets[shipped - 1].reply_event
             if not reply_event.triggered:
                 reply_event.succeed(self.reply)
@@ -240,22 +226,24 @@ class _ReplyShipper:
         endpoint.mesh.post(message, proxy, message)
 
 
-# fast-path: requires=tracer -- a retried call with no process; only an unobserved endpoint makes one
 class _RetriedCall:
-    """One call under a fault plan, as callbacks: the steps of
-    :meth:`RPCEndpoint._call_with_retries` without a process.
+    """One call under a fault plan: timeout and bounded exponential
+    backoff, retransmitting the same request (so the same idempotent
+    ``msg_id``), as callbacks.
 
-    Each attempt checks that the calling node is up, sends the request
-    worm with a fresh reply event, and starts the attempt's reply timer
-    when the worm is delivered -- the instant the process form starts
-    it.  Whichever of the reply and the timer is processed first decides
-    the attempt: a reply succeeds *done* with its value (or fails it
-    with the :class:`RPCError` of a handler error, or with
-    :class:`~repro.faults.plan.NodeCrashed` if the node is down by
-    then); a timeout counts a retry and starts the next attempt, or
-    fails *done* with :class:`~repro.faults.plan.FaultBudgetExceeded`
-    once the budget is spent.  A timer stays queued after its reply
-    wins, as the process form's does.
+    Each attempt checks that the calling node is up, opens an
+    ``rpc_attempt`` span under the call's *span*, sends the request worm
+    with a fresh reply event, and starts the attempt's reply timer when
+    the worm is delivered.  Whichever of the reply and the timer is
+    processed first decides the attempt: a reply succeeds *done* with its
+    value (or fails it with the :class:`RPCError` of a handler error, or
+    with :class:`~repro.faults.plan.NodeCrashed` if the node is down by
+    then); a timeout counts a retry and starts the next attempt, or fails
+    *done* with :class:`~repro.faults.plan.FaultBudgetExceeded` once the
+    budget is spent.  The attempt and call spans end with the attempt's
+    ``outcome`` (``reply``, ``timeout``, ``node_crashed``) and the call's
+    ``attempts``; a handler error leaves both open.  A timer stays queued
+    after its reply wins.
     """
 
     __slots__ = (
@@ -264,7 +252,9 @@ class _RetriedCall:
         "request",
         "key",
         "done",
+        "span",
         "attempt",
+        "attempt_span",
         "reply_event",
         "timer",
         "timeouts",
@@ -277,12 +267,14 @@ class _RetriedCall:
         request: RPCMessage,
         key: Any,
         done: Event,
+        span,
     ) -> None:
         self.endpoint = endpoint
         self.target = target
         self.request = request
         self.key = key
         self.done = done
+        self.span = span
         self.attempt = 0
         self.timer: Optional[Event] = None
         self.timeouts: List[float] = []
@@ -290,9 +282,18 @@ class _RetriedCall:
 
     def _send(self) -> None:
         endpoint = self.endpoint
+        tracer = endpoint.tracer
         if endpoint.halted_fn is not None and endpoint.halted_fn():
+            tracer.end(self.span, attempts=self.attempt, outcome="node_crashed")
             self.done.fail(endpoint._node_crashed(self.request))
             return
+        self.attempt_span = tracer.begin(
+            "rpc_attempt",
+            ctx=self.span.ctx,
+            node_id=endpoint.node.node_id,
+            msg=type(self.request).__name__,
+            attempt=self.attempt,
+        )
         reply_event = Event(endpoint.env)
         # The server may fail this event after the attempt timed out.
         reply_event.callbacks.append(_defuse_late_failure)
@@ -315,35 +316,43 @@ class _RetriedCall:
         if not event._ok:
             done.fail(event._value)
             return
-        halted_fn = self.endpoint.halted_fn
-        if halted_fn is not None and halted_fn():
+        endpoint = self.endpoint
+        tracer = endpoint.tracer
+        if endpoint.halted_fn is not None and endpoint.halted_fn():
             # A dead node cannot consume the reply; the request log
             # replays it when the restarted node asks again.
-            done.fail(self.endpoint._node_crashed(self.request))
+            tracer.end(self.attempt_span, outcome="node_crashed")
+            tracer.end(self.span, attempts=self.attempt + 1, outcome="node_crashed")
+            done.fail(endpoint._node_crashed(self.request))
             return
+        tracer.end(self.attempt_span, outcome="reply")
+        tracer.end(self.span, attempts=self.attempt + 1)
         done.fire(event._value)
 
     def _timed_out(self, timer: Event) -> None:
         if timer is not self.timer or self.done._value is not PENDING:
             return
         endpoint = self.endpoint
+        tracer = endpoint.tracer
+        tracer.end(self.attempt_span, outcome="timeout")
         endpoint.monitor.counter("rpc.retries").add(1)
         self.attempt += 1
         if self.attempt < endpoint.faults.plan.retry.max_attempts:
             self._send()
             return
-        self.done.fail(endpoint._budget_exceeded(self.target, self.request, self.timeouts, []))
+        span = self.span
+        tracer.end(span, attempts=self.attempt, outcome="budget_exceeded")
+        chain = [] if span is NOOP_SPAN else [span] + tracer.ancestors(span)
+        self.done.fail(endpoint._budget_exceeded(self.target, self.request, self.timeouts, chain))
 
 
 def _defuse_late_failure(event) -> None:
     """Keep an abandoned reply event's late failure from crashing the sim.
 
     A timed-out attempt's reply event may still be failed by the server
-    afterwards; nobody waits on it any more, so mark it defused.  Added
-    at creation time, this callback runs before any later-constructed
-    condition's check -- and defusing does not stop a *pending* AnyOf
-    from failing, so handler errors raised before the timeout still
-    propagate to the caller.
+    afterwards; nobody waits on it any more, so mark it defused.  A
+    handler error on the current attempt's event still reaches the
+    caller: :meth:`_RetriedCall._replied` fails the call with it.
     """
     if not event._ok:
         event.defused = True
@@ -366,11 +375,10 @@ class RPCEndpoint:
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        #: Callback calls (see :meth:`post`) and callback serves: legal
-        #: only when nothing observes a call's interior -- no trace spans
-        #: (neither opens one).  Under a fault plan they take the retry,
-        #: request-log and stall steps too (:class:`_RetriedCall`,
-        #: :class:`_CallbackServe`).
+        #: Callback serves (:class:`_CallbackServe`): legal only when
+        #: nothing observes a serve's interior -- no trace spans (a
+        #: callback serve opens none).  Under a fault plan they take the
+        #: request-log and stall steps too.
         self._fast = not self.tracer.enabled
         if faults is not None:
             #: This node's name as ``rpc_stall`` specs target it.
@@ -423,6 +431,24 @@ class RPCEndpoint:
 
     def call(self, target: "RPCEndpoint", request: RPCMessage):
         """Generator: send *request* to *target*, wait for and return the reply."""
+        span = self._open_call(target, request)
+        if self.faults is None:
+            reply = yield from self._call_once(target, request)
+            self.tracer.end(span)
+        else:
+            # One resume: the retried call runs on callbacks.
+            done = Event(self.env)
+            _RetriedCall(self, target, request, self.env._active_process.order_key, done, span)
+            reply = yield done
+        self.monitor.counter("rpc.calls").add(1)
+        return reply
+
+    def _open_call(self, target: "RPCEndpoint", request: RPCMessage):
+        """Open the ``rpc_call`` span of a call and thread its context
+        into *request*, so downstream work (server handler, disk)
+        parents under the call."""
+        if not self.tracer.enabled:
+            return NOOP_SPAN
         span = self.tracer.begin(
             "rpc_call",
             ctx=request.ctx,
@@ -431,20 +457,8 @@ class RPCEndpoint:
             target=target.node.node_id,
         )
         if span.ctx is not None:
-            # Downstream work (server handler, disk) parents under the call.
             request.ctx = span.ctx
-        if self.faults is None:
-            reply = yield from self._call_once(target, request)
-            self.tracer.end(span)
-        elif self._fast:
-            # One post, one resume: the retried call runs on callbacks.
-            done = Event(self.env)
-            _RetriedCall(self, target, request, self.env._active_process.order_key, done)
-            reply = yield done
-        else:
-            reply = yield from self._call_with_retries(target, request, span)
-        self.monitor.counter("rpc.calls").add(1)
-        return reply
+        return span
 
     # fast-path: requires=faults -- single attempt with no retry timer; only legal when no fault plan can stall or drop the call
     def _call_once(self, target: "RPCEndpoint", request: RPCMessage):
@@ -456,7 +470,6 @@ class RPCEndpoint:
         self._post_envelope(target, envelope)
         return (yield envelope.reply_event)
 
-    # fast-path: requires=tracer -- callback call: no process waits on a transmission, a reply or a retry timer
     def post(
         self,
         target: "RPCEndpoint",
@@ -476,15 +489,20 @@ class RPCEndpoint:
         under a fault plan :class:`~repro.faults.plan.NodeCrashed` or
         :class:`~repro.faults.plan.FaultBudgetExceeded`.  A callback that
         does not take over the failure must leave the event un-defused,
-        so the error still stops the run.
+        so the error still stops the run.  The call's spans open and end
+        as :meth:`call`'s do.
         """
+        span = self._open_call(target, request)
         reply_event = Event(self.env)
         reply_event.callbacks.append(self._count_call)
+        if self.faults is None and span is not NOOP_SPAN:
+            # A retried call ends its spans itself.
+            reply_event.callbacks.append(lambda event: event._ok and self.tracer.end(span))
         reply_event.callbacks.append(on_reply)
         if self.faults is None:
             self._post_envelope(target, _Envelope(request, reply_event, self, key))
         else:
-            _RetriedCall(self, target, request, key, reply_event)
+            _RetriedCall(self, target, request, key, reply_event, span)
 
     def _count_call(self, event: Event) -> None:
         if event._ok:
@@ -507,9 +525,9 @@ class RPCEndpoint:
         self.mesh.post(message, delivered, message)
 
     def _admit(self, delivered: Event) -> None:
-        """Put a delivered request into the inbox under the caller's key,
-        as :meth:`_transmit` does: not at all if the mesh dropped it, and
-        a second time one settle round later if it was duplicated."""
+        """Put a delivered request into the inbox under the caller's key:
+        not at all if the mesh dropped it, and a second time one settle
+        round later if it was duplicated."""
         message = delivered._value
         if message.dropped:
             # Lost after occupying its route; the retry timer recovers.
@@ -518,51 +536,6 @@ class RPCEndpoint:
         put = self._inbox.put(envelope, envelope.key)
         if message.duplicated:
             put.callbacks.append(lambda _put: self._inbox.put(envelope, envelope.key))
-
-    def _call_with_retries(self, target: "RPCEndpoint", request: RPCMessage, span):
-        """Timeout + bounded exponential backoff with idempotent msg_id."""
-        policy = self.faults.plan.retry
-        timeouts: List[float] = []
-        for attempt in range(policy.max_attempts):
-            if self.halted_fn is not None and self.halted_fn():
-                self.tracer.end(span, attempts=attempt, outcome="node_crashed")
-                raise self._node_crashed(request)
-            attempt_span = self.tracer.begin(
-                "rpc_attempt",
-                ctx=span.ctx,
-                node_id=self.node.node_id,
-                msg=type(request).__name__,
-                attempt=attempt,
-            )
-            reply_event = self.env.event()
-            # The server may fail this event after we have timed out and
-            # moved on; defuse such late failures (see helper docstring).
-            reply_event.callbacks.append(_defuse_late_failure)
-            envelope = _Envelope(request, reply_event, self, self.env._active_process.order_key)
-            yield from self._transmit(target, envelope)
-            limit = policy.timeout_for(attempt)
-            timeouts.append(limit)
-            timeout_event = self.env.timeout(limit)
-            outcome = yield self.env.any_of([reply_event, timeout_event])
-            if reply_event in outcome:
-                if self.halted_fn is not None and self.halted_fn():
-                    # The reply arrived while the node was down: a dead
-                    # node cannot consume it.  The server's idempotency
-                    # log replays it when the restarted node re-asks.
-                    self.tracer.end(attempt_span, outcome="node_crashed")
-                    self.tracer.end(span, attempts=attempt + 1, outcome="node_crashed")
-                    raise self._node_crashed(request)
-                reply = outcome[reply_event]
-                self.tracer.end(attempt_span, outcome="reply")
-                self.tracer.end(span, attempts=attempt + 1)
-                return reply
-            self.tracer.end(attempt_span, outcome="timeout")
-            self.monitor.counter("rpc.retries").add(1)
-        self.tracer.end(span, attempts=policy.max_attempts, outcome="budget_exceeded")
-        from repro.obs.trace import NOOP_SPAN
-
-        chain = [] if span is NOOP_SPAN else [span] + self.tracer.ancestors(span)
-        raise self._budget_exceeded(target, request, timeouts, chain)
 
     def _budget_exceeded(self, target: "RPCEndpoint", request: RPCMessage, timeouts, chain):
         from repro.faults.plan import FaultBudgetExceeded
@@ -592,18 +565,6 @@ class RPCEndpoint:
             payload=envelope,
             ctx=request.ctx,
         )
-
-    def _transmit(self, target: "RPCEndpoint", envelope: _Envelope):
-        """Carry one attempt of a retried call across the mesh, which may
-        drop or duplicate it, and into the target inbox."""
-        message = self._request_message(target, envelope)
-        yield from self.mesh.send(message)
-        if message.dropped:
-            # Lost after occupying its route; the retry timeout recovers.
-            return
-        yield target._inbox.put(envelope, envelope.key)
-        if message.duplicated:
-            yield target._inbox.put(envelope, envelope.key)
 
     # -- server side -------------------------------------------------------------
 
@@ -644,7 +605,7 @@ class RPCEndpoint:
             if verdict == "coalesced":
                 return
             if verdict == "replay":
-                yield from self._send_reply(envelope, entry["reply"])
+                _ReplyShipper(self, [envelope], entry["reply"], served=False)
                 return
             stall_s = self._stall_s()
             if stall_s is not None:
@@ -654,15 +615,19 @@ class RPCEndpoint:
         except Exception as exc:  # propagate handler failure to the caller
             self._fail_serve(envelope, entry, exc)
             return
+        self._reply(envelope, entry, reply)
+
+    def _reply(self, envelope: _Envelope, entry: Optional[Dict], reply) -> None:
+        """Send a served request's *reply*: fault-free, one reply worm
+        that resumes the caller on its final grant; under a fault plan,
+        to every envelope of its request-log *entry*
+        (:class:`_ReplyShipper`)."""
         if entry is not None:
             entry["state"] = "done"
             entry["reply"] = reply
-            for env_ in entry["envelopes"]:
-                yield from self._send_reply(env_, reply)
-        else:
-            # Fault-free: the reply worm resumes the caller on its final
-            # grant; this serve has nothing left to wait for.
-            self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
+            _ReplyShipper(self, entry["envelopes"], reply, served=True)
+            return
+        self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
         self.monitor.counter("rpc.served").add(1)
 
     def _consult_log(self, envelope: _Envelope) -> Tuple[str, Dict]:
@@ -721,18 +686,6 @@ class RPCEndpoint:
             payload=reply,
             ctx=envelope.request.ctx,
         )
-
-    def _send_reply(self, envelope: _Envelope, reply):
-        """Ship a retried call's reply back across the mesh (which may
-        drop it) before waking the caller."""
-        message = self._reply_message(envelope, reply)
-        yield from self.mesh.send(message)
-        if message.dropped:
-            # Reply lost in the mesh; the caller times out and the
-            # retransmit is answered from the idempotency log.
-            return
-        if not envelope.reply_event.triggered:
-            envelope.reply_event.succeed(reply)
 
     def __repr__(self) -> str:
         return f"<RPCEndpoint node={self.node.node_id}>"

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.faults.plan import NodeCrashed
 from repro.hardware.mesh import Mesh, MeshMessage
 from repro.hardware.node import Node
-from repro.obs.trace import TraceContext, get_tracer
+from repro.obs.trace import NOOP_SPAN, TraceContext, get_tracer
 from repro.paragonos.art import AsyncRequestManager
 from repro.paragonos.messages import (
     ControlRequest,
@@ -851,10 +851,6 @@ class PFSClient:
         #: bit-identical with or without the machinery.
         self.crash_windows: tuple = ()
         self.tracer = get_tracer(monitor)
-        #: Stripe pieces as callback calls (see :meth:`_post_pieces`)
-        #: instead of a process each: only when no tracer records
-        #: per-piece spans.
-        self._fast = not self.tracer.enabled and endpoint._fast
 
     # -- crash/restart predicates ---------------------------------------------
 
@@ -927,68 +923,35 @@ class PFSClient:
         requests = coalesce_pieces(decluster(pfs_file.attrs, offset, nbytes))
         fastpath = pfs_file.mount.fastpath
 
-        def fetch(creq):
-            def gen():
-                # One stripe_piece span per coalesced per-I/O-node request;
-                # concurrent pieces are concurrent child spans.
-                piece_span = self.tracer.begin(
-                    "stripe_piece",
-                    ctx=ctx,
-                    node_id=self.node.node_id,
-                    io_node=creq.io_node,
-                    bytes=creq.length,
-                    cause=cause,
-                )
-                request = ReadRequest(
-                    file_id=pfs_file.file_id,
-                    ufs_offset=creq.ufs_offset,
-                    nbytes=creq.length,
-                    fastpath=fastpath,
-                    cause=cause,
-                )
-                if piece_span.ctx is not None:
-                    request.ctx = piece_span.ctx
-                try:
-                    reply = yield from self.endpoint.call(self._io_endpoint(creq.io_node), request)
-                    # Land the reply into the destination buffer through
-                    # the message co-processor.  This per-call data path
-                    # (a few MB/s) is what bounds single-request latency
-                    # on the real machine (paper Table 2's 0.4s for
-                    # 1024KB).
-                    yield from self.node.receive(creq.length)
-                except NodeCrashed:
-                    # A spawned piece process must not die with an
-                    # unhandled exception (the kernel treats un-waited
-                    # failed events as bugs); return a sentinel and let
-                    # the gathering parent raise once.
-                    self.tracer.end(piece_span, crashed=True)
-                    return None
-                self.tracer.end(piece_span)
-                return reply
-
-            return gen
+        def read_request(creq) -> ReadRequest:
+            return ReadRequest(
+                file_id=pfs_file.file_id,
+                ufs_offset=creq.ufs_offset,
+                nbytes=creq.length,
+                fastpath=fastpath,
+                cause=cause,
+            )
 
         if len(requests) == 1:
-            replies = [(yield from fetch(requests[0])())]
-        elif self._fast:
-            replies = yield self._post_pieces(
-                requests,
-                lambda creq: ReadRequest(
-                    file_id=pfs_file.file_id,
-                    ufs_offset=creq.ufs_offset,
-                    nbytes=creq.length,
-                    fastpath=fastpath,
-                    cause=cause,
-                ),
-                land=True,
-            )
+            # A single piece runs in the calling process: that is its timing.
+            creq = requests[0]
+            request = read_request(creq)
+            span = self._open_piece(creq, request, cause, ctx)
+            try:
+                reply = yield from self.endpoint.call(self._io_endpoint(creq.io_node), request)
+                # Land the reply into the destination buffer through the
+                # message co-processor.  This per-call data path (a few
+                # MB/s) is what bounds single-request latency on the real
+                # machine (paper Table 2's 0.4s for 1024KB).
+                yield from self.node.receive(creq.length)
+            except NodeCrashed:
+                self.tracer.end(span, crashed=True)
+                reply = None
+            else:
+                self.tracer.end(span)
+            replies = [reply]
         else:
-            procs = [
-                self.env.process(fetch(creq)(), name=f"read-piece-{i}")
-                for i, creq in enumerate(requests)
-            ]
-            condition = yield self.env.all_of(procs)
-            replies = [condition[p] for p in procs]
+            replies = yield self._post_pieces(requests, read_request, cause, ctx, land=True)
         if any(reply is None for reply in replies):
             raise NodeCrashed(f"node{self.node.node_id} crashed during declustered read")
 
@@ -1015,99 +978,91 @@ class PFSClient:
         requests = coalesce_pieces(decluster(pfs_file.attrs, offset, nbytes))
         fastpath = pfs_file.mount.fastpath
 
-        def gather(creq) -> Data:
-            """The UFS-contiguous run of one piece, from the PFS-ordered data."""
-            return concat_data(
-                [data.slice(piece.pfs_offset - offset, piece.length) for piece in creq.pieces]
+        def write_request(creq) -> WriteRequest:
+            # The UFS-contiguous run of the piece, from the PFS-ordered data.
+            run = [data.slice(piece.pfs_offset - offset, piece.length) for piece in creq.pieces]
+            return WriteRequest(
+                file_id=pfs_file.file_id,
+                ufs_offset=creq.ufs_offset,
+                data=concat_data(run),
+                fastpath=fastpath,
             )
-
-        def put(creq):
-            def gen():
-                piece_span = self.tracer.begin(
-                    "stripe_piece",
-                    ctx=ctx,
-                    node_id=self.node.node_id,
-                    io_node=creq.io_node,
-                    bytes=creq.length,
-                    cause="write",
-                )
-                request = WriteRequest(
-                    file_id=pfs_file.file_id,
-                    ufs_offset=creq.ufs_offset,
-                    data=gather(creq),
-                    fastpath=fastpath,
-                )
-                if piece_span.ctx is not None:
-                    request.ctx = piece_span.ctx
-                try:
-                    yield from self.endpoint.call(self._io_endpoint(creq.io_node), request)
-                except NodeCrashed:
-                    # As on the read path: a spawned piece process must
-                    # not die with an unhandled exception; return a
-                    # sentinel and let the gathering parent raise once.
-                    self.tracer.end(piece_span, crashed=True)
-                    return False
-                self.tracer.end(piece_span)
-                return True
-
-            return gen
 
         if len(requests) == 1:
-            ok = yield from put(requests[0])()
-        elif self._fast:
-            replies = yield self._post_pieces(
-                requests,
-                lambda creq: WriteRequest(
-                    file_id=pfs_file.file_id,
-                    ufs_offset=creq.ufs_offset,
-                    data=gather(creq),
-                    fastpath=fastpath,
-                ),
-                land=False,
-            )
+            # A single piece runs in the calling process: that is its timing.
+            creq = requests[0]
+            request = write_request(creq)
+            span = self._open_piece(creq, request, "write", ctx)
+            try:
+                yield from self.endpoint.call(self._io_endpoint(creq.io_node), request)
+            except NodeCrashed:
+                self.tracer.end(span, crashed=True)
+                ok = False
+            else:
+                self.tracer.end(span)
+                ok = True
+        else:
+            replies = yield self._post_pieces(requests, write_request, "write", ctx, land=False)
             # A crashed piece's reply is the None sentinel.
             ok = all(replies)
-        else:
-            procs = [
-                self.env.process(put(creq)(), name=f"write-piece-{i}")
-                for i, creq in enumerate(requests)
-            ]
-            condition = yield self.env.all_of(procs)
-            ok = all(condition[p] for p in procs)
         if not ok:
             raise NodeCrashed(f"node{self.node.node_id} crashed during declustered write")
         if offset + nbytes > pfs_file.size_bytes:
             pfs_file.size_bytes = offset + nbytes
         return nbytes
 
-    # fast-path: requires=tracer -- stripe pieces as callback calls; no piece process opens a span
-    def _post_pieces(self, requests, make_request, land: bool) -> Event:
-        """Start every piece of a declustered transfer as a callback call.
+    def _open_piece(self, creq, request, cause: str, ctx: Optional[TraceContext]):
+        """Open the ``stripe_piece`` span of one coalesced per-I/O-node
+        request and thread its context into *request*; concurrent pieces
+        are concurrent child spans of *ctx*."""
+        if not self.tracer.enabled:
+            return NOOP_SPAN
+        span = self.tracer.begin(
+            "stripe_piece",
+            ctx=ctx,
+            node_id=self.node.node_id,
+            io_node=creq.io_node,
+            bytes=creq.length,
+            cause=cause,
+        )
+        if span.ctx is not None:
+            request.ctx = span.ctx
+        return span
 
-        Stands in for one process per piece gathered by an ``AllOf``.
-        Piece ``i`` is posted under the order key its process would have
-        had (reserved from the calling process, as ``env.process``
-        does); with *land*, its reply is landed through the message
-        co-processor under that key, as :meth:`Node.receive` would.  The
-        returned event fires with the replies, in piece order, once
+    def _post_pieces(
+        self, requests, make_request, cause: str, ctx: Optional[TraceContext], land: bool
+    ) -> Event:
+        """Start every piece of a declustered transfer as a callback call
+        (:meth:`RPCEndpoint.post`), each under its ``stripe_piece`` span.
+
+        Piece ``i`` is posted under an order key reserved from the
+        calling process, as ``env.process`` would reserve one; with
+        *land*, its reply is landed through the message co-processor
+        under that key, as :meth:`Node.receive` would.  A piece's span
+        ends when it has landed (or its reply arrived, without *land*).
+        The returned event fires with the replies, in piece order, once
         every piece has finished.  A piece whose call raises
-        :class:`NodeCrashed` has no landing and finishes with the piece
-        process's ``None`` sentinel, so the caller raises once for the
-        whole transfer.  Any other error (a handler's
-        :class:`~repro.paragonos.rpc.RPCError`, a
-        :class:`~repro.faults.plan.FaultBudgetExceeded`) fails the event
-        at once, as the first failed piece process fails the ``AllOf``;
-        a later error stays un-defused and stops the run, as it does
-        under ``AllOf``.
+        :class:`NodeCrashed` ends its span with ``crashed=True``, has no
+        landing and finishes with the ``None`` sentinel, so the caller
+        raises once for the whole transfer.  Any other error (a
+        handler's :class:`~repro.paragonos.rpc.RPCError`, a
+        :class:`~repro.faults.plan.FaultBudgetExceeded`) leaves its span
+        open and fails the event at once; a later error stays un-defused
+        and stops the run.
         """
         env = self.env
         node = self.node
+        tracer = self.tracer
         done = Event(env)
         replies: list = [None] * len(requests)
         pending = len(requests)
 
-        def arrived(i: int, reply) -> None:
+        def arrived(i: int, reply, span) -> None:
             nonlocal pending
+            if reply is None:
+                tracer.end(span, crashed=True)
+            else:
+                tracer.end(span)
             replies[i] = reply
             pending -= 1
             if pending == 0 and done._value is PENDING:
@@ -1115,23 +1070,25 @@ class PFSClient:
 
         for i, creq in enumerate(requests):
             key = env.reserve_order_key()
+            request = make_request(creq)
+            span = self._open_piece(creq, request, cause, ctx)
 
-            def on_reply(event: Event, i=i, key=key, nbytes=creq.length) -> None:
+            def on_reply(event: Event, i=i, key=key, nbytes=creq.length, span=span) -> None:
                 if not event._ok:
                     if isinstance(event._value, NodeCrashed):
                         event._defused = True
-                        arrived(i, None)
+                        arrived(i, None, span)
                     elif done._value is PENDING:
                         event._defused = True
                         done.fail(event._value)
                     return
                 reply = event._value
                 if land:
-                    node.receive_then(nbytes, key, lambda: arrived(i, reply))
+                    node.receive_then(nbytes, key, lambda: arrived(i, reply, span))
                 else:
-                    arrived(i, reply)
+                    arrived(i, reply, span)
 
-            self.endpoint.post(self._io_endpoint(creq.io_node), make_request(creq), key, on_reply)
+            self.endpoint.post(self._io_endpoint(creq.io_node), request, key, on_reply)
         return done
 
     # -- metadata operations -----------------------------------------------------

@@ -8,8 +8,7 @@ Public surface:
 
 - :class:`~repro.sim.environment.Environment` -- event loop and clock.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf` --
-  event primitives.
+  :class:`~repro.sim.events.AllOf` -- event primitives.
 - :class:`~repro.sim.process.Process` -- coroutine processes.
 - :class:`~repro.sim.resources.Arbiter`,
   :class:`~repro.sim.resources.Hold` -- slots granted in canonical order
@@ -22,14 +21,13 @@ Public surface:
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.obs.monitor import CounterStat, Monitor
 from repro.sim.process import Process
 from repro.sim.resources import Arbiter, ArbitratedStore, Hold
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Arbiter",
     "ArbitratedStore",
     "CounterStat",

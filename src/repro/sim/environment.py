@@ -8,7 +8,6 @@ from typing import Any, Generator, Iterable, List, Optional, Tuple, Union
 from repro.sim.events import (
     PENDING,
     AllOf,
-    AnyOf,
     Event,
     Timeout,
 )
@@ -141,10 +140,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all *events* have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of *events* has fired."""
-        return AnyOf(self, events)
 
     def register_resource(self, resource: Any) -> None:
         """Record *resource* for end-of-run leak checking.

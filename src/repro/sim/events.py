@@ -128,14 +128,6 @@ class Event:
         self._value = event._value
         self.env.schedule(self)
 
-    # -- composition ---------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -208,31 +200,22 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()!r}>"
 
 
-class Condition(Event):
-    """Waits for a boolean combination of events.
+class AllOf(Event):
+    """Waits for every one of *events*: succeeds with their values once
+    all have fired, or fails as soon as one fails."""
 
-    The condition triggers when ``evaluate(events, n_fired)`` returns True,
-    or fails as soon as any constituent event fails.
-    """
+    __slots__ = ("_events", "_count")
 
-    __slots__ = ("_events", "_count", "_evaluate")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
 
-        if self._evaluate(self._events, 0) and not self._events:
+        if not self._events:
             self.succeed(ConditionValue())
             return
 
@@ -244,7 +227,7 @@ class Condition(Event):
 
     def _populate_value(self, value: ConditionValue) -> None:
         for event in self._events:
-            if isinstance(event, Condition):
+            if isinstance(event, AllOf):
                 event._populate_value(value)
             elif event.callbacks is None and event._value is not PENDING:
                 value.events.append(event)
@@ -257,33 +240,7 @@ class Condition(Event):
             # Fail the condition; mark the inner failure defused.
             event.defused = True
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
+        elif self._count == len(self._events):
             value = ConditionValue()
             self._populate_value(value)
             self.succeed(value)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that fires when *all* events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires when *any* event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

@@ -757,9 +757,7 @@ class TestShippedTree:
             "repro.hardware.raid:RAID3Array.access_then",
             "repro.hardware.scsi:SCSIBus.account_bypass",
             "repro.paragonos.rpc:RPCEndpoint._call_once",
-            "repro.paragonos.rpc:RPCEndpoint.post",
-            "repro.paragonos.rpc:_RetriedCall.__init__",
-            "repro.pfs.client:PFSClient._post_pieces",
+            "repro.paragonos.rpc:_CallbackServe.__init__",
         }
         assert expected <= marked
         # The fast-path entries are reached through *resolved* edges
@@ -773,29 +771,23 @@ class TestShippedTree:
         }
         assert "repro.hardware.scsi:SCSIBus.account_bypass" in entries
         assert "repro.paragonos.rpc:RPCEndpoint._call_once" in entries
-        assert "repro.paragonos.rpc:RPCEndpoint.post" in entries
-        assert "repro.paragonos.rpc:_RetriedCall.__init__" in entries
-        assert "repro.pfs.client:PFSClient._post_pieces" in entries
+        assert "repro.paragonos.rpc:_CallbackServe.__init__" in entries
 
     def test_fast_path_gates_resolve_their_facets(self):
-        """Each gate resolves to exactly the facets its callee needs: the
-        callback stripe pieces and the callback retried call skip spans,
-        so they need the tracer off (and run under fault plans); a
-        fault-free call only needs no fault plan."""
+        """Each gate resolves to exactly the facets its callee needs: a
+        callback serve skips the server's spans, so it needs the tracer
+        off (and runs under fault plans); a fault-free call only needs no
+        fault plan."""
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
         gates = {
-            (
-                "repro.pfs.client:PFSClient.transfer_read",
-                "repro.pfs.client:PFSClient._post_pieces",
-            ): {"tracer"},
             (
                 "repro.paragonos.rpc:RPCEndpoint.call",
                 "repro.paragonos.rpc:RPCEndpoint._call_once",
             ): {"faults"},
             (
-                "repro.paragonos.rpc:RPCEndpoint.call",
-                "repro.paragonos.rpc:_RetriedCall.__init__",
+                "repro.paragonos.rpc:RPCEndpoint._start_serve",
+                "repro.paragonos.rpc:_CallbackServe.__init__",
             ): {"tracer"},
         }
         for (caller, callee), facets in gates.items():

@@ -3,7 +3,7 @@ corners — the awkward interactions."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, ArbitratedStore, Environment
+from repro.sim import AllOf, ArbitratedStore, Environment
 
 
 @pytest.fixture
@@ -24,42 +24,18 @@ class TestConditionCorners:
         env.run()
         assert p.value == ["a", "b"]
 
-    def test_anyof_all_already_processed(self, env):
-        t1 = env.timeout(1.0, value="x")
-
-        def proc(env):
-            yield env.timeout(3.0)
-            result = yield AnyOf(env, [t1])
-            return list(result.values())
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == ["x"]
-
     def test_nested_conditions_flatten_values(self, env):
         def proc(env):
             t1 = env.timeout(1.0, value=1)
             t2 = env.timeout(2.0, value=2)
             t3 = env.timeout(3.0, value=3)
-            result = yield (t1 & t2) & t3
+            result = yield AllOf(env, [AllOf(env, [t1, t2]), t3])
             assert result[t1] == 1 and result[t2] == 2 and result[t3] == 3
             return env.now
 
         p = env.process(proc(env))
         env.run()
         assert p.value == pytest.approx(3.0)
-
-    def test_mixed_and_or(self, env):
-        def proc(env):
-            fast = env.timeout(1.0, value="fast")
-            slow = env.timeout(10.0, value="slow")
-            medium = env.timeout(2.0, value="medium")
-            yield (fast & medium) | slow
-            return env.now
-
-        p = env.process(proc(env))
-        env.run(until=20.0)
-        assert p.value == pytest.approx(2.0)
 
     def test_condition_events_from_other_env_rejected(self, env):
         other = Environment()

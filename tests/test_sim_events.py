@@ -137,37 +137,6 @@ class TestConditions:
         env.run()
         assert p.value == pytest.approx(2.0)
 
-    def test_any_of_fires_on_first(self, env):
-        def proc(env):
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(5.0, value="slow")
-            result = yield env.any_of([t1, t2])
-            assert t1 in result
-            assert t2 not in result
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == pytest.approx(1.0)
-
-    def test_operator_and(self, env):
-        def proc(env):
-            yield env.timeout(1.0) & env.timeout(3.0)
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == pytest.approx(3.0)
-
-    def test_operator_or(self, env):
-        def proc(env):
-            yield env.timeout(1.0) | env.timeout(3.0)
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == pytest.approx(1.0)
-
     def test_all_of_empty_fires_immediately(self, env):
         def proc(env):
             yield env.all_of([])
