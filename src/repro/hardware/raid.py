@@ -394,23 +394,7 @@ class RAID3Array:
         if self.faults is not None:
             self.faults.tick()
         env = self.env
-        tracer = self.tracer
-        if tracer.enabled:
-            # The disk_service span covers queueing + positioning +
-            # transfer: the full time the request spent at the storage
-            # layer.
-            span = tracer.begin(
-                "disk_service",
-                ctx=ctx,
-                device=self.name,
-                op=kind,
-                lba=lba,
-                bytes=nbytes,
-            )
-            span_ctx = span.ctx if span.ctx is not None else ctx
-        else:
-            span = None
-            span_ctx = ctx
+        span, span_ctx = self._open_span(lba, nbytes, kind, ctx)
         proc = env._active_process
         fast = (nbytes, kind) if self.fast_ready else None
         grant = self._enqueue(lba, proc.order_key if proc is not None else (), fast)
@@ -422,6 +406,18 @@ class RAID3Array:
             # stepped path (already held -- do not yield again).
             grant = None
         return (yield from self._stepped(grant, lba, nbytes, kind, span, span_ctx))
+
+    def _open_span(self, lba: int, nbytes: int, kind: str, ctx: Optional[TraceContext]):
+        """Open an access's ``disk_service`` span (both forms), which
+        covers queueing, positioning and transfer: the full time the
+        request spent at the storage layer.  Returns the span and the
+        context of its bus transfers; untraced, ``(None, ctx)``."""
+        if not self.tracer.enabled:
+            return None, ctx
+        span = self.tracer.begin(
+            "disk_service", ctx=ctx, device=self.name, op=kind, lba=lba, bytes=nbytes
+        )
+        return span, (span.ctx if span.ctx is not None else ctx)
 
     def _stepped(self, grant, lba: int, nbytes: int, kind: str, span, span_ctx):
         """Generator: the stepped service of one access, after waiting
@@ -526,27 +522,29 @@ class RAID3Array:
         """Generator: write *nbytes*; parity spindle streams concurrently."""
         return self._access(lba, nbytes, "write", ctx=ctx)
 
-    # fast-path: requires=tracer -- no process waits on the arm; only the unobserved closed form, which a fault plan keeps where it spares the array, completes it by callback
     def access_then(
-        self, kind: str, lba: int, nbytes: int, key: Any, then: Callable[[Any, Any], None]
+        self, kind: str, lba: int, nbytes: int, key: Any, then: Callable, ctx=None
     ) -> None:
         """Callback form of :meth:`read` / :meth:`write` (*kind*), for a
-        caller that is not a process.
+        caller that is not a process, under a ``disk_service`` span.
 
         The access queues for the arm under *key* (the order key a
-        calling process would have had) and ``then(nbytes, None)`` runs
-        on the pop of its closed-form completion.  If the array changed
-        state while the access was queued (:meth:`inject_failures` or
-        :meth:`fail_disk` called outside a fault plan), the arm grant
-        comes back stepped: the access then finishes on the stepped
-        path, in a process under *key*, and an error it raises arrives
-        as ``then(None, error)``.  Validation errors raise here.
+        calling process would have had).  Queued in closed form
+        (:attr:`fast_ready`), ``then(nbytes, None)`` runs on the pop of
+        its completion.  Otherwise the arm grant comes back stepped --
+        every access under a tracer or to an array the plan does not
+        spare, or one queued in closed form when :meth:`inject_failures`
+        or :meth:`fail_disk` was called outside a fault plan while it
+        waited -- and the access finishes on the stepped path, in a
+        process under *key*; an error it raises arrives as
+        ``then(None, error)``.  Validation errors raise here.
         """
         self._admit(lba, nbytes)
         if self.faults is not None:
             self.faults.tick()
+        span, span_ctx = self._open_span(lba, nbytes, kind, ctx)
+        access = _CallbackAccess(self, kind, lba, nbytes, key, then, span, span_ctx)
         grant = self._enqueue(lba, key, (nbytes, kind) if self.fast_ready else None)
-        access = _CallbackAccess(self, kind, lba, nbytes, key, then)
         grant.callbacks.append(access.granted)
 
     def inject_failures(self, count: int = 1) -> None:
@@ -711,19 +709,21 @@ class RAID3Array:
         )
 
 
-# fast-path: requires=tracer -- completes a closed-form access by callback; built only by access_then
 class _CallbackAccess:
-    """One :meth:`RAID3Array.access_then` access, waiting for its grant."""
+    """One :meth:`RAID3Array.access_then` access, waiting for its grant,
+    with its ``disk_service`` span and the span's context."""
 
-    __slots__ = ("array", "kind", "lba", "nbytes", "key", "then")
+    __slots__ = ("array", "kind", "lba", "nbytes", "key", "then", "span", "span_ctx")
 
-    def __init__(self, array: RAID3Array, kind: str, lba: int, nbytes: int, key: Any, then) -> None:
+    def __init__(self, array: RAID3Array, kind, lba, nbytes, key, then, span, span_ctx) -> None:
         self.array = array
         self.kind = kind
         self.lba = lba
         self.nbytes = nbytes
         self.key = key
         self.then = then
+        self.span = span
+        self.span_ctx = span_ctx
 
     def granted(self, grant: Event) -> None:
         done = grant._value
@@ -734,7 +734,7 @@ class _CallbackAccess:
         # A stepped grant: finish as the process form would, under the
         # caller's key (the arm is already held).
         stepped = array.env.process(
-            array._stepped(None, self.lba, self.nbytes, self.kind, None, None),
+            array._stepped(None, self.lba, self.nbytes, self.kind, self.span, self.span_ctx),
             name=f"{array.name}-stepped-{self.kind}",
             order_key=self.key,
         )

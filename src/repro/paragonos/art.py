@@ -28,11 +28,10 @@ from repro.obs.trace import TraceContext, get_tracer
 from repro.sim import ArbitratedStore, Environment
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
-_request_ids = itertools.count(1)
-
 
 class AsyncRequest:
-    """Tracking structure for one asynchronous I/O request."""
+    """Tracking structure for one asynchronous I/O request, numbered by
+    the ART pool that set it up."""
 
     __slots__ = (
         "request_id",
@@ -50,11 +49,12 @@ class AsyncRequest:
     def __init__(
         self,
         env: Environment,
+        request_id: int,
         operation: Callable[[], Generator],
         tag: str,
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        self.request_id = next(_request_ids)
+        self.request_id = request_id
         self.operation = operation
         self.tag = tag
         #: Fires with the operation's return value when the ART finishes.
@@ -103,6 +103,9 @@ class AsyncRequestManager:
         #: identically under either tie-break.
         self._active_list: ArbitratedStore = ArbitratedStore(env)
         self._outstanding: List[AsyncRequest] = []
+        #: Request ids of this pool: a run's ``art_setup``/``art_io``
+        #: spans number the same whatever ran before in the process.
+        self._request_ids = itertools.count(1)
         self._workers = [
             env.process(self._art_loop(i), name=f"art-{node.node_id}-{i}")
             for i in range(max_threads)
@@ -126,7 +129,7 @@ class AsyncRequestManager:
         :class:`AsyncRequest`; the caller waits on ``request.event`` for
         completion (or never does -- prefetches are fire-and-forget).
         """
-        request = AsyncRequest(self.env, operation, tag, ctx=ctx)
+        request = AsyncRequest(self.env, next(self._request_ids), operation, tag, ctx=ctx)
         span = self.tracer.begin(
             "art_setup",
             ctx=ctx,

@@ -27,17 +27,17 @@ on one event pop.  :meth:`RPCEndpoint.post` is the callback form of a
 call, for a caller that is not a process; :meth:`RPCEndpoint.call`
 under a fault plan is one :class:`_RetriedCall` and one resume.  Both
 open the call's ``rpc_call`` span, and a retried call opens an
-``rpc_attempt`` span per attempt.  The serve need not be a process
-either: on an untraced endpoint a request type with a callback handler
-(:meth:`RPCEndpoint.register_callback`, which the PFS server registers
-for Fast Path reads and writes) is served by a callback chain, started
-by the same urgent event a serve process would have been started by and
-arbitrating under the same key ``dispatch_key + (n,)``.  Its reply is
-posted as a serve process's would be, and a handler error fails the call
-with the same :class:`RPCError`.  Generator handlers (coordinator,
-control and buffered requests, arrays the fault plan does not spare)
-and every serve of a traced endpoint keep their serve processes
-(:meth:`RPCEndpoint._serve`), which open the server's spans.
+``rpc_attempt`` span per attempt; a handler error ends them with an
+``error`` attr.  The serve need not be a process either: a request type
+with a callback handler (:meth:`RPCEndpoint.register_callback`, which
+the PFS server registers for Fast Path reads and writes) is served by a
+callback chain, traced or not, started by the same urgent event a serve
+process would have been started by and arbitrating under the same key
+``dispatch_key + (n,)``.  Its reply is posted as a serve process's would
+be, and a handler error fails the call with the same
+:class:`RPCError`.  Generator handlers (coordinator, control and
+buffered requests) keep their serve processes
+(:meth:`RPCEndpoint._serve`).
 
 Fault tolerance (active only when the machine runs with a
 :class:`~repro.faults.plan.FaultPlan`): calls carry a per-request reply
@@ -63,6 +63,7 @@ key order, keeping faulty runs bit-identical under either tie-break.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Tuple, Type
 
 from repro.hardware.mesh import Mesh, MeshMessage
@@ -122,7 +123,6 @@ class _Inbox(ArbitratedStore):
             self.endpoint._start_serve(self.items.pop(0), self.serves)
 
 
-# fast-path: requires=tracer -- a serve with no process; only an unobserved endpoint starts one
 class _CallbackServe:
     """One request served by a callback handler (see
     :meth:`RPCEndpoint.register_callback`), taking the steps of
@@ -242,8 +242,8 @@ class _RetriedCall:
     *done* with :class:`~repro.faults.plan.FaultBudgetExceeded` once the
     budget is spent.  The attempt and call spans end with the attempt's
     ``outcome`` (``reply``, ``timeout``, ``node_crashed``) and the call's
-    ``attempts``; a handler error leaves both open.  A timer stays queued
-    after its reply wins.
+    ``attempts``; a handler error ends both with its ``error``.  A timer
+    stays queued after its reply wins.
     """
 
     __slots__ = (
@@ -313,11 +313,14 @@ class _RetriedCall:
         done = self.done
         if event is not self.reply_event or done._value is not PENDING:
             return
-        if not event._ok:
-            done.fail(event._value)
-            return
         endpoint = self.endpoint
         tracer = endpoint.tracer
+        if not event._ok:
+            error = str(event._value)
+            tracer.end(self.attempt_span, error=error)
+            tracer.end(self.span, attempts=self.attempt + 1, error=error)
+            done.fail(event._value)
+            return
         if endpoint.halted_fn is not None and endpoint.halted_fn():
             # A dead node cannot consume the reply; the request log
             # replays it when the restarted node asks again.
@@ -344,6 +347,15 @@ class _RetriedCall:
         tracer.end(span, attempts=self.attempt, outcome="budget_exceeded")
         chain = [] if span is NOOP_SPAN else [span] + tracer.ancestors(span)
         self.done.fail(endpoint._budget_exceeded(self.target, self.request, self.timeouts, chain))
+
+
+def _end_call_span(tracer, span, event: Event) -> None:
+    """End a fault-free call's ``rpc_call`` *span* as its reply *event*
+    lands, with ``error`` if a handler error failed it."""
+    if event._ok:
+        tracer.end(span)
+    else:
+        tracer.end(span, error=str(event._value))
 
 
 def _defuse_late_failure(event) -> None:
@@ -375,11 +387,6 @@ class RPCEndpoint:
         self.monitor = monitor or NULL_MONITOR
         self.faults = faults
         self.tracer = get_tracer(monitor)
-        #: Callback serves (:class:`_CallbackServe`): legal only when
-        #: nothing observes a serve's interior -- no trace spans (a
-        #: callback serve opens none).  Under a fault plan they take the
-        #: request-log and stall steps too.
-        self._fast = not self.tracer.enabled
         if faults is not None:
             #: This node's name as ``rpc_stall`` specs target it.
             self._stall_target = f"node{node.node_id}"
@@ -414,16 +421,15 @@ class RPCEndpoint:
     ) -> None:
         """Register a callback form of *request_type*'s handler.
 
-        On an endpoint with callback serves (no tracer), a request for
-        which ``ready(request)`` holds when its serve is due is served
-        without a process: on the event that would have started the
-        serve (after the request-log and ``rpc_stall`` steps under a
-        fault plan), ``handler(request, key, then)`` runs, with *key*
-        the serve's order key, and must call
-        ``then(reply, None)`` once -- or ``then(None, error)``, which
-        fails the call with the :class:`RPCError` :meth:`register`'s
-        handler would have raised.  Every other request of the type
-        goes to the generator handler.
+        A request for which ``ready(request)`` holds when its serve is
+        due is served without a process (:class:`_CallbackServe`), traced
+        or not: on the event that would have started the serve (after
+        the request-log and ``rpc_stall`` steps under a fault plan),
+        ``handler(request, key, then)`` runs, with *key* the serve's
+        order key, and must call ``then(reply, None)`` once -- or
+        ``then(None, error)``, which fails the call with the
+        :class:`RPCError` :meth:`register`'s handler would have raised.
+        Every other request of the type goes to the generator handler.
         """
         self._callbacks[request_type] = (handler, ready)
 
@@ -433,8 +439,7 @@ class RPCEndpoint:
         """Generator: send *request* to *target*, wait for and return the reply."""
         span = self._open_call(target, request)
         if self.faults is None:
-            reply = yield from self._call_once(target, request)
-            self.tracer.end(span)
+            reply = yield from self._call_once(target, request, span)
         else:
             # One resume: the retried call runs on callbacks.
             done = Event(self.env)
@@ -461,12 +466,14 @@ class RPCEndpoint:
         return span
 
     # fast-path: requires=faults -- single attempt with no retry timer; only legal when no fault plan can stall or drop the call
-    def _call_once(self, target: "RPCEndpoint", request: RPCMessage):
+    def _call_once(self, target: "RPCEndpoint", request: RPCMessage, span):
         """Fault-free call: single attempt, wait forever.  The request
         worm admits the envelope on delivery; the caller resumes once,
-        when the reply worm lands."""
+        when the reply worm lands, which ends the call's *span*."""
         env = self.env
         envelope = _Envelope(request, Event(env), self, env._active_process.order_key)
+        if span is not NOOP_SPAN:
+            envelope.reply_event.callbacks.append(partial(_end_call_span, self.tracer, span))
         self._post_envelope(target, envelope)
         return (yield envelope.reply_event)
 
@@ -497,7 +504,7 @@ class RPCEndpoint:
         reply_event.callbacks.append(self._count_call)
         if self.faults is None and span is not NOOP_SPAN:
             # A retried call ends its spans itself.
-            reply_event.callbacks.append(lambda event: event._ok and self.tracer.end(span))
+            reply_event.callbacks.append(partial(_end_call_span, self.tracer, span))
         reply_event.callbacks.append(on_reply)
         if self.faults is None:
             self._post_envelope(target, _Envelope(request, reply_event, self, key))
@@ -573,12 +580,11 @@ class RPCEndpoint:
         serve when a ready callback handler is registered for it,
         otherwise a process."""
         key = self.dispatch_key + (n,)
-        if self._fast:
-            request = envelope.request
-            callback = self._callbacks.get(type(request))
-            if callback is not None and callback[1](request):
-                _CallbackServe(self, envelope, key, callback[0])
-                return
+        request = envelope.request
+        callback = self._callbacks.get(type(request))
+        if callback is not None and callback[1](request):
+            _CallbackServe(self, envelope, key, callback[0])
+            return
         self.env.process(
             self._serve(envelope),
             name=f"rpc-serve-{self.node.node_id}-{envelope.request.msg_id}",

@@ -947,6 +947,9 @@ class PFSClient:
             except NodeCrashed:
                 self.tracer.end(span, crashed=True)
                 reply = None
+            except Exception as exc:
+                self.tracer.end(span, error=str(exc))
+                raise
             else:
                 self.tracer.end(span)
             replies = [reply]
@@ -998,6 +1001,9 @@ class PFSClient:
             except NodeCrashed:
                 self.tracer.end(span, crashed=True)
                 ok = False
+            except Exception as exc:
+                self.tracer.end(span, error=str(exc))
+                raise
             else:
                 self.tracer.end(span)
                 ok = True
@@ -1046,9 +1052,9 @@ class PFSClient:
         landing and finishes with the ``None`` sentinel, so the caller
         raises once for the whole transfer.  Any other error (a
         handler's :class:`~repro.paragonos.rpc.RPCError`, a
-        :class:`~repro.faults.plan.FaultBudgetExceeded`) leaves its span
-        open and fails the event at once; a later error stays un-defused
-        and stops the run.
+        :class:`~repro.faults.plan.FaultBudgetExceeded`) ends its span
+        with ``error`` and fails the event at once; a later error stays
+        un-defused and stops the run.
         """
         env = self.env
         node = self.node
@@ -1078,7 +1084,9 @@ class PFSClient:
                     if isinstance(event._value, NodeCrashed):
                         event._defused = True
                         arrived(i, None, span)
-                    elif done._value is PENDING:
+                        return
+                    tracer.end(span, error=str(event._value))
+                    if done._value is PENDING:
                         event._defused = True
                         done.fail(event._value)
                     return

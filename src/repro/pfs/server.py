@@ -6,21 +6,18 @@ paths:
 - **Fast Path** (mount buffering disabled, the PFS default for large
   transfers): data moves directly between the disks and the reply
   message -- no buffer-cache copy.  Contiguous file-system blocks are
-  coalesced into single disk requests.
+  coalesced into single disk requests.  A Fast Path read or write is a
+  callback chain (:class:`_FastPathServe`), traced or not, under any
+  fault plan, which opens its own ``server_io`` span.
 - **Buffered**: blocks go through the I/O-node buffer cache; hits skip
   the disk entirely, but every byte pays a cache-to-message memcpy on
-  the I/O node CPU.
+  the I/O node CPU.  A buffered request runs in a serve process of the
+  node's RPC endpoint.
 
 Requests that are not aligned to file-system block boundaries move the
 covering whole blocks from disk and pay a partial-block copy ("there is
 a higher overhead involved in creating temporary buffers for the size
 of the partial blocks and copying only the necessary data").
-
-Each request runs in a serve process of the node's RPC endpoint, except
-on the Fast Path of an unobserved run whose array would serve it in
-closed form: there a read or write is served by a callback chain
-(:class:`_FastPathServe`) that takes the same steps in the same order
-and under the same order key, a fault plan's ``server_stall`` included.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from repro.paragonos.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.obs.trace import get_tracer
+from repro.obs.trace import NOOP_SPAN, get_tracer
 from repro.paragonos.rpc import RPCEndpoint
 from repro.sim import Environment
 from repro.sim.events import Timeout
@@ -100,23 +97,22 @@ class PFSServer:
         #: have been named).
         self._counters: Dict[Tuple[str, str], Tuple[CounterStat, ...]] = {}
         self._extra_counters: Dict[str, CounterStat] = {}
-        self._array = ufs.device.array
         if cache is not None:
             cache.writeback = self._writeback
         endpoint.register(ReadRequest, self._handle_read)
         endpoint.register(WriteRequest, self._handle_write)
         endpoint.register(ControlRequest, self._handle_control)
-        # Unobserved endpoints serve Fast Path reads and writes without
-        # a process (see _FastPathServe).
+        # Fast Path reads and writes are served without a process (see
+        # _FastPathServe).
         endpoint.register_callback(ReadRequest, partial(_FastPathRead, self), self._fastpath_ready)
         endpoint.register_callback(
             WriteRequest, partial(_FastPathWrite, self), self._fastpath_ready
         )
 
     def _fastpath_ready(self, request) -> bool:
-        """Whether a read or write can be served as a callback chain: it
-        takes the Fast Path and the array would serve it in closed form."""
-        return (request.fastpath or self.cache is None) and self._array.fast_ready
+        """Whether a read or write is served as a callback chain: it
+        takes the Fast Path."""
+        return request.fastpath or self.cache is None
 
     def _writeback(self, key, data):
         """Generator: persist one dirty cached block to the UFS."""
@@ -126,8 +122,6 @@ class PFSServer:
 
     def _block_content(self, file_id: int, offset: int, nbytes: int):
         """Assemble content preferring cached (possibly dirty) blocks."""
-        from repro.ufs.data import concat_data
-
         if self.cache is None:
             return self.ufs.content(file_id, offset, nbytes)
         bs = self.ufs.block_size
@@ -152,25 +146,18 @@ class PFSServer:
     # -- read -------------------------------------------------------------
 
     def _handle_read(self, request: ReadRequest):
-        span = self.tracer.begin(
-            "server_io",
-            ctx=request.ctx,
-            node_id=self.node.node_id,
-            op="read",
-            bytes=request.nbytes,
-            cause=request.cause,
-        )
-        if span.ctx is not None:
-            request.ctx = span.ctx
-        yield from self.node.busy(self.node.params.server_request_overhead_s)
-        if self.faults is not None:
-            stall_s = self._stall_s()
-            if stall_s is not None:
-                yield self.env.timeout(stall_s)
-        if request.fastpath or self.cache is None:
-            data, cache_hit = (yield from self._read_fastpath(request)), False
-        else:
+        """A buffered read (a Fast Path read is a :class:`_FastPathRead`)."""
+        span = self._open_span(request, "read", request.nbytes, cause=request.cause)
+        try:
+            yield from self.node.busy(self.node.params.server_request_overhead_s)
+            if self.faults is not None:
+                stall_s = self._stall_s()
+                if stall_s is not None:
+                    yield self.env.timeout(stall_s)
             data, cache_hit = yield from self._read_buffered(request)
+        except Exception as exc:
+            self.tracer.end(span, error=str(exc))
+            raise
         self.tracer.end(span, cache_hit=cache_hit)
         self._count("reads", request.nbytes, request.cause)
         return ReadReply(
@@ -190,21 +177,6 @@ class PFSServer:
             return None
         self._count_extra("stalls")
         return stall.duration_s
-
-    def _read_fastpath(self, request: ReadRequest):
-        """Direct disk -> reply transfer with block coalescing."""
-        data = yield from self.ufs.read(
-            request.file_id,
-            request.ufs_offset,
-            request.nbytes,
-            coalesce=self.coalesce,
-            ctx=request.ctx,
-        )
-        if self._unaligned(request.ufs_offset, request.nbytes):
-            # Whole blocks came off the disk; copy out just the range.
-            yield from self.node.memcpy(request.nbytes)
-            self._count_extra("partial_block_reads")
-        return data
 
     def _read_buffered(self, request: ReadRequest):
         """Per-block reads through the buffer cache."""
@@ -273,55 +245,41 @@ class PFSServer:
     # -- write ------------------------------------------------------------------
 
     def _handle_write(self, request: WriteRequest):
-        span = self.tracer.begin(
-            "server_io",
-            ctx=request.ctx,
-            node_id=self.node.node_id,
-            op="write",
-            bytes=len(request.data),
-        )
-        if span.ctx is not None:
-            request.ctx = span.ctx
-        yield from self._handle_write_body(request)
+        """A buffered write (a Fast Path write is a :class:`_FastPathWrite`)."""
         nbytes = len(request.data)
+        span = self._open_span(request, "write", nbytes)
+        try:
+            yield from self.node.busy(self.node.params.server_request_overhead_s)
+            if self.write_back:
+                yield from self._write_back_cached(request, nbytes)
+            else:
+                yield from self._write_through(request, nbytes)
+        except Exception as exc:
+            self.tracer.end(span, error=str(exc))
+            raise
         self.tracer.end(span)
         self._count("writes", nbytes, "demand")
         return WriteReply(file_id=request.file_id, ufs_offset=request.ufs_offset, nbytes=nbytes)
 
-    def _handle_write_body(self, request: WriteRequest):
-        yield from self.node.busy(self.node.params.server_request_overhead_s)
-        nbytes = len(request.data)
-        if request.fastpath or self.cache is None:
-            yield from self.ufs.write(
-                request.file_id,
-                request.ufs_offset,
-                request.data,
-                coalesce=self.coalesce,
-                ctx=request.ctx,
-            )
-            if self._unaligned(request.ufs_offset, nbytes):
-                yield from self.node.memcpy(nbytes)
-                self._count_extra("partial_block_writes")
-        elif self.write_back:
-            yield from self._write_back_cached(request, nbytes)
-        else:
-            # Write-through: install in cache and persist to the UFS.
-            yield from self.node.memcpy(nbytes)
-            yield from self.ufs.write(
-                request.file_id, request.ufs_offset, request.data, ctx=request.ctx
-            )
-            bs = self.ufs.block_size
-            first = request.ufs_offset // bs
-            last = (request.ufs_offset + max(nbytes, 1) - 1) // bs
-            for block in range(first, last + 1):
-                key = (request.file_id, block)
-                if key in self.cache:
-                    start = block * bs
-                    inode = self.ufs.inode(request.file_id)
-                    length = min(bs, inode.size_bytes - start)
-                    self.cache.write_block(key, self.ufs.content(request.file_id, start, length))
-                    # Content now persisted; the cached copy is clean.
-                    self.cache._blocks[key].dirty = False
+    def _write_through(self, request: WriteRequest, nbytes: int):
+        """Write-through: install in cache and persist to the UFS."""
+        assert self.cache is not None
+        yield from self.node.memcpy(nbytes)
+        yield from self.ufs.write(
+            request.file_id, request.ufs_offset, request.data, ctx=request.ctx
+        )
+        bs = self.ufs.block_size
+        first = request.ufs_offset // bs
+        last = (request.ufs_offset + max(nbytes, 1) - 1) // bs
+        for block in range(first, last + 1):
+            key = (request.file_id, block)
+            if key in self.cache:
+                start = block * bs
+                inode = self.ufs.inode(request.file_id)
+                length = min(bs, inode.size_bytes - start)
+                self.cache.write_block(key, self.ufs.content(request.file_id, start, length))
+                # Content now persisted; the cached copy is clean.
+                self.cache._blocks[key].dirty = False
 
     def _write_back_cached(self, request: WriteRequest, nbytes: int):
         """Write-back: land the data in the cache only; no disk time.
@@ -331,8 +289,6 @@ class PFSServer:
         The dirty blocks reach the disk via flush, the sync daemon, or
         eviction pressure.
         """
-        from repro.ufs.data import concat_data
-
         assert self.cache is not None
         yield from self.node.memcpy(nbytes)
         # Grow the stripe file's metadata now (block allocation is
@@ -411,6 +367,16 @@ class PFSServer:
 
     # -- helpers ---------------------------------------------------------------------
 
+    def _open_span(self, request, op: str, nbytes: int, **attrs):
+        """Open a read or write's ``server_io`` span and thread its
+        context into *request*, so its disk work parents under it."""
+        span = self.tracer.begin(
+            "server_io", ctx=request.ctx, node_id=self.node.node_id, op=op, bytes=nbytes, **attrs
+        )
+        if span.ctx is not None:
+            request.ctx = span.ctx
+        return span
+
     def _unaligned(self, offset: int, nbytes: int) -> bool:
         bs = self.ufs.block_size
         return offset % bs != 0 or nbytes % bs != 0
@@ -441,22 +407,23 @@ class PFSServer:
         return f"<PFSServer node={self.node.node_id} cache={'on' if self.cache else 'off'}>"
 
 
-# fast-path: requires=tracer -- a serve with no process; only an unobserved endpoint runs it
 class _FastPathServe:
-    """One Fast Path read or write served as a callback chain.
+    """One Fast Path read or write, served as a callback chain: its only
+    form, traced or not, under any fault plan.
 
     Built by the RPC endpoint on the serve's start (see
-    :meth:`~repro.paragonos.rpc.RPCEndpoint.register_callback`), it takes
-    the same steps as the serve process's :meth:`PFSServer._handle_read`
-    / :meth:`PFSServer._handle_write`, in the same order and under the
-    serve's order key *key*: the request overhead on the CPU, a read's
-    ``server_stall`` under a fault plan, the UFS transfer, the
-    partial-block copy when the range is unaligned, then the counters
-    and ``then(reply, None)`` -- or ``then(None, error)`` on a handler
-    error.
+    :meth:`~repro.paragonos.rpc.RPCEndpoint.register_callback`), it runs
+    under the serve's order key *key*.  Traced, it opens the request's
+    ``server_io`` span and threads the span's context into the request.
+    It then takes the request overhead on the CPU, a read's
+    ``server_stall`` under a fault plan, the UFS transfer straight
+    between the disks and the reply, and the partial-block copy when the
+    range is unaligned.  Last it ends the span, counts and calls
+    ``then(reply, None)``; a handler error ends the span with ``error``
+    and calls ``then(None, error)``.
     """
 
-    __slots__ = ("server", "request", "key", "then", "data")
+    __slots__ = ("server", "request", "key", "then", "data", "span")
 
     #: The ``pfs_server.<node>.*`` counter of an unaligned request.
     partial_counter = ""
@@ -470,6 +437,7 @@ class _FastPathServe:
         self.key = key
         self.then = then
         self.data = None
+        self.span = self._open_span() if server.tracer.enabled else NOOP_SPAN
         node = server.node
         node.busy_then(node.params.server_request_overhead_s, key, self._transfer)
 
@@ -508,7 +476,11 @@ class _FastPathServe:
         self.then(self._finish(), None)
 
     def _fail(self, error: BaseException) -> None:
+        self.server.tracer.end(self.span, error=str(error))
         self.then(None, error)
+
+    def _open_span(self):
+        raise NotImplementedError
 
     def _nbytes(self) -> int:
         raise NotImplementedError
@@ -525,6 +497,10 @@ class _FastPathRead(_FastPathServe):
     partial_counter = "partial_block_reads"
     stalls = True
 
+    def _open_span(self):
+        request = self.request
+        return self.server._open_span(request, "read", request.nbytes, cause=request.cause)
+
     def _nbytes(self) -> int:
         return self.request.nbytes
 
@@ -538,11 +514,14 @@ class _FastPathRead(_FastPathServe):
             server.coalesce,
             self.key,
             self._transferred,
+            request.ctx,
         )
 
     def _finish(self) -> ReadReply:
         request = self.request
-        self.server._count("reads", request.nbytes, request.cause)
+        server = self.server
+        server.tracer.end(self.span, cache_hit=False)
+        server._count("reads", request.nbytes, request.cause)
         return ReadReply(
             file_id=request.file_id,
             ufs_offset=request.ufs_offset,
@@ -554,6 +533,9 @@ class _FastPathRead(_FastPathServe):
 class _FastPathWrite(_FastPathServe):
     __slots__ = ()
     partial_counter = "partial_block_writes"
+
+    def _open_span(self):
+        return self.server._open_span(self.request, "write", len(self.request.data))
 
     def _nbytes(self) -> int:
         return len(self.request.data)
@@ -568,12 +550,15 @@ class _FastPathWrite(_FastPathServe):
             server.coalesce,
             self.key,
             self._transferred,
+            request.ctx,
         )
 
     def _finish(self) -> WriteReply:
         request = self.request
         nbytes = len(request.data)
-        self.server._count("writes", nbytes, "demand")
+        server = self.server
+        server.tracer.end(self.span)
+        server._count("writes", nbytes, "demand")
         return WriteReply(file_id=request.file_id, ufs_offset=request.ufs_offset, nbytes=nbytes)
 
 

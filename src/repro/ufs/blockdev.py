@@ -42,15 +42,14 @@ class BlockDevice:
         yield from self.array.write(start_block * self.block_size, nbytes, ctx=ctx)
         return nbytes
 
-    # fast-path: requires=tracer -- the RAID callback access completes in closed form only while unobserved
     def access_then(
-        self, kind: str, start_block: int, nblocks: int, key: Any, then: Callable[[Any, Any], None]
+        self, kind: str, start_block: int, nblocks: int, key: Any, then: Callable, ctx=None
     ) -> None:
         """Callback form of :meth:`read_extent` / :meth:`write_extent`
         (*kind*): see :meth:`RAID3Array.access_then`."""
         self._validate(start_block, nblocks)
         bs = self.block_size
-        self.array.access_then(kind, start_block * bs, nblocks * bs, key, then)
+        self.array.access_then(kind, start_block * bs, nblocks * bs, key, then, ctx)
 
     def _validate(self, start_block: int, nblocks: int) -> None:
         if nblocks <= 0:

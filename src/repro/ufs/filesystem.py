@@ -1,11 +1,13 @@
 """The UFS: files, block allocation, reads/writes with coalescing.
 
-One UFS instance runs per I/O node.  Reads and writes are generators
-that spend simulated time on the node's block device; the *content*
-returned is assembled from written blocks (each stored as the lazy
-:class:`~repro.ufs.data.Data` the write described) and runs of unwritten
-blocks (synthetic deterministic bytes), so round-trips are exact and
-neither path materialises bytes.
+One UFS instance runs per I/O node.  Reads and writes spend simulated
+time on the node's block device: a Fast Path read or write runs as a
+callback chain (:meth:`UFS.read_then`, :meth:`UFS.write_then`), and the
+buffered path's writes and block reads and writes are generators.  The
+*content* returned is assembled from written blocks (each stored as the
+lazy :class:`~repro.ufs.data.Data` the write described) and runs of
+unwritten blocks (synthetic deterministic bytes), so round-trips are
+exact and neither path materialises bytes.
 
 Fast Path coalescing: a multi-block read/write issues one disk request
 per *physically contiguous run* of blocks rather than one per block.
@@ -177,25 +179,6 @@ class UFS:
 
     # -- timed operations ------------------------------------------------------
 
-    def read(
-        self,
-        file_id: int,
-        offset: int,
-        nbytes: int,
-        coalesce: bool = True,
-        ctx: Optional[TraceContext] = None,
-    ):
-        """Generator: read a byte range, spending disk time; returns Data.
-
-        Whole file-system blocks covering the range are transferred from
-        disk (partial-block requests still move full blocks -- the source
-        of the paper's partial-block overhead); content for exactly the
-        requested range is returned.
-        """
-        for _logical, physical, run_len in self._plan_read(file_id, offset, nbytes, coalesce):
-            yield from self.device.read_extent(physical, run_len, ctx=ctx)
-        return self._read_done(file_id, offset, nbytes)
-
     def write(
         self,
         file_id: int,
@@ -218,7 +201,6 @@ class UFS:
             yield from self.device.write_extent(physical, run_len, ctx=ctx)
         return self._wrote(len(data))
 
-    # fast-path: requires=tracer -- disk runs on RAID callbacks, which only an unobserved array completes
     def read_then(
         self,
         file_id: int,
@@ -227,15 +209,22 @@ class UFS:
         coalesce: bool,
         key: Any,
         then: Callable[[Any, Any], None],
+        ctx: Optional[TraceContext] = None,
     ) -> None:
-        """Callback form of :meth:`read`, for a caller that is not a
-        process: the disk runs queue under *key* one after another, and
+        """Read a byte range, spending disk time, for a caller that is
+        not a process: the disk runs queue under *key* one after another
+        (each a ``disk_service`` span under *ctx* when traced), and
         ``then(data, None)`` runs when the last completes (at once for an
         empty range), or ``then(None, error)`` on an error raised after
-        this call returns.  Validation errors raise here."""
-        _CallbackRead(self, file_id, offset, nbytes, coalesce, key, then).step()
+        this call returns.  Validation errors raise here.
 
-    # fast-path: requires=tracer -- disk runs on RAID callbacks, which only an unobserved array completes
+        Whole file-system blocks covering the range are transferred from
+        disk (partial-block requests still move full blocks -- the source
+        of the paper's partial-block overhead); content for exactly the
+        requested range is returned.
+        """
+        _CallbackRead(self, file_id, offset, nbytes, coalesce, key, then, ctx).step()
+
     def write_then(
         self,
         file_id: int,
@@ -244,6 +233,7 @@ class UFS:
         coalesce: bool,
         key: Any,
         then: Callable[[Any, Any], None],
+        ctx: Optional[TraceContext] = None,
     ) -> None:
         """Callback form of :meth:`write` (see :meth:`read_then`): the
         read-modify-write edge blocks are read first, then the content
@@ -252,32 +242,7 @@ class UFS:
         if len(data) == 0:
             then(0, None)
             return
-        _CallbackWrite(self, inode, offset, data, rmw_runs, coalesce, key, then).step()
-
-    def _plan_read(
-        self, file_id: int, offset: int, nbytes: int, coalesce: bool
-    ) -> List[Tuple[int, int, int]]:
-        """Validate a read and plan its disk runs (both forms)."""
-        inode = self.inode(file_id)
-        if offset < 0 or nbytes < 0 or offset + nbytes > inode.size_bytes:
-            raise UFSError(
-                f"read [{offset}, {offset + nbytes}) outside file {file_id} "
-                f"of {inode.size_bytes} bytes"
-            )
-        if nbytes == 0:
-            return []
-        bs = self.block_size
-        first_block = offset // bs
-        last_block = (offset + nbytes - 1) // bs
-        return self._runs(inode, first_block, last_block - first_block + 1, coalesce)
-
-    def _read_done(self, file_id: int, offset: int, nbytes: int) -> Data:
-        """Count a finished read and return its content (both forms)."""
-        if nbytes == 0:
-            return LiteralData(b"")
-        self._c_reads.add(1)
-        self._c_bytes_read.add(nbytes)
-        return self.content(file_id, offset, nbytes)
+        _CallbackWrite(self, inode, offset, data, rmw_runs, coalesce, key, then, ctx).step()
 
     def _plan_write(
         self, file_id: int, offset: int, data: Data
@@ -385,21 +350,21 @@ class UFS:
         return f"<UFS {self.name} files={len(self._inodes)}>"
 
 
-# fast-path: requires=tracer -- one disk access at a time on RAID callbacks; built only by read_then / write_then
 class _CallbackIO:
     """A :meth:`UFS.read_then` or :meth:`UFS.write_then` in progress.
 
     Issues ``runs`` -- ``(logical, physical, nblocks)`` disk accesses of
-    ``kind`` -- one at a time under the caller's ``key``, then asks
-    :meth:`finish` for the result.
+    ``kind`` -- one at a time under the caller's ``key`` and trace
+    context ``ctx``, then asks :meth:`finish` for the result.
     """
 
-    __slots__ = ("ufs", "key", "then", "offset", "kind", "runs", "idx")
+    __slots__ = ("ufs", "key", "then", "ctx", "offset", "kind", "runs", "idx")
 
-    def __init__(self, ufs: UFS, offset: int, kind: str, runs: list, key: Any, then) -> None:
+    def __init__(self, ufs: UFS, offset: int, kind: str, runs: list, key: Any, then, ctx) -> None:
         self.ufs = ufs
         self.key = key
         self.then = then
+        self.ctx = ctx
         self.offset = offset
         self.kind = kind
         self.runs = runs
@@ -417,7 +382,9 @@ class _CallbackIO:
                 if idx < len(self.runs):
                     self.idx = idx + 1
                     _logical, physical, run_len = self.runs[idx]
-                    self.ufs.device.access_then(self.kind, physical, run_len, self.key, self.step)
+                    self.ufs.device.access_then(
+                        self.kind, physical, run_len, self.key, self.step, self.ctx
+                    )
                     return
                 result = self.finish()
         except Exception as exc:
@@ -437,15 +404,31 @@ class _CallbackRead(_CallbackIO):
     __slots__ = ("file_id", "nbytes")
 
     def __init__(
-        self, ufs: UFS, file_id: int, offset: int, nbytes: int, coalesce: bool, key: Any, then
+        self, ufs: UFS, file_id: int, offset: int, nbytes: int, coalesce: bool, key: Any, then, ctx
     ) -> None:
-        runs = ufs._plan_read(file_id, offset, nbytes, coalesce)
-        _CallbackIO.__init__(self, ufs, offset, "read", runs, key, then)
+        inode = ufs.inode(file_id)
+        if offset < 0 or nbytes < 0 or offset + nbytes > inode.size_bytes:
+            raise UFSError(
+                f"read [{offset}, {offset + nbytes}) outside file {file_id} "
+                f"of {inode.size_bytes} bytes"
+            )
+        runs = []
+        if nbytes:
+            bs = ufs.block_size
+            first_block = offset // bs
+            last_block = (offset + nbytes - 1) // bs
+            runs = ufs._runs(inode, first_block, last_block - first_block + 1, coalesce)
+        _CallbackIO.__init__(self, ufs, offset, "read", runs, key, then, ctx)
         self.file_id = file_id
         self.nbytes = nbytes
 
     def finish(self) -> Data:
-        return self.ufs._read_done(self.file_id, self.offset, self.nbytes)
+        if self.nbytes == 0:
+            return LiteralData(b"")
+        ufs = self.ufs
+        ufs._c_reads.add(1)
+        ufs._c_bytes_read.add(self.nbytes)
+        return ufs.content(self.file_id, self.offset, self.nbytes)
 
 
 class _CallbackWrite(_CallbackIO):
@@ -464,8 +447,9 @@ class _CallbackWrite(_CallbackIO):
         coalesce: bool,
         key: Any,
         then,
+        ctx,
     ) -> None:
-        _CallbackIO.__init__(self, ufs, offset, "read", rmw_runs, key, then)
+        _CallbackIO.__init__(self, ufs, offset, "read", rmw_runs, key, then, ctx)
         self.inode = inode
         self.data = data
         self.coalesce = coalesce

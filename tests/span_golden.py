@@ -13,12 +13,12 @@ under which parent shows up as a diff
 Each span becomes a canonical row: ``(kind, node_id, start, end, sorted
 attrs, ancestor chain)``, the chain as ``(kind, node_id, start)`` from
 the parent up to the root.  Span ids and the ART's ``request_id``
-attribute appear nowhere, so neither the order in which spans are
-opened nor what ran earlier in the process matters.  The golden keeps, per cell and
-tie-break, the span count per kind, a sha256 over the sorted rows, and
-the hashes of 64 buckets the rows are spread over by their own hash; on
-a mismatch the rows of the buckets that differ are printed, and they
-hold every row the golden does not.
+attribute appear nowhere, so the order in which spans are opened does
+not matter.  The golden keeps, per cell and tie-break, the span count
+per kind, a sha256 over the sorted rows, and the hashes of 64 buckets
+the rows are spread over by their own hash; on a mismatch the rows of
+the buckets that differ are printed, and they hold every row the golden
+does not.
 
 Regenerate (after a deliberate change, recorded in CHANGES.md) with::
 
@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_spans.json"
 BUCKETS = 64
-#: Span attributes numbered from a process-wide counter (the ART's
-#: request ids), which depend on what ran earlier in the process.
+#: Span attributes the rows leave out: the ART's request ids (each ART
+#: pool numbers its own requests; the golden was frozen without them).
 PROCESS_IDS = frozenset({"request_id"})
 
 

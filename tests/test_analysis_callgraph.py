@@ -753,13 +753,10 @@ class TestShippedTree:
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
         marked = {fid for fid, f in project.functions.items() if f.pragma is not None}
-        expected = {
-            "repro.hardware.raid:RAID3Array.access_then",
+        assert marked == {
             "repro.hardware.scsi:SCSIBus.account_bypass",
             "repro.paragonos.rpc:RPCEndpoint._call_once",
-            "repro.paragonos.rpc:_CallbackServe.__init__",
         }
-        assert expected <= marked
         # The fast-path entries are reached through *resolved* edges
         # (the gating check actually sees them, rather than the calls
         # being unresolved and silently unchecked).
@@ -769,15 +766,11 @@ class TestShippedTree:
             for e in edges
             if e.callee in marked
         }
-        assert "repro.hardware.scsi:SCSIBus.account_bypass" in entries
-        assert "repro.paragonos.rpc:RPCEndpoint._call_once" in entries
-        assert "repro.paragonos.rpc:_CallbackServe.__init__" in entries
+        assert entries == marked
 
     def test_fast_path_gates_resolve_their_facets(self):
         """Each gate resolves to exactly the facets its callee needs: a
-        callback serve skips the server's spans, so it needs the tracer
-        off (and runs under fault plans); a fault-free call only needs no
-        fault plan."""
+        fault-free call only needs no fault plan."""
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
         gates = {
@@ -785,10 +778,6 @@ class TestShippedTree:
                 "repro.paragonos.rpc:RPCEndpoint.call",
                 "repro.paragonos.rpc:RPCEndpoint._call_once",
             ): {"faults"},
-            (
-                "repro.paragonos.rpc:RPCEndpoint._start_serve",
-                "repro.paragonos.rpc:_CallbackServe.__init__",
-            ): {"tracer"},
         }
         for (caller, callee), facets in gates.items():
             sites = [e.site for e in project.edges[caller] if e.callee == callee]

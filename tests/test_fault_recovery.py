@@ -1040,13 +1040,17 @@ class TestClosedFormUnderPlans:
 
 
 class TestCallbackRPCUnderPlans:
-    """Under a plan, retried calls and stripe pieces run with no process,
-    traced or not; an untraced run also serves Fast Path requests on
-    spared arrays with no process, while a traced run keeps their serve
-    processes."""
+    """Under a plan, retried calls, stripe pieces and Fast Path serves
+    run with no process, traced or not, on spared and unspared arrays
+    alike."""
 
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-    def test_crash_cell_starts_no_piece_or_fast_path_serve_process(self, tie_break, monkeypatch):
+    @pytest.mark.parametrize(
+        "cell", ["crash:read:256kb", "degraded:read:256kb", "degraded:write:64kb:M_RECORD"]
+    )
+    def test_crash_cell_starts_no_piece_or_fast_path_serve_process(
+        self, cell, tie_break, monkeypatch
+    ):
         from repro.paragonos.messages import ReadRequest, WriteRequest
         from repro.paragonos.rpc import RPCEndpoint, _RetriedCall
         from repro.sim.process import Process
@@ -1075,7 +1079,7 @@ class TestCallbackRPCUnderPlans:
         monkeypatch.setattr(Process, "__init__", recording_init)
         monkeypatch.setattr(RPCEndpoint, "_serve", recording_serve)
         monkeypatch.setattr(_RetriedCall, "__init__", counting_call)
-        run = dict(FAULT_RECOVERY_CELLS)["crash:read:256kb"]
+        run = dict(FAULT_RECOVERY_CELLS)[cell]
         counts = {}
         for trace in (False, True):
             names.clear()
@@ -1083,12 +1087,19 @@ class TestCallbackRPCUnderPlans:
             retried[0] = 0
             machine, _reports = run(tie_break, trace)
             assert machine.verify() == []
-            # A compute-node crash plan spares every array.
-            assert all(machine.faults.spares(array.name) for array in machine.arrays)
+            # Accesses the closed form cannot serve finish in stepped
+            # processes: every traced access, and untraced, the accesses
+            # to a failed array.  A compute-node crash plan spares every
+            # array.
+            stepped = sum("-stepped-" in name for name in names)
+            if cell.startswith("crash"):
+                assert all(machine.faults.spares(array.name) for array in machine.arrays)
+                assert (stepped > 0) == trace
+            else:
+                assert stepped > 0
             pieces = sum("piece" in name for name in names)
             counts[trace] = (pieces, len(fast_path_serves), retried[0])
-        assert counts[False][:2] == (0, 0) and counts[False][2] > 0
-        assert counts[True][0] == 0 and counts[True][1] > 0
+            assert counts[trace][:2] == (0, 0) and counts[trace][2] > 0
         # The same retried calls, traced or not.
         assert counts[True][2] == counts[False][2]
 
@@ -1162,6 +1173,16 @@ class TestTraceSpanGoldens:
         report = span_golden.mismatch(entry, rows, golden[key][tie_break])
         if report is not None:
             pytest.fail(f"{key} [{tie_break}]: {report}")
+
+    def test_art_request_ids_do_not_depend_on_earlier_runs(self):
+        """Each ART pool numbers its own requests, so two traced runs of
+        one cell in one process give their ART spans the same ids."""
+        run = SPAN_GOLDEN_CELLS["table1:64kb:prefetch=True"]
+        ids = []
+        for tie_break in ("fifo", "fifo"):
+            spans = run(tie_break).obs.tracer.spans
+            ids.append([s.attrs["request_id"] for s in spans if s.kind.startswith("art_")])
+        assert ids[0] and ids[0] == ids[1]
 
     def test_docs_table_names_every_span_kind(self, golden):
         """Every span kind a golden cell opens has a row in the span table

@@ -19,13 +19,13 @@ module pins each of those contracts:
 - traced vs. untraced runs produce identical report fingerprints (the
   fast paths may skip *events*, never *numbers*), also on multi-piece
   reads and writes, whose stripe pieces are callback calls either way
-  while the serves and arm services they reach step when traced, and on
-  Fast Path serves (unaligned, uncoalesced, read-modify-write, past the
-  end of the file), which run as callback chains untraced and as one
-  serve process each traced;
-- a callback access whose array fails while it is queued finishes on
-  the stepped path and fails the application's call as a serve process
-  would;
+  while the arm services they reach step when traced, and on Fast Path
+  serves (unaligned, uncoalesced, read-modify-write, past the end of the
+  file), which run as callback chains either way;
+- a callback access that comes back stepped -- every access traced, and
+  untraced one whose array fails while it is queued -- finishes in a
+  stepped process under the serve's key and fails the application's
+  call with the array's error;
 - the exact event count and generator resumes of one paper cell and
   one crash-restart cell, the heap pops of the paper cell, and the synthetic bytes the crash-restart
   cell materialises and the stepped RAID accesses it makes (none of
@@ -146,9 +146,10 @@ def _total(counters, suffix: str, prefix: str = "counter.") -> float:
     return sum(counters[k] for k in sorted(counters) if k.startswith(prefix) and k.endswith(suffix))
 
 
-def _read_past_eof(tie_break: str, traced: bool):
+def _read_past_eof_run(tie_break: str, traced: bool):
     """A Fast Path read running 32 KB past the end of a one-stripe file:
-    the server's UFS rejects it, and the caller catches the RPCError."""
+    the server's UFS rejects it, and the caller catches the RPCError.
+    Returns the machine and the ``(time, message)`` of each error caught."""
     machine = Machine(MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, trace=traced))
     mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
     size = 4 * 64 * KB
@@ -163,6 +164,13 @@ def _read_past_eof(tie_break: str, traced: bool):
 
     machine.spawn(proc())
     machine.run()
+    return machine, seen
+
+
+def _read_past_eof(tie_break: str, traced: bool):
+    """:func:`_read_past_eof_run`'s errors, final clock and every
+    monitor counter."""
+    machine, seen = _read_past_eof_run(tie_break, traced)
     return seen, machine.env.now, machine.obs.snapshot()
 
 
@@ -249,8 +257,9 @@ class TestSteppedPathInvariance:
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize("size_kb,stripe_kb", [(64, 16), (256, 64)])
     def test_multi_stripe_read(self, size_kb, stripe_kb, tie_break):
-        """Multi-piece reads: the stripe pieces are callback calls traced
-        or not; the serves and arm services they reach step when traced."""
+        """Multi-piece reads: the stripe pieces and Fast Path serves are
+        callback chains traced or not; the arm services they reach step
+        when traced."""
         kwargs = dict(stripe_unit=stripe_kb * KB, tie_break=tie_break)
         plain = _bench3_cell(size_kb, True, **kwargs)
         stepped = _bench3_cell(size_kb, True, trace=True, **kwargs)
@@ -260,7 +269,8 @@ class TestSteppedPathInvariance:
     @pytest.mark.parametrize("caching", ["fastpath", "write-through", "write-back"])
     def test_multi_stripe_write(self, caching, tie_break):
         """Multi-piece writes and their read-back, under each caching mode,
-        traced (stepped serves and arm services) against untraced."""
+        traced (stepped buffered serves and arm services) against
+        untraced."""
         plain = _write_cell(caching, tie_break, traced=False)
         stepped = _write_cell(caching, tie_break, traced=True)
         assert plain == stepped
@@ -271,9 +281,9 @@ class TestSteppedPathInvariance:
         [(24, 64, True), (40, 16, True), (256, 256, False), (96, 128, False)],
     )
     def test_fastpath_read_serve(self, request_kb, stripe_kb, coalesce, tie_break):
-        """Fast Path reads, callback serves against a serve process each:
-        unaligned ranges pay the partial-block copy, and uncoalesced
-        ranges chain several RAID accesses per request."""
+        """Fast Path reads, their arm services in closed form against
+        stepped: unaligned ranges pay the partial-block copy, and
+        uncoalesced ranges chain several RAID accesses per request."""
         args = (request_kb * KB, stripe_kb * KB, coalesce)
         plain = _read_cell(tie_break, False, *args)
         stepped = _read_cell(tie_break, True, *args)
@@ -308,9 +318,23 @@ class TestSteppedPathInvariance:
         assert len(seen) == 1 and "outside file" in seen[0][1]
         assert plain == stepped
 
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_read_past_eof_error_ends_every_span(self, tie_break):
+        """A handler error ends the spans of the failed call -- the
+        server's ``server_io``, the ``rpc_call`` and the ``stripe_piece``
+        -- with the error, and leaves no span open."""
+        machine, seen = _read_past_eof_run(tie_break, traced=True)
+        spans = machine.obs.tracer.spans
+        assert spans and [span for span in spans if span.end is None] == []
+        failed = {span.kind for span in spans if "error" in (span.attrs or {})}
+        assert {"server_io", "rpc_call", "stripe_piece"} <= failed
+        for span in spans:
+            if span.kind in failed:
+                assert "outside file" in span.attrs["error"]
+
     def test_traced_machine_really_steps(self, monkeypatch):
-        """Tracing turns every fast-path gate off, and the traced run
-        resumes more generators than the untraced one."""
+        """Tracing turns every array's closed form off, and the traced
+        run resumes more generators than the untraced one."""
         resumes = [0]
         resume = Process._resume
 
@@ -324,11 +348,7 @@ class TestSteppedPathInvariance:
             resumes[0] = 0
             machine = _bench3_cell(64, True, trace=traced, keep_machine=True).machine
             counts[traced] = resumes[0]
-            endpoints = [machine.coordinator_endpoint] + [
-                side.endpoint for side in machine.clients + machine.servers
-            ]
-            gates = [endpoint._fast for endpoint in endpoints]
-            gates += [array._fast_mode for array in machine.arrays]
+            gates = [array._fast_mode for array in machine.arrays]
             if traced:
                 assert not any(gates)
             else:
@@ -543,14 +563,15 @@ class TestWorkCountPin:
 
 
 class TestCallbackServeFallback:
-    """A callback access whose array changes state while it is queued.
+    """A callback access whose arm grant comes back stepped.
 
-    ``inject_failures`` (or ``fail_disk``) called outside a fault plan
-    turns the closed form off after a Fast Path request was already
-    queued at the array on callbacks.  The arm grant then comes back
-    stepped, and the access must finish on the stepped path under the
-    serve's key, so the application sees the error the process serve
-    would have raised.
+    A Fast Path serve reaches the array on callbacks in every run.  A
+    traced run, or one whose array the fault plan does not spare, queues
+    every access stepped; an untraced access queued in closed form comes
+    back stepped when ``inject_failures`` (or ``fail_disk``) called
+    outside a fault plan turns the closed form off while it waits.
+    Either way the access finishes in a stepped process under the
+    serve's key, and the application sees the array's error.
     """
 
     @staticmethod
@@ -604,6 +625,11 @@ class TestCallbackServeFallback:
         assert "injected media error" in errors[0][2]
         # The queued access finished on the stepped path, under a serve's key.
         assert len(stepped) == 1 and stepped[0][:-1] == server_key
-        # The process serves (forced by tracing) see the same error at
-        # the same time.
-        assert (outcomes, now) == self._inject_while_queued(tie_break, True)[:2]
+        # A traced run, whose accesses are all granted stepped under
+        # their serves' keys, sees the same error at the same time.
+        traced_outcomes, traced_now, traced_stepped, _key = self._inject_while_queued(
+            tie_break, True
+        )
+        assert (outcomes, now) == (traced_outcomes, traced_now)
+        assert len(traced_stepped) == 2
+        assert all(key[:-1] == server_key for key in traced_stepped)

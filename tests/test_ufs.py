@@ -49,6 +49,23 @@ def run(env, gen):
     return p.value
 
 
+def read(ufs, file_id, offset, nbytes, coalesce=True):
+    """Generator: read a byte range from a process, over
+    :meth:`UFS.read_then` under the process's order key; returns the
+    content, or raises the read's error."""
+    env = ufs.device.array.env
+    done = env.event()
+
+    def then(data, error):
+        if error is None:
+            done.succeed(data)
+        else:
+            done.fail(error)
+
+    ufs.read_then(file_id, offset, nbytes, coalesce, env.active_process.order_key, then)
+    return (yield done)
+
+
 class TestData:
     def test_literal_roundtrip(self):
         d = LiteralData(b"hello world")
@@ -323,7 +340,7 @@ class TestUFS:
     def test_read_returns_consistent_content(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=1 * MB)
-        d1 = run(env, ufs.read(1, 0, 128 * KB))
+        d1 = run(env, read(ufs, 1, 0, 128 * KB))
         d2 = ufs.content(1, 0, 128 * KB)
         assert d1 == d2
 
@@ -332,7 +349,7 @@ class TestUFS:
         ufs.create(1, size_bytes=64 * KB)
 
         def proc():
-            yield from ufs.read(1, 0, 128 * KB)
+            yield from read(ufs, 1, 0, 128 * KB)
 
         env.process(proc())
         with pytest.raises(UFSError):
@@ -343,7 +360,7 @@ class TestUFS:
         ufs.create(1, size_bytes=0)
         payload = bytes(range(256)) * 1024  # 256 KB
         run(env, ufs.write(1, 0, LiteralData(payload)))
-        got = run(env, ufs.read(1, 0, len(payload)))
+        got = run(env, read(ufs, 1, 0, len(payload)))
         assert got.to_bytes() == payload
 
     def test_unaligned_write_preserves_neighbours(self, env):
@@ -370,7 +387,7 @@ class TestUFS:
         def timed(coalesce):
             def gen():
                 t0 = env.now
-                yield from ufs.read(1, 0, 1 * MB, coalesce=coalesce)
+                yield from read(ufs, 1, 0, 1 * MB, coalesce=coalesce)
                 return env.now - t0
 
             return gen
@@ -385,7 +402,7 @@ class TestUFS:
         raid = RAID3Array(env, bus, name="r0", monitor=mon)
         ufs = UFS(BlockDevice(raid, 64 * KB), fs_id=0)
         ufs.create(1, size_bytes=1 * MB)
-        run(env, ufs.read(1, 0, 1 * MB))
+        run(env, read(ufs, 1, 0, 1 * MB))
         assert mon.counter_value("r0.reads") == 1
 
     def test_partial_block_read_moves_full_block(self, env):
@@ -394,7 +411,7 @@ class TestUFS:
         raid = RAID3Array(env, bus, name="r0", monitor=mon)
         ufs = UFS(BlockDevice(raid, 64 * KB), fs_id=0)
         ufs.create(1, size_bytes=1 * MB)
-        got = run(env, ufs.read(1, 10, 100))  # tiny unaligned read
+        got = run(env, read(ufs, 1, 10, 100))  # tiny unaligned read
         assert len(got) == 100
         assert mon.counter_value("r0.bytes_read") == 64 * KB
 
@@ -433,7 +450,7 @@ class TestUFS:
         ufs.extend(1, 300)
         want = b"a" * 100 + bytes(200)
         assert ufs.content(1, 0, 300).to_bytes() == want
-        assert run(env, ufs.read(1, 0, 300)).to_bytes() == want
+        assert run(env, read(ufs, 1, 0, 300)).to_bytes() == want
 
     def test_write_after_extend_matches_write_past_eof(self, env):
         ufs = make_ufs(env)
@@ -487,7 +504,7 @@ class TestUFS:
     def test_zero_byte_read(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=64 * KB)
-        d = run(env, ufs.read(1, 0, 0))
+        d = run(env, read(ufs, 1, 0, 0))
         assert len(d) == 0
 
     def test_sequential_reads_faster_than_random(self, env):
@@ -497,13 +514,13 @@ class TestUFS:
         def sequential():
             t0 = env.now
             for i in range(8):
-                yield from ufs.read(1, i * 64 * KB, 64 * KB)
+                yield from read(ufs, 1, i * 64 * KB, 64 * KB)
             return env.now - t0
 
         def random_order():
             t0 = env.now
             for i in [7, 2, 5, 0, 3, 6, 1, 4]:
-                yield from ufs.read(1, (64 + i) * 64 * KB, 64 * KB)
+                yield from read(ufs, 1, (64 + i) * 64 * KB, 64 * KB)
             return env.now - t0
 
         t_seq = run(env, sequential())
