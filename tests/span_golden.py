@@ -4,7 +4,8 @@ A traced run (``trace=True``) records every span the stack opens.  The
 golden pins those span lists for the cells of
 ``test_fault_recovery.SPAN_GOLDEN_CELLS`` -- the bench3 golden cells,
 the multi-stripe read and write cells of
-``test_kernel_perf_safety.TestSteppedPathInvariance`` and the
+``test_kernel_perf_safety.TestSteppedPathInvariance``, its buffered
+cells (server readahead, unaligned write-through) and the
 fault-recovery cells -- each traced under fifo and under lifo, so a
 change in which spans a layer opens, when, with which attributes or
 under which parent shows up as a diff

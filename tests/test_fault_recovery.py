@@ -19,7 +19,8 @@ Covers the PR-4 acceptance criteria:
   cells give the same numbers untraced and traced (a traced run steps
   every array), and counting stepped accesses shows which arrays step;
 - the span lists of traced runs -- these fault-recovery cells, the
-  bench3 golden cells and the multi-stripe cells -- match the frozen
+  bench3 golden cells, the multi-stripe cells and the buffered
+  readahead and unaligned write-through cells -- match the frozen
   ``tests/golden/trace_spans.json`` (see ``tests/span_golden.py``).
 
 The CI fault matrix runs this module once per tie-break order by
@@ -56,7 +57,7 @@ from repro.sim import ArbitratedStore, Environment
 from repro.workloads import SeparateFilesWorkload
 from tests import span_golden
 from tests.conftest import TIE_BREAKS
-from tests.test_kernel_perf_safety import _bench3_cell, _write_run
+from tests.test_kernel_perf_safety import _bench3_cell, _server_readahead_run, _write_run
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bench3_fingerprints.json"
@@ -1132,8 +1133,8 @@ def _traced_separate_files(tie_break):
     return machine
 
 
-def _traced_write(caching):
-    return lambda tie_break: _write_run(caching, tie_break, traced=True)[0]
+def _traced_write(caching, **kwargs):
+    return lambda tie_break: _write_run(caching, tie_break, traced=True, **kwargs)[0]
 
 
 def _traced_fault(run):
@@ -1154,6 +1155,8 @@ SPAN_GOLDEN_CELLS = {
     "multi-stripe:write:fastpath": _traced_write("fastpath"),
     "multi-stripe:write:write-through": _traced_write("write-through"),
     "multi-stripe:write:write-back": _traced_write("write-back"),
+    "buffered:read:server-readahead": lambda tie_break: _server_readahead_run(tie_break, True)[0],
+    "buffered:write:write-through:24kb": _traced_write("write-through", request=24 * KB),
 }
 SPAN_GOLDEN_CELLS.update((f"fault:{key}", _traced_fault(run)) for key, run in FAULT_RECOVERY_CELLS)
 

@@ -21,14 +21,17 @@ module pins each of those contracts:
   reads and writes, whose stripe pieces are callback calls either way
   while the arm services they reach step when traced, and on Fast Path
   serves (unaligned, uncoalesced, read-modify-write, past the end of the
-  file), which run as callback chains either way;
+  file), which run as callback chains either way, and on buffered reads
+  with server readahead and unaligned write-through writes;
 - a callback access that comes back stepped -- every access traced, and
   untraced one whose array fails while it is queued -- finishes in a
   stepped process under the serve's key and fails the application's
   call with the array's error;
-- the exact event count and generator resumes of one paper cell and
-  one crash-restart cell, the heap pops of the paper cell, and the synthetic bytes the crash-restart
-  cell materialises and the stepped RAID accesses it makes (none of
+- the exact event count and generator resumes of one paper cell, one
+  crash-restart cell and a buffered write-through and write-back cell,
+  the heap pops of the paper cell, the processes the crash-restart and
+  buffered cells spawn, and the synthetic bytes the crash-restart cell
+  materialises and the stepped RAID accesses it makes (none of
   either), so a change in kernel work is re-pinned on purpose.
 """
 
@@ -138,6 +141,28 @@ def _read_cell(tie_break: str, traced: bool, request: int, stripe_unit: int, coa
     report = CollectiveReadWorkload(
         machine, mount, "data", request_size=request, iomode=IOMode.M_RECORD
     ).run().report
+    return report_fingerprint(report), machine.env.now, machine.obs.snapshot()
+
+
+def _server_readahead_run(tie_break: str, traced: bool):
+    """A buffered collective read with server readahead of two blocks:
+    demand misses fill the I/O-node caches, and each read starts a
+    readahead process that pulls the next blocks in.  Returns the
+    machine and the report."""
+    config = MachineConfig(server_readahead_blocks=2, tie_break=tie_break, trace=traced)
+    machine = Machine(config)
+    mount = machine.mount("/pfs", PFSConfig(buffered=True))
+    machine.create_file(mount, "data", scaled_file_size(64 * KB, rounds=4))
+    report = CollectiveReadWorkload(
+        machine, mount, "data", request_size=64 * KB, iomode=IOMode.M_RECORD
+    ).run().report
+    return machine, report
+
+
+def _server_readahead_cell(tie_break: str, traced: bool):
+    """:func:`_server_readahead_run`'s report fingerprint, final clock
+    and every monitor counter."""
+    machine, report = _server_readahead_run(tie_break, traced)
     return report_fingerprint(report), machine.env.now, machine.obs.snapshot()
 
 
@@ -276,6 +301,28 @@ class TestSteppedPathInvariance:
         assert plain == stepped
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_buffered_read_server_readahead(self, tie_break):
+        """Buffered reads with server readahead: the demand cache fills
+        and the readahead processes' fetches, traced against untraced."""
+        plain = _server_readahead_cell(tie_break, traced=False)
+        stepped = _server_readahead_cell(tie_break, traced=True)
+        assert plain == stepped
+        assert _total(plain[2], ".readahead_blocks") > 0
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    def test_write_through_read_modify_write(self, tie_break):
+        """Unaligned write-through writes: edge blocks are read, merged
+        and written back on the buffered path, traced against untraced."""
+        plain = _write_cell("write-through", tie_break, traced=False, request=24 * KB)
+        stepped = _write_cell("write-through", tie_break, traced=True, request=24 * KB)
+        assert plain == stepped
+        counters = plain[4]
+        # More array reads than cache misses: the edge-block reads of the
+        # read-modify-writes reach the arrays too.
+        raid_reads = _total(counters, ".reads", prefix="counter.raid")
+        assert raid_reads > _total(counters, ".misses", prefix="counter.bcache")
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize(
         "request_kb,stripe_kb,coalesce",
         [(24, 64, True), (40, 16, True), (256, 256, False), (96, 128, False)],
@@ -357,9 +404,10 @@ class TestSteppedPathInvariance:
 
 
 class TestWorkCountPin:
-    """The event count and generator resumes of one paper cell and one
-    crash-restart cell, and the processes the crash-restart cell
-    spawns, pinned exactly.
+    """The event count and generator resumes of one paper cell, one
+    crash-restart cell and a write-through and a write-back write cell,
+    and the processes the crash-restart and write cells spawn, pinned
+    exactly.
 
     The counts do not depend on the host or the tie-break, so a change
     in how much kernel work a fault-free or a faulted read costs shows
@@ -470,6 +518,37 @@ class TestWorkCountPin:
         )
         assert pops[0] == 5025
         assert report.machine.env._eid == 7688
+
+    @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
+    @pytest.mark.parametrize(
+        "caching,events,resumes,spawned",
+        [("write-through", 442, 320, 112), ("write-back", 434, 328, 120)],
+    )
+    def test_buffered_write_64kb_work(
+        self, caching, events, resumes, spawned, tie_break, monkeypatch
+    ):
+        """A 64 KB collective write and its read-back on the buffered
+        path, untraced, so every array access is served in closed form
+        (write-back flushes 16 dirty blocks): the events, the generator
+        resumes and the processes spawned."""
+        counts = {"resumes": 0, "spawned": 0}
+        resume = Process._resume
+        init = Process.__init__
+
+        def counting_resume(self, event):
+            counts["resumes"] += 1
+            return resume(self, event)
+
+        def counting_init(self, *args, **kwargs):
+            counts["spawned"] += 1
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "_resume", counting_resume)
+        monkeypatch.setattr(Process, "__init__", counting_init)
+        machine = _write_run(caching, tie_break, traced=False, request=64 * KB)[0]
+        assert machine.env._eid == events
+        assert counts == {"resumes": resumes, "spawned": spawned}
+        assert machine.verify() == []
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_crash_restart_64kb_prefetch_events(self, tie_break):
