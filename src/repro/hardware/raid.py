@@ -337,12 +337,6 @@ class RAID3Array:
             return False
         return True
 
-    def _admit(self, lba: int, nbytes: int) -> None:
-        """Validate an access and raise the high-water mark (both forms)."""
-        self._validate(lba, nbytes)
-        if lba + nbytes > self._high_water:
-            self._high_water = lba + nbytes
-
     def _enqueue(self, lba: int, key: Any, fast: Optional[Tuple[int, str]] = None) -> Event:
         """Queue a request for the arm under *key*; returns its grant
         event.  *fast* is the ``(nbytes, kind)`` closed-form payload of
@@ -356,7 +350,7 @@ class RAID3Array:
     def _finish_closed_form(self, nbytes: int, kind: str, done: tuple) -> int:
         """Book a closed-form completion (see :meth:`_grant_next`): the
         head and track-cache state and the accounting the stepped path
-        would have accrued between the arm grant and now (both forms)."""
+        would have accrued between the arm grant and now."""
         started_at, duration, sequential, cache_hit, lba = done
         if not cache_hit:
             self._commit_transfer(lba, nbytes, kind)
@@ -389,28 +383,10 @@ class RAID3Array:
         if cache_hit:
             self._c_cache_hits.add(1)
 
-    def _access(self, lba: int, nbytes: int, kind: str, ctx: Optional[TraceContext] = None):
-        self._admit(lba, nbytes)
-        if self.faults is not None:
-            self.faults.tick()
-        env = self.env
-        span, span_ctx = self._open_span(lba, nbytes, kind, ctx)
-        proc = env._active_process
-        fast = (nbytes, kind) if self.fast_ready else None
-        grant = self._enqueue(lba, proc.order_key if proc is not None else (), fast)
-        if fast is not None:
-            done = yield grant
-            if done is not None:
-                return self._finish_closed_form(nbytes, kind, done)
-            # State changed while queued; the grant fell back to the
-            # stepped path (already held -- do not yield again).
-            grant = None
-        return (yield from self._stepped(grant, lba, nbytes, kind, span, span_ctx))
-
     def _open_span(self, lba: int, nbytes: int, kind: str, ctx: Optional[TraceContext]):
-        """Open an access's ``disk_service`` span (both forms), which
-        covers queueing, positioning and transfer: the full time the
-        request spent at the storage layer.  Returns the span and the
+        """Open an access's ``disk_service`` span, which covers
+        queueing, positioning and transfer: the full time the request
+        spent at the storage layer.  Returns the span and the
         context of its bus transfers; untraced, ``(None, ctx)``."""
         if not self.tracer.enabled:
             return None, ctx
@@ -419,13 +395,11 @@ class RAID3Array:
         )
         return span, (span.ctx if span.ctx is not None else ctx)
 
-    def _stepped(self, grant, lba: int, nbytes: int, kind: str, span, span_ctx):
-        """Generator: the stepped service of one access, after waiting
-        for *grant* (``None`` when the arm is already held)."""
+    def _stepped(self, lba: int, nbytes: int, kind: str, span, span_ctx):
+        """Generator: the stepped service of one access, which holds the
+        arm already."""
         sequential = False
         cache_hit = False
-        if grant is not None:
-            yield grant
         started_at = self.env.now
         try:
             yield self.env.timeout(self.raid_params.controller_overhead_s)
@@ -514,32 +488,29 @@ class RAID3Array:
         self._count(nbytes, kind, sequential, cache_hit)
         return nbytes
 
-    def read(self, lba: int, nbytes: int, ctx: Optional[TraceContext] = None):
-        """Generator: read *nbytes* at logical *lba*; all data spindles engage."""
-        return self._access(lba, nbytes, "read", ctx=ctx)
-
-    def write(self, lba: int, nbytes: int, ctx: Optional[TraceContext] = None):
-        """Generator: write *nbytes*; parity spindle streams concurrently."""
-        return self._access(lba, nbytes, "write", ctx=ctx)
-
     def access_then(
         self, kind: str, lba: int, nbytes: int, key: Any, then: Callable, ctx=None
     ) -> None:
-        """Callback form of :meth:`read` / :meth:`write` (*kind*), for a
-        caller that is not a process, under a ``disk_service`` span.
+        """Read (all data spindles engage) or write (the parity spindle
+        streams concurrently) *nbytes* at logical *lba*, by *kind*, under
+        a ``disk_service`` span: the one form of an access.  A process
+        waits on it by passing a :class:`~repro.sim.events.Completion`
+        as *then*.
 
-        The access queues for the arm under *key* (the order key a
-        calling process would have had).  Queued in closed form
-        (:attr:`fast_ready`), ``then(nbytes, None)`` runs on the pop of
-        its completion.  Otherwise the arm grant comes back stepped --
-        every access under a tracer or to an array the plan does not
-        spare, or one queued in closed form when :meth:`inject_failures`
-        or :meth:`fail_disk` was called outside a fault plan while it
-        waited -- and the access finishes on the stepped path, in a
-        process under *key*; an error it raises arrives as
-        ``then(None, error)``.  Validation errors raise here.
+        The access queues for the arm under *key* (a calling process's
+        order key).  Queued in closed form (:attr:`fast_ready`),
+        ``then(nbytes, None)`` runs on the pop of its completion.
+        Otherwise the arm grant comes back stepped -- every access under
+        a tracer or to an array the plan does not spare, or one queued
+        in closed form when :meth:`inject_failures` or :meth:`fail_disk`
+        was called outside a fault plan while it waited -- and the
+        access finishes on the stepped path, in a process under *key*;
+        an error it raises arrives as ``then(None, error)``.  Validation
+        errors raise here.
         """
-        self._admit(lba, nbytes)
+        self._validate(lba, nbytes)
+        if lba + nbytes > self._high_water:
+            self._high_water = lba + nbytes
         if self.faults is not None:
             self.faults.tick()
         span, span_ctx = self._open_span(lba, nbytes, kind, ctx)
@@ -648,7 +619,7 @@ class RAID3Array:
     def _rebuild_chunk(self, lba: int, nbytes: int, chunk_seq: int):
         """One copy-back pass through the LOOK queue; returns arm hold time.
 
-        Mirrors ``_access``'s arm discipline (queue entry, canonical
+        Mirrors an access's arm discipline (queue entry, canonical
         grant, controller overhead, positioning, pipelined bus streams)
         but never consults ``faults.decide`` (rebuild traffic must not
         advance count-trigger spec counters -- those count *foreground*
@@ -731,10 +702,10 @@ class _CallbackAccess:
         if done is not None:
             self.then(array._finish_closed_form(self.nbytes, self.kind, done), None)
             return
-        # A stepped grant: finish as the process form would, under the
-        # caller's key (the arm is already held).
+        # A stepped grant: finish in a process under the caller's key
+        # (the arm is already held).
         stepped = array.env.process(
-            array._stepped(None, self.lba, self.nbytes, self.kind, self.span, self.span_ctx),
+            array._stepped(self.lba, self.nbytes, self.kind, self.span, self.span_ctx),
             name=f"{array.name}-stepped-{self.kind}",
             order_key=self.key,
         )

@@ -341,6 +341,9 @@ class PFSFileHandle:
             # restart logic retry after the crash window.
             self.client.tracer.end(span, crashed=True)
             raise
+        except Exception as exc:
+            self.client.tracer.end(span, error=str(exc))
+            raise
 
         duration = self.env.now - start
         self.client.tracer.end(span, bytes_returned=len(data))
@@ -686,6 +689,9 @@ class PFSFileHandle:
                 raise PFSClientError(f"unsupported mode {mode}")
         except NodeCrashed:
             self.client.tracer.end(span, crashed=True)
+            raise
+        except Exception as exc:
+            self.client.tracer.end(span, error=str(exc))
             raise
 
         # Writes may grow the file.
@@ -1190,7 +1196,14 @@ class PFSClient:
         )
         if span.ctx is not None:
             request.ctx = span.ctx
-        reply = yield from self.endpoint.call(self.coordinator_endpoint, request)
+        try:
+            reply = yield from self.endpoint.call(self.coordinator_endpoint, request)
+        except NodeCrashed:
+            self.tracer.end(span, crashed=True)
+            raise
+        except Exception as exc:
+            self.tracer.end(span, error=str(exc))
+            raise
         self.tracer.end(span)
         return reply
 

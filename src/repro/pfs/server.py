@@ -12,7 +12,9 @@ paths:
 - **Buffered**: blocks go through the I/O-node buffer cache; hits skip
   the disk entirely, but every byte pays a cache-to-message memcpy on
   the I/O node CPU.  A buffered request runs in a serve process of the
-  node's RPC endpoint.
+  node's RPC endpoint, which waits on the UFS callback forms (a cache
+  fill, readahead, write-through or writeback) by yielding the
+  :class:`~repro.sim.events.Completion` it passes as their ``then``.
 
 Requests that are not aligned to file-system block boundaries move the
 covering whole blocks from disk and pay a partial-block copy ("there is
@@ -41,7 +43,7 @@ from repro.paragonos.messages import (
 from repro.obs.trace import NOOP_SPAN, get_tracer
 from repro.paragonos.rpc import RPCEndpoint
 from repro.sim import Environment
-from repro.sim.events import Timeout
+from repro.sim.events import Completion, Timeout
 from repro.obs.monitor import NULL_MONITOR, CounterStat, Monitor
 from repro.ufs import UFS, concat_data
 
@@ -117,8 +119,18 @@ class PFSServer:
     def _writeback(self, key, data):
         """Generator: persist one dirty cached block to the UFS."""
         file_id, block = key
-        yield from self.ufs.write_block(file_id, block, data)
+        env = self.env
+        done = Completion(env)
+        self.ufs.write_block_then(file_id, block, data, env.active_process.order_key, done)
+        yield done
         self._count_extra("writebacks")
+
+    def _read_block(self, file_id: int, block: int, ctx=None):
+        """Generator: read one block for the cache (fill or readahead)."""
+        env = self.env
+        done = Completion(env)
+        self.ufs.read_block_then(file_id, block, env.active_process.order_key, done, ctx)
+        return (yield done)
 
     def _block_content(self, file_id: int, offset: int, nbytes: int):
         """Assemble content preferring cached (possibly dirty) blocks."""
@@ -190,10 +202,7 @@ class PFSServer:
             key = (file_id, block)
             if key not in self.cache:
                 all_hits = False
-
-            def fetch(block=block, ctx=request.ctx):
-                return (yield from self.ufs.read_block(file_id, block, ctx=ctx))
-
+            fetch = partial(self._read_block, file_id, block, request.ctx)
             yield from self.cache.read_block(key, fetch)
         if self.readahead_blocks > 0:
             self._start_readahead(file_id, last + 1)
@@ -218,10 +227,7 @@ class PFSServer:
 
         def readahead():
             for block in blocks:
-
-                def fetch(block=block):
-                    return (yield from self.ufs.read_block(file_id, block))
-
+                fetch = partial(self._read_block, file_id, block)
                 yield from self.cache.read_block((file_id, block), fetch)
                 self._count_extra("readahead_blocks")
                 if self.faults is not None:
@@ -265,9 +271,13 @@ class PFSServer:
         """Write-through: install in cache and persist to the UFS."""
         assert self.cache is not None
         yield from self.node.memcpy(nbytes)
-        yield from self.ufs.write(
-            request.file_id, request.ufs_offset, request.data, ctx=request.ctx
+        env = self.env
+        done = Completion(env)
+        order_key = env.active_process.order_key
+        self.ufs.write_then(
+            request.file_id, request.ufs_offset, request.data, True, order_key, done, request.ctx
         )
+        yield done
         bs = self.ufs.block_size
         first = request.ufs_offset // bs
         last = (request.ufs_offset + max(nbytes, 1) - 1) // bs

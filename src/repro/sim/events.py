@@ -155,6 +155,21 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
 
+class Completion(Event):
+    """An event that is also a callback chain's ``then(value, error)``:
+    a process passes it as *then* and yields it.  Success fires it
+    (:meth:`fire`), resuming the process on the pop that finished the
+    chain; an error fails it, seen one pop later at the same time."""
+
+    __slots__ = ()
+
+    def __call__(self, value: Any, error: Optional[BaseException]) -> None:
+        if error is None:
+            self.fire(value)
+        else:
+            self.fail(error)
+
+
 class ConditionValue:
     """Ordered mapping of events to values for fired conditions."""
 

@@ -1,9 +1,12 @@
 """The UFS: files, block allocation, reads/writes with coalescing.
 
 One UFS instance runs per I/O node.  Reads and writes spend simulated
-time on the node's block device: a Fast Path read or write runs as a
-callback chain (:meth:`UFS.read_then`, :meth:`UFS.write_then`), and the
-buffered path's writes and block reads and writes are generators.  The
+time on the node's block device, each as a callback chain: a byte
+range's read or write (:meth:`UFS.read_then`, :meth:`UFS.write_then`)
+for Fast Path serves and write-through, and one block's read or write
+(:meth:`UFS.read_block_then`, :meth:`UFS.write_block_then`) for the
+buffer cache's fills and writebacks.  A process waits on one by passing
+a :class:`~repro.sim.events.Completion` as its ``then``.  The
 *content* returned is assembled from written blocks (each stored as the
 lazy :class:`~repro.ufs.data.Data` the write described) and runs of
 unwritten blocks (synthetic deterministic bytes), so round-trips are
@@ -15,7 +18,7 @@ per *physically contiguous run* of blocks rather than one per block.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.trace import TraceContext
 from repro.obs.monitor import NULL_MONITOR, Monitor
@@ -179,28 +182,6 @@ class UFS:
 
     # -- timed operations ------------------------------------------------------
 
-    def write(
-        self,
-        file_id: int,
-        offset: int,
-        data: Data,
-        coalesce: bool = True,
-        ctx: Optional[TraceContext] = None,
-    ):
-        """Generator: write *data* at *offset*, growing the file as needed.
-
-        Partially covered edge blocks require a read-modify-write: the
-        block is read from disk, merged, and written back.
-        """
-        inode, rmw_runs = self._plan_write(file_id, offset, data)
-        if len(data) == 0:
-            return 0
-        for _logical, physical, _nblocks in rmw_runs:
-            yield from self.device.read_extent(physical, 1, ctx=ctx)
-        for _logical, physical, run_len in self._commit_write(inode, offset, data, coalesce):
-            yield from self.device.write_extent(physical, run_len, ctx=ctx)
-        return self._wrote(len(data))
-
     def read_then(
         self,
         file_id: int,
@@ -235,27 +216,18 @@ class UFS:
         then: Callable[[Any, Any], None],
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        """Callback form of :meth:`write` (see :meth:`read_then`): the
-        read-modify-write edge blocks are read first, then the content
-        is merged and the runs written; ``then(nbytes, None)`` at the end."""
-        inode, rmw_runs = self._plan_write(file_id, offset, data)
-        if len(data) == 0:
-            then(0, None)
-            return
-        _CallbackWrite(self, inode, offset, data, rmw_runs, coalesce, key, then, ctx).step()
-
-    def _plan_write(
-        self, file_id: int, offset: int, data: Data
-    ) -> Tuple[Inode, List[Tuple[int, int, int]]]:
-        """Validate a write, grow the file to hold it and plan the
-        one-block reads of its partially covered edge blocks, which need
-        a read-modify-write (both forms)."""
+        """Write *data* at *offset*, growing the file as needed, for a
+        caller that is not a process (see :meth:`read_then`).  Partially
+        covered edge blocks require a read-modify-write: they are read
+        from disk first, then the content is merged and the runs
+        written; ``then(nbytes, None)`` at the end."""
         nbytes = len(data)
         if offset < 0:
             raise UFSError("negative offset")
         inode = self.inode(file_id)
         if nbytes == 0:
-            return inode, []
+            then(0, None)
+            return
         if offset + nbytes > inode.size_bytes:
             self._grow(inode, offset + nbytes)
         bs = self.block_size
@@ -264,48 +236,37 @@ class UFS:
             rmw_blocks.append(offset // bs)
         if (offset + nbytes) % bs != 0:
             rmw_blocks.append((offset + nbytes - 1) // bs)
-        return inode, [(b, inode.physical_block(b), 1) for b in dict.fromkeys(rmw_blocks)]
+        rmw_runs = [(b, inode.physical_block(b), 1) for b in dict.fromkeys(rmw_blocks)]
+        _CallbackWrite(self, inode, offset, data, rmw_runs, coalesce, key, then, ctx).step()
 
-    def _commit_write(
-        self, inode: Inode, offset: int, data: Data, coalesce: bool
-    ) -> List[Tuple[int, int, int]]:
-        """Merge a write's content (its edge blocks are read) and plan
-        its disk runs (both forms)."""
-        self._merge_written(inode, offset, data)
-        bs = self.block_size
-        first_block = offset // bs
-        last_block = (offset + len(data) - 1) // bs
-        return self._runs(inode, first_block, last_block - first_block + 1, coalesce)
+    def read_block_then(
+        self, file_id: int, block_index: int, key: Any, then: Callable, ctx=None
+    ) -> None:
+        """Read exactly one file-system block (the cache fill path), for
+        a caller that is not a process (see :meth:`read_then`):
+        ``then(content, None)`` with the block's content as the file
+        holds it when the read completes.  Counts no ``ufs.reads``."""
+        physical = self.inode(file_id).physical_block(block_index)
+        _CallbackBlock(self, file_id, block_index, physical, "read", 0, key, then, ctx).step()
 
-    def _wrote(self, nbytes: int) -> int:
-        """Count a finished write (both forms)."""
-        self._c_writes.add(1)
-        self._c_bytes_written.add(nbytes)
-        return nbytes
-
-    def read_block(self, file_id: int, block_index: int, ctx: Optional[TraceContext] = None):
-        """Generator: read exactly one file-system block (cache fill path)."""
-        inode = self.inode(file_id)
-        physical = inode.physical_block(block_index)
-        yield from self.device.read_extent(physical, 1, ctx=ctx)
-        start = block_index * self.block_size
-        length = min(self.block_size, inode.size_bytes - start)
-        return self.content(file_id, start, length)
-
-    def write_block(
-        self, file_id: int, block_index: int, data: Data, ctx: Optional[TraceContext] = None
-    ):
-        """Generator: write exactly one file-system block."""
-        if len(data) > self.block_size:
+    def write_block_then(
+        self, file_id: int, block_index: int, data: Data, key: Any, then: Callable, ctx=None
+    ) -> None:
+        """Write exactly one file-system block, *data* being its whole
+        content (the cache writeback path: no read-modify-write), for a
+        caller that is not a process (see :meth:`read_then`): the
+        content is stored at once and ``then(len(data), None)`` runs
+        when the disk write completes.  Counts no ``ufs.writes``."""
+        nbytes = len(data)
+        if nbytes > self.block_size:
             raise UFSError("block write larger than block size")
         inode = self.inode(file_id)
         start = block_index * self.block_size
-        if start + len(data) > inode.size_bytes:
-            self._grow(inode, start + len(data))
+        if start + nbytes > inode.size_bytes:
+            self._grow(inode, start + nbytes)
         physical = inode.physical_block(block_index)
         self._merge_written(inode, start, data)
-        yield from self.device.write_extent(physical, 1, ctx=ctx)
-        return len(data)
+        _CallbackBlock(self, file_id, block_index, physical, "write", nbytes, key, then, ctx).step()
 
     # -- internals ------------------------------------------------------------
 
@@ -351,7 +312,9 @@ class UFS:
 
 
 class _CallbackIO:
-    """A :meth:`UFS.read_then` or :meth:`UFS.write_then` in progress.
+    """A UFS callback form in progress (:meth:`UFS.read_then`,
+    :meth:`UFS.write_then`, :meth:`UFS.read_block_then` or
+    :meth:`UFS.write_block_then`).
 
     Issues ``runs`` -- ``(logical, physical, nblocks)`` disk accesses of
     ``kind`` -- one at a time under the caller's ``key`` and trace
@@ -433,7 +396,7 @@ class _CallbackRead(_CallbackIO):
 
 class _CallbackWrite(_CallbackIO):
     """Reads the read-modify-write edge blocks first, then merges the
-    content and writes the runs, as :meth:`UFS.write` does."""
+    content and writes the runs."""
 
     __slots__ = ("inode", "data", "coalesce")
 
@@ -455,9 +418,38 @@ class _CallbackWrite(_CallbackIO):
         self.coalesce = coalesce
 
     def finish(self) -> Any:
+        ufs = self.ufs
+        nbytes = len(self.data)
         if self.kind == "read":
+            # The edge blocks are read: merge the content, write the runs.
+            ufs._merge_written(self.inode, self.offset, self.data)
+            first = self.offset // ufs.block_size
+            last = (self.offset + nbytes - 1) // ufs.block_size
             self.kind = "write"
-            self.runs = self.ufs._commit_write(self.inode, self.offset, self.data, self.coalesce)
+            self.runs = ufs._runs(self.inode, first, last - first + 1, self.coalesce)
             self.idx = 0
             return _MORE
-        return self.ufs._wrote(len(self.data))
+        ufs._c_writes.add(1)
+        ufs._c_bytes_written.add(nbytes)
+        return nbytes
+
+
+class _CallbackBlock(_CallbackIO):
+    """One block's disk read or write (:meth:`UFS.read_block_then`,
+    :meth:`UFS.write_block_then`); a read's content is assembled when it
+    completes."""
+
+    __slots__ = ("file_id", "nbytes")
+
+    def __init__(self, ufs, file_id, block_index, physical, kind, nbytes, key, then, ctx) -> None:
+        run = [(block_index, physical, 1)]
+        _CallbackIO.__init__(self, ufs, block_index * ufs.block_size, kind, run, key, then, ctx)
+        self.file_id = file_id
+        self.nbytes = nbytes
+
+    def finish(self) -> Any:
+        if self.kind == "write":
+            return self.nbytes
+        ufs = self.ufs
+        length = min(ufs.block_size, ufs.inode(self.file_id).size_bytes - self.offset)
+        return ufs.content(self.file_id, self.offset, length)

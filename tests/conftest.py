@@ -1,7 +1,9 @@
 """Shared pytest fixtures and the Hypothesis profiles.
 
 The canonical machine shapes were previously duplicated per test module;
-they live here once.  ``machine_factory`` is the escape hatch for tests
+they live here once.  So do the drivers that run the UFS and RAID
+callback forms from a test's process (``ufs_read``, ``raid_read``, ...,
+over :func:`wait_for`).  ``machine_factory`` is the escape hatch for tests
 that need a non-standard shape or extra :class:`MachineConfig` knobs
 (``trace=True``, ``write_back=True``, ...).
 
@@ -30,6 +32,7 @@ settings.load_profile("derandomized")
 from repro.config import MachineConfig
 from repro.core import DepthKAhead, Prefetcher
 from repro.machine import Machine
+from repro.sim.events import Completion
 
 KB = 1024
 MB = 1024 * 1024
@@ -37,6 +40,47 @@ MB = 1024 * 1024
 TIE_BREAKS = tuple(
     x for x in ("fifo", "lifo") if os.environ.get("FAULT_TIE_BREAK") in (None, "", x)
 )
+
+
+def wait_for(env, form, *args):
+    """Generator: start the callback form ``form(*args, key, then)`` from
+    the running process, under its order key, with a
+    :class:`~repro.sim.events.Completion` as its ``then`` (as the PFS
+    server's buffered serves do); returns the value the form finishes
+    with, or raises its error."""
+    done = Completion(env)
+    form(*args, env.active_process.order_key, done)
+    return (yield done)
+
+
+def ufs_read(ufs, file_id, offset, nbytes, coalesce=True):
+    """Generator: read a byte range (:meth:`UFS.read_then`)."""
+    return wait_for(ufs.device.array.env, ufs.read_then, file_id, offset, nbytes, coalesce)
+
+
+def ufs_write(ufs, file_id, offset, data, coalesce=True):
+    """Generator: write *data* at *offset* (:meth:`UFS.write_then`)."""
+    return wait_for(ufs.device.array.env, ufs.write_then, file_id, offset, data, coalesce)
+
+
+def ufs_read_block(ufs, file_id, block):
+    """Generator: read one block (:meth:`UFS.read_block_then`)."""
+    return wait_for(ufs.device.array.env, ufs.read_block_then, file_id, block)
+
+
+def ufs_write_block(ufs, file_id, block, data):
+    """Generator: write one whole block (:meth:`UFS.write_block_then`)."""
+    return wait_for(ufs.device.array.env, ufs.write_block_then, file_id, block, data)
+
+
+def raid_read(raid, lba, nbytes):
+    """Generator: read *nbytes* at *lba* (:meth:`RAID3Array.access_then`)."""
+    return wait_for(raid.env, raid.access_then, "read", lba, nbytes)
+
+
+def raid_write(raid, lba, nbytes):
+    """Generator: write *nbytes* at *lba* (:meth:`RAID3Array.access_then`)."""
+    return wait_for(raid.env, raid.access_then, "write", lba, nbytes)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from repro.config import MachineConfig, PFSConfig
 from repro.hardware.params import DEFAULT_HARDWARE
 from repro.machine import Machine
 from repro.pfs import IOMode
+from tests.conftest import raid_read
 
 KB = 1024
 MB = 1024 * 1024
@@ -203,7 +204,7 @@ class TestCopyCosts:
 
         def proc():
             t0 = env.now
-            yield from raid.read(100 * MB, 256 * KB)
+            yield from raid_read(raid, 100 * MB, 256 * KB)
             return env.now - t0
 
         p = env.process(proc())

@@ -9,6 +9,7 @@ from repro.hardware.raid import RAIDError
 from repro.machine import Machine
 from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
+from tests.conftest import raid_read
 
 KB = 1024
 MB = 1024 * 1024
@@ -41,7 +42,7 @@ class TestRAIDInjection:
         raid.inject_failures(1)
 
         def proc():
-            yield from raid.read(0, 64 * KB)
+            yield from raid_read(raid, 0, 64 * KB)
 
         env.process(proc())
         with pytest.raises(RAIDError, match="injected"):
@@ -57,11 +58,11 @@ class TestRAIDInjection:
 
         def proc():
             try:
-                yield from raid.read(0, 64 * KB)
+                yield from raid_read(raid, 0, 64 * KB)
             except RAIDError:
                 pass
             # Second access succeeds.
-            n = yield from raid.read(0, 64 * KB)
+            n = yield from raid_read(raid, 0, 64 * KB)
             return n
 
         p = env.process(proc())
@@ -88,13 +89,13 @@ class TestRAIDInjection:
 
         def failing():
             try:
-                yield from raid.read(0, 64 * KB)
+                yield from raid_read(raid, 0, 64 * KB)
             except RAIDError:
                 results.append("failed")
 
         def following():
             yield env.timeout(0.001)
-            yield from raid.read(0, 64 * KB)
+            yield from raid_read(raid, 0, 64 * KB)
             results.append("ok")
 
         env.process(failing())

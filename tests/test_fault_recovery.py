@@ -559,6 +559,33 @@ class TestFaultBudget:
         assert kinds and kinds[0] == "rpc_call"
         assert "client_call" in kinds
 
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_exhausted_budget_ends_every_span(self, tie_break):
+        """An M_UNIX read whose pointer-token call runs out of retries
+        ends its ``coordinate`` and ``client_call`` spans with the error,
+        and leaves no span open."""
+        from repro.config import MachineConfig, PFSConfig
+        from repro.machine import Machine
+
+        plan = FaultPlan(specs=(FaultSpec("mesh_drop", at_s=0.0, window_s=100.0),))
+        config = MachineConfig(n_compute=2, n_io=2, faults=plan, trace=True, tie_break=tie_break)
+        machine = Machine(config)
+        mount = machine.mount("/pfs", PFSConfig())
+        machine.create_file(mount, "data", 4 * 64 * KB)
+        client = machine.clients[0]
+
+        def reader():
+            handle = yield from client.open(mount, "data", IOMode.M_UNIX)
+            yield from handle.read(64 * KB)
+
+        machine.spawn(reader())
+        with pytest.raises(FaultBudgetExceeded):
+            machine.run()
+        spans = machine.obs.tracer.spans
+        assert spans and [span for span in spans if span.end is None] == []
+        failed = {span.kind for span in spans if "error" in (span.attrs or {})}
+        assert {"coordinate", "client_call"} <= failed
+
     def test_budget_error_untraced_has_empty_chain(self):
         plan = FaultPlan(
             specs=(FaultSpec(kind="server_stall", target="*", count=64, duration_s=1000.0),),

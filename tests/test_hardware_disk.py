@@ -11,6 +11,7 @@ from repro.hardware import (
 )
 from repro.hardware.raid import RAIDError
 from repro.sim import Environment, Monitor
+from tests.conftest import raid_read, raid_write
 
 
 @pytest.fixture
@@ -80,7 +81,7 @@ class TestDiskServiceTimes:
                 lba = -1 if below else raid.capacity_bytes - 10
 
                 def proc(env):
-                    yield from raid.read(lba, 100)
+                    yield from raid_read(raid, lba, 100)
 
                 env.process(proc(env))
                 with pytest.raises(RAIDError):
@@ -92,7 +93,7 @@ class TestDiskServiceTimes:
             raid = make_array(env, form)
 
             def proc(env):
-                yield from raid.read(0, -5)
+                yield from raid_read(raid, 0, -5)
 
             env.process(proc(env))
             with pytest.raises(RAIDError):
@@ -104,9 +105,9 @@ class TestDiskServiceTimes:
             raid = make_array(env, form)
 
             def proc(env):
-                yield from raid.read(0, 64 * KB)
+                yield from raid_read(raid, 0, 64 * KB)
                 t0 = env.now
-                yield from raid.read(64 * KB, 64 * KB)  # sequential
+                yield from raid_read(raid, 64 * KB, 64 * KB)  # sequential
                 return env.now - t0
 
             value, _ = run_gen(env, proc(env))
@@ -119,9 +120,9 @@ class TestDiskServiceTimes:
             raid = make_array(env, form)
 
             def proc(env):
-                yield from raid.read(0, 64 * KB)
+                yield from raid_read(raid, 0, 64 * KB)
                 t0 = env.now
-                yield from raid.read(500 * MB, 64 * KB)  # far away
+                yield from raid_read(raid, 500 * MB, 64 * KB)  # far away
                 return env.now - t0
 
             value, _ = run_gen(env, proc(env))
@@ -143,7 +144,7 @@ class TestDiskServiceTimes:
             finished = []
 
             def proc(env, tag):
-                yield from raid.read(0 if tag == "a" else 1 * MB, 1 * MB)
+                yield from raid_read(raid, 0 if tag == "a" else 1 * MB, 1 * MB)
                 finished.append((tag, env.now))
 
             env.process(proc(env, "a"))
@@ -160,9 +161,9 @@ class TestDiskServiceTimes:
             raid = make_array(env, form, name="d0", monitor=mon)
 
             def proc(env):
-                yield from raid.read(0, 64 * KB)
-                yield from raid.write(64 * KB, 64 * KB)
-                yield from raid.read(128 * KB, 64 * KB)
+                yield from raid_read(raid, 0, 64 * KB)
+                yield from raid_write(raid, 64 * KB, 64 * KB)
+                yield from raid_read(raid, 128 * KB, 64 * KB)
 
             env.process(proc(env))
             env.run()
@@ -181,9 +182,9 @@ class TestDiskServiceTimes:
             raid = make_array(env, form, name="d0", raid_params=rp, monitor=mon)
 
             def proc(env):
-                yield from raid.read(100 * MB, 32 * KB)
+                yield from raid_read(raid, 100 * MB, 32 * KB)
                 t0 = env.now
-                yield from raid.read(100 * MB, 32 * KB)  # same range: track cache
+                yield from raid_read(raid, 100 * MB, 32 * KB)  # same range: track cache
                 return env.now - t0
 
             value, _ = run_gen(env, proc(env))
@@ -199,7 +200,7 @@ class TestDiskServiceTimes:
             raid = make_array(env, form, disk_params=dp)
 
             def proc(env):
-                yield from raid.read(0, 256 * KB)  # caches only the last 64KB
+                yield from raid_read(raid, 0, 256 * KB)  # caches only the last 64KB
 
             run_gen(env, proc(env))
             assert raid.cached(192 * KB, 64 * KB), form
@@ -225,10 +226,10 @@ class TestDiskServiceTimes:
                 order = []
 
                 def holder(env):
-                    yield from raid.read(0, 1 * MB)
+                    yield from raid_read(raid, 0, 1 * MB)
 
                 def reader(env, lba, tag):
-                    yield from raid.read(lba, 64 * KB)
+                    yield from raid_read(raid, lba, 64 * KB)
                     order.append(tag)
 
                 env.process(holder(env))
@@ -294,9 +295,9 @@ class TestRAID3:
         raid = make_array(env)
 
         def proc(env):
-            yield from raid.read(0, 7 * MB)
+            yield from raid_read(raid, 0, 7 * MB)
             t0 = env.now
-            yield from raid.read(7 * MB, 7 * MB)  # sequential
+            yield from raid_read(raid, 7 * MB, 7 * MB)  # sequential
             return env.now - t0
 
         p = env.process(proc(env))
@@ -310,9 +311,9 @@ class TestRAID3:
         )
 
         def proc(env):
-            yield from raid.read(0, 2 * MB)
+            yield from raid_read(raid, 0, 2 * MB)
             t0 = env.now
-            yield from raid.read(2 * MB, 2 * MB)
+            yield from raid_read(raid, 2 * MB, 2 * MB)
             return env.now - t0
 
         p = env.process(proc(env))
@@ -323,9 +324,9 @@ class TestRAID3:
         raid = make_array(env)
 
         def seq(env):
-            yield from raid.read(0, 64 * KB)
+            yield from raid_read(raid, 0, 64 * KB)
             t0 = env.now
-            yield from raid.read(64 * KB, 64 * KB)
+            yield from raid_read(raid, 64 * KB, 64 * KB)
             return env.now - t0
 
         p = env.process(seq(env))
@@ -336,9 +337,9 @@ class TestRAID3:
         raid = make_array(env)
 
         def rand(env):
-            yield from raid.read(0, 64 * KB)
+            yield from raid_read(raid, 0, 64 * KB)
             t0 = env.now
-            yield from raid.read(1000 * MB, 64 * KB)
+            yield from raid_read(raid, 1000 * MB, 64 * KB)
             return env.now - t0
 
         p = env.process(rand(env))
@@ -349,7 +350,7 @@ class TestRAID3:
         raid = make_array(env)
 
         def proc(env):
-            yield from raid.read(raid.capacity_bytes, 1)
+            yield from raid_read(raid, raid.capacity_bytes, 1)
 
         env.process(proc(env))
         with pytest.raises(RAIDError):
@@ -361,7 +362,7 @@ class TestRAID3:
 
         def proc(env):
             t0 = env.now
-            yield from raid.read(100 * MB, 1 * MB)
+            yield from raid_read(raid, 100 * MB, 1 * MB)
             return env.now - t0
 
         p = env.process(proc(env))
@@ -380,7 +381,7 @@ class TestRAID3:
         def reader(tag, lba, delay):
             if delay:
                 yield env.timeout(delay)
-            yield from raid.read(lba, 64 * KB)
+            yield from raid_read(raid, lba, 64 * KB)
             order.append(tag)
 
         # "late" is spawned before "mid" (smaller key) but arrives after it.
@@ -406,7 +407,7 @@ class TestRAID3:
         done = []
 
         def proc(env, raid, tag):
-            yield from raid.read(0, 1 * MB)
+            yield from raid_read(raid, 0, 1 * MB)
             done.append((tag, env.now))
 
         env.process(proc(env, raid1, "a"))

@@ -10,6 +10,7 @@ from repro.hardware.scsi import SCSIBus
 from repro.hardware import Node, NodeKind
 from repro.sim import Arbiter, ArbitratedStore, Environment, Hold
 from repro.sim.resources import _canonical_order, _canonical_sort, _CanonKey, _native_order
+from tests.conftest import raid_read
 
 MB = 1024 * 1024
 
@@ -201,7 +202,7 @@ class TestDiskArbitration:
                 def proc(tag, lba, delay):
                     if delay:
                         yield env.timeout(delay)
-                    yield from raid.read(lba, 64 * 1024)
+                    yield from raid_read(raid, lba, 64 * 1024)
                     order.append(tag)
 
                 for tag, lba, delay in requests:
@@ -256,7 +257,7 @@ class TestDiskArbitration:
             depths = []
 
             def reader(lba):
-                yield from raid.read(lba, 64 * 1024)
+                yield from raid_read(raid, lba, 64 * 1024)
 
             def watcher():
                 yield env.timeout(0.001)

@@ -21,6 +21,7 @@ from repro.ufs import (
     concat_data,
 )
 from repro.ufs.data import _CHUNK, _synthetic_bytes, runs
+from tests.conftest import ufs_read, ufs_read_block, ufs_write, ufs_write_block
 
 KB = 1024
 MB = 1024 * 1024
@@ -47,23 +48,6 @@ def run(env, gen):
     p = env.process(gen)
     env.run()
     return p.value
-
-
-def read(ufs, file_id, offset, nbytes, coalesce=True):
-    """Generator: read a byte range from a process, over
-    :meth:`UFS.read_then` under the process's order key; returns the
-    content, or raises the read's error."""
-    env = ufs.device.array.env
-    done = env.event()
-
-    def then(data, error):
-        if error is None:
-            done.succeed(data)
-        else:
-            done.fail(error)
-
-    ufs.read_then(file_id, offset, nbytes, coalesce, env.active_process.order_key, then)
-    return (yield done)
 
 
 class TestData:
@@ -340,7 +324,7 @@ class TestUFS:
     def test_read_returns_consistent_content(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=1 * MB)
-        d1 = run(env, read(ufs, 1, 0, 128 * KB))
+        d1 = run(env, ufs_read(ufs, 1, 0, 128 * KB))
         d2 = ufs.content(1, 0, 128 * KB)
         assert d1 == d2
 
@@ -349,7 +333,7 @@ class TestUFS:
         ufs.create(1, size_bytes=64 * KB)
 
         def proc():
-            yield from read(ufs, 1, 0, 128 * KB)
+            yield from ufs_read(ufs, 1, 0, 128 * KB)
 
         env.process(proc())
         with pytest.raises(UFSError):
@@ -359,8 +343,8 @@ class TestUFS:
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=0)
         payload = bytes(range(256)) * 1024  # 256 KB
-        run(env, ufs.write(1, 0, LiteralData(payload)))
-        got = run(env, read(ufs, 1, 0, len(payload)))
+        run(env, ufs_write(ufs, 1, 0, LiteralData(payload)))
+        got = run(env, ufs_read(ufs, 1, 0, len(payload)))
         assert got.to_bytes() == payload
 
     def test_unaligned_write_preserves_neighbours(self, env):
@@ -368,7 +352,7 @@ class TestUFS:
         ufs.create(1, size_bytes=192 * KB)
         before = ufs.content(1, 0, 192 * KB).to_bytes()
         # Overwrite 10 bytes in the middle of block 1.
-        run(env, ufs.write(1, 64 * KB + 100, LiteralData(b"XXXXXXXXXX")))
+        run(env, ufs_write(ufs, 1, 64 * KB + 100, LiteralData(b"XXXXXXXXXX")))
         after = ufs.content(1, 0, 192 * KB).to_bytes()
         expected = before[: 64 * KB + 100] + b"XXXXXXXXXX" + before[64 * KB + 110 :]
         assert after == expected
@@ -376,7 +360,7 @@ class TestUFS:
     def test_write_extends_file(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=0)
-        run(env, ufs.write(1, 100 * KB, LiteralData(b"tail")))
+        run(env, ufs_write(ufs, 1, 100 * KB, LiteralData(b"tail")))
         assert ufs.inode(1).size_bytes == 100 * KB + 4
 
     def test_coalesced_read_is_faster_than_uncoalesced(self, env):
@@ -387,7 +371,7 @@ class TestUFS:
         def timed(coalesce):
             def gen():
                 t0 = env.now
-                yield from read(ufs, 1, 0, 1 * MB, coalesce=coalesce)
+                yield from ufs_read(ufs, 1, 0, 1 * MB, coalesce=coalesce)
                 return env.now - t0
 
             return gen
@@ -402,7 +386,7 @@ class TestUFS:
         raid = RAID3Array(env, bus, name="r0", monitor=mon)
         ufs = UFS(BlockDevice(raid, 64 * KB), fs_id=0)
         ufs.create(1, size_bytes=1 * MB)
-        run(env, read(ufs, 1, 0, 1 * MB))
+        run(env, ufs_read(ufs, 1, 0, 1 * MB))
         assert mon.counter_value("r0.reads") == 1
 
     def test_partial_block_read_moves_full_block(self, env):
@@ -411,7 +395,7 @@ class TestUFS:
         raid = RAID3Array(env, bus, name="r0", monitor=mon)
         ufs = UFS(BlockDevice(raid, 64 * KB), fs_id=0)
         ufs.create(1, size_bytes=1 * MB)
-        got = run(env, read(ufs, 1, 10, 100))  # tiny unaligned read
+        got = run(env, ufs_read(ufs, 1, 10, 100))  # tiny unaligned read
         assert len(got) == 100
         assert mon.counter_value("r0.bytes_read") == 64 * KB
 
@@ -419,7 +403,7 @@ class TestUFS:
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=512 * KB)
         payload = b"q" * (64 * KB)
-        run(env, ufs.write(1, 0, LiteralData(payload)))
+        run(env, ufs_write(ufs, 1, 0, LiteralData(payload)))
         free_before = ufs.allocator.free_blocks
         ufs.truncate(1, 128 * KB)
         assert ufs.inode(1).size_bytes == 128 * KB
@@ -436,7 +420,7 @@ class TestUFS:
     def test_truncate_drops_written_tail_content(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=256 * KB)
-        run(env, ufs.write(1, 128 * KB, LiteralData(b"T" * (64 * KB))))
+        run(env, ufs_write(ufs, 1, 128 * KB, LiteralData(b"T" * (64 * KB))))
         ufs.truncate(1, 64 * KB)
         ufs.extend(1, 256 * KB)
         # Regrown region reads as fresh (synthetic) content, not "T"s.
@@ -446,21 +430,21 @@ class TestUFS:
     def test_extend_after_partial_write_reads_zeros(self, env):
         ufs = make_ufs(env)
         ufs.create(1, 0)
-        run(env, ufs.write(1, 0, LiteralData(b"a" * 100)))
+        run(env, ufs_write(ufs, 1, 0, LiteralData(b"a" * 100)))
         ufs.extend(1, 300)
         want = b"a" * 100 + bytes(200)
         assert ufs.content(1, 0, 300).to_bytes() == want
-        assert run(env, read(ufs, 1, 0, 300)).to_bytes() == want
+        assert run(env, ufs_read(ufs, 1, 0, 300)).to_bytes() == want
 
     def test_write_after_extend_matches_write_past_eof(self, env):
         ufs = make_ufs(env)
         ufs.create(1, 0)
         ufs.create(2, 0)
         for file_id in (1, 2):
-            run(env, ufs.write(file_id, 0, LiteralData(b"a" * 100)))
+            run(env, ufs_write(ufs, file_id, 0, LiteralData(b"a" * 100)))
         ufs.extend(1, 300)
-        run(env, ufs.write(1, 200, LiteralData(b"b" * 10)))
-        run(env, ufs.write(2, 200, LiteralData(b"b" * 10)))
+        run(env, ufs_write(ufs, 1, 200, LiteralData(b"b" * 10)))
+        run(env, ufs_write(ufs, 2, 200, LiteralData(b"b" * 10)))
         want = b"a" * 100 + bytes(100) + b"b" * 10 + bytes(90)
         assert ufs.content(1, 0, 300).to_bytes() == want
         assert ufs.content(2, 0, 210).to_bytes() == want[:210]
@@ -468,7 +452,7 @@ class TestUFS:
     def test_truncate_then_regrow_reads_zeros(self, env):
         ufs = make_ufs(env)
         ufs.create(1, 0)
-        run(env, ufs.write(1, 0, LiteralData(b"a" * 200)))
+        run(env, ufs_write(ufs, 1, 0, LiteralData(b"a" * 200)))
         ufs.truncate(1, 100)
         ufs.extend(1, 300)
         assert ufs.content(1, 0, 300).to_bytes() == b"a" * 100 + bytes(200)
@@ -498,13 +482,13 @@ class TestUFS:
     def test_read_block_returns_block_content(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=1 * MB)
-        d = run(env, ufs.read_block(1, 3))
+        d = run(env, ufs_read_block(ufs, 1, 3))
         assert d == ufs.content(1, 3 * 64 * KB, 64 * KB)
 
     def test_zero_byte_read(self, env):
         ufs = make_ufs(env)
         ufs.create(1, size_bytes=64 * KB)
-        d = run(env, read(ufs, 1, 0, 0))
+        d = run(env, ufs_read(ufs, 1, 0, 0))
         assert len(d) == 0
 
     def test_sequential_reads_faster_than_random(self, env):
@@ -514,13 +498,13 @@ class TestUFS:
         def sequential():
             t0 = env.now
             for i in range(8):
-                yield from read(ufs, 1, i * 64 * KB, 64 * KB)
+                yield from ufs_read(ufs, 1, i * 64 * KB, 64 * KB)
             return env.now - t0
 
         def random_order():
             t0 = env.now
             for i in [7, 2, 5, 0, 3, 6, 1, 4]:
-                yield from read(ufs, 1, (64 + i) * 64 * KB, 64 * KB)
+                yield from ufs_read(ufs, 1, (64 + i) * 64 * KB, 64 * KB)
             return env.now - t0
 
         t_seq = run(env, sequential())
@@ -594,10 +578,10 @@ class ContentModel:
 def _apply(env, ufs, model, op):
     kind, arg, data = op
     if kind == "write":
-        run(env, ufs.write(1, arg, data))
+        run(env, ufs_write(ufs, 1, arg, data))
         model.write(arg, data)
     elif kind == "write_block":
-        run(env, ufs.write_block(1, arg, data))
+        run(env, ufs_write_block(ufs, 1, arg, data))
         model.write(arg * BS, data)
     elif kind == "extend":
         ufs.extend(1, arg)
@@ -630,13 +614,13 @@ class TestContentPlane:
     def test_write_path_materialises_no_synthetic_bytes(self, env, synthetic_calls):
         ufs = make_ufs(env)
         ufs.create(1, 200 * KB)
-        run(env, ufs.write(1, 0, SyntheticData(5, 0, 128 * KB)))
-        run(env, ufs.write(1, 100, SyntheticData(6, 7, 1000)))
-        run(env, ufs.write(1, 190 * KB, LiteralData(b"z" * (20 * KB))))
-        run(env, ufs.write_block(1, 1, SyntheticData(7, 3, 5000)))
+        run(env, ufs_write(ufs, 1, 0, SyntheticData(5, 0, 128 * KB)))
+        run(env, ufs_write(ufs, 1, 100, SyntheticData(6, 7, 1000)))
+        run(env, ufs_write(ufs, 1, 190 * KB, LiteralData(b"z" * (20 * KB))))
+        run(env, ufs_write_block(ufs, 1, 1, SyntheticData(7, 3, 5000)))
         ufs.truncate(1, 150 * KB)
         ufs.extend(1, 300 * KB)
-        run(env, ufs.write(1, 250 * KB, SyntheticData(8, 0, 70 * KB)))
+        run(env, ufs_write(ufs, 1, 250 * KB, SyntheticData(8, 0, 70 * KB)))
         ufs.content(1, 0, 320 * KB)
         assert synthetic_calls == []
         ufs.content(1, 0, 320 * KB).to_bytes()
