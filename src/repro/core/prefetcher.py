@@ -34,7 +34,7 @@ from repro.core.prefetch_buffer import (
 )
 from repro.obs.monitor import Monitor
 from repro.obs.stats import PrefetchStats
-from repro.obs.trace import TraceContext
+from repro.obs.trace import NOOP_SPAN, TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pfs.client import PFSFileHandle
@@ -132,12 +132,14 @@ class Prefetcher:
             was_in_flight = buffer.state is BufferState.IN_FLIGHT
             if was_in_flight:
                 # Partial hit: wait out the remainder of the prefetch.
-                wait_span = tracer.begin(
-                    "prefetch_wait",
-                    ctx=ctx,
-                    node_id=handle.node.node_id,
-                    bytes=nbytes,
-                )
+                wait_span = NOOP_SPAN
+                if tracer.enabled:
+                    wait_span = tracer.begin(
+                        "prefetch_wait",
+                        ctx=ctx,
+                        node_id=handle.node.node_id,
+                        bytes=nbytes,
+                    )
                 wait_start = handle.env.now
                 yield buffer.complete
                 self.stats.partial_wait_time += handle.env.now - wait_start
@@ -158,13 +160,15 @@ class Prefetcher:
                 assert buffer.data is not None
                 data = buffer.data.slice(offset - buffer.offset, nbytes)
                 # The hit pays a prefetch-buffer -> user-buffer copy.
-                copy_span = tracer.begin(
-                    "prefetch_hit_copy",
-                    ctx=ctx,
-                    node_id=handle.node.node_id,
-                    bytes=nbytes,
-                    partial=was_in_flight,
-                )
+                copy_span = NOOP_SPAN
+                if tracer.enabled:
+                    copy_span = tracer.begin(
+                        "prefetch_hit_copy",
+                        ctx=ctx,
+                        node_id=handle.node.node_id,
+                        bytes=nbytes,
+                        partial=was_in_flight,
+                    )
                 yield from handle.node.memcpy(nbytes)
                 tracer.end(copy_span)
                 self._account_overlap(handle, buffer, arrival, nbytes)
@@ -203,13 +207,15 @@ class Prefetcher:
             # ART setup/post); the async transfer's spans parent under it,
             # which is what links prefetch-caused disk accesses back to
             # the user read that triggered them.
-            issue_span = tracer.begin(
-                "prefetch_issue",
-                ctx=ctx,
-                node_id=handle.node.node_id,
-                offset=start,
-                bytes=length,
-            )
+            issue_span = NOOP_SPAN
+            if tracer.enabled:
+                issue_span = tracer.begin(
+                    "prefetch_issue",
+                    ctx=ctx,
+                    node_id=handle.node.node_id,
+                    offset=start,
+                    bytes=length,
+                )
             issue_ctx = issue_span.ctx
             # Allocating the buffer costs compute-node CPU.
             yield from handle.node.busy(handle.node.params.buffer_alloc_overhead_s)
@@ -258,12 +264,14 @@ class Prefetcher:
                 # staged and copied into the prefetch buffer.  (The third
                 # copy -- prefetch buffer to user buffer -- is paid on
                 # the hit.)
-                land_span = tracer.begin(
-                    "prefetch_land",
-                    ctx=issue_ctx,
-                    node_id=handle.node.node_id,
-                    bytes=length,
-                )
+                land_span = NOOP_SPAN
+                if tracer.enabled:
+                    land_span = tracer.begin(
+                        "prefetch_land",
+                        ctx=issue_ctx,
+                        node_id=handle.node.node_id,
+                        bytes=length,
+                    )
                 yield from handle.node.landing_copy(length)
                 tracer.end(land_span)
                 if buffer.state is BufferState.DISCARDED:

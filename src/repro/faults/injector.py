@@ -120,7 +120,8 @@ class FaultInjector:
 
     def spares(self, array_name: str) -> bool:
         """True when nothing in the plan can act inside an access to the
-        array *array_name*, so the array may serve it in closed form.
+        array *array_name*, so the array may time it whole at its arm
+        grant, with no decision pop.
 
         Inside an access the plan acts only through :meth:`tick`, which
         is a no-op once no scheduled spec is pending (the list is filled

@@ -15,9 +15,9 @@ One package holds the simulator's instrumentation APIs:
   :class:`~repro.machine.Machine` as ``machine.obs``.
 
 Which resource saturated a run is answered from the components'
-busy-seconds by :meth:`repro.machine.Machine.bottleneck_report`, with
-every fast path engaged; a traced run (``trace=True``) takes the stepped
-paths instead and records request spans.
+busy-seconds by :meth:`repro.machine.Machine.bottleneck_report`.  A
+traced run (``trace=True``) takes the same paths as an untraced one and
+only records request spans.
 """
 
 from repro.obs.export import (

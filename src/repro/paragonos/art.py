@@ -24,7 +24,7 @@ import itertools
 from typing import Callable, Generator, List, Optional
 
 from repro.hardware.node import Node
-from repro.obs.trace import TraceContext, get_tracer
+from repro.obs.trace import NOOP_SPAN, TraceContext, get_tracer
 from repro.sim import ArbitratedStore, Environment
 from repro.obs.monitor import NULL_MONITOR, Monitor
 
@@ -130,13 +130,15 @@ class AsyncRequestManager:
         completion (or never does -- prefetches are fire-and-forget).
         """
         request = AsyncRequest(self.env, next(self._request_ids), operation, tag, ctx=ctx)
-        span = self.tracer.begin(
-            "art_setup",
-            ctx=ctx,
-            node_id=self.node.node_id,
-            tag=tag,
-            request_id=request.request_id,
-        )
+        span = NOOP_SPAN
+        if self.tracer.enabled:
+            span = self.tracer.begin(
+                "art_setup",
+                ctx=ctx,
+                node_id=self.node.node_id,
+                tag=tag,
+                request_id=request.request_id,
+            )
         yield from self.node.busy(self.node.params.async_setup_overhead_s)
         self._outstanding.append(request)
         yield self._active_list.put(request)
@@ -164,19 +166,22 @@ class AsyncRequestManager:
                 self._outstanding.remove(request)
                 continue
             request.started_at = self.env.now
-            span = self.tracer.begin(
-                "art_io",
-                ctx=request.ctx,
-                node_id=self.node.node_id,
-                tag=request.tag,
-                request_id=request.request_id,
-                worker=worker_index,
-            )
+            span = NOOP_SPAN
+            if self.tracer.enabled:
+                span = self.tracer.begin(
+                    "art_io",
+                    ctx=request.ctx,
+                    node_id=self.node.node_id,
+                    tag=request.tag,
+                    request_id=request.request_id,
+                    worker=worker_index,
+                )
             try:
                 result = yield from request.operation()
             except Exception as exc:
                 request.completed_at = self.env.now
-                self.tracer.end(span, failed=True)
+                if self.tracer.enabled:
+                    self.tracer.end(span, failed=True)
                 self._outstanding.remove(request)
                 request.event.fail(exc)
                 continue

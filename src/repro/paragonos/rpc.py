@@ -276,6 +276,7 @@ class _RetriedCall:
         self.done = done
         self.span = span
         self.attempt = 0
+        self.attempt_span = NOOP_SPAN
         self.timer: Optional[Event] = None
         self.timeouts: List[float] = []
         self._send()
@@ -284,16 +285,18 @@ class _RetriedCall:
         endpoint = self.endpoint
         tracer = endpoint.tracer
         if endpoint.halted_fn is not None and endpoint.halted_fn():
-            tracer.end(self.span, attempts=self.attempt, outcome="node_crashed")
+            if tracer.enabled:
+                tracer.end(self.span, attempts=self.attempt, outcome="node_crashed")
             self.done.fail(endpoint._node_crashed(self.request))
             return
-        self.attempt_span = tracer.begin(
-            "rpc_attempt",
-            ctx=self.span.ctx,
-            node_id=endpoint.node.node_id,
-            msg=type(self.request).__name__,
-            attempt=self.attempt,
-        )
+        if tracer.enabled:
+            self.attempt_span = tracer.begin(
+                "rpc_attempt",
+                ctx=self.span.ctx,
+                node_id=endpoint.node.node_id,
+                msg=type(self.request).__name__,
+                attempt=self.attempt,
+            )
         reply_event = Event(endpoint.env)
         # The server may fail this event after the attempt timed out.
         reply_event.callbacks.append(_defuse_late_failure)
@@ -316,20 +319,23 @@ class _RetriedCall:
         endpoint = self.endpoint
         tracer = endpoint.tracer
         if not event._ok:
-            error = str(event._value)
-            tracer.end(self.attempt_span, error=error)
-            tracer.end(self.span, attempts=self.attempt + 1, error=error)
+            if tracer.enabled:
+                error = str(event._value)
+                tracer.end(self.attempt_span, error=error)
+                tracer.end(self.span, attempts=self.attempt + 1, error=error)
             done.fail(event._value)
             return
         if endpoint.halted_fn is not None and endpoint.halted_fn():
             # A dead node cannot consume the reply; the request log
             # replays it when the restarted node asks again.
-            tracer.end(self.attempt_span, outcome="node_crashed")
-            tracer.end(self.span, attempts=self.attempt + 1, outcome="node_crashed")
+            if tracer.enabled:
+                tracer.end(self.attempt_span, outcome="node_crashed")
+                tracer.end(self.span, attempts=self.attempt + 1, outcome="node_crashed")
             done.fail(endpoint._node_crashed(self.request))
             return
-        tracer.end(self.attempt_span, outcome="reply")
-        tracer.end(self.span, attempts=self.attempt + 1)
+        if tracer.enabled:
+            tracer.end(self.attempt_span, outcome="reply")
+            tracer.end(self.span, attempts=self.attempt + 1)
         done.fire(event._value)
 
     def _timed_out(self, timer: Event) -> None:
@@ -337,15 +343,18 @@ class _RetriedCall:
             return
         endpoint = self.endpoint
         tracer = endpoint.tracer
-        tracer.end(self.attempt_span, outcome="timeout")
+        if tracer.enabled:
+            tracer.end(self.attempt_span, outcome="timeout")
         endpoint.monitor.counter("rpc.retries").add(1)
         self.attempt += 1
         if self.attempt < endpoint.faults.plan.retry.max_attempts:
             self._send()
             return
         span = self.span
-        tracer.end(span, attempts=self.attempt, outcome="budget_exceeded")
-        chain = [] if span is NOOP_SPAN else [span] + tracer.ancestors(span)
+        chain = []
+        if tracer.enabled:
+            tracer.end(span, attempts=self.attempt, outcome="budget_exceeded")
+            chain = [span] + tracer.ancestors(span)
         self.done.fail(endpoint._budget_exceeded(self.target, self.request, self.timeouts, chain))
 
 

@@ -296,15 +296,18 @@ class PFSFileHandle:
             yield from self._crash_barrier()
             self._read_epoch = self.client.crash_epoch_at(self.env.now)
         start = self.env.now
-        # Root span of the trace: one request ID per user read call.
-        span = self.client.tracer.begin(
-            "client_call",
-            node_id=self.node.node_id,
-            op="read",
-            rank=self.rank,
-            nbytes=nbytes,
-            mode=self.iomode.name,
-        )
+        tracer = self.client.tracer
+        span = NOOP_SPAN
+        if tracer.enabled:
+            # Root span of the trace: one request ID per user read call.
+            span = tracer.begin(
+                "client_call",
+                node_id=self.node.node_id,
+                op="read",
+                rank=self.rank,
+                nbytes=nbytes,
+                mode=self.iomode.name,
+            )
         ctx = span.ctx
         yield from self.node.busy(self.node.params.client_call_overhead_s)
 
@@ -315,7 +318,8 @@ class PFSFileHandle:
             _offset, _n, data = self._delivered_unreturned
             self._delivered_unreturned = None
             duration = self.env.now - start
-            self.client.tracer.end(span, bytes_returned=len(data), replayed=True)
+            if tracer.enabled:
+                tracer.end(span, bytes_returned=len(data), replayed=True)
             self.stats.record_read(len(data), duration)
             return data
 
@@ -339,14 +343,17 @@ class PFSFileHandle:
             # The node died mid-call: close the span (the call never
             # returns to the application) and let the workload's
             # restart logic retry after the crash window.
-            self.client.tracer.end(span, crashed=True)
+            if tracer.enabled:
+                tracer.end(span, crashed=True)
             raise
         except Exception as exc:
-            self.client.tracer.end(span, error=str(exc))
+            if tracer.enabled:
+                tracer.end(span, error=str(exc))
             raise
 
         duration = self.env.now - start
-        self.client.tracer.end(span, bytes_returned=len(data))
+        if tracer.enabled:
+            tracer.end(span, bytes_returned=len(data))
         self.stats.record_read(len(data), duration)
         return data
 
@@ -549,14 +556,17 @@ class PFSFileHandle:
             yield from self._crash_barrier()
             self._write_epoch = self.client.crash_epoch_at(self.env.now)
         start = self.env.now
-        span = self.client.tracer.begin(
-            "client_call",
-            node_id=self.node.node_id,
-            op="write",
-            rank=self.rank,
-            nbytes=len(data),
-            mode=self.iomode.name,
-        )
+        tracer = self.client.tracer
+        span = NOOP_SPAN
+        if tracer.enabled:
+            span = tracer.begin(
+                "client_call",
+                node_id=self.node.node_id,
+                op="write",
+                rank=self.rank,
+                nbytes=len(data),
+                mode=self.iomode.name,
+            )
         ctx = span.ctx
         yield from self.node.busy(self.node.params.client_call_overhead_s)
         nbytes = len(data)
@@ -571,7 +581,8 @@ class PFSFileHandle:
             _offset, applied_n = self._applied_unreturned
             self._applied_unreturned = None
             duration = self.env.now - start
-            self.client.tracer.end(span, replayed=True)
+            if tracer.enabled:
+                tracer.end(span, replayed=True)
             self.stats.record_write(applied_n, duration)
             return applied_n
 
@@ -688,15 +699,17 @@ class PFSFileHandle:
             else:  # pragma: no cover
                 raise PFSClientError(f"unsupported mode {mode}")
         except NodeCrashed:
-            self.client.tracer.end(span, crashed=True)
+            if tracer.enabled:
+                tracer.end(span, crashed=True)
             raise
         except Exception as exc:
-            self.client.tracer.end(span, error=str(exc))
+            if tracer.enabled:
+                tracer.end(span, error=str(exc))
             raise
 
         # Writes may grow the file.
         duration = self.env.now - start
-        self.client.tracer.end(span)
+        tracer.end(span)
         self.stats.record_write(nbytes, duration)
         return nbytes
 
@@ -951,10 +964,12 @@ class PFSClient:
                 # machine (paper Table 2's 0.4s for 1024KB).
                 yield from self.node.receive(creq.length)
             except NodeCrashed:
-                self.tracer.end(span, crashed=True)
+                if self.tracer.enabled:
+                    self.tracer.end(span, crashed=True)
                 reply = None
             except Exception as exc:
-                self.tracer.end(span, error=str(exc))
+                if self.tracer.enabled:
+                    self.tracer.end(span, error=str(exc))
                 raise
             else:
                 self.tracer.end(span)
@@ -1005,10 +1020,12 @@ class PFSClient:
             try:
                 yield from self.endpoint.call(self._io_endpoint(creq.io_node), request)
             except NodeCrashed:
-                self.tracer.end(span, crashed=True)
+                if self.tracer.enabled:
+                    self.tracer.end(span, crashed=True)
                 ok = False
             except Exception as exc:
-                self.tracer.end(span, error=str(exc))
+                if self.tracer.enabled:
+                    self.tracer.end(span, error=str(exc))
                 raise
             else:
                 self.tracer.end(span)
@@ -1072,7 +1089,8 @@ class PFSClient:
         def arrived(i: int, reply, span) -> None:
             nonlocal pending
             if reply is None:
-                tracer.end(span, crashed=True)
+                if tracer.enabled:
+                    tracer.end(span, crashed=True)
             else:
                 tracer.end(span)
             replies[i] = reply
@@ -1091,7 +1109,8 @@ class PFSClient:
                         event._defused = True
                         arrived(i, None, span)
                         return
-                    tracer.end(span, error=str(event._value))
+                    if tracer.enabled:
+                        tracer.end(span, error=str(event._value))
                     if done._value is PENDING:
                         event._defused = True
                         done.fail(event._value)
@@ -1188,23 +1207,27 @@ class PFSClient:
 
     def _coordinate(self, request, ctx: Optional[TraceContext] = None):
         """Generator: RPC to the coordination service."""
-        span = self.tracer.begin(
-            "coordinate",
-            ctx=ctx,
-            node_id=self.node.node_id,
-            msg=type(request).__name__,
-        )
-        if span.ctx is not None:
+        tracer = self.tracer
+        span = NOOP_SPAN
+        if tracer.enabled:
+            span = tracer.begin(
+                "coordinate",
+                ctx=ctx,
+                node_id=self.node.node_id,
+                msg=type(request).__name__,
+            )
             request.ctx = span.ctx
         try:
             reply = yield from self.endpoint.call(self.coordinator_endpoint, request)
         except NodeCrashed:
-            self.tracer.end(span, crashed=True)
+            if tracer.enabled:
+                tracer.end(span, crashed=True)
             raise
         except Exception as exc:
-            self.tracer.end(span, error=str(exc))
+            if tracer.enabled:
+                tracer.end(span, error=str(exc))
             raise
-        self.tracer.end(span)
+        tracer.end(span)
         return reply
 
     def _control(self, io_node: int, request: ControlRequest):

@@ -84,6 +84,38 @@ def raid_write(raid, lba, nbytes):
 
 
 @pytest.fixture
+def arm_forms(monkeypatch):
+    """Each RAID access granted from here on, as ``(form, array, pending,
+    down)``, recorded at its arm grant: ``form`` is ``"closed"`` (timed
+    whole at the grant) or ``"decided"`` (it pops first at its decision
+    instant); ``pending`` is whether a scheduled disk failure or repair
+    was still pending then, ``down`` whether the array was degraded or
+    rebuilding.  Rebuild chunks are left out."""
+    from repro.hardware import raid
+
+    log = []
+    grant_next = raid.RAID3Array._grant_next
+
+    def recording(array):
+        queued = [entry[3] for entry in array._pending]
+        faults = array.faults
+        state = (
+            array.name,
+            bool(faults is not None and faults._scheduled_pending),
+            array.degraded or array._rebuilding,
+        )
+        grant_next(array)
+        left = [entry[3] for entry in array._pending]
+        for access in queued:
+            if access.kind != "rebuild" and not any(access is other for other in left):
+                form = "decided" if access.callbacks is raid._DECIDE else "closed"
+                log.append((form,) + state)
+
+    monkeypatch.setattr(raid.RAID3Array, "_grant_next", recording)
+    return log
+
+
+@pytest.fixture
 def machine_factory():
     """Build a :class:`Machine` with arbitrary config overrides."""
 

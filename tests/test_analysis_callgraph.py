@@ -753,10 +753,7 @@ class TestShippedTree:
         summaries, _stats = summarize_paths(["src"])
         project = Project(summaries)
         marked = {fid for fid, f in project.functions.items() if f.pragma is not None}
-        assert marked == {
-            "repro.hardware.scsi:SCSIBus.account_bypass",
-            "repro.paragonos.rpc:RPCEndpoint._call_once",
-        }
+        assert marked == {"repro.paragonos.rpc:RPCEndpoint._call_once"}
         # The fast-path entries are reached through *resolved* edges
         # (the gating check actually sees them, rather than the calls
         # being unresolved and silently unchecked).

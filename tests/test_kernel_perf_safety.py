@@ -1,38 +1,33 @@
-"""Safety net for the PR-6 kernel fast paths.
+"""Safety net for the kernel fast paths.
 
-The fast-kernel refactor (merged grants, closed-form RAID transfers,
-callback serves, event elision) is only legal if it is
+The fast-kernel refactor (merged grants, RAID accesses timed at the
+arm grant, callback serves, event elision) is only legal if it is
 *unobservable*: every report must stay bit-identical to the stepped
-implementation, under either same-timestamp tie-break, and the fast
-paths must fall back to stepping whenever a fault plan or tracer could
-observe the difference.  A traced run (``trace=True``) takes every
-stepped path, so it is the lever these tests compare against.  This
-module pins each of those contracts:
+implementation it replaced, under either same-timestamp tie-break.
+Each layer now has one form, traced or not, and a traced run must
+measure the same numbers as an untraced one.  This module pins each
+of those contracts:
 
 - the bench3 and copy-back-rebuild golden fingerprints re-verified
   under *both* tie-breaks (the goldens were captured before any fast
   path existed, so matching them proves the refactor changed nothing),
   and one Figure 2 cell per I/O mode plus the Separate Files cell;
 - a mid-window fault spec splitting what the fast path would have
-  batched -- with any fault plan active, batching is disabled wholesale
-  and the stepped fallback must remain tie-order deterministic;
-- traced vs. untraced runs produce identical report fingerprints (the
-  fast paths may skip *events*, never *numbers*), also on multi-piece
-  reads and writes, whose stripe pieces are callback calls either way
-  while the arm services they reach step when traced, and on Fast Path
-  serves (unaligned, uncoalesced, read-modify-write, past the end of the
-  file), which run as callback chains either way, and on buffered reads
-  with server readahead and unaligned write-through writes;
-- a callback access that comes back stepped -- every access traced, and
-  untraced one whose array fails while it is queued -- finishes in a
-  stepped process under the serve's key and fails the application's
-  call with the array's error;
+  batched must remain tie-order deterministic;
+- traced vs. untraced runs produce identical report fingerprints, also
+  on multi-piece reads and writes, on Fast Path serves (unaligned,
+  uncoalesced, read-modify-write, past the end of the file) and on
+  buffered reads with server readahead and unaligned write-through
+  writes, and a traced run starts no RAID process;
+- an access that ``inject_failures`` reaches while it is queued pops at
+  its decision instant and fails the application's call with the
+  array's error;
 - the exact event count and generator resumes of one paper cell, one
   crash-restart cell and a buffered write-through and write-back cell,
   the heap pops of the paper cell, the processes the crash-restart and
   buffered cells spawn, and the synthetic bytes the crash-restart cell
-  materialises and the stepped RAID accesses it makes (none of
-  either), so a change in kernel work is re-pinned on purpose.
+  materialises and the RAID decision pops it takes (none of either),
+  so a change in kernel work is re-pinned on purpose.
 """
 
 import hashlib
@@ -52,7 +47,6 @@ from repro.experiments.common import (
     scaled_file_size,
 )
 from repro.faults import FaultPlan, FaultSpec
-from repro.hardware.raid import RAID3Array
 from repro.machine import Machine
 from repro.paragonos.rpc import RPCError
 from repro.pfs import IOMode
@@ -250,13 +244,10 @@ class TestGoldensUnderBothTieBreaks:
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_rebuild_golden_mid_window_split(self, rebuild_golden, tie_break):
-        """A fault window opening mid-run forces the stepped fallback.
-
-        With ``faults`` set, every batching gate (RAID closed-form
-        transfers, callback serves and stripe pieces, fault-free RPC
-        calls) is off from construction, so the rebuild window can
-        never observe a half-merged batch; this pins that the fallback still matches
-        the golden capture under both tie-breaks.
+        """A fault window opening mid-run: the rebuild traffic splits the
+        read stream, and raid0's accesses take decision pops while it is
+        down; the run still matches the golden capture under both
+        tie-breaks.
         """
         report = run_multipass(
             64 * KB,
@@ -270,43 +261,41 @@ class TestGoldensUnderBothTieBreaks:
 
 
 class TestSteppedPathInvariance:
-    """The stepped paths a traced run takes measure the same numbers as
-    the fast paths of an untraced one."""
+    """A traced run takes the same forms as an untraced one, so it
+    measures the same numbers."""
 
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_fingerprint_identical_when_traced(self, prefetch):
         plain = _bench3_cell(64, prefetch)
-        stepped = _bench3_cell(64, prefetch, trace=True)
-        assert report_fingerprint(plain) == report_fingerprint(stepped)
+        traced = _bench3_cell(64, prefetch, trace=True)
+        assert report_fingerprint(plain) == report_fingerprint(traced)
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize("size_kb,stripe_kb", [(64, 16), (256, 64)])
     def test_multi_stripe_read(self, size_kb, stripe_kb, tie_break):
-        """Multi-piece reads: the stripe pieces and Fast Path serves are
-        callback chains traced or not; the arm services they reach step
-        when traced."""
+        """Multi-piece reads: the stripe pieces, Fast Path serves and arm
+        services are callback chains traced or not."""
         kwargs = dict(stripe_unit=stripe_kb * KB, tie_break=tie_break)
         plain = _bench3_cell(size_kb, True, **kwargs)
-        stepped = _bench3_cell(size_kb, True, trace=True, **kwargs)
-        assert report_fingerprint(plain) == report_fingerprint(stepped)
+        traced = _bench3_cell(size_kb, True, trace=True, **kwargs)
+        assert report_fingerprint(plain) == report_fingerprint(traced)
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     @pytest.mark.parametrize("caching", ["fastpath", "write-through", "write-back"])
     def test_multi_stripe_write(self, caching, tie_break):
         """Multi-piece writes and their read-back, under each caching mode,
-        traced (stepped buffered serves and arm services) against
-        untraced."""
+        traced against untraced."""
         plain = _write_cell(caching, tie_break, traced=False)
-        stepped = _write_cell(caching, tie_break, traced=True)
-        assert plain == stepped
+        traced = _write_cell(caching, tie_break, traced=True)
+        assert plain == traced
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_buffered_read_server_readahead(self, tie_break):
         """Buffered reads with server readahead: the demand cache fills
         and the readahead processes' fetches, traced against untraced."""
         plain = _server_readahead_cell(tie_break, traced=False)
-        stepped = _server_readahead_cell(tie_break, traced=True)
-        assert plain == stepped
+        traced = _server_readahead_cell(tie_break, traced=True)
+        assert plain == traced
         assert _total(plain[2], ".readahead_blocks") > 0
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
@@ -314,8 +303,8 @@ class TestSteppedPathInvariance:
         """Unaligned write-through writes: edge blocks are read, merged
         and written back on the buffered path, traced against untraced."""
         plain = _write_cell("write-through", tie_break, traced=False, request=24 * KB)
-        stepped = _write_cell("write-through", tie_break, traced=True, request=24 * KB)
-        assert plain == stepped
+        traced = _write_cell("write-through", tie_break, traced=True, request=24 * KB)
+        assert plain == traced
         counters = plain[4]
         # More array reads than cache misses: the edge-block reads of the
         # read-modify-writes reach the arrays too.
@@ -328,13 +317,13 @@ class TestSteppedPathInvariance:
         [(24, 64, True), (40, 16, True), (256, 256, False), (96, 128, False)],
     )
     def test_fastpath_read_serve(self, request_kb, stripe_kb, coalesce, tie_break):
-        """Fast Path reads, their arm services in closed form against
-        stepped: unaligned ranges pay the partial-block copy, and
-        uncoalesced ranges chain several RAID accesses per request."""
+        """Fast Path reads, traced against untraced: unaligned ranges pay
+        the partial-block copy, and uncoalesced ranges chain several RAID
+        accesses per request."""
         args = (request_kb * KB, stripe_kb * KB, coalesce)
         plain = _read_cell(tie_break, False, *args)
-        stepped = _read_cell(tie_break, True, *args)
-        assert plain == stepped
+        traced = _read_cell(tie_break, True, *args)
+        assert plain == traced
         counters = plain[2]
         reads = _total(counters, ".reads.demand")
         partial = _total(counters, ".partial_block_reads")
@@ -350,8 +339,8 @@ class TestSteppedPathInvariance:
         """Unaligned Fast Path writes: edge blocks are read, merged and
         written back, and the range pays the partial-block copy."""
         plain = _write_cell("fastpath", tie_break, traced=False, request=24 * KB)
-        stepped = _write_cell("fastpath", tie_break, traced=True, request=24 * KB)
-        assert plain == stepped
+        traced = _write_cell("fastpath", tie_break, traced=True, request=24 * KB)
+        assert plain == traced
         counters = plain[4]
         assert _total(counters, ".partial_block_writes") > 0
         # The edge-block reads of the read-modify-writes reach the arrays.
@@ -360,10 +349,10 @@ class TestSteppedPathInvariance:
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_read_past_eof_error_reaches_caller(self, tie_break):
         plain = _read_past_eof(tie_break, traced=False)
-        stepped = _read_past_eof(tie_break, traced=True)
+        traced = _read_past_eof(tie_break, traced=True)
         seen = plain[0]
         assert len(seen) == 1 and "outside file" in seen[0][1]
-        assert plain == stepped
+        assert plain == traced
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_read_past_eof_error_ends_every_span(self, tie_break):
@@ -379,28 +368,34 @@ class TestSteppedPathInvariance:
             if span.kind in failed:
                 assert "outside file" in span.attrs["error"]
 
-    def test_traced_machine_really_steps(self, monkeypatch):
-        """Tracing turns every array's closed form off, and the traced
-        run resumes more generators than the untraced one."""
+    def test_traced_machine_starts_no_raid_process(self, monkeypatch):
+        """Tracing switches no form: a traced run starts no RAID process
+        and resumes exactly the generators the untraced run does."""
+        from repro.hardware import raid
+
         resumes = [0]
+        raid_processes = []
         resume = Process._resume
+        init = Process.__init__
 
         def counting(self, event):
             resumes[0] += 1
             return resume(self, event)
 
+        def recording(self, env, generator, *args, **kwargs):
+            if generator.gi_code.co_filename == raid.__file__:
+                raid_processes.append(generator)
+            return init(self, env, generator, *args, **kwargs)
+
         monkeypatch.setattr(Process, "_resume", counting)
+        monkeypatch.setattr(Process, "__init__", recording)
         counts = {}
         for traced in (False, True):
             resumes[0] = 0
-            machine = _bench3_cell(64, True, trace=traced, keep_machine=True).machine
+            _bench3_cell(64, True, trace=traced)
             counts[traced] = resumes[0]
-            gates = [array._fast_mode for array in machine.arrays]
-            if traced:
-                assert not any(gates)
-            else:
-                assert all(gates)
-        assert counts[True] > counts[False]
+        assert raid_processes == []
+        assert counts[True] == counts[False] > 0
 
 
 class TestWorkCountPin:
@@ -443,8 +438,8 @@ class TestWorkCountPin:
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
     def test_table1_256kb_prefetch_request_and_timeout_objects(self, tie_break, monkeypatch):
-        """Kernel objects the same cell builds: every node CPU,
-        co-processor and SCSI bus grant is one ``Hold`` of an arbiter
+        """Kernel objects the same cell builds: every node CPU
+        and co-processor grant is one ``Hold`` of an arbiter
         (1,648, as many as the request objects of the generic resource
         it replaced; 5,104 when each mesh hop made one too), mesh links
         grant straight to their worms, and the cell builds no
@@ -561,19 +556,12 @@ class TestWorkCountPin:
         assert report.machine.verify() == []
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
-    def test_crash_restart_64kb_prefetch_stepped_accesses(self, tie_break, monkeypatch):
-        """No access of the same cell takes the stepped RAID service (all
-        34 did when any fault plan stepped every array)."""
-        calls = [0]
-        stepped = RAID3Array._stepped
-
-        def counting(self, *args):
-            calls[0] += 1
-            return stepped(self, *args)
-
-        monkeypatch.setattr(RAID3Array, "_stepped", counting)
+    def test_crash_restart_64kb_prefetch_stepped_accesses(self, tie_break, arm_forms):
+        """No access of the same cell takes a decision pop: every one is
+        timed at its arm grant (all 34 were served by a stepped process
+        when any fault plan stepped every array)."""
         report = self._crash_restart_read(tie_break)
-        assert calls[0] == 0
+        assert {form for form, *_state in arm_forms} == {"closed"}
         assert report.machine.env._eid == 641
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
@@ -642,30 +630,32 @@ class TestWorkCountPin:
 
 
 class TestCallbackServeFallback:
-    """A callback access whose arm grant comes back stepped.
+    """An access queued while nothing could act inside it, which
+    ``inject_failures`` called outside a fault plan reaches while it
+    waits.
 
-    A Fast Path serve reaches the array on callbacks in every run.  A
-    traced run, or one whose array the fault plan does not spare, queues
-    every access stepped; an untraced access queued in closed form comes
-    back stepped when ``inject_failures`` (or ``fail_disk``) called
-    outside a fault plan turns the closed form off while it waits.
-    Either way the access finishes in a stepped process under the
-    serve's key, and the application sees the array's error.
+    A Fast Path serve reaches the array on callbacks in every run.  At
+    the grant the injected error is pending, so the access pops at its
+    decision instant, traced or not, fails there, and the application
+    sees the array's error; no process is started for it.
     """
 
     @staticmethod
     def _inject_while_queued(tie_break: str, traced: bool):
+        from repro.hardware import raid
+
         machine = Machine(MachineConfig(n_compute=2, n_io=2, tie_break=tie_break, trace=traced))
         mount = machine.mount("/pfs", PFSConfig(stripe_factor=1))
         pfs_file = machine.create_file(mount, "data", 4 * 64 * KB)
         (io_index,) = pfs_file.attrs.stripe_group
         array = machine.arrays[io_index]
         env = machine.env
-        spawned = []
+        raid_processes = []
         spawn = env.process
 
         def recording(generator, name=None, order_key=None):
-            spawned.append((name, order_key))
+            if generator.gi_code.co_filename == raid.__file__:
+                raid_processes.append(name)
             return spawn(generator, name=name, order_key=order_key)
 
         env.process = recording
@@ -680,9 +670,8 @@ class TestCallbackServeFallback:
 
         def injector():
             # Once a second read waits behind the one holding the arm,
-            # and the holder is past its controller overhead (where the
-            # stepped path checks for injected errors), fail the next
-            # access the arm serves.
+            # and the holder is past its controller overhead, fail the
+            # next access the arm serves.
             while array.queue_depth == 0:
                 yield env.timeout(1e-5)
             yield env.timeout(array.raid_params.controller_overhead_s)
@@ -692,23 +681,21 @@ class TestCallbackServeFallback:
         machine.spawn(reader(machine.clients[1], 2 * 64 * KB))
         machine.spawn(injector())
         machine.run()
-        stepped = [key for name, key in spawned if name == f"{array.name}-stepped-read"]
-        server_key = machine.servers[io_index].endpoint.dispatch_key
-        return sorted(outcomes), env.now, stepped, server_key
+        return sorted(outcomes), env.now, array.name, raid_processes
 
     @pytest.mark.parametrize("tie_break", ["fifo", "lifo"])
-    def test_injected_failure_while_queued_reaches_application(self, tie_break):
-        outcomes, now, stepped, server_key = self._inject_while_queued(tie_break, False)
+    def test_injected_failure_while_queued_reaches_application(self, tie_break, arm_forms):
+        outcomes, now, name, processes = self._inject_while_queued(tie_break, False)
         errors = [o for o in outcomes if isinstance(o[2], str)]
         assert len(outcomes) == 2 and len(errors) == 1
         assert "injected media error" in errors[0][2]
-        # The queued access finished on the stepped path, under a serve's key.
-        assert len(stepped) == 1 and stepped[0][:-1] == server_key
-        # A traced run, whose accesses are all granted stepped under
-        # their serves' keys, sees the same error at the same time.
-        traced_outcomes, traced_now, traced_stepped, _key = self._inject_while_queued(
-            tie_break, True
-        )
-        assert (outcomes, now) == (traced_outcomes, traced_now)
-        assert len(traced_stepped) == 2
-        assert all(key[:-1] == server_key for key in traced_stepped)
+        # The queued access reached its decision pop, and no process ran.
+        assert [entry[:2] for entry in arm_forms] == [("closed", name), ("decided", name)]
+        assert processes == []
+        # A traced run takes the same forms and sees the same error at the
+        # same time.
+        forms = list(arm_forms)
+        arm_forms.clear()
+        traced = self._inject_while_queued(tie_break, True)
+        assert traced == (outcomes, now, name, [])
+        assert arm_forms == forms

@@ -115,6 +115,54 @@ class TestDeterminism:
         tracer.end(span)  # must not record anything
         assert len(tracer) == 0
 
+    def test_untraced_run_opens_no_span(self, monkeypatch):
+        """Untraced, no layer calls the tracer to open a span or to end
+        one with attributes: prefetching reads under a crash plan with
+        stalled serves (RPC retries, the ART), buffered M_UNIX reads and writes (pointer
+        coordination, buffered serves) and Fast Path writes."""
+        from repro.config import MachineConfig
+        from repro.experiments.common import scaled_file_size
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.machine import Machine
+        from repro.workloads import CollectiveReadWorkload, CollectiveWriteWorkload
+
+        calls = []
+        begin, end = Tracer.begin, Tracer.end
+
+        def counting_begin(self, kind, *args, **kwargs):
+            calls.append(("begin", kind))
+            return begin(self, kind, *args, **kwargs)
+
+        def counting_end(self, span, **attrs):
+            if attrs:
+                calls.append(("end", tuple(attrs)))
+            return end(self, span, **attrs)
+
+        monkeypatch.setattr(Tracer, "begin", counting_begin)
+        monkeypatch.setattr(Tracer, "end", counting_end)
+        crash = FaultPlan.crash_restart(node="node0", windows=((0.03, 0.08),))
+        stall = FaultSpec("rpc_stall", target="*", after_n=3, count=2, duration_s=2.0)
+        report = run_collective(
+            request_size=64 * KB,
+            file_size=scaled_file_size(64 * KB, rounds=4),
+            prefetch=True,
+            rounds=4,
+            faults=FaultPlan(specs=crash.specs + (stall,)),
+            keep_machine=True,
+        )
+        assert report.machine.obs.counter_value("rpc.retries") > 0
+        for buffered in (True, False):
+            machine = Machine(MachineConfig(n_compute=2, n_io=2))
+            mount = machine.mount("/pfs", PFSConfig(buffered=buffered))
+            machine.create_file(mount, "out", 0)
+            CollectiveWriteWorkload(
+                machine, mount, "out", request_size=64 * KB, rounds=2, iomode=IOMode.M_UNIX
+            ).run()
+            CollectiveReadWorkload(
+                machine, mount, "out", request_size=64 * KB, iomode=IOMode.M_UNIX
+            ).run()
+        assert calls == []
+
     def test_traced_and_untraced_reports_are_identical(self, prefetch_enabled):
         kwargs = dict(
             request_size=64 * KB,

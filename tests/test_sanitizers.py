@@ -209,14 +209,12 @@ class TestLeakChecker:
 
     def test_wedged_raid_arm_flagged(self):
         # The arm is held through RAID3Array._busy, not a request object:
-        # a holder that never leaves wedges every later access.
+        # an access whose completion pop is lost wedges every later one.
         env = Environment()
         raid = RAID3Array(env, SCSIBus(env))
-
-        def wedger():
-            yield raid._enqueue(0, ())
-
-        env.process(wedger())
+        raid.access_then("read", 0, 64 * 1024, (), lambda value, error: None)
+        env.run(until=1e-4)
+        env._queue.clear()
         env.run()
         leaks = leaked_resources(env)
         assert len(leaks) == 1
@@ -226,12 +224,10 @@ class TestLeakChecker:
     def test_wedged_raid_arm_fails_machine_verify(self):
         machine = Machine(MachineConfig(n_compute=1, n_io=1))
         array = machine.arrays[0]
-
-        def wedger():
-            yield array._enqueue(0, ())
-
         assert machine.verify() == []
-        machine.spawn(wedger())
+        array.access_then("read", 0, 64 * 1024, (), lambda value, error: None)
+        machine.env.run(until=1e-4)
+        machine.env._queue.clear()
         machine.run()
         assert machine.verify() == [str(leak) for leak in leaked_resources(machine.env)]
         assert len(machine.verify()) == 1

@@ -175,40 +175,33 @@ class TestDiskArbitration:
     same-timestamp arrivals are ordered canonically (causal key for
     FIFO, LOOK sweep position for the elevator), never by event-pop
     order -- so service order is bit-identical under both kernel
-    tie-breaks, in closed and in stepped form."""
+    tie-breaks."""
 
     @staticmethod
-    def _array(env, form, elevator=True):
-        """A default-calibrated array; ``form="stepped"`` shares its bus
-        with an idle second array, which keeps it off the closed form."""
-        bus = SCSIBus(env)
-        raid = RAID3Array(env, bus, name="d", elevator=elevator)
-        if form == "stepped":
-            RAID3Array(env, bus, name="d-b")
-        assert raid.fast_ready == (form == "closed")
-        return raid
+    def _array(env, elevator=True):
+        """A default-calibrated array on its own bus."""
+        return RAID3Array(env, SCSIBus(env), name="d", elevator=elevator)
 
     @classmethod
     def _service_orders(cls, elevator, requests):
-        """Run reads of (tag, lba, issue_delay) under each tie-break and
-        form; return the set of completion orders seen."""
+        """Run reads of (tag, lba, issue_delay) under each tie-break;
+        return the set of completion orders seen."""
         orders = set()
         for tie_break in ("fifo", "lifo"):
-            for form in ("closed", "stepped"):
-                env = Environment(tie_break=tie_break)
-                raid = cls._array(env, form, elevator)
-                order = []
+            env = Environment(tie_break=tie_break)
+            raid = cls._array(env, elevator)
+            order = []
 
-                def proc(tag, lba, delay):
-                    if delay:
-                        yield env.timeout(delay)
-                    yield from raid_read(raid, lba, 64 * 1024)
-                    order.append(tag)
+            def proc(tag, lba, delay):
+                if delay:
+                    yield env.timeout(delay)
+                yield from raid_read(raid, lba, 64 * 1024)
+                order.append(tag)
 
-                for tag, lba, delay in requests:
-                    env.process(proc(tag, lba, delay))
-                env.run()
-                orders.add(tuple(order))
+            for tag, lba, delay in requests:
+                env.process(proc(tag, lba, delay))
+            env.run()
+            orders.add(tuple(order))
         return orders
 
     def test_fifo_same_timestamp_arrivals_follow_causal_order(self):
@@ -251,27 +244,26 @@ class TestDiskArbitration:
         assert self._service_orders(True, requests) == {("x", "y")}
 
     def test_busy_accounting_and_queue_depth(self):
-        for form in ("closed", "stepped"):
-            env = Environment()
-            raid = self._array(env, form)
-            depths = []
+        env = Environment()
+        raid = self._array(env)
+        depths = []
 
-            def reader(lba):
-                yield from raid_read(raid, lba, 64 * 1024)
+        def reader(lba):
+            yield from raid_read(raid, lba, 64 * 1024)
 
-            def watcher():
-                yield env.timeout(0.001)
-                depths.append(raid.queue_depth)
+        def watcher():
+            yield env.timeout(0.001)
+            depths.append(raid.queue_depth)
 
-            env.process(reader(0))
-            env.process(reader(10 * MB))
-            env.process(watcher())
-            env.run()
-            # One read held the arm while the other waited.
-            assert depths == [1], form
-            assert raid.queue_depth == 0, form
-            assert 0 < raid.busy_s <= env.now, form
-            assert raid.busy_s == pytest.approx(env.now), form
+        env.process(reader(0))
+        env.process(reader(10 * MB))
+        env.process(watcher())
+        env.run()
+        # One read held the arm while the other waited.
+        assert depths == [1]
+        assert raid.queue_depth == 0
+        assert 0 < raid.busy_s <= env.now
+        assert raid.busy_s == pytest.approx(env.now)
 
 
 class TestStore:
