@@ -370,7 +370,7 @@ class Machine:
             )
 
         # 6. No leaked resource holds once the event queue has drained
-        #    (a held CPU / mesh link / SCSI bus with no event left to
+        #    (a held CPU / mesh link / RAID arm with no event left to
         #    release it can never be released).
         from repro.analysis.sanitizers import leaked_resources
 

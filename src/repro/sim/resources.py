@@ -2,7 +2,7 @@
 
 - :class:`Arbiter` -- *capacity* slots granted at the end of each
   timestep in canonical order (the node CPUs, the message co-processor,
-  a SCSI bus, a mesh link).  Its waiters are events it schedules itself.
+  a mesh link).  Its waiters are events it schedules itself.
 - :class:`Hold` -- one fixed-length hold of an :class:`Arbiter` slot: a
   process ``yield``-s it, or a callback chain passes ``then``.
 - :class:`ArbitratedStore` -- holds discrete items (the RPC inbox, the
@@ -206,7 +206,7 @@ class Hold(Event):
         if seconds < 0:
             raise ValueError(f"negative hold {seconds}")
         # Inlined Event.__init__ and queue insertion: holds are the
-        # hottest waiters (every CPU, co-processor and SCSI bus grant).
+        # hottest waiters (every CPU and co-processor grant).
         env = arbiter.env
         self.env = env
         self.callbacks = [_release_hold] if then is None else _RELEASE_THEN
