@@ -122,6 +122,9 @@ def committed_snapshot(path: str) -> bool:
         )
     except OSError:
         return os.path.exists(path)
+    if done.returncode == 128:
+        # Not a git checkout (an exported tree, say): git cannot tell.
+        return os.path.exists(path)
     return done.returncode == 0
 
 

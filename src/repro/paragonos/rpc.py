@@ -54,7 +54,11 @@ once), logged and replayed replies alike shipped by a
 chain (empty untraced).  Handler *errors* are not retried -- they are
 deterministic outcomes, not lost messages -- preserving the fault-free
 semantics.  Each attempt's reply timer stays queued after the reply
-wins, so a faulted run's clock drains to the last timer.
+wins, so a faulted run's clock drains to the last timer; the winning
+reply disarms it (empties its callbacks), so the queued timer holds
+nothing of its call.  A served request's log entry keeps only its
+reply (:class:`_LogEntry`), and the log is never pruned: a restarted
+node replays its coordination calls under their original ``msg_id``.
 
 The inbox is an :class:`~repro.sim.ArbitratedStore`: same-timestamp
 request arrivals (natural under retry storms) are admitted in canonical
@@ -145,7 +149,7 @@ class _CallbackServe:
         self.handler = handler
         #: The request-log entry this serve runs the handler for (fault
         #: plans only).
-        self.entry: Optional[Dict] = None
+        self.entry: Optional[_LogEntry] = None
         # The start event a serve process would have been kicked off
         # by, with this serve's first step as its callback.
         env = endpoint.env
@@ -163,7 +167,7 @@ class _CallbackServe:
             if verdict == "coalesced":
                 return
             if verdict == "replay":
-                _ReplyShipper(endpoint, [self.envelope], entry["reply"], served=False)
+                _ReplyShipper(endpoint, [self.envelope], entry.reply, served=False)
                 return
             self.entry = entry
             stall_s = endpoint._stall_s()
@@ -185,15 +189,27 @@ class _CallbackServe:
             self.endpoint._reply(self.envelope, self.entry, reply)
 
 
+class _LogEntry:
+    """A request-log entry under a fault plan: *envelopes*, the list of
+    envelopes waiting for the handler's reply, while the request is in
+    flight, and ``None`` once it is served, when *reply* holds the reply
+    that a retransmit is answered with."""
+
+    __slots__ = ("envelopes", "reply")
+
+    def __init__(self, envelope: _Envelope) -> None:
+        self.envelopes: Optional[List[_Envelope]] = [envelope]
+        self.reply: Any = None
+
+
 class _ReplyShipper:
     """A logged serve's replies under a fault plan, from a serve process
-    or a callback serve: to each envelope of *targets* in order (a live
-    list that a coalesced retransmit may still grow), one reply worm at a
-    time, each sent when the previous one is delivered.  A dropped reply
-    is lost (the caller's retransmit is answered from the request log); a
-    delivered one succeeds its reply event unless that was already
-    triggered.  A *served* request counts ``rpc.served`` after its last
-    reply; a replay does not."""
+    or a callback serve: to each envelope of *targets* in order, one
+    reply worm at a time, each sent when the previous one is delivered.
+    A dropped reply is lost (the caller's retransmit is answered from the
+    request log); a delivered one succeeds its reply event unless that
+    was already triggered.  A *served* request counts ``rpc.served``
+    after its last reply; a replay does not."""
 
     __slots__ = ("endpoint", "targets", "reply", "shipped", "served")
 
@@ -243,7 +259,8 @@ class _RetriedCall:
     budget is spent.  The attempt and call spans end with the attempt's
     ``outcome`` (``reply``, ``timeout``, ``node_crashed``) and the call's
     ``attempts``; a handler error ends both with its ``error``.  A timer
-    stays queued after its reply wins.
+    stays queued after its reply wins, disarmed: the reply empties its
+    callbacks, so the queued timer no longer holds the call.
     """
 
     __slots__ = (
@@ -316,6 +333,9 @@ class _RetriedCall:
         done = self.done
         if event is not self.reply_event or done._value is not PENDING:
             return
+        # Disarm the attempt's timer: it still pops at its deadline, but
+        # with *done* settled it would have nothing to do.
+        self.timer.callbacks.clear()
         endpoint = self.endpoint
         tracer = endpoint.tracer
         if not event._ok:
@@ -405,9 +425,9 @@ class RPCEndpoint:
         self._handlers: Dict[Type[RPCMessage], Callable[..., Generator]] = {}
         #: request type -> (callback handler, its readiness predicate).
         self._callbacks: Dict[Type[RPCMessage], Tuple[Callable[..., None], Callable]] = {}
-        #: Idempotency log: (source node, msg_id) -> state.  Only
+        #: Idempotency log: (source node, msg_id) -> entry.  Only
         #: populated when a fault plan is active (no cost otherwise).
-        self._request_log: Dict[Tuple[int, int], Dict] = {}
+        self._request_log: Dict[Tuple[int, int], _LogEntry] = {}
         #: Optional ``() -> bool`` predicate: True while this endpoint's
         #: node is crashed.  Checked in the retry loop so a dead node's
         #: in-flight calls raise :class:`NodeCrashed` instead of
@@ -620,7 +640,7 @@ class RPCEndpoint:
             if verdict == "coalesced":
                 return
             if verdict == "replay":
-                _ReplyShipper(self, [envelope], entry["reply"], served=False)
+                _ReplyShipper(self, [envelope], entry.reply, served=False)
                 return
             stall_s = self._stall_s()
             if stall_s is not None:
@@ -632,20 +652,22 @@ class RPCEndpoint:
             return
         self._reply(envelope, entry, reply)
 
-    def _reply(self, envelope: _Envelope, entry: Optional[Dict], reply) -> None:
+    def _reply(self, envelope: _Envelope, entry: Optional[_LogEntry], reply) -> None:
         """Send a served request's *reply*: fault-free, one reply worm
         that resumes the caller on its final grant; under a fault plan,
         to every envelope of its request-log *entry*
-        (:class:`_ReplyShipper`)."""
+        (:class:`_ReplyShipper`), which from then on keeps only the
+        reply."""
         if entry is not None:
-            entry["state"] = "done"
-            entry["reply"] = reply
-            _ReplyShipper(self, entry["envelopes"], reply, served=True)
+            targets = entry.envelopes
+            entry.envelopes = None
+            entry.reply = reply
+            _ReplyShipper(self, targets, reply, served=True)
             return
         self.mesh.post(self._reply_message(envelope, reply), envelope.reply_event, reply)
         self.monitor.counter("rpc.served").add(1)
 
-    def _consult_log(self, envelope: _Envelope) -> Tuple[str, Dict]:
+    def _consult_log(self, envelope: _Envelope) -> Tuple[str, _LogEntry]:
         """A serve's request-log step under a fault plan, keyed by
         ``(source node, msg_id)``.
 
@@ -660,12 +682,12 @@ class RPCEndpoint:
         key = (envelope.source.node.node_id, envelope.request.msg_id)
         entry = self._request_log.get(key)
         if entry is None:
-            entry = {"state": "in-flight", "envelopes": [envelope], "reply": None}
-            self._request_log[key] = entry
+            entry = self._request_log[key] = _LogEntry(envelope)
             return "new", entry
-        if entry["state"] == "in-flight":
-            if envelope not in entry["envelopes"]:
-                entry["envelopes"].append(envelope)
+        envelopes = entry.envelopes
+        if envelopes is not None:
+            if envelope not in envelopes:
+                envelopes.append(envelope)
             self.monitor.counter("rpc.duplicates_coalesced").add(1)
             return "coalesced", entry
         self.monitor.counter("rpc.replays").add(1)
@@ -680,7 +702,9 @@ class RPCEndpoint:
         self.monitor.counter("rpc.stalls").add(1)
         return stall.duration_s
 
-    def _fail_serve(self, envelope: _Envelope, entry: Optional[Dict], exc: BaseException) -> None:
+    def _fail_serve(
+        self, envelope: _Envelope, entry: Optional[_LogEntry], exc: BaseException
+    ) -> None:
         """Fail a serve's caller(s) with the handler's error.  A handler
         error is a deterministic outcome, not a lost message: a logged
         request's entry is dropped, so a retransmit re-raises, and every
@@ -689,7 +713,7 @@ class RPCEndpoint:
             envelope.reply_event.fail(RPCError(str(exc)))
             return
         del self._request_log[(envelope.source.node.node_id, envelope.request.msg_id)]
-        for env_ in entry["envelopes"]:
+        for env_ in entry.envelopes:
             if not env_.reply_event.triggered:
                 env_.reply_event.fail(RPCError(str(exc)))
 

@@ -29,11 +29,13 @@ The CI fault matrix runs this module once per tie-break order by
 setting ``FAULT_TIE_BREAK=fifo`` / ``lifo``; unset, both legs run.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
 import pathlib
 import re
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -782,6 +784,17 @@ class TestBenchOutput:
         assert not bench.committed_snapshot(str(tmp_path / "BENCH_ci.json"))
         assert not bench.committed_snapshot(str(tmp_path / "BENCH_12.json"))
 
+    def test_outside_a_checkout_an_existing_snapshot_counts(self, bench, tmp_path, monkeypatch):
+        # git ls-files exits 128 outside any repository (an exported
+        # tree); there a snapshot name counts if the file exists.
+        export = tmp_path / "export"
+        export.mkdir()
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        snapshot = export / "BENCH_12.json"
+        assert not bench.committed_snapshot(str(snapshot))
+        snapshot.write_text("{}")
+        assert bench.committed_snapshot(str(snapshot))
+
 
 class TestFaultProperties:
     """Hypothesis: random in-budget plans are always fully transparent."""
@@ -1300,6 +1313,125 @@ class TestCallbackRPCUnderPlans:
             assert counts[trace][:2] == (0, 0) and counts[trace][2] > 0
         # The same retried calls, traced or not.
         assert counts[True][2] == counts[False][2]
+
+
+class TestRPCStateRelease:
+    """Under a plan, an answered call lets go of what it held: the won
+    attempt's reply timer stays queued but disarmed, so nothing keeps the
+    call alive, and a served request-log entry keeps only its reply.
+    Neither moves a simulated instant."""
+
+    #: The final clock of :meth:`test_won_call_is_freed_and_its_timer_still_pops`,
+    #: as before the release: the won timer's deadline, which the clock
+    #: still drains to.
+    FINAL_NOW = 1.0000309975446429
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("form", ["call", "post"])
+    def test_won_call_is_freed_and_its_timer_still_pops(self, form, tie_break, monkeypatch):
+        from repro.faults.injector import FaultInjector
+        from repro.hardware import Mesh, Node, NodeKind
+        from repro.paragonos import ReadReply, ReadRequest, RPCEndpoint, rpc
+        from repro.sim.events import Timeout
+
+        calls = []
+
+        class TrackedCall(rpc._RetriedCall):
+            def __init__(self, *args):
+                calls.append(weakref.ref(self))
+                super().__init__(*args)
+
+        monkeypatch.setattr(rpc, "_RetriedCall", TrackedCall)
+        env = Environment(tie_break=tie_break)
+        faults = FaultInjector(env, FaultPlan(()))
+        mesh = Mesh(env, 4, 4, faults=faults)
+        client = RPCEndpoint(env, Node(env, 0, NodeKind.COMPUTE, (0, 0)), mesh, faults=faults)
+        server = RPCEndpoint(env, Node(env, 1, NodeKind.IO, (3, 0)), mesh, faults=faults)
+
+        def handler(request):
+            yield env.timeout(0.01)
+            return ReadReply(file_id=request.file_id, ufs_offset=0, data=b"x")
+
+        server.register(ReadRequest, handler)
+        request = ReadRequest(file_id=7, ufs_offset=0, nbytes=1)
+        replies = []
+
+        def caller():
+            replies.append((yield from client.call(server, request)))
+
+        if form == "call":
+            env.process(caller())
+        else:
+            client.post(
+                server, request, env.reserve_order_key(), lambda event: replies.append(event.value)
+            )
+        while not replies:
+            env.step()
+        answered_at = env.now
+        gc.collect()
+        assert len(calls) == 1 and calls[0]() is None
+        # The won attempt's timer is all that is queued, and it is
+        # disarmed.
+        [(deadline, _key, timer)] = env._queue
+        assert isinstance(timer, Timeout) and timer.callbacks == []
+        assert deadline > answered_at
+        env.run()
+        assert env.now == deadline == self.FINAL_NOW
+        [entry] = server._request_log.values()
+        assert entry.envelopes is None and entry.reply is replies[0]
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    @pytest.mark.parametrize("cell", ["crash:write:64kb:M_UNIX", "seed1:scattered:read:256kb"])
+    def test_served_log_entries_keep_only_their_reply(self, cell, tie_break):
+        machine, _reports = dict(FAULT_RECOVERY_CELLS)[cell](tie_break, False)
+        assert machine.verify() == []
+        endpoints = [
+            *machine.io_endpoints.values(),
+            machine.coordinator_endpoint,
+            *(client.endpoint for client in machine.clients),
+        ]
+        entries = [entry for endpoint in endpoints for entry in endpoint._request_log.values()]
+        assert len(entries) == machine.monitor.counter_value("rpc.served")
+        for entry in entries:
+            assert entry.envelopes is None
+            assert entry.reply is not None
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_replay_after_restart_answers_from_the_log(self, tie_break, monkeypatch):
+        # node0 goes down with an M_SYNC barrier call in flight; the
+        # restarted node asks again under the same msg_id, and the
+        # coordinator, which has served the call, answers from its log.
+        from repro.paragonos.rpc import RPCEndpoint
+
+        consult = RPCEndpoint._consult_log
+        replays = []
+
+        def recording_consult(self, envelope):
+            verdict, entry = consult(self, envelope)
+            if verdict == "replay":
+                replays.append((self, entry, entry.envelopes, entry.reply))
+            return verdict, entry
+
+        monkeypatch.setattr(RPCEndpoint, "_consult_log", recording_consult)
+        plan = FaultPlan.crash_restart(node="node0", windows=((0.01, 0.03),))
+        report = run_collective(
+            request_size=64 * KB,
+            file_size=scaled_file_size(64 * KB, rounds=2),
+            iomode=IOMode.M_SYNC,
+            rounds=2,
+            prefetch=True,
+            faults=plan,
+            tie_break=tie_break,
+            keep_machine=True,
+        )
+        machine = report.machine
+        assert machine.verify() == []
+        # As many replays as before the served entries shed their
+        # envelopes.
+        assert machine.monitor.counter_value("rpc.replays") == 1
+        [(endpoint, entry, envelopes, reply)] = replays
+        assert endpoint is machine.coordinator_endpoint
+        assert envelopes is None and reply is not None
 
 
 def _traced_read(size_kb, prefetch, **kwargs):
